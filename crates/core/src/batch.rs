@@ -509,7 +509,7 @@ impl SecureMemory {
     /// distinct lines planned.
     pub(crate) fn plan_batch_prefetch(&mut self, members: &[(BlockAddr, Block)]) -> u64 {
         let kind = RegionKind::Persistent;
-        let layout = self.layout(kind).clone();
+        let layout = self.layout(kind);
         if layout.is_empty() {
             return 0;
         }

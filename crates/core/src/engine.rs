@@ -906,7 +906,7 @@ impl SecureMemory {
         hash: Mac64,
         now: Time,
     ) -> Result<()> {
-        let geom = self.layout(kind).geometry.clone();
+        let geom = &self.layout(kind).geometry;
         let (p_level, p_index) = geom.parent(level, index);
         let slot = geom.child_slot(index);
         if p_level == geom.root_level() {
@@ -984,7 +984,7 @@ impl SecureMemory {
             },
             &bytes,
         );
-        let geom = self.layout(kind).geometry.clone();
+        let geom = &self.layout(kind).geometry;
         let (p_level, p_index) = geom.parent(level, index);
         let slot = geom.child_slot(index);
         let (parent, tp) = self.ensure_node(kind, p_level, p_index, now)?;
@@ -1054,7 +1054,7 @@ impl SecureMemory {
         };
         self.stats.counter_reads += 1;
         let h = bmt::leaf_hash(&self.mac_engine, kind, leaf, &bytes);
-        let geom = self.layout(kind).geometry.clone();
+        let geom = &self.layout(kind).geometry;
         let (p_level, p_index) = geom.parent(0, leaf);
         let slot = geom.child_slot(leaf);
         let (parent, tp) = self.ensure_node(kind, p_level, p_index, now)?;
@@ -1108,13 +1108,17 @@ impl SecureMemory {
         if kind != RegionKind::Persistent {
             return Ok(None);
         }
-        let layout = self.layout(kind).clone();
+        let layout = self.layout(kind);
+        let (coverage, data_blocks, data_start) = (
+            layout.counter_coverage,
+            layout.data_blocks,
+            layout.data_start,
+        );
         let split = self.split_counters();
         let mut cb = AnyCounterBlock::from_bytes(split, stored);
-        let coverage = layout.counter_coverage;
         for s in 0..coverage as usize {
             let data_index = leaf * coverage + s as u64;
-            if data_index >= layout.data_blocks {
+            if data_index >= data_blocks {
                 break;
             }
             let (mac_buf, _) = self.ensure_mac_block(kind, data_index, now)?;
@@ -1122,7 +1126,7 @@ impl SecureMemory {
             if tag.is_zero() {
                 continue; // never written: stored (zero) counter stands
             }
-            let block = layout.data_start + data_index;
+            let block = data_start + data_index;
             let (ct, _) = self.mc.read(block, now);
             let mut trial = cb;
             let mut found = false;
@@ -1225,18 +1229,21 @@ impl SecureMemory {
             .map
             .data_region_of(block)
             .ok_or(SecureMemoryError::OutOfRange { addr: block.base() })?;
-        let layout = self.layout(kind).clone();
+        let layout = self.layout(kind);
         let data_index = layout.data_index(block);
         let coverage = layout.counter_coverage;
         let leaf = data_index / coverage;
         let slot = (data_index % coverage) as usize;
+        let counter_addr = layout.counter_start + leaf;
+        let mac_addr = layout.mac_start + data_index / 8;
+        let root_level = layout.geometry.root_level();
 
         // 1. Advance the counter.
         let (mut cb, mut t) = self.ensure_counter(kind, leaf, now)?;
         let old_cb = cb;
         let outcome = cb.increment(slot);
-        self.counters.insert((layout.counter_start + leaf).0, cb);
-        self.ctr_touch(layout.counter_start + leaf, true);
+        self.counters.insert(counter_addr.0, cb);
+        self.ctr_touch(counter_addr, true);
 
         // 2. Encrypt and MAC the block. An open batch may have
         //    precomputed this pad from the batched AES pass; a miss
@@ -1256,7 +1263,6 @@ impl SecureMemory {
         let tag = self.data_tag(kind, block, &ct, &iv);
         let (mut mac_buf, t_mac) = self.ensure_mac_block(kind, data_index, now)?;
         mac_buf.set_slot((data_index % 8) as usize, tag);
-        let mac_addr = layout.mac_start + data_index / 8;
         self.macs.insert(mac_addr.0, mac_buf);
         self.mt_touch(mac_addr, true);
         t = t.max(t_mac) + self.config.security.hash_latency;
@@ -1269,10 +1275,16 @@ impl SecureMemory {
             t = self
                 .reencrypt_page(kind, leaf, slot, &old_cb, &cb, persist_macs, now)?
                 .max(t);
+            // The re-encryption retagged the other blocks of this MAC
+            // block on chip: persist that copy, not the one captured
+            // before it (fetching it back if it was evicted meanwhile).
+            mac_buf = match self.macs.get(&mac_addr.0) {
+                Some(buf) => *buf,
+                None => self.ensure_mac_block(kind, data_index, now)?.0,
+            };
         }
 
         // 4. Propagate to the tree and to NVM.
-        let counter_addr = layout.counter_start + leaf;
         let counter_bytes = cb.to_bytes();
         let leaf_h = bmt::leaf_hash(&self.mac_engine, kind, leaf, &counter_bytes);
         self.stats.nvm_data_writes += 1;
@@ -1291,7 +1303,7 @@ impl SecureMemory {
             let persist_levels = self
                 .scheme
                 .persisted_bmt_levels()
-                .min(layout.geometry.root_level().saturating_sub(1));
+                .min(root_level.saturating_sub(1));
             let (staged_nodes, new_root, t_path) =
                 self.update_path(kind, leaf, leaf_h, persist_levels, now)?;
             t = t.max(t_path);
@@ -1420,8 +1432,13 @@ impl SecureMemory {
         persist_macs: bool,
         now: Time,
     ) -> Result<Time> {
-        let layout = self.layout(kind).clone();
-        let coverage = layout.counter_coverage;
+        let layout = self.layout(kind);
+        let (coverage, data_blocks, data_start, mac_start) = (
+            layout.counter_coverage,
+            layout.data_blocks,
+            layout.data_start,
+            layout.mac_start,
+        );
         let mut t = now;
         let mut touched_macs = BTreeSet::new();
         for s in 0..coverage as usize {
@@ -1429,10 +1446,10 @@ impl SecureMemory {
                 continue;
             }
             let data_index = leaf * coverage + s as u64;
-            if data_index >= layout.data_blocks {
+            if data_index >= data_blocks {
                 break;
             }
-            let block = layout.data_start + data_index;
+            let block = data_start + data_index;
             let (mac_buf, _) = self.ensure_mac_block(kind, data_index, now)?;
             let tag = mac_buf.slot((data_index % 8) as usize);
             // Get the plaintext: cached, fresh, or decrypt the old
@@ -1465,7 +1482,7 @@ impl SecureMemory {
             let new_tag = self.data_tag(kind, block, &ct_new, &iv_new);
             let (mut mac_buf, _) = self.ensure_mac_block(kind, data_index, now)?;
             mac_buf.set_slot((data_index % 8) as usize, new_tag);
-            let mac_addr = layout.mac_start + data_index / 8;
+            let mac_addr = mac_start + data_index / 8;
             self.macs.insert(mac_addr.0, mac_buf);
             self.mt_touch(mac_addr, true);
             touched_macs.insert(mac_addr.0);
@@ -1516,16 +1533,16 @@ impl SecureMemory {
         persist_levels: u8,
         now: Time,
     ) -> Result<(Vec<StagedWrite>, NodeBuf, Time)> {
-        let layout = self.layout(kind).clone();
-        let geom = layout.geometry.clone();
+        let geom = &self.layout(kind).geometry;
+        let (root_level, arity) = (geom.root_level(), geom.arity());
         let mut staged = Vec::new();
         let mut h = leaf_hash;
         let mut child_index = leaf;
         let mut t = now;
-        for level in 1..=geom.root_level() {
-            let slot = geom.child_slot(child_index);
-            let index = child_index / geom.arity();
-            if level == geom.root_level() {
+        for level in 1..=root_level {
+            let slot = (child_index % arity) as usize;
+            let index = child_index / arity;
+            if level == root_level {
                 let mut root = self.root(kind);
                 root.set_slot(slot, h);
                 t += self.config.security.hash_latency;
@@ -1536,11 +1553,14 @@ impl SecureMemory {
             let persist_this = level <= persist_levels;
             self.put_node(kind, level, index, buf, !persist_this)?;
             if persist_this {
-                let addr = layout.bmt_node_addr(level, index).ok_or_else(|| {
-                    SecureMemoryError::internal(format!(
-                        "persisted BMT node ({level}, {index}) has no in-memory address"
-                    ))
-                })?;
+                let addr = self
+                    .layout(kind)
+                    .bmt_node_addr(level, index)
+                    .ok_or_else(|| {
+                        SecureMemoryError::internal(format!(
+                            "persisted BMT node ({level}, {index}) has no in-memory address"
+                        ))
+                    })?;
                 staged.push(StagedWrite { addr, data: buf.0 });
             }
             h = bmt::node_hash(
@@ -1614,7 +1634,7 @@ impl SecureMemory {
             self.hists.op_latency_ns.record(t.since(now).as_ns());
             return Ok(([0; BLOCK_BYTES], t));
         }
-        let layout = self.layout(kind).clone();
+        let layout = self.layout(kind);
         let data_index = layout.data_index(block);
         let leaf = data_index / layout.counter_coverage;
         let slot = (data_index % layout.counter_coverage) as usize;

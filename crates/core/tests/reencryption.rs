@@ -1,0 +1,98 @@
+//! Page re-encryption must leave every tag of the re-encrypted page
+//! current in NVM.
+//!
+//! When a minor counter overflows, the write path re-encrypts the
+//! page's other blocks under the new major counter and retags them in
+//! their MAC blocks. The written block shares its MAC block with seven
+//! siblings, so the MAC block it persists must be the retagged one: a
+//! copy captured before the re-encryption would put seven stale tags
+//! into NVM, and after a crash those siblings would fail their MAC
+//! check (or, with a stale zero tag, silently read back as zeros).
+
+use triad_core::{
+    CounterPersistence, PersistScheme, SecureMemory, SecureMemoryBuilder, WriteBatch,
+};
+use triad_crypto::counter::MINOR_MAX;
+use triad_sim::{BlockAddr, BLOCK_BYTES};
+
+/// A block image that names its block and the write that produced it.
+fn payload(block: BlockAddr, write: u64) -> [u8; BLOCK_BYTES] {
+    let mut data = [0u8; BLOCK_BYTES];
+    data[..8].copy_from_slice(&block.0.to_le_bytes());
+    data[8..16].copy_from_slice(&write.to_le_bytes());
+    data
+}
+
+/// Writes the seven siblings of the last block of a MAC group once,
+/// drives that block's minor counter to `MINOR_MAX`, then makes the
+/// overflowing write the last write into the group — inside a
+/// `persist_batch` or as a plain `persist_block`. Crashes, recovers
+/// and reads every block of the group back.
+fn overflow_on_last_write(scheme: PersistScheme, batched: bool) {
+    let mut mem: SecureMemory = SecureMemoryBuilder::new()
+        .scheme(scheme)
+        .counter_persistence(CounterPersistence::Strict)
+        .key_seed(7)
+        .build()
+        .unwrap();
+    // MAC group 1 of the persistent region's third page.
+    let first = BlockAddr(mem.persistent_region().start().block().0 + 2 * 64 + 8);
+    let group: Vec<BlockAddr> = (0..8).map(|i| BlockAddr(first.0 + i)).collect();
+    let (siblings, last) = (&group[..7], group[7]);
+    let mut t = mem.now();
+    for &b in siblings {
+        t = mem.persist_block(b, payload(b, 0), t).unwrap();
+    }
+    for w in 0..u64::from(MINOR_MAX) {
+        t = mem.persist_block(last, payload(last, w), t).unwrap();
+    }
+    assert_eq!(mem.stats().page_reencryptions, 0);
+    let final_write = payload(last, u64::from(MINOR_MAX));
+    if batched {
+        let mut batch = WriteBatch::new();
+        batch.push(last, final_write);
+        mem.persist_batch(&batch, t).unwrap();
+    } else {
+        mem.persist_block(last, final_write, t).unwrap();
+    }
+    assert_eq!(
+        mem.stats().page_reencryptions,
+        1,
+        "the last write must overflow"
+    );
+
+    mem.crash();
+    mem.recover().unwrap();
+    for &b in siblings {
+        let got = mem.read(b.base()).unwrap_or_else(|e| {
+            panic!("{scheme:?} batched={batched}: sibling {b} after recovery: {e:?}")
+        });
+        assert_eq!(
+            got,
+            payload(b, 0),
+            "{scheme:?} batched={batched}: sibling {b}"
+        );
+    }
+    assert_eq!(mem.read(last.base()).unwrap(), final_write);
+}
+
+const SCHEMES: [PersistScheme; 4] = [
+    PersistScheme::TriadNvm { n: 1 },
+    PersistScheme::TriadNvm { n: 2 },
+    PersistScheme::TriadNvm { n: 3 },
+    PersistScheme::Strict,
+];
+
+#[test]
+fn batched_overflow_persists_the_retagged_mac_block() {
+    for scheme in SCHEMES {
+        overflow_on_last_write(scheme, true);
+    }
+}
+
+#[test]
+fn scalar_overflow_persists_the_retagged_mac_block() {
+    for scheme in SCHEMES {
+        overflow_on_last_write(scheme, false);
+    }
+}

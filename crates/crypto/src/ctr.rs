@@ -64,9 +64,8 @@ impl Iv {
 /// Generates the 64-byte one-time pad for `iv`.
 pub fn pad(cipher: &Aes128, iv: &Iv) -> [u8; 64] {
     let mut out = [0u8; 64];
-    for word in 0..4u8 {
-        let enc = cipher.encrypt_block(iv.to_block(word));
-        out[16 * word as usize..16 * (word as usize + 1)].copy_from_slice(&enc);
+    for (word, chunk) in (0..4u8).zip(out.chunks_exact_mut(16)) {
+        chunk.copy_from_slice(&cipher.encrypt_block(iv.to_block(word)));
     }
     out
 }
@@ -74,30 +73,12 @@ pub fn pad(cipher: &Aes128, iv: &Iv) -> [u8; 64] {
 /// Generates the one-time pads for a whole batch of IVs under one
 /// shared key schedule.
 ///
-/// All `4 × ivs.len()` AES inputs are serialised in a single pass and
-/// then encrypted back-to-back, which is how a hardware write-batch
-/// pipeline would drive the AES unit: the key schedule is expanded once
-/// and the counter blocks stream through it. The output is
-/// bit-identical to mapping [`pad`] over `ivs`.
+/// The counter blocks stream back-to-back through one expanded key
+/// schedule, which is how a hardware write-batch pipeline would drive
+/// the AES unit, and each pad is written straight into the output. The
+/// output is bit-identical to mapping [`pad`] over `ivs`.
 pub fn pad_batch(cipher: &Aes128, ivs: &[Iv]) -> Vec<[u8; 64]> {
-    // Pass 1: serialise every 16 B counter block for the whole batch.
-    let mut inputs = Vec::with_capacity(ivs.len() * 4);
-    for iv in ivs {
-        for word in 0..4u8 {
-            inputs.push(iv.to_block(word));
-        }
-    }
-    // Pass 2: stream the serialised blocks through the shared schedule.
-    let mut out = Vec::with_capacity(ivs.len());
-    for chunk in inputs.chunks_exact(4) {
-        let mut p = [0u8; 64];
-        for (word, input) in chunk.iter().enumerate() {
-            let enc = cipher.encrypt_block(*input);
-            p[16 * word..16 * (word + 1)].copy_from_slice(&enc);
-        }
-        out.push(p);
-    }
-    out
+    ivs.iter().map(|iv| pad(cipher, iv)).collect()
 }
 
 /// Encrypts a 64-byte block with the pad derived from `iv`.

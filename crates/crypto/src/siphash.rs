@@ -51,48 +51,67 @@ impl SipHash24 {
         SipHash24 { k0, k1 }
     }
 
-    /// Hashes `data`, producing the 64-bit tag.
-    pub fn hash(&self, data: &[u8]) -> u64 {
-        let mut v = [
+    /// The initial state for this key.
+    fn init(&self) -> [u64; 4] {
+        [
             self.k0 ^ 0x736f_6d65_7073_6575,
             self.k1 ^ 0x646f_7261_6e64_6f6d,
             self.k0 ^ 0x6c79_6765_6e65_7261,
             self.k1 ^ 0x7465_6462_7974_6573,
-        ];
+        ]
+    }
+
+    /// Hashes `data`, producing the 64-bit tag.
+    pub fn hash(&self, data: &[u8]) -> u64 {
+        let mut v = self.init();
         let mut chunks = data.chunks_exact(8);
         for chunk in &mut chunks {
-            let m = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-            v[3] ^= m;
-            sipround(&mut v);
-            sipround(&mut v);
-            v[0] ^= m;
+            compress(
+                &mut v,
+                u64::from_le_bytes(chunk.try_into().expect("8 bytes")),
+            );
         }
         // Final block: remaining bytes plus the length in the top byte.
         let rem = chunks.remainder();
         let mut last = [0u8; 8];
         last[..rem.len()].copy_from_slice(rem);
         last[7] = data.len() as u8;
-        let m = u64::from_le_bytes(last);
-        v[3] ^= m;
-        sipround(&mut v);
-        sipround(&mut v);
-        v[0] ^= m;
-        v[2] ^= 0xff;
-        for _ in 0..4 {
-            sipround(&mut v);
-        }
-        v[0] ^ v[1] ^ v[2] ^ v[3]
+        finish(v, u64::from_le_bytes(last))
     }
 
     /// Hashes a sequence of 64-bit words (little-endian), a convenience
-    /// for hashing structured metadata without an allocation.
+    /// for hashing structured metadata without an allocation: each word
+    /// is one message block, so the tag equals [`SipHash24::hash`] over
+    /// the words' little-endian bytes.
     pub fn hash_words(&self, words: &[u64]) -> u64 {
-        let mut bytes = Vec::with_capacity(words.len() * 8);
-        for w in words {
-            bytes.extend_from_slice(&w.to_le_bytes());
+        let mut v = self.init();
+        for &m in words {
+            compress(&mut v, m);
         }
-        self.hash(&bytes)
+        // The message is a whole number of blocks: the final block
+        // carries only the byte length.
+        finish(v, ((words.len() * 8) as u64) << 56)
     }
+}
+
+/// Absorbs one 8-byte message block (two compression rounds).
+#[inline]
+fn compress(v: &mut [u64; 4], m: u64) {
+    v[3] ^= m;
+    sipround(v);
+    sipround(v);
+    v[0] ^= m;
+}
+
+/// Absorbs the final block `last` and runs the four finalisation rounds.
+#[inline]
+fn finish(mut v: [u64; 4], last: u64) -> u64 {
+    compress(&mut v, last);
+    v[2] ^= 0xff;
+    for _ in 0..4 {
+        sipround(&mut v);
+    }
+    v[0] ^ v[1] ^ v[2] ^ v[3]
 }
 
 #[cfg(test)]

@@ -2,8 +2,9 @@
 
 use triad_nvm::crypto::aes::Aes128;
 use triad_nvm::crypto::counter::{SplitCounterBlock, MINOR_MAX};
-use triad_nvm::crypto::ctr::{decrypt_block, encrypt_block, Iv};
+use triad_nvm::crypto::ctr::{decrypt_block, encrypt_block, pad, pad_batch, Iv};
 use triad_nvm::crypto::mac::MacEngine;
+use triad_nvm::crypto::siphash::SipHash24;
 use triad_nvm::meta::bmt::{self, BmtGeometry, NodeBuf};
 use triad_nvm::meta::layout::{RegionKind, RegionLayout};
 use triad_nvm::sim::prop::{check, Config};
@@ -58,6 +59,53 @@ fn ctr_mode_is_an_involution() {
         );
         Ok(())
     });
+}
+
+#[test]
+fn pad_batch_matches_scalar_pads() {
+    check("pad_batch_matches_scalar_pads", Config::default(), |rng| {
+        let mut key = [0u8; 16];
+        rng.fill_bytes(&mut key);
+        let cipher = Aes128::new(&key);
+        let n = rng.gen_range_inclusive(0..=33);
+        let ivs: Vec<Iv> = (0..n)
+            .map(|_| {
+                Iv::new(
+                    rng.gen_range(0..1 << 40),
+                    rng.gen_range(0..64) as u8,
+                    rng.next_u64(),
+                    rng.gen_range(0..128) as u8,
+                    rng.next_u32(),
+                )
+            })
+            .collect();
+        let scalar: Vec<[u8; 64]> = ivs.iter().map(|iv| pad(&cipher, iv)).collect();
+        ensure!(
+            pad_batch(&cipher, &ivs) == scalar,
+            "batched pads diverged from scalar pads for {n} IVs"
+        );
+        Ok(())
+    });
+}
+
+#[test]
+fn siphash_hash_words_matches_hash_of_their_bytes() {
+    check(
+        "siphash_hash_words_matches_hash_of_their_bytes",
+        Config::default(),
+        |rng| {
+            let h = SipHash24::from_halves(rng.next_u64(), rng.next_u64());
+            // 32 words is 256 bytes: the length byte wraps past it.
+            let n = rng.gen_range_inclusive(0..=40);
+            let words: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+            let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            ensure!(
+                h.hash_words(&words) == h.hash(&bytes),
+                "hash_words diverged from hash over {n} words"
+            );
+            Ok(())
+        },
+    );
 }
 
 #[test]
