@@ -1,10 +1,12 @@
 //! Micro-benchmarks of the secure memory controller's hot paths:
-//! loads, plain stores, and persists under each persistence scheme.
+//! loads, plain stores, persists under each persistence scheme, and
+//! one 64-member batched persist (whose staging must stay linear in
+//! the batch size).
 
 use std::hint::black_box;
 use triad_bench::timing::{bench, header};
-use triad_core::{PersistScheme, SecureMemory, SecureMemoryBuilder};
-use triad_sim::PhysAddr;
+use triad_core::{PersistScheme, SecureMemory, SecureMemoryBuilder, WriteBatch};
+use triad_sim::{BlockAddr, PhysAddr};
 
 fn engine(scheme: PersistScheme) -> SecureMemory {
     SecureMemoryBuilder::new().scheme(scheme).build().unwrap()
@@ -45,6 +47,28 @@ fn main() {
             i += 1;
             m.write(addr, &i.to_le_bytes()).unwrap();
             m.persist(black_box(addr)).unwrap();
+        });
+    }
+
+    {
+        // One 64-member batch per iteration on a warm engine, rotating
+        // over 512 blocks that a warm-up batch has already persisted.
+        let mut m = engine(PersistScheme::triad_nvm(2));
+        let base = m.persistent_region().start().block();
+        let block = |i: u64| BlockAddr(base.0 + i % 512);
+        let mut warm = WriteBatch::new();
+        for i in 0..512 {
+            warm.push(block(i), [1u8; 64]);
+        }
+        m.apply_batch(&warm).unwrap();
+        let mut round = 0u64;
+        bench("persist_batch_64", || {
+            let mut batch = WriteBatch::new();
+            for j in 0..64 {
+                batch.push(block(round * 64 + j), [(round % 255) as u8 + 1; 64]);
+            }
+            round += 1;
+            m.apply_batch(black_box(&batch)).unwrap();
         });
     }
 }

@@ -24,14 +24,20 @@
 //!
 //! ## Crash safety
 //!
-//! The pending buffer is **cumulatively re-staged** into the
-//! persistent registers after every mutation: at any point mid-batch
-//! the registers hold the full replayable prefix (all fully processed
-//! members, merged). A crash between members therefore recovers
-//! exactly like the scalar walk — processed members durable, the rest
-//! lost — and each member consumes one persist-boundary durability
-//! point, keeping armed-crash drivers scheme-agnostic.
+//! The merged update set is staged **in place** in the persistent
+//! registers: the batch's first write replaces whatever they held, a
+//! write to an already-staged address overwrites its bytes, a new
+//! address is appended, and every member advances the logged root.
+//! At any point mid-batch the registers therefore hold the full
+//! replayable prefix (all fully processed members, merged last-wins,
+//! in first-staging order). A crash between members recovers exactly
+//! like the scalar walk — processed members durable, the rest lost —
+//! and each member consumes one persist-boundary durability point,
+//! keeping armed-crash drivers scheme-agnostic. The registers hold the
+//! only copy of the merged writes, so staging one write costs one
+//! index lookup, not a rebuild of the whole set.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use triad_cache::PrefetchClass;
@@ -46,7 +52,7 @@ use triad_sim::BlockAddr;
 
 use crate::engine::{EngineState, EvictItem, Result, SecureMemory};
 use crate::error::SecureMemoryError;
-use crate::registers::{StagedUpdate, StagedWrite};
+use crate::registers::{PersistentRegisters, StagedUpdate, StagedWrite};
 use crate::scheme::CounterPersistence;
 
 /// A program-ordered set of full-block writes to persist together.
@@ -113,16 +119,15 @@ pub(crate) enum WriteClass {
     Node,
 }
 
-/// The open batch's staging buffer: last-wins merged writes keyed by
-/// address, the pending persistent root, and the precomputed pads.
+/// The open batch's bookkeeping. The merged writes themselves live in
+/// the persistent registers' staged update; this records where each
+/// address sits in it, each position's class, and the precomputed pads.
 #[derive(Debug)]
 pub(crate) struct PendingBatch {
-    /// addr → (first-staging order, class, current bytes).
-    writes: BTreeMap<u64, (usize, WriteClass, Block)>,
-    next_order: usize,
-    /// Root the persistent region reaches once the batch commits
-    /// (tracked for the cumulative re-stage).
-    new_persistent_root: Option<triad_meta::NodeBuf>,
+    /// addr → position in the staged update's write list.
+    index: BTreeMap<u64, usize>,
+    /// Class of each staged position (first-staging order).
+    classes: Vec<WriteClass>,
     /// Precomputed one-time pads keyed by (data block, major, minor).
     pads: BTreeMap<(u64, u64, u8), Block>,
     /// Writes a scalar walk would have performed (before merging).
@@ -132,68 +137,35 @@ pub(crate) struct PendingBatch {
 impl PendingBatch {
     pub(crate) fn new(pads: BTreeMap<(u64, u64, u8), Block>) -> Self {
         PendingBatch {
-            writes: BTreeMap::new(),
-            next_order: 0,
-            new_persistent_root: None,
+            index: BTreeMap::new(),
+            classes: Vec::new(),
             pads,
             naive_writes: 0,
         }
     }
 
-    /// Stages one write, merging last-wins on address. The class and
-    /// insertion order of the first staging are kept.
-    fn stage(&mut self, class: WriteClass, addr: BlockAddr, data: Block) {
-        match self.writes.get_mut(&addr.0) {
-            Some(entry) => entry.2 = data,
-            None => {
-                let order = self.next_order;
-                self.next_order += 1;
-                self.writes.insert(addr.0, (order, class, data));
+    /// Stages one write into `regs`, merging last-wins on address. The
+    /// class and position of the first staging are kept.
+    fn stage(
+        &mut self,
+        regs: &mut PersistentRegisters,
+        class: WriteClass,
+        addr: BlockAddr,
+        data: Block,
+    ) {
+        if self.classes.is_empty() {
+            // The batch's first write replaces whatever was logged.
+            regs.stage(StagedUpdate::default());
+        }
+        let writes = &mut regs.staged_mut().writes;
+        match self.index.entry(addr.0) {
+            Entry::Occupied(pos) => writes[*pos.get()].data = data,
+            Entry::Vacant(slot) => {
+                slot.insert(writes.len());
+                writes.push(StagedWrite { addr, data });
+                self.classes.push(class);
             }
         }
-    }
-
-    /// Current staged bytes for `addr`, if pending.
-    fn lookup(&self, addr: BlockAddr) -> Option<Block> {
-        self.writes.get(&addr.0).map(|(_, _, data)| *data)
-    }
-
-    /// Refreshes the bytes of an already-pending write (used when an
-    /// eviction writes a newer value of the block straight to NVM, so
-    /// the commit/recovery replay cannot clobber it with stale bytes).
-    /// Returns whether `addr` was pending.
-    fn refresh(&mut self, addr: BlockAddr, data: Block) -> bool {
-        match self.writes.get_mut(&addr.0) {
-            Some(entry) => {
-                entry.2 = data;
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.writes.is_empty()
-    }
-
-    /// The merged writes in first-staging order.
-    fn ordered(&self) -> Vec<(WriteClass, StagedWrite)> {
-        let mut v: Vec<(usize, WriteClass, StagedWrite)> = self
-            .writes
-            .iter()
-            .map(|(addr, (order, class, data))| {
-                (
-                    *order,
-                    *class,
-                    StagedWrite {
-                        addr: BlockAddr(*addr),
-                        data: *data,
-                    },
-                )
-            })
-            .collect();
-        v.sort_unstable_by_key(|(order, _, _)| *order);
-        v.into_iter().map(|(_, class, w)| (class, w)).collect()
     }
 }
 
@@ -317,7 +289,8 @@ impl SecureMemory {
     /// data fetches must prefer these over the (stale-until-commit)
     /// NVM copy.
     pub(crate) fn batch_forward(&self, addr: BlockAddr) -> Option<Block> {
-        self.batch.as_ref().and_then(|p| p.lookup(addr))
+        let pos = *self.batch.as_ref()?.index.get(&addr.0)?;
+        self.regs.staged()?.writes.get(pos).map(|w| w.data)
     }
 
     /// Precomputed pad for `(block, major, minor)` in the open batch.
@@ -327,8 +300,8 @@ impl SecureMemory {
             .and_then(|p| p.pads.get(&(block.0, major, minor)).copied())
     }
 
-    /// Merges one member's atomic update set into the open batch and
-    /// cumulatively re-stages the persistent registers. `writes` is
+    /// Merges one member's atomic update set into the open batch's
+    /// staged update and advances its logged root. `writes` is
     /// positionally classed exactly as the scalar protocol builds it:
     /// data, then (optionally) the counter, then the MAC, then nodes.
     pub(crate) fn stage_into_batch(
@@ -338,30 +311,29 @@ impl SecureMemory {
         persist_counter: bool,
         new_root: triad_meta::NodeBuf,
     ) {
-        if let Some(pending) = &mut self.batch {
-            pending.naive_writes += writes.len() as u64;
-            for (i, w) in writes.iter().enumerate() {
-                let class = match (i, persist_counter) {
-                    (0, _) => WriteClass::Data,
-                    (1, true) => WriteClass::Counter,
-                    (1, false) | (2, true) => WriteClass::Mac,
-                    _ => WriteClass::Node,
-                };
-                pending.stage(class, w.addr, w.data);
-            }
-            if kind == RegionKind::Persistent {
-                pending.new_persistent_root = Some(new_root);
-            }
-            self.restage_batch();
+        let SecureMemory { batch, regs, .. } = self;
+        let Some(pending) = batch else { return };
+        pending.naive_writes += writes.len() as u64;
+        for (i, w) in writes.iter().enumerate() {
+            let class = match (i, persist_counter) {
+                (0, _) => WriteClass::Data,
+                (1, true) => WriteClass::Counter,
+                (1, false) | (2, true) => WriteClass::Mac,
+                _ => WriteClass::Node,
+            };
+            pending.stage(regs, class, w.addr, w.data);
+        }
+        if kind == RegionKind::Persistent {
+            regs.staged_mut().new_persistent_root = Some(new_root);
         }
     }
 
     /// Stages a single write into the open batch (re-encryption path).
     pub(crate) fn batch_stage_raw(&mut self, class: WriteClass, addr: BlockAddr, data: Block) {
-        if let Some(pending) = &mut self.batch {
+        let SecureMemory { batch, regs, .. } = self;
+        if let Some(pending) = batch {
             pending.naive_writes += 1;
-            pending.stage(class, addr, data);
-            self.restage_batch();
+            pending.stage(regs, class, addr, data);
         }
     }
 
@@ -369,27 +341,12 @@ impl SecureMemory {
     /// the same block (eviction mid-batch), so neither the commit nor a
     /// recovery replay can roll the block back to stale bytes.
     pub(crate) fn batch_refresh(&mut self, addr: BlockAddr, data: Block) {
-        let refreshed = match &mut self.batch {
-            Some(pending) => pending.refresh(addr, data),
-            None => false,
+        let Some(&pos) = self.batch.as_ref().and_then(|p| p.index.get(&addr.0)) else {
+            return;
         };
-        if refreshed {
-            self.restage_batch();
+        if let Some(w) = self.regs.staged_mut().writes.get_mut(pos) {
+            w.data = data;
         }
-    }
-
-    /// Re-stages the full merged pending set (and pending root) into
-    /// the persistent registers. Keeping the registers cumulative makes
-    /// the per-member root advance crash-safe: whatever prefix of the
-    /// batch has been processed is always replayable.
-    fn restage_batch(&mut self) {
-        let Some(pending) = &self.batch else { return };
-        let writes: Vec<StagedWrite> = pending.ordered().into_iter().map(|(_, w)| w).collect();
-        let new_persistent_root = pending.new_persistent_root;
-        self.regs.stage(StagedUpdate {
-            writes,
-            new_persistent_root,
-        });
     }
 
     /// Commits the open batch: charges the register protocol once,
@@ -400,27 +357,30 @@ impl SecureMemory {
         let Some(pending) = self.batch.take() else {
             return Ok(now);
         };
-        if pending.is_empty() {
+        let staged = pending.classes.len();
+        if staged == 0 {
             return Ok(now);
         }
-        let writes = pending.ordered();
-        let merged = pending.naive_writes - writes.len() as u64;
+        let merged = pending.naive_writes - staged as u64;
         let mut t = now
             + self
                 .config
                 .security
                 .persistent_register_latency
-                .saturating_mul(writes.len() as u64 + 1);
+                .saturating_mul(staged as u64 + 1);
         emit(
             &self.events,
             now,
             "batch_persist",
             &[
-                ("staged_writes", writes.len().into()),
+                ("staged_writes", staged.into()),
                 ("merged_away", merged.into()),
             ],
         );
-        for (class, w) in &writes {
+        for (pos, class) in pending.classes.iter().enumerate() {
+            let Some(w) = self.regs.staged().and_then(|u| u.writes.get(pos)).copied() else {
+                break;
+            };
             if let Some(left) = self.crash_after_wpq_writes {
                 if left == 0 {
                     // First fire wins: disarm the persist-boundary

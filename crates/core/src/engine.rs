@@ -1341,13 +1341,12 @@ impl SecureMemory {
             let node_count = staged_nodes.len() as u64;
             writes.extend(staged_nodes);
             if self.batch.is_some() {
-                // Open batch: merge this member's update set into the
-                // pending (last-wins) staging buffer. The cumulative
-                // re-stage keeps the persistent registers holding the
-                // whole replayable prefix, so the per-member root
-                // advance below stays crash-safe; the coalesced WPQ
-                // drain and register commit happen once in
-                // `commit_batch`.
+                // Open batch: merge this member's update set last-wins
+                // into the registers' staged update, which therefore
+                // always holds the whole replayable prefix, so the
+                // per-member root advance below stays crash-safe; the
+                // coalesced WPQ drain and register commit happen once
+                // in `commit_batch`.
                 self.stage_into_batch(kind, &writes, persist_counter, new_root);
                 self.set_root(kind, new_root);
             } else {

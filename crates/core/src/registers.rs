@@ -9,6 +9,10 @@
 //! * a **staging log + READY_BIT**: before a write's updates are copied
 //!   into the WPQ they are logged here, so a crash mid-copy can be
 //!   replayed at recovery instead of leaving data and metadata torn.
+//!   A scalar persist logs its update set whole with
+//!   [`PersistentRegisters::stage`]; an open batch grows one logged set
+//!   in place, write by write (`crate::batch`), so the registers hold
+//!   the only copy of the batch's merged writes.
 
 use triad_mem::store::Block;
 use triad_meta::bmt::NodeBuf;
@@ -76,6 +80,17 @@ impl PersistentRegisters {
         self.staged = Some(update);
     }
 
+    /// The logged update, while READY_BIT is set.
+    pub(crate) fn staged(&self) -> Option<&StagedUpdate> {
+        self.staged.as_ref()
+    }
+
+    /// The logged update for in-place extension, setting READY_BIT
+    /// (with an empty update) if it was clear.
+    pub(crate) fn staged_mut(&mut self) -> &mut StagedUpdate {
+        self.staged.get_or_insert_with(StagedUpdate::default)
+    }
+
     /// Clears READY_BIT after a completed WPQ copy.
     pub fn commit(&mut self) {
         self.staged = None;
@@ -134,6 +149,20 @@ mod tests {
         assert_eq!(r.take_staged(), Some(u));
         assert_eq!(r.take_staged(), None);
         assert!(!r.ready_bit());
+    }
+
+    #[test]
+    fn staged_mut_extends_the_logged_update_in_place() {
+        let mut r = PersistentRegisters::new();
+        r.staged_mut().writes.push(StagedWrite {
+            addr: BlockAddr(1),
+            data: [1; 64],
+        });
+        assert!(r.ready_bit(), "extending an empty log sets READY_BIT");
+        r.staged_mut().writes[0].data = [2; 64];
+        assert_eq!(r.staged().map(|u| u.writes[0].data), Some([2; 64]));
+        r.commit();
+        assert!(r.staged().is_none());
     }
 
     #[test]

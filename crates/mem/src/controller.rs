@@ -144,8 +144,8 @@ pub struct MemoryController {
     wear: WearTracker,
     /// Optional device-side Start-Gap wear leveller. When enabled,
     /// `read`/`write` take *logical* addresses and the raw image
-    /// (`store()`, `crash()`) is the *physical* layout — exactly like
-    /// a real DIMM's internal remapping. The secure engine never
+    /// (`store()`, also after `crash()`) is the *physical* layout —
+    /// exactly like a real DIMM's internal remapping. The secure engine never
     /// enables this (its recovery walks the raw image); it exists as a
     /// device substrate, exercised by the endurance tests.
     leveler: Option<StartGap>,
@@ -370,10 +370,10 @@ impl MemoryController {
 
     /// Simulates a power loss: the WPQ's contents are already durable
     /// (written at acceptance), so only the queue bookkeeping clears.
-    /// Returns the NVM image as it would be found at reboot.
-    pub fn crash(&mut self) -> SparseStore {
+    /// [`MemoryController::store`] is then the NVM image as it would be
+    /// found at reboot.
+    pub fn crash(&mut self) {
         self.wpq.clear();
-        self.store.clone()
     }
 }
 
@@ -451,8 +451,8 @@ mod tests {
     fn accepted_write_survives_crash() {
         let mut m = mc();
         m.write(BlockAddr(7), [3; 64], Time::ZERO);
-        let image = m.crash();
-        assert_eq!(image.read(BlockAddr(7)), [3; 64]);
+        m.crash();
+        assert_eq!(m.store().read(BlockAddr(7)), [3; 64]);
         assert_eq!(m.wpq_occupancy(Time::ZERO), 0);
     }
 
@@ -550,7 +550,8 @@ mod tests {
             m.write(BlockAddr(i * 64), [i as u8 + 1; 64], Time::ZERO);
         }
         assert!(m.wpq_occupancy(Time::ZERO) > 0, "entries still pending");
-        let image = m.crash();
+        m.crash();
+        let image = m.store();
         let mut found: Vec<u64> = image.iter().map(|(a, _)| a.0).collect();
         found.sort_unstable();
         let expected: Vec<u64> = (0..n).map(|i| i * 64).collect();

@@ -7,16 +7,43 @@
 //! threat model of §3.1 (an attacker who can read and modify NVM
 //! contents between and during boot episodes).
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use triad_sim::{BlockAddr, BLOCK_BYTES};
 
 /// One 64-byte memory block.
 pub type Block = [u8; BLOCK_BYTES];
 
-/// A sparse, functional NVM image.
+const ZERO: Block = [0; BLOCK_BYTES];
+
+/// Blocks per page of the image: one MAC group (the eight data blocks
+/// whose 8-byte MACs share one MAC block). Larger pages save B-tree
+/// nodes on dense images but waste memory on sparsely touched ones.
+const PAGE_BLOCKS: u64 = 8;
+
+/// Eight consecutive blocks; a block whose bit is clear in `resident`
+/// is zero.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Page {
+    blocks: [Block; PAGE_BLOCKS as usize],
+    resident: u8,
+}
+
+/// A sparse, functional NVM image: a B-tree of 8-block pages holding
+/// only pages with at least one non-zero block.
+///
+/// Two stores compare equal exactly when every block reads the same:
+/// zero blocks are never resident and a page is freed with its last
+/// non-zero block, so equal contents mean equal representations.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SparseStore {
-    blocks: BTreeMap<u64, Block>,
+    pages: BTreeMap<u64, Box<Page>>,
+    resident: usize,
+}
+
+/// Splits a block address into (page number, slot in page).
+fn locate(addr: BlockAddr) -> (u64, usize) {
+    (addr.0 / PAGE_BLOCKS, (addr.0 % PAGE_BLOCKS) as usize)
 }
 
 impl SparseStore {
@@ -27,25 +54,50 @@ impl SparseStore {
 
     /// Reads a block; unwritten blocks are zero.
     pub fn read(&self, addr: BlockAddr) -> Block {
-        self.blocks
-            .get(&addr.0)
-            .copied()
-            .unwrap_or([0; BLOCK_BYTES])
+        let (page, slot) = locate(addr);
+        match self.pages.get(&page) {
+            Some(p) => p.blocks[slot],
+            None => ZERO,
+        }
     }
 
     /// Writes a block.
     pub fn write(&mut self, addr: BlockAddr, data: Block) {
-        if data == [0; BLOCK_BYTES] {
-            // Keep the map sparse: zero blocks are the default.
-            self.blocks.remove(&addr.0);
+        let (page, slot) = locate(addr);
+        let bit = 1u8 << slot;
+        if data == ZERO {
+            // Keep the store sparse: zero blocks are the default.
+            let Entry::Occupied(mut entry) = self.pages.entry(page) else {
+                return;
+            };
+            let p = entry.get_mut();
+            if p.resident & bit == 0 {
+                return;
+            }
+            p.resident &= !bit;
+            p.blocks[slot] = ZERO;
+            self.resident -= 1;
+            if p.resident == 0 {
+                entry.remove();
+            }
         } else {
-            self.blocks.insert(addr.0, data);
+            let p = self.pages.entry(page).or_insert_with(|| {
+                Box::new(Page {
+                    blocks: [ZERO; PAGE_BLOCKS as usize],
+                    resident: 0,
+                })
+            });
+            if p.resident & bit == 0 {
+                p.resident |= bit;
+                self.resident += 1;
+            }
+            p.blocks[slot] = data;
         }
     }
 
     /// Number of non-zero blocks resident.
     pub fn resident_blocks(&self) -> usize {
-        self.blocks.len()
+        self.resident
     }
 
     /// XORs `mask` into the block at `addr` — the attacker's direct
@@ -67,7 +119,16 @@ impl SparseStore {
     /// Iterates over resident (non-zero) blocks in ascending address
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &Block)> {
-        self.blocks.iter().map(|(a, b)| (BlockAddr(*a), b))
+        self.pages.iter().flat_map(|(page, p)| {
+            (0..PAGE_BLOCKS)
+                .filter(|slot| p.resident & (1 << slot) != 0)
+                .map(move |slot| {
+                    (
+                        BlockAddr(page * PAGE_BLOCKS + slot),
+                        &p.blocks[slot as usize],
+                    )
+                })
+        })
     }
 }
 
@@ -136,7 +197,9 @@ mod tests {
         let mut s = SparseStore::new();
         s.write(BlockAddr(2), [2; 64]);
         s.write(BlockAddr(1), [1; 64]);
+        s.write(BlockAddr(u64::MAX), [3; 64]);
+        s.write(BlockAddr(9), [9; 64]);
         let addrs: Vec<u64> = s.iter().map(|(a, _)| a.0).collect();
-        assert_eq!(addrs, [1, 2]);
+        assert_eq!(addrs, [1, 2, 9, u64::MAX]);
     }
 }

@@ -1,9 +1,11 @@
 //! Property tests of the memory controller: durability of accepted
-//! writes (with coalescing), monotonic timing, crash behaviour, and
-//! the bank-availability probe of the PCM timing model.
+//! writes (with coalescing), monotonic timing, crash behaviour, the
+//! bank-availability probe of the PCM timing model, and the paged NVM
+//! image against a flat block map.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use triad_mem::controller::MemoryController;
+use triad_mem::store::{Block, SparseStore};
 use triad_mem::timing::{PcmTiming, RowOutcome};
 use triad_sim::config::SystemConfig;
 use triad_sim::prop::{check, check_ops, Config};
@@ -73,11 +75,11 @@ fn reads_always_see_the_latest_accepted_write() {
                 }
             }
             // Everything accepted must survive a crash.
-            let image = mc.crash();
+            mc.crash();
             for (addr, fill) in model {
                 let expected = if fill == 0 { [0u8; 64] } else { [fill; 64] };
                 ensure!(
-                    image.read(BlockAddr(addr)) == expected,
+                    mc.store().read(BlockAddr(addr)) == expected,
                     "addr {addr}: accepted write lost across the crash"
                 );
             }
@@ -214,10 +216,139 @@ fn coalescing_never_loses_the_newest_value() {
                 mc.stats().wpq_coalesced
             );
             let expected = if last == 0 { [0u8; 64] } else { [last; 64] };
+            mc.crash();
             ensure!(
-                mc.crash().read(BlockAddr(7)) == expected,
+                mc.store().read(BlockAddr(7)) == expected,
                 "newest value lost"
             );
+            Ok(())
+        },
+    );
+}
+
+/// One step of the store model property. Block contents are uniform
+/// fills from a four-value alphabet, so XOR masks routinely zero a
+/// block and rewrites routinely repeat a value.
+#[derive(Debug, Clone)]
+enum StoreOp {
+    Write { addr: u64, fill: u8 },
+    Zero { addr: u64 },
+    Tamper { addr: u64, mask: u8 },
+    Rollback { addr: u64, fill: u8 },
+    Read { addr: u64 },
+    Snapshot,
+}
+
+/// Draws a history over a few page-boundary anchors (page 0, the last
+/// page below `u64::MAX / 8`, and two random pages), each spread over
+/// the two pages around it.
+fn gen_store_ops(rng: &mut SplitMix64) -> Vec<StoreOp> {
+    let top = u64::MAX / 8;
+    let anchors = [
+        0,
+        top - top % 8,
+        rng.gen_range(1..top / 8) * 8,
+        rng.gen_range(1..1 << 20) * 8,
+    ];
+    let len = rng.gen_range(1..200) as usize;
+    (0..len)
+        .map(|_| {
+            let anchor = anchors[rng.gen_range(0..anchors.len() as u64) as usize];
+            let addr = (anchor + rng.gen_range(0..16)).saturating_sub(8).min(top);
+            let fill = rng.gen_range(0..4) as u8;
+            match rng.gen_range(0..12) {
+                0..=3 => StoreOp::Write { addr, fill },
+                4..=5 => StoreOp::Zero { addr },
+                6..=7 => StoreOp::Tamper { addr, mask: fill },
+                8 => StoreOp::Rollback { addr, fill },
+                9..=10 => StoreOp::Read { addr },
+                _ => StoreOp::Snapshot,
+            }
+        })
+        .collect()
+}
+
+/// A store holding exactly `model`'s blocks, written once each in
+/// ascending order: the shortest history that reaches those contents.
+fn store_from(model: &BTreeMap<u64, Block>) -> SparseStore {
+    let mut s = SparseStore::new();
+    for (addr, block) in model {
+        s.write(BlockAddr(*addr), *block);
+    }
+    s
+}
+
+/// `store` and `model` hold the same blocks: same resident count and
+/// the same (address, bytes) sequence in ascending address order.
+fn matches_model(store: &SparseStore, model: &BTreeMap<u64, Block>) -> Result<(), String> {
+    ensure!(
+        store.resident_blocks() == model.len(),
+        "resident_blocks {} != model {}",
+        store.resident_blocks(),
+        model.len()
+    );
+    let got: Vec<(u64, Block)> = store.iter().map(|(a, b)| (a.0, *b)).collect();
+    let want: Vec<(u64, Block)> = model.iter().map(|(a, b)| (*a, *b)).collect();
+    ensure!(got == want, "iter() {got:?} != model {want:?}");
+    Ok(())
+}
+
+#[test]
+fn sparse_store_matches_a_flat_block_map() {
+    check_ops(
+        "sparse_store_matches_a_flat_block_map",
+        Config::cases(64),
+        gen_store_ops,
+        |ops, _| {
+            let mut store = SparseStore::new();
+            let mut model: BTreeMap<u64, Block> = BTreeMap::new();
+            let mut snapshot = (store.clone(), model.clone());
+            for op in ops {
+                let (addr, new) = match *op {
+                    StoreOp::Write { addr, fill } => {
+                        store.write(BlockAddr(addr), [fill; 64]);
+                        (addr, Some([fill; 64]))
+                    }
+                    StoreOp::Zero { addr } => {
+                        store.write(BlockAddr(addr), [0; 64]);
+                        (addr, Some([0; 64]))
+                    }
+                    StoreOp::Tamper { addr, mask } => {
+                        store.tamper(BlockAddr(addr), [mask; 64]);
+                        let old = model.get(&addr).copied().unwrap_or([0; 64]);
+                        (addr, Some(old.map(|b| b ^ mask)))
+                    }
+                    StoreOp::Rollback { addr, fill } => {
+                        store.rollback_to(BlockAddr(addr), [fill; 64]);
+                        (addr, Some([fill; 64]))
+                    }
+                    StoreOp::Read { addr } => {
+                        let want = model.get(&addr).copied().unwrap_or([0; 64]);
+                        ensure!(store.read(BlockAddr(addr)) == want, "read {addr}: stale");
+                        (addr, None)
+                    }
+                    StoreOp::Snapshot => {
+                        snapshot = (store.clone(), model.clone());
+                        continue;
+                    }
+                };
+                match new {
+                    Some(block) if block == [0; 64] => {
+                        model.remove(&addr);
+                    }
+                    Some(block) => {
+                        model.insert(addr, block);
+                    }
+                    None => {}
+                }
+                matches_model(&store, &model).map_err(|e| format!("after {op:?}: {e}"))?;
+                matches_model(&snapshot.0, &snapshot.1)
+                    .map_err(|e| format!("snapshot changed by {op:?}: {e}"))?;
+                ensure!(
+                    store == store_from(&model),
+                    "after {op:?}: store != a store written with the same contents once"
+                );
+            }
             Ok(())
         },
     );
