@@ -12,7 +12,7 @@
 //! | [`PERSISTS_METADATA`] | `l3_touch`, `ctr_touch`, `mt_touch`, `ensure_*`, `reclaim` |
 //! | [`DRAINS_WPQ`] | `drain_evictions` |
 //! | [`APPLIES_WRITES`] | `apply_writes` |
-//! | [`CRASH_BOUNDARY`] | `inject_crash*` |
+//! | [`CRASH_BOUNDARY`] | `arm_crash` |
 //!
 //! The vocabulary takes precedence over call-graph resolution: a call
 //! *named* `log_txn` means append-plus-marker even when the definition
@@ -102,7 +102,7 @@ pub fn primitive_effects(name: &str) -> EffectSet {
         "apply_writes" => APPLIES_WRITES,
         "checkpoint_persist" => PERSISTS_CHECKPOINT,
         "seqno_bump" => BUMPS_SEQNO,
-        n if n.starts_with("inject_crash") => CRASH_BOUNDARY,
+        "arm_crash" => CRASH_BOUNDARY,
         _ => 0,
     }
 }

@@ -51,7 +51,7 @@ use triad_sim::time::Time;
 use triad_sim::BlockAddr;
 
 use crate::engine::{EngineState, EvictItem, Result, SecureMemory};
-use crate::error::SecureMemoryError;
+use crate::error::{CrashHookKind, SecureMemoryError};
 use crate::registers::{PersistentRegisters, StagedUpdate, StagedWrite};
 use crate::scheme::CounterPersistence;
 
@@ -181,9 +181,10 @@ impl SecureMemory {
     /// other persist) or under the Osiris counter relaxation (its skip
     /// bookkeeping is inherently per-write).
     ///
-    /// Each member consumes one durability point of
-    /// [`SecureMemory::inject_crash_after_persists`]; a crash between
-    /// members makes exactly the already-processed prefix durable.
+    /// Each member consumes one durability point of the
+    /// persist-boundary crash hook ([`SecureMemory::arm_crash`]); a
+    /// crash between members makes exactly the already-processed
+    /// prefix durable.
     ///
     /// # Errors
     ///
@@ -381,21 +382,9 @@ impl SecureMemory {
             let Some(w) = self.regs.staged().and_then(|u| u.writes.get(pos)).copied() else {
                 break;
             };
-            if let Some(left) = self.crash_after_wpq_writes {
-                if left == 0 {
-                    // First fire wins: disarm the persist-boundary
-                    // hook too.
-                    self.disarm_crash_hooks();
-                    emit(
-                        &self.events,
-                        t,
-                        "crash",
-                        &[("injected", true.into()), ("block", w.addr.0.into())],
-                    );
-                    self.crash();
-                    return Err(SecureMemoryError::NeedsRecovery);
-                }
-                self.crash_after_wpq_writes = Some(left - 1);
+            let at = || ("block", w.addr.0.into());
+            if self.crash_hook_fires(CrashHookKind::WpqWrite, t, at) {
+                return Err(SecureMemoryError::NeedsRecovery);
             }
             t = self.mc.write(w.addr, w.data, t);
             match class {

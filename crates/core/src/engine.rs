@@ -41,7 +41,7 @@ use triad_mem::store::{Block, SparseStore};
 use triad_meta::bmt::{self, NodeBuf, NodeId};
 use triad_meta::layout::{BlockRole, MemoryMap, RegionKind, RegionLayout};
 use triad_sim::config::SystemConfig;
-use triad_sim::events::{emit, SharedEventSink};
+use triad_sim::events::{emit, SharedEventSink, Value};
 use triad_sim::stats::{Histogram, Scope, StatRegister, StatRegistry, StatSet};
 use triad_sim::time::{Duration, Time};
 use triad_sim::{BlockAddr, PhysAddr, BLOCK_BYTES};
@@ -436,13 +436,9 @@ pub struct SecureMemory {
     pub(crate) batch: Option<PendingBatch>,
     /// Prefetch planner fed by queued write batches.
     pub(crate) prefetcher: BatchPrefetcher,
-    /// Test hook: crash after this many further WPQ copies inside
-    /// atomic persists.
-    pub(crate) crash_after_wpq_writes: Option<u64>,
-    /// Test hook: crash instead of performing the n-th further
-    /// durability point (persist/flush write-back, epoch member flush,
-    /// one batch member apply).
-    pub(crate) crash_after_persists: Option<u64>,
+    /// Test hook: the armed crash and how many more of its trigger
+    /// points pass before it fires (see [`SecureMemory::arm_crash`]).
+    pub(crate) crash_hook: Option<(CrashHookKind, u64)>,
 }
 
 impl SecureMemory {
@@ -481,8 +477,7 @@ impl SecureMemory {
             epoch: None,
             batch: None,
             prefetcher: BatchPrefetcher::new(),
-            crash_after_wpq_writes: None,
-            crash_after_persists: None,
+            crash_hook: None,
             config,
             map,
             scheme,
@@ -602,114 +597,88 @@ impl SecureMemory {
         }
     }
 
-    /// Arms the crash hook: the engine will crash after `n` further
-    /// WPQ copies performed inside atomic persists (0 = before the
-    /// next one). Used by crash-consistency tests.
-    ///
-    /// Legacy arming API: re-arming silently overwrites (sweep loops
-    /// rely on that), and it may be combined with
-    /// [`SecureMemory::inject_crash_after_persists`] — precedence is
-    /// whichever-fires-first-wins, and the first fire disarms every
-    /// other armed hook so the loser can never fire spuriously after
-    /// recovery. New code should prefer the typed
-    /// [`SecureMemory::arm_crash`], which rejects conflicting arming.
-    pub fn inject_crash_after_wpq_writes(&mut self, n: u64) {
-        self.crash_after_wpq_writes = Some(n);
+    /// The crash hook currently armed, if any. A hook that has fired
+    /// is no longer armed.
+    pub fn armed_crash_hook(&self) -> Option<CrashHookKind> {
+        self.crash_hook.map(|(kind, _)| kind)
     }
 
-    /// Arms the persist-boundary crash hook: the engine will crash
-    /// *instead of* performing the `n`-th further durability point
-    /// (0 = the very next one). A durability point is a data
-    /// write-back that would make a block durable: a non-epoch
-    /// [`SecureMemory::persist_block`], a dirty
-    /// [`SecureMemory::flush_block`], one deferred member flush
-    /// inside [`SecureMemory::end_epoch`], or one member apply inside
-    /// [`SecureMemory::persist_batch`] (a batch of *n* members spans
-    /// *n* boundaries, exactly like the scalar walk it replaces). Used
-    /// by crash-consistency drivers that enumerate every boundary of a
-    /// fixed history (the KV crash-equivalence suite).
+    /// Arms the crash hook used by crash-consistency tests: the engine
+    /// crashes after `n` further trigger points of `kind` (0 = at the
+    /// very next one).
+    ///
+    /// * [`CrashHookKind::PersistBoundary`] crashes *instead of* the
+    ///   `n`-th further durability point: a data write-back that
+    ///   would make a block durable — a non-epoch
+    ///   [`SecureMemory::persist_block`], a dirty
+    ///   [`SecureMemory::flush_block`], one deferred member flush
+    ///   inside [`SecureMemory::end_epoch`], or one member apply
+    ///   inside [`SecureMemory::persist_batch`] (a batch of *n*
+    ///   members spans *n* boundaries, exactly like the scalar walk it
+    ///   replaces). Sweeps that enumerate every boundary of a fixed
+    ///   history arm this one.
+    /// * [`CrashHookKind::WpqWrite`] crashes after `n` further WPQ
+    ///   copies inside atomic persists, i.e. inside the §3.3.5
+    ///   register protocol.
+    ///
+    /// One hook is armed at a time, and firing disarms it.
     ///
     /// [`SecureMemory::persist_batch`]: SecureMemory::persist_batch
     ///
-    /// Legacy arming API with the same overwrite/precedence semantics
-    /// as [`SecureMemory::inject_crash_after_wpq_writes`]; prefer
-    /// [`SecureMemory::arm_crash`] in new code.
-    pub fn inject_crash_after_persists(&mut self, n: u64) {
-        self.crash_after_persists = Some(n);
-    }
-
-    /// The crash hook currently armed, if any. When both legacy hooks
-    /// were armed through the `inject_*` API this reports the
-    /// persist-boundary hook (the one that fires at the coarser
-    /// boundary), but the runtime precedence is always
-    /// whichever-fires-first-wins.
-    pub fn armed_crash_hook(&self) -> Option<CrashHookKind> {
-        if self.crash_after_persists.is_some() {
-            Some(CrashHookKind::PersistBoundary)
-        } else if self.crash_after_wpq_writes.is_some() {
-            Some(CrashHookKind::WpqWrite)
-        } else {
-            None
-        }
-    }
-
-    /// Typed crash-hook arming: arms `kind` to fire after `n` further
-    /// trigger points, like the legacy `inject_*` pair, but rejects
-    /// arming while **any** hook is still armed — conflicting re-arms
-    /// were previously silent and their precedence undefined. The
-    /// defined precedence is whichever-fires-first-wins: the first
-    /// hook to fire disarms all others.
-    ///
     /// # Errors
     ///
-    /// [`SecureMemoryError::CrashHookArmed`] when a hook (of either
-    /// kind) is already armed; disarm with
-    /// [`SecureMemory::disarm_crash_hooks`] first.
+    /// [`SecureMemoryError::CrashHookArmed`] when a hook is already
+    /// armed; disarm it with [`SecureMemory::disarm_crash_hooks`]
+    /// first.
     pub fn arm_crash(&mut self, kind: CrashHookKind, n: u64) -> Result<()> {
-        if let Some(existing) = self.armed_crash_hook() {
+        if let Some((existing, _)) = self.crash_hook {
             return Err(SecureMemoryError::CrashHookArmed {
                 existing,
                 requested: kind,
             });
         }
-        match kind {
-            CrashHookKind::PersistBoundary => self.crash_after_persists = Some(n),
-            CrashHookKind::WpqWrite => self.crash_after_wpq_writes = Some(n),
-        }
+        self.crash_hook = Some((kind, n));
         Ok(())
     }
 
-    /// Disarms every armed crash hook (idempotent).
+    /// Disarms the armed crash hook, if any (idempotent).
     pub fn disarm_crash_hooks(&mut self) {
-        self.crash_after_persists = None;
-        self.crash_after_wpq_writes = None;
+        self.crash_hook = None;
     }
 
-    /// Consumes one durability point from the persist-boundary crash
-    /// hook. Returns `true` when the armed crash fired: the engine is
-    /// already in the crashed state and the caller must abandon the
-    /// persist and surface [`SecureMemoryError::NeedsRecovery`].
-    pub(crate) fn persist_boundary_crash(&mut self, now: Time) -> bool {
-        match self.crash_after_persists {
-            Some(0) => {
-                // First fire wins: a concurrently armed WPQ-write hook
-                // must not fire spuriously after recovery.
-                self.disarm_crash_hooks();
+    /// Consumes one trigger point of `kind` from the armed crash hook.
+    /// Returns `true` when the hook fires: it is disarmed and the
+    /// engine has crashed (`at` tags the `crash` event), so the caller
+    /// must abandon the operation and surface
+    /// [`SecureMemoryError::NeedsRecovery`].
+    pub(crate) fn crash_hook_fires(
+        &mut self,
+        kind: CrashHookKind,
+        now: Time,
+        at: impl FnOnce() -> (&'static str, Value),
+    ) -> bool {
+        match &mut self.crash_hook {
+            Some((armed, left)) if *armed == kind && *left > 0 => *left -= 1,
+            Some((armed, _)) if *armed == kind => {
+                self.crash_hook = None;
                 emit(
                     &self.events,
                     now,
                     "crash",
-                    &[("injected", true.into()), ("at", "persist_boundary".into())],
+                    &[("injected", true.into()), at()],
                 );
                 self.crash();
-                true
+                return true;
             }
-            Some(left) => {
-                self.crash_after_persists = Some(left - 1);
-                false
-            }
-            None => false,
+            _ => {}
         }
+        false
+    }
+
+    /// [`SecureMemory::crash_hook_fires`] at a durability point.
+    pub(crate) fn persist_boundary_crash(&mut self, now: Time) -> bool {
+        let at = || ("at", "persist_boundary".into());
+        self.crash_hook_fires(CrashHookKind::PersistBoundary, now, at)
     }
 
     /// The internal clock of the convenience (untimed) API.
@@ -1379,21 +1348,9 @@ impl SecureMemory {
                     ],
                 );
                 for w in &writes {
-                    if let Some(left) = self.crash_after_wpq_writes {
-                        if left == 0 {
-                            // First fire wins: disarm the persist-
-                            // boundary hook too.
-                            self.disarm_crash_hooks();
-                            emit(
-                                &self.events,
-                                t,
-                                "crash",
-                                &[("injected", true.into()), ("block", w.addr.0.into())],
-                            );
-                            self.crash();
-                            return Err(SecureMemoryError::NeedsRecovery);
-                        }
-                        self.crash_after_wpq_writes = Some(left - 1);
+                    let at = || ("block", w.addr.0.into());
+                    if self.crash_hook_fires(CrashHookKind::WpqWrite, t, at) {
+                        return Err(SecureMemoryError::NeedsRecovery);
                     }
                     t = self.mc.write(w.addr, w.data, t);
                 }

@@ -26,16 +26,14 @@ impl fmt::Display for IntegrityKind {
     }
 }
 
-/// The crash hooks a [`crate::engine::SecureMemory`] can arm. Used by
-/// the typed arming API (`SecureMemory::arm_crash`) and by
+/// The crash hooks a [`crate::engine::SecureMemory`] can arm, one at a
+/// time, through `SecureMemory::arm_crash`. Also named by
 /// [`SecureMemoryError::CrashHookArmed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashHookKind {
-    /// Crash instead of the n-th durability point
-    /// (`inject_crash_after_persists`).
+    /// Crash instead of the n-th further durability point.
     PersistBoundary,
-    /// Crash after n further WPQ copies inside atomic persists
-    /// (`inject_crash_after_wpq_writes`).
+    /// Crash after n further WPQ copies inside atomic persists.
     WpqWrite,
 }
 
@@ -90,10 +88,8 @@ pub enum SecureMemoryError {
         addr: PhysAddr,
     },
     /// `arm_crash` was called while a crash hook was already armed.
-    /// Hook precedence is whichever-fires-first-wins (the first hook
-    /// to fire disarms every other armed hook), so arming a second
-    /// hook is almost always a test bug; the typed API rejects it
-    /// instead of silently stacking.
+    /// The engine holds one armed hook at a time, so arming a second
+    /// one is rejected instead of silently replacing the first.
     CrashHookArmed {
         /// The hook that is already armed.
         existing: CrashHookKind,
@@ -162,7 +158,7 @@ impl fmt::Display for SecureMemoryError {
                 write!(
                     f,
                     "cannot arm the {requested}: the {existing} is already armed \
-                     (first fire wins; disarm it first)"
+                     (one hook at a time; disarm it first)"
                 )
             }
             SecureMemoryError::EpochAlreadyOpen => {

@@ -41,17 +41,6 @@ pub struct LogReplayStats {
     pub torn_tail: bool,
 }
 
-impl LogReplayStats {
-    /// Accumulates another shard's replay stats into this one.
-    pub fn merge(&mut self, other: &LogReplayStats) {
-        self.records_scanned += other.records_scanned;
-        self.txns_applied += other.txns_applied;
-        self.writes_applied += other.writes_applied;
-        self.records_discarded += other.records_discarded;
-        self.torn_tail |= other.torn_tail;
-    }
-}
-
 /// What a durability-tiered application layer measured about its own
 /// state after recovery. Like [`LogReplayStats`], the engine never
 /// fills this in — the loss accounting belongs to whichever layer

@@ -1,11 +1,10 @@
-//! Crash-hook composition pins (issue-9 satellite).
+//! Crash-hook arming pins.
 //!
-//! Two engine-level hooks exist — the persist-boundary hook and the
-//! WPQ-write hook — and `triad-recov` adds a third, scheduler-level
-//! per-thread hook on top. The composition contract pinned here:
-//! **whichever hook fires first wins**, and firing disarms every other
-//! armed hook, so the loser can never fire spuriously after recovery.
-//! The typed arming API rejects conflicting re-arms outright.
+//! The engine holds one armed crash hook at a time — the
+//! persist-boundary hook or the WPQ-write hook — and `triad-recov`
+//! composes a scheduler-level per-thread hook on top (whichever fires
+//! first wins). Arming while a hook is armed is rejected; firing
+//! disarms the hook, so it can never fire again after recovery.
 
 use triad_core::{
     CrashHookKind, PersistScheme, SecureMemory, SecureMemoryBuilder, SecureMemoryError,
@@ -45,64 +44,29 @@ fn typed_arming_rejects_conflicting_rearm() {
 }
 
 #[test]
-fn persist_boundary_fire_disarms_the_wpq_hook() {
-    let mut m = mem();
-    let a = m.persistent_region().start();
-    // Arm both through the legacy API: persist-boundary fires first
-    // (boundary 0 = the very next durability point), while the WPQ
-    // hook is armed far in the future.
-    m.inject_crash_after_persists(0);
-    m.inject_crash_after_wpq_writes(1_000_000);
-    m.write(a, &[7u8; 64]).unwrap();
-    assert_eq!(m.persist(a).unwrap_err(), SecureMemoryError::NeedsRecovery);
-    // First fire wins: the WPQ hook must be gone, or it would fire
-    // spuriously in some later (post-recovery) atomic persist.
-    assert_eq!(m.armed_crash_hook(), None);
-    m.recover().unwrap();
-    for i in 0..32u64 {
-        m.write(triad_sim::PhysAddr(a.0 + i * 64), &[i as u8; 64])
-            .unwrap();
-        m.persist(triad_sim::PhysAddr(a.0 + i * 64)).unwrap();
+fn a_fired_hook_is_disarmed_and_can_be_rearmed() {
+    for kind in [CrashHookKind::PersistBoundary, CrashHookKind::WpqWrite] {
+        let mut m = mem();
+        let a = m.persistent_region().start();
+        m.arm_crash(kind, 0).unwrap();
+        assert_eq!(m.armed_crash_hook(), Some(kind));
+        m.write(a, &[7u8; 64]).unwrap();
+        assert_eq!(m.persist(a).unwrap_err(), SecureMemoryError::NeedsRecovery);
+        assert_eq!(m.armed_crash_hook(), None, "{kind}: firing disarms");
+        m.recover().unwrap();
+        // Nothing left to fire: plenty of further durability points
+        // and atomic persists pass.
+        for i in 0..16u64 {
+            let b = triad_sim::PhysAddr(a.0 + i * 64);
+            m.write(b, &[i as u8 + 1; 64]).unwrap();
+            m.persist(b).unwrap();
+        }
+        assert_eq!(m.read(a).unwrap(), [1u8; 64]);
+        // Re-arming needs no disarm, and the new hook fires.
+        m.arm_crash(kind, 0).unwrap();
+        m.write(a, &[8u8; 64]).unwrap();
+        assert_eq!(m.persist(a).unwrap_err(), SecureMemoryError::NeedsRecovery);
     }
-}
-
-#[test]
-fn wpq_fire_disarms_the_persist_boundary_hook() {
-    let mut m = mem();
-    let a = m.persistent_region().start();
-    // WPQ hook fires inside the first atomic persist (after one WPQ
-    // copy); the persist-boundary hook is armed for a boundary that
-    // the crash preempts.
-    m.inject_crash_after_wpq_writes(1);
-    m.inject_crash_after_persists(5);
-    m.write(a, &[9u8; 64]).unwrap();
-    assert_eq!(m.persist(a).unwrap_err(), SecureMemoryError::NeedsRecovery);
-    assert_eq!(
-        m.armed_crash_hook(),
-        None,
-        "first fire must disarm the persist-boundary hook too"
-    );
-    m.recover().unwrap();
-    // Plenty of further durability points: none may crash.
-    for i in 0..16u64 {
-        m.write(triad_sim::PhysAddr(a.0 + i * 64), &[i as u8; 64])
-            .unwrap();
-        m.persist(triad_sim::PhysAddr(a.0 + i * 64)).unwrap();
-    }
-}
-
-#[test]
-fn armed_hook_reports_and_typed_arm_fires_like_legacy() {
-    let mut m = mem();
-    let a = m.persistent_region().start();
-    m.arm_crash(CrashHookKind::PersistBoundary, 0).unwrap();
-    assert_eq!(m.armed_crash_hook(), Some(CrashHookKind::PersistBoundary));
-    m.write(a, &[1u8; 64]).unwrap();
-    assert_eq!(m.persist(a).unwrap_err(), SecureMemoryError::NeedsRecovery);
-    m.recover().unwrap();
-    m.write(a, &[2u8; 64]).unwrap();
-    m.persist(a).unwrap();
-    assert_eq!(m.read(a).unwrap(), [2u8; 64]);
 }
 
 #[test]
@@ -114,5 +78,5 @@ fn crash_hook_error_displays() {
     let msg = e.to_string();
     assert!(msg.contains("WPQ-write"), "{msg}");
     assert!(msg.contains("persist-boundary"), "{msg}");
-    assert!(msg.contains("first fire wins"), "{msg}");
+    assert!(msg.contains("one hook at a time"), "{msg}");
 }

@@ -2,7 +2,9 @@
 //! consistency, recovery, tamper detection, replay attacks, lazy
 //! non-persistent recovery, and the §3.3.5 READY_BIT protocol.
 
-use triad_core::{IntegrityKind, KeyPolicy, PersistScheme, SecureMemoryBuilder, SecureMemoryError};
+use triad_core::{
+    CrashHookKind, IntegrityKind, KeyPolicy, PersistScheme, SecureMemoryBuilder, SecureMemoryError,
+};
 use triad_meta::layout::RegionKind;
 use triad_sim::PhysAddr;
 
@@ -340,7 +342,7 @@ fn crash_during_atomic_persist_replays_from_registers() {
         // Arm the hook: the next atomic persist crashes after
         // `crash_after` of its WPQ copies.
         m.write(p, b"update").unwrap();
-        m.inject_crash_after_wpq_writes(crash_after);
+        m.arm_crash(CrashHookKind::WpqWrite, crash_after).unwrap();
         let err = m.persist(p).unwrap_err();
         assert_eq!(err, SecureMemoryError::NeedsRecovery);
         let report = m.recover().unwrap();

@@ -471,7 +471,7 @@ fn heap_magic() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use triad_core::{PersistScheme, SecureMemoryBuilder};
+    use triad_core::{CrashHookKind, PersistScheme, SecureMemoryBuilder};
 
     fn mem() -> SecureMemory {
         SecureMemoryBuilder::new()
@@ -639,7 +639,7 @@ mod tests {
         let mut m = mem();
         let h = PersistentHeap::format(&mut m).unwrap();
         let a = h.alloc_blocks(&mut m, 1).unwrap();
-        m.inject_crash_after_persists(0);
+        m.arm_crash(CrashHookKind::PersistBoundary, 0).unwrap();
         assert_eq!(
             h.alloc_blocks(&mut m, 1).unwrap_err(),
             HeapError::Memory(SecureMemoryError::NeedsRecovery)
@@ -662,7 +662,7 @@ mod tests {
         // Boundary 0 = the cursor write-back of this alloc; boundary 1
         // = the payload persist below. Let the first through, crash on
         // the second.
-        m.inject_crash_after_persists(1);
+        m.arm_crash(CrashHookKind::PersistBoundary, 1).unwrap();
         let a = h.alloc_blocks(&mut m, 1).unwrap();
         m.write(a, &[0xAB; 64]).unwrap();
         assert_eq!(
@@ -726,7 +726,7 @@ mod tests {
         // Boundary 0 = the marker persist of the next call: the intent
         // never becomes durable, so the re-executed call is a fresh
         // allocation at the same (unmoved) cursor.
-        m.inject_crash_after_persists(0);
+        m.arm_crash(CrashHookKind::PersistBoundary, 0).unwrap();
         assert_eq!(
             h.alloc_blocks_for(&mut m, 1, 0, 2).unwrap_err(),
             HeapError::Memory(SecureMemoryError::NeedsRecovery)
@@ -745,7 +745,7 @@ mod tests {
         let a = h.alloc_blocks_for(&mut m, 1, 0, 1).unwrap();
         // Boundary 0 = marker persist (allowed through), boundary 1 =
         // the cursor bump: marker durable, bump torn away.
-        m.inject_crash_after_persists(1);
+        m.arm_crash(CrashHookKind::PersistBoundary, 1).unwrap();
         assert_eq!(
             h.alloc_blocks_for(&mut m, 2, 0, 2).unwrap_err(),
             HeapError::Memory(SecureMemoryError::NeedsRecovery)
@@ -787,7 +787,7 @@ mod tests {
         let mut m = mem();
         let h = PersistentHeap::format(&mut m).unwrap();
         let a = h.alloc_blocks(&mut m, 1).unwrap();
-        m.inject_crash_after_wpq_writes(1);
+        m.arm_crash(CrashHookKind::WpqWrite, 1).unwrap();
         let crashed = h.alloc_blocks(&mut m, 1);
         assert_eq!(
             crashed.unwrap_err(),

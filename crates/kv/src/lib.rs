@@ -90,11 +90,11 @@ pub enum KvError {
     /// shrink one mutation, so retrying is futile and the caller must
     /// reject the request (or grow the log) instead.
     GroupTooLarge,
-    /// A fleet was asked for more shards than the directory supports.
+    /// A sharded service was asked for more shards than it supports.
     TooManyShards {
         /// The rejected shard count.
         requested: u64,
-        /// The largest fleet the directory chain can describe.
+        /// The largest supported shard count.
         max: u64,
     },
 }
@@ -119,10 +119,7 @@ impl fmt::Display for KvError {
                 )
             }
             KvError::TooManyShards { requested, max } => {
-                write!(
-                    f,
-                    "fleet of {requested} shards exceeds the directory max of {max}"
-                )
+                write!(f, "{requested} shards exceed the supported max of {max}")
             }
         }
     }

@@ -188,7 +188,7 @@ impl KvStore {
     /// Creates a fresh store shard: allocates the superblock, bucket
     /// index, and log from `heap`, and persists the superblock. The
     /// caller owns publishing the returned [`KvStore::superblock`]
-    /// address (heap root, directory block, …).
+    /// address (for example at the heap root).
     ///
     /// # Errors
     ///
@@ -766,9 +766,8 @@ impl KvStore {
 /// replay work merged into the returned [`RecoveryReport`] — the
 /// `log_replay` extension this crate adds to the report.
 ///
-/// Expects the heap root to hold the store's superblock address (as
-/// `examples/kv_demo.rs` sets it up); multi-shard embedders do their
-/// own directory walk and merge instead.
+/// Expects the heap root to hold the store's superblock address, as
+/// `examples/kv_demo.rs` and every `KvService` shard set it up.
 ///
 /// # Errors
 ///
@@ -789,7 +788,7 @@ pub fn recover_store(mem: &mut SecureMemory) -> Result<(KvStore, RecoveryReport)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use triad_core::{PersistScheme, SecureMemoryBuilder, SecureMemoryError};
+    use triad_core::{CrashHookKind, PersistScheme, SecureMemoryBuilder, SecureMemoryError};
     use triad_sim::events::EventSink;
 
     fn mem() -> SecureMemory {
@@ -923,7 +922,7 @@ mod tests {
         // The overwrite's durability points: heap cursor (1), 2 write
         // records (4), commit marker (1); crash on the first in-place
         // apply, i.e. boundary 6.
-        m.inject_crash_after_persists(6);
+        m.arm_crash(CrashHookKind::PersistBoundary, 6).unwrap();
         assert_eq!(
             kv.put(&mut m, 1, b"new").unwrap_err(),
             KvError::Memory(SecureMemoryError::NeedsRecovery)
@@ -940,7 +939,7 @@ mod tests {
         let mut kv = fresh(&mut m);
         kv.put(&mut m, 1, b"old").unwrap();
         // Crash while appending redo records, before the commit marker.
-        m.inject_crash_after_persists(2);
+        m.arm_crash(CrashHookKind::PersistBoundary, 2).unwrap();
         assert_eq!(
             kv.put(&mut m, 1, b"new").unwrap_err(),
             KvError::Memory(SecureMemoryError::NeedsRecovery)
@@ -1086,7 +1085,7 @@ mod tests {
         // Group persist schedule: one heap-cursor persist per put, then
         // 2 persists per redo record, then the marker. Crash mid-append,
         // after the allocations and the first record block.
-        m.inject_crash_after_persists(3);
+        m.arm_crash(CrashHookKind::PersistBoundary, 3).unwrap();
         let ops = vec![(1, Some(b"new".to_vec())), (2, Some(b"two".to_vec()))];
         assert_eq!(
             kv.apply_group(&mut m, &ops).unwrap_err(),
@@ -1112,7 +1111,11 @@ mod tests {
         let mut kv = fresh(&mut m);
         kv.put(&mut m, 1, b"old").unwrap();
         // 2 alloc persists + 2 per record + 1 marker, then apply.
-        m.inject_crash_after_persists(2 + 2 * receipt.log_records + 1);
+        m.arm_crash(
+            CrashHookKind::PersistBoundary,
+            2 + 2 * receipt.log_records + 1,
+        )
+        .unwrap();
         assert_eq!(
             kv.apply_group(&mut m, &ops).unwrap_err(),
             KvError::Memory(SecureMemoryError::NeedsRecovery)

@@ -33,7 +33,9 @@
 
 use std::collections::VecDeque;
 
-use triad_core::{PersistScheme, SecureMemory, SecureMemoryBuilder, SecureMemoryError};
+use triad_core::{
+    CrashHookKind, PersistScheme, SecureMemory, SecureMemoryBuilder, SecureMemoryError,
+};
 use triad_kv::PersistentHeap;
 use triad_sim::{Interleaver, SchedEvent};
 
@@ -261,7 +263,7 @@ pub fn run(spec: &RunSpec) -> Result<RunOutcome> {
     }
     if let Some(p) = spec.engine_crash_after_persists {
         // Run-phase boundary count: armed after all setup persists.
-        mem.inject_crash_after_persists(p);
+        mem.arm_crash(CrashHookKind::PersistBoundary, p)?;
     }
 
     let mut threads: Vec<ThreadRun> = (0..n)

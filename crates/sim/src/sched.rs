@@ -10,9 +10,9 @@
 //!
 //! On top of step choice the scheduler owns **per-thread crash
 //! injection**: [`Interleaver::arm_thread_crash`] arms a crash that
-//! fires *instead of* the victim's `k`-th step (0-based, mirroring
-//! `inject_crash_after_persists(0)` = "before the next one"). When the
-//! armed point is reached the scheduler emits
+//! fires *instead of* the victim's `k`-th step (0-based, mirroring the
+//! engine's `arm_crash(PersistBoundary, 0)` = "before the next one").
+//! When the armed point is reached the scheduler emits
 //! [`SchedEvent::CrashThread`] and parks the thread; the driver models
 //! the crash (drop the thread's volatile state) and calls
 //! [`Interleaver::revive`] when the thread restarts and begins
@@ -20,9 +20,8 @@
 //!
 //! Arming is guarded by typed errors rather than silent overwrites:
 //! re-arming a thread whose crash has not fired yet is a
-//! [`SchedError::CrashAlreadyArmed`] — the same
-//! whichever-fires-first-wins discipline the engine-level hooks adopt
-//! (see `SecureMemory::arm_crash` in `triad-core`).
+//! [`SchedError::CrashAlreadyArmed`], just as the engine rejects a
+//! second armed hook (see `SecureMemory::arm_crash` in `triad-core`).
 
 use std::error::Error;
 use std::fmt;

@@ -1,32 +1,15 @@
-//! Deterministic multi-shard driver for the `triad-kv` store, and the
-//! crash-equivalence check behind the PR-4 acceptance property.
+//! Seeded KV request histories for the `triad-kv` crash sweep and the
+//! triad-report `kv-zipf`/`kv-uniform` rows.
 //!
-//! A [`KvSpec`] plus a seed fully determines an operation history
-//! ([`generate_history`]: SplitMix64 streams, Zipf or uniform keys,
-//! a configurable put/get/delete/scan mix). [`KvFleet`] runs that
-//! history against a fleet of store shards on one secure memory while
-//! the caller maintains an in-DRAM oracle ([`oracle_apply`]).
-//!
-//! [`crash_equivalence_check`] is the heart: it replays *the same
-//! history* once cleanly to count persist boundaries, then once per
-//! boundary with [`SecureMemory::inject_crash_after_persists`] armed at
-//! that boundary — crash, recover, reopen (log replay), and require
-//! the surviving state to equal the oracle exactly. The only ambiguity
-//! a crash may leave is whether the in-flight operation committed; the
-//! check accepts exactly the pre-op or post-op oracle and nothing
-//! else.
+//! A [`KvSpec`] plus a seed fully determines a history
+//! ([`generate_history`]: one SplitMix64 stream, Zipf or uniform keys
+//! over one keyspace, a configurable put/get/delete/scan mix). Put
+//! payloads come from [`value_bytes`], so a history is reproducible
+//! from its seed alone.
 
-use std::collections::BTreeMap;
-
-use triad_core::{
-    CounterPersistence, PersistScheme, RecoveryReport, SecureMemory, SecureMemoryBuilder,
-    SecureMemoryError,
-};
-use triad_kv::heap::PersistentHeap;
-use triad_kv::{KvConfig, KvError, KvStore};
 use triad_sim::rng::SplitMix64;
-use triad_sim::{PhysAddr, BLOCK_BYTES};
 
+use crate::service::Request;
 use crate::zipf::Zipf;
 
 /// Operation weights of a generated history (relative, not percent).
@@ -68,15 +51,12 @@ impl KvMix {
     }
 }
 
-/// Everything that determines a KV history and its fleet geometry.
+/// Everything that determines a KV history.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KvSpec {
-    /// Store shards (1..=[`MAX_SHARDS`]; the directory chains across
-    /// blocks as needed).
-    pub shards: u64,
-    /// Operations in the history.
+    /// Requests in the history.
     pub ops: u64,
-    /// Distinct keys per shard.
+    /// Distinct keys.
     pub keyspace: usize,
     /// Zipf skew for key choice; `None` = uniform.
     pub zipf_s: Option<f64>,
@@ -84,27 +64,19 @@ pub struct KvSpec {
     pub value_len: (usize, usize),
     /// Operation weights.
     pub mix: KvMix,
-    /// Buckets per shard.
-    pub buckets: u64,
-    /// Log blocks per shard.
-    pub log_blocks: u64,
 }
 
 impl KvSpec {
-    /// The crash-equivalence suite geometry: small enough that
-    /// crash-at-every-boundary times four schemes stays fast, varied
-    /// enough (two shards, multi-block values, all four op kinds) to
-    /// exercise every protocol path.
+    /// The crash-sweep history: short, a dozen hot keys, multi-block
+    /// values and all four request kinds, so sweeping every persist
+    /// boundary under four schemes stays fast.
     pub fn small(ops: u64) -> Self {
         KvSpec {
-            shards: 2,
             ops,
             keyspace: 12,
             zipf_s: Some(0.9),
             value_len: (1, 100),
             mix: KvMix::balanced(),
-            buckets: 16,
-            log_blocks: 32,
         }
     }
 
@@ -116,17 +88,14 @@ impl KvSpec {
         }
     }
 
-    /// The triad-report `kv-zipf` row: four shards, Zipf(0.99) keys.
+    /// The triad-report `kv-zipf` row: Zipf(0.99) keys.
     pub fn report_zipf(ops: u64) -> Self {
         KvSpec {
-            shards: 4,
             ops,
             keyspace: 256,
             zipf_s: Some(0.99),
             value_len: (8, 256),
             mix: KvMix::read_heavy(),
-            buckets: 64,
-            log_blocks: 64,
         }
     }
 
@@ -139,43 +108,6 @@ impl KvSpec {
     }
 }
 
-/// One operation of a generated history. `tag` seeds the deterministic
-/// value bytes (see [`value_bytes`]), so the oracle and the store
-/// derive identical payloads without storing them in the history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KvOp {
-    /// Insert or replace `key` with `len` bytes derived from `tag`.
-    Put {
-        /// Target shard.
-        shard: u64,
-        /// Key within the shard.
-        key: u64,
-        /// Value length in bytes.
-        len: usize,
-        /// Seed of the value bytes.
-        tag: u64,
-    },
-    /// Point lookup.
-    Get {
-        /// Target shard.
-        shard: u64,
-        /// Key within the shard.
-        key: u64,
-    },
-    /// Point delete.
-    Delete {
-        /// Target shard.
-        shard: u64,
-        /// Key within the shard.
-        key: u64,
-    },
-    /// Full sorted scan of one shard.
-    Scan {
-        /// Target shard.
-        shard: u64,
-    },
-}
-
 /// The deterministic value payload for a put's `(tag, len)`.
 pub fn value_bytes(tag: u64, len: usize) -> Vec<u8> {
     let mut out = vec![0u8; len];
@@ -183,470 +115,34 @@ pub fn value_bytes(tag: u64, len: usize) -> Vec<u8> {
     out
 }
 
-/// Generates the seeded operation history for `spec`.
-pub fn generate_history(spec: &KvSpec, seed: u64) -> Vec<KvOp> {
+/// Generates the seeded request history for `spec`.
+pub fn generate_history(spec: &KvSpec, seed: u64) -> Vec<Request> {
     let mut rng = SplitMix64::stream(seed, 0x6b76_6f70_7321);
     let zipf = spec.zipf_s.map(|s| Zipf::new(spec.keyspace, s));
     let total = spec.mix.total().max(1) as u64;
-    let mut history = Vec::with_capacity(spec.ops as usize);
-    for _ in 0..spec.ops {
-        let shard = rng.below(spec.shards.max(1));
-        let key = match &zipf {
-            Some(z) => z.sample(&mut rng) as u64,
-            None => rng.below(spec.keyspace.max(1) as u64),
-        };
-        let r = rng.below(total) as u32;
-        let op = if r < spec.mix.put {
-            KvOp::Put {
-                shard,
-                key,
-                len: rng.gen_range_inclusive(spec.value_len.0 as u64..=spec.value_len.1 as u64)
-                    as usize,
-                tag: rng.next_u64(),
-            }
-        } else if r < spec.mix.put + spec.mix.get {
-            KvOp::Get { shard, key }
-        } else if r < spec.mix.put + spec.mix.get + spec.mix.delete {
-            KvOp::Delete { shard, key }
-        } else {
-            KvOp::Scan { shard }
-        };
-        history.push(op);
-    }
-    history
-}
-
-/// The in-DRAM oracle: `(shard, key) → value`.
-pub type Model = BTreeMap<(u64, u64), Vec<u8>>;
-
-/// Applies one op to the oracle (reads leave it unchanged).
-pub fn oracle_apply(model: &mut Model, op: &KvOp) {
-    match *op {
-        KvOp::Put {
-            shard,
-            key,
-            len,
-            tag,
-        } => {
-            model.insert((shard, key), value_bytes(tag, len));
-        }
-        KvOp::Delete { shard, key } => {
-            model.remove(&(shard, key));
-        }
-        KvOp::Get { .. } | KvOp::Scan { .. } => {}
-    }
-}
-
-/// What a fleet op returned, for read-verification against the oracle.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum OpOutcome {
-    /// A put or delete completed.
-    Done,
-    /// A get returned this value (or absence).
-    Got(Option<Vec<u8>>),
-    /// A scan returned these sorted pairs.
-    Scanned(Vec<(u64, Vec<u8>)>),
-}
-
-/// The largest fleet the directory chain will describe. Far above any
-/// simulated geometry; the bound exists so `open` can reject a
-/// corrupt count word before walking garbage.
-pub const MAX_SHARDS: u64 = 64;
-
-/// Shard superblock addresses the first directory block holds next to
-/// the count word (words 1..=6; word 7 chains to the next block).
-const DIR_FIRST_ADDRS: usize = 6;
-/// Addresses per continuation block (words 0..=6; word 7 chains).
-const DIR_CHAIN_ADDRS: usize = 7;
-/// Byte offset of a directory block's chain pointer (word 7).
-const DIR_NEXT_OFF: usize = 56;
-
-/// Routes a history shard id onto a fleet index: modulo in u64
-/// *before* narrowing. The narrowing-first form (`s as usize % len`)
-/// truncates ids ≥ 2^32 on 32-bit targets ahead of the modulo, which
-/// silently reroutes them whenever the fleet size is not a power of
-/// two.
-fn route_shard(s: u64, shards: usize) -> usize {
-    (s % shards.max(1) as u64) as usize
-}
-
-/// A fleet of KV shards on one secure memory, published through a
-/// directory chain at the heap root: the first block holds the shard
-/// count (word 0), up to 6 superblock addresses (words 1..=6) and a
-/// chain pointer (word 7); continuation blocks hold 7 addresses plus
-/// the chain pointer.
-#[derive(Debug)]
-pub struct KvFleet {
-    heap: PersistentHeap,
-    shards: Vec<KvStore>,
-}
-
-impl KvFleet {
-    fn shard_cfg(spec: &KvSpec) -> KvConfig {
-        KvConfig {
-            buckets: spec.buckets,
-            log_blocks: spec.log_blocks,
-        }
-    }
-
-    /// Formats the heap and creates `spec.shards` stores, publishing
-    /// the directory chain durably before returning.
-    ///
-    /// # Errors
-    ///
-    /// [`KvError::TooManyShards`] above [`MAX_SHARDS`] — never a
-    /// silent clamp; heap/memory errors otherwise.
-    pub fn create(mem: &mut SecureMemory, spec: &KvSpec) -> Result<KvFleet, KvError> {
-        let count = spec.shards.max(1);
-        if count > MAX_SHARDS {
-            return Err(KvError::TooManyShards {
-                requested: count,
-                max: MAX_SHARDS,
-            });
-        }
-        let heap = PersistentHeap::format(mem)?;
-        let dir = heap.alloc_blocks(mem, 1)?;
-        let mut shards = Vec::with_capacity(count as usize);
-        let mut supers = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let store = KvStore::create(mem, heap, Self::shard_cfg(spec))?;
-            supers.push(store.superblock().0);
-            shards.push(store);
-        }
-        // Build the directory chain in DRAM first (continuation blocks
-        // are allocated as needed, so each block can name its
-        // successor), then write it out and persist before the heap
-        // root publishes it.
-        let mut blocks: Vec<(PhysAddr, [u8; BLOCK_BYTES])> = Vec::new();
-        let mut first = [0u8; BLOCK_BYTES];
-        first[..8].copy_from_slice(&count.to_le_bytes());
-        let head = supers.len().min(DIR_FIRST_ADDRS);
-        for (i, sb) in supers[..head].iter().enumerate() {
-            let off = 8 + i * 8;
-            first[off..off + 8].copy_from_slice(&sb.to_le_bytes());
-        }
-        blocks.push((dir, first));
-        let mut rest = &supers[head..];
-        while !rest.is_empty() {
-            let next = heap.alloc_blocks(mem, 1)?;
-            let prev = blocks.len() - 1;
-            blocks[prev].1[DIR_NEXT_OFF..DIR_NEXT_OFF + 8].copy_from_slice(&next.0.to_le_bytes());
-            let take = rest.len().min(DIR_CHAIN_ADDRS);
-            let mut blk = [0u8; BLOCK_BYTES];
-            for (i, sb) in rest[..take].iter().enumerate() {
-                blk[i * 8..i * 8 + 8].copy_from_slice(&sb.to_le_bytes());
-            }
-            blocks.push((next, blk));
-            rest = &rest[take..];
-        }
-        for (addr, blk) in &blocks {
-            mem.write(*addr, blk)?;
-            mem.persist(*addr)?;
-        }
-        heap.set_root(mem, dir.0)?;
-        Ok(KvFleet { heap, shards })
-    }
-
-    /// Walks the directory chain at `root` and returns the `count`
-    /// validated superblock addresses: every entry nonzero and
-    /// distinct, the chain long enough for the count. Anything else is
-    /// [`KvError::NotAStore`] — a corrupt directory must fail loudly,
-    /// not open one shard twice.
-    fn read_directory(mem: &mut SecureMemory, root: u64) -> Result<Vec<u64>, KvError> {
-        let first = mem.read(PhysAddr(root))?;
-        let mut count_bytes = [0u8; 8];
-        count_bytes.copy_from_slice(&first[..8]);
-        let count = u64::from_le_bytes(count_bytes);
-        if count == 0 || count > MAX_SHARDS {
-            return Err(KvError::NotAStore);
-        }
-        let mut supers = Vec::with_capacity(count as usize);
-        let mut block = first;
-        let mut off = 8;
-        while supers.len() < count as usize {
-            if off + 8 <= DIR_NEXT_OFF {
-                let mut sb = [0u8; 8];
-                sb.copy_from_slice(&block[off..off + 8]);
-                supers.push(u64::from_le_bytes(sb));
-                off += 8;
-                continue;
-            }
-            let mut next = [0u8; 8];
-            next.copy_from_slice(&block[DIR_NEXT_OFF..DIR_NEXT_OFF + 8]);
-            let next = u64::from_le_bytes(next);
-            if next == 0 {
-                // The count promises more shards than the chain holds.
-                return Err(KvError::NotAStore);
-            }
-            block = mem.read(PhysAddr(next))?;
-            off = 0;
-        }
-        let mut seen = std::collections::BTreeSet::new();
-        for &sb in &supers {
-            if sb == 0 || !seen.insert(sb) {
-                return Err(KvError::NotAStore);
-            }
-        }
-        Ok(supers)
-    }
-
-    /// Opens an existing fleet, replaying every shard's log; returns
-    /// the merged replay stats.
-    ///
-    /// # Errors
-    ///
-    /// [`KvError::NotAStore`] when the heap root is unset or the
-    /// directory is corrupt (bad count, zero or duplicated superblock
-    /// entries, truncated chain).
-    pub fn open(mem: &mut SecureMemory) -> Result<(KvFleet, triad_core::LogReplayStats), KvError> {
-        let heap = PersistentHeap::open(mem)?;
-        let root = heap.root(mem)?;
-        if root == 0 {
-            return Err(KvError::NotAStore);
-        }
-        let supers = Self::read_directory(mem, root)?;
-        let mut shards = Vec::with_capacity(supers.len());
-        let mut merged = triad_core::LogReplayStats::default();
-        for sb in supers {
-            let (store, replay) = KvStore::open(mem, heap, PhysAddr(sb))?;
-            merged.merge(&replay);
-            shards.push(store);
-        }
-        Ok((KvFleet { heap, shards }, merged))
-    }
-
-    /// Crash recovery in one call: engine recovery, then
-    /// [`KvFleet::open`], with the merged log-replay stats recorded on
-    /// the returned report (`log_replay`).
-    ///
-    /// # Errors
-    ///
-    /// Same classes as [`SecureMemory::recover`] and [`KvFleet::open`].
-    pub fn recover(mem: &mut SecureMemory) -> Result<(KvFleet, RecoveryReport), KvError> {
-        let mut report = mem.recover()?;
-        let (fleet, replay) = Self::open(mem)?;
-        report.log_replay = Some(replay);
-        Ok((fleet, report))
-    }
-
-    /// Shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The fleet's backing heap (for allocator stats or extra roots).
-    pub fn heap(&self) -> PersistentHeap {
-        self.heap
-    }
-
-    /// Direct access to one shard (for stats/event wiring).
-    pub fn shard_mut(&mut self, i: usize) -> Option<&mut KvStore> {
-        self.shards.get_mut(i)
-    }
-
-    /// Applies one history op, returning what it read.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store errors (including the injected-crash
-    /// `NeedsRecovery`).
-    pub fn apply(&mut self, mem: &mut SecureMemory, op: &KvOp) -> Result<OpOutcome, KvError> {
-        let shard = |fleet: &mut KvFleet, s: u64| -> usize { route_shard(s, fleet.shards.len()) };
-        match *op {
-            KvOp::Put {
-                shard: s,
-                key,
-                len,
-                tag,
-            } => {
-                let i = shard(self, s);
-                self.shards[i].put(mem, key, &value_bytes(tag, len))?;
-                Ok(OpOutcome::Done)
-            }
-            KvOp::Get { shard: s, key } => {
-                let i = shard(self, s);
-                Ok(OpOutcome::Got(self.shards[i].get(mem, key)?))
-            }
-            KvOp::Delete { shard: s, key } => {
-                let i = shard(self, s);
-                self.shards[i].delete(mem, key)?;
-                Ok(OpOutcome::Done)
-            }
-            KvOp::Scan { shard: s } => {
-                let i = shard(self, s);
-                Ok(OpOutcome::Scanned(self.shards[i].scan(mem)?))
-            }
-        }
-    }
-
-    /// The fleet's full state, oracle-shaped.
-    ///
-    /// # Errors
-    ///
-    /// Propagates secure-memory errors.
-    pub fn dump(&mut self, mem: &mut SecureMemory) -> Result<Model, KvError> {
-        let mut out = Model::new();
-        for (i, store) in self.shards.iter_mut().enumerate() {
-            for (key, value) in store.scan(mem)? {
-                out.insert((i as u64, key), value);
-            }
-        }
-        Ok(out)
-    }
-}
-
-fn build_mem(
-    scheme: PersistScheme,
-    counters: CounterPersistence,
-    seed: u64,
-) -> Result<SecureMemory, String> {
-    SecureMemoryBuilder::new()
-        .scheme(scheme)
-        .counter_persistence(counters)
-        .key_seed(seed)
-        .build()
-        .map_err(|e| format!("build: {e}"))
-}
-
-/// Verifies the read outcome of a cleanly-applied op against the
-/// oracle.
-fn check_read(op: &KvOp, outcome: &OpOutcome, oracle: &Model) -> Result<(), String> {
-    match (op, outcome) {
-        (KvOp::Get { shard, key }, OpOutcome::Got(got)) => {
-            let want = oracle.get(&(*shard, *key));
-            if got.as_ref() != want {
-                return Err(format!("get({shard},{key}) disagrees with the oracle"));
-            }
-        }
-        (KvOp::Scan { shard }, OpOutcome::Scanned(pairs)) => {
-            let want: Vec<(u64, Vec<u8>)> = oracle
-                .range((*shard, 0)..=(*shard, u64::MAX))
-                .map(|((_, k), v)| (*k, v.clone()))
-                .collect();
-            if *pairs != want {
-                return Err(format!("scan({shard}) disagrees with the oracle"));
-            }
-        }
-        _ => {}
-    }
-    Ok(())
-}
-
-/// One crash run: same history, crash armed at persist boundary `k`
-/// (counted from the end of fleet creation). After the crash fires the
-/// run recovers, reopens the fleet, accepts exactly the pre-op or
-/// post-op oracle for the interrupted operation, finishes the history,
-/// and requires final state equality.
-fn run_with_crash(
-    scheme: PersistScheme,
-    counters: CounterPersistence,
-    spec: &KvSpec,
-    seed: u64,
-    history: &[KvOp],
-    k: u64,
-) -> Result<(), String> {
-    let ctx = |what: &str, idx: usize| format!("scheme {scheme}, boundary {k}, op {idx}: {what}");
-    let mut mem = build_mem(scheme, counters, seed)?;
-    let mut fleet = KvFleet::create(&mut mem, spec).map_err(|e| ctx(&format!("create: {e}"), 0))?;
-    mem.inject_crash_after_persists(k);
-    let mut oracle = Model::new();
-    let mut crashed = false;
-    for (idx, op) in history.iter().enumerate() {
-        let before = oracle.clone();
-        match fleet.apply(&mut mem, op) {
-            Ok(outcome) => {
-                oracle_apply(&mut oracle, op);
-                check_read(op, &outcome, &oracle).map_err(|e| ctx(&e, idx))?;
-            }
-            Err(KvError::Memory(SecureMemoryError::NeedsRecovery)) if !crashed => {
-                crashed = true;
-                let (reopened, report) = KvFleet::recover(&mut mem)
-                    .map_err(|e| ctx(&format!("recovery failed: {e}"), idx))?;
-                if !report.persistent_recovered {
-                    return Err(ctx("persistent region did not recover", idx));
+    (0..spec.ops)
+        .map(|_| {
+            let key = match &zipf {
+                Some(z) => z.sample(&mut rng) as u64,
+                None => rng.below(spec.keyspace.max(1) as u64),
+            };
+            let r = rng.below(total) as u32;
+            if r < spec.mix.put {
+                let len =
+                    rng.gen_range_inclusive(spec.value_len.0 as u64..=spec.value_len.1 as u64);
+                Request::Put {
+                    key,
+                    value: value_bytes(rng.next_u64(), len as usize),
                 }
-                fleet = reopened;
-                let state = fleet
-                    .dump(&mut mem)
-                    .map_err(|e| ctx(&format!("dump: {e}"), idx))?;
-                let mut after = before.clone();
-                oracle_apply(&mut after, op);
-                // The crashed op either committed or it didn't; any
-                // third state is a consistency violation.
-                if state == after {
-                    oracle = after;
-                } else if state == before {
-                    oracle = before;
-                } else {
-                    return Err(ctx(
-                        "post-recovery state matches neither the pre-op nor post-op oracle",
-                        idx,
-                    ));
-                }
+            } else if r < spec.mix.put + spec.mix.get {
+                Request::Get { key }
+            } else if r < spec.mix.put + spec.mix.get + spec.mix.delete {
+                Request::Delete { key }
+            } else {
+                Request::Scan
             }
-            Err(e) => return Err(ctx(&format!("{e}"), idx)),
-        }
-    }
-    if !crashed {
-        return Err(format!(
-            "scheme {scheme}, boundary {k}: armed crash never fired"
-        ));
-    }
-    let state = fleet
-        .dump(&mut mem)
-        .map_err(|e| format!("scheme {scheme}, boundary {k}: final dump: {e}"))?;
-    if state != oracle {
-        return Err(format!(
-            "scheme {scheme}, boundary {k}: final state diverges from the oracle"
-        ));
-    }
-    Ok(())
-}
-
-/// The PR-4 acceptance property for one (scheme, history): replays the
-/// seeded history cleanly (oracle equality required), then once per
-/// persist boundary with a crash injected at that boundary. Returns
-/// the number of boundaries exercised.
-///
-/// # Errors
-///
-/// A human-readable description of the first divergence, integrity
-/// failure, or recovery failure — formatted to include the scheme,
-/// boundary, and op index for reproduction.
-pub fn crash_equivalence_check(
-    scheme: PersistScheme,
-    counters: CounterPersistence,
-    spec: &KvSpec,
-    seed: u64,
-) -> Result<u64, String> {
-    let history = generate_history(spec, seed);
-    // Reference run: no crash; verify the oracle and count boundaries.
-    let mut mem = build_mem(scheme, counters, seed)?;
-    let mut fleet =
-        KvFleet::create(&mut mem, spec).map_err(|e| format!("scheme {scheme}: create: {e}"))?;
-    let base = mem.stats().persists;
-    let mut oracle = Model::new();
-    for (idx, op) in history.iter().enumerate() {
-        let outcome = fleet
-            .apply(&mut mem, op)
-            .map_err(|e| format!("scheme {scheme}, clean run, op {idx}: {e}"))?;
-        oracle_apply(&mut oracle, op);
-        check_read(op, &outcome, &oracle)
-            .map_err(|e| format!("scheme {scheme}, clean run, op {idx}: {e}"))?;
-    }
-    let state = fleet
-        .dump(&mut mem)
-        .map_err(|e| format!("scheme {scheme}, clean run: dump: {e}"))?;
-    if state != oracle {
-        return Err(format!(
-            "scheme {scheme}, clean run: state diverges from the oracle"
-        ));
-    }
-    let boundaries = mem.stats().persists - base;
-    for k in 0..boundaries {
-        run_with_crash(scheme, counters, spec, seed, &history, k)?;
-    }
-    Ok(boundaries)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -657,13 +153,14 @@ mod tests {
     fn history_generation_is_deterministic_and_mixed() {
         let spec = KvSpec::small(64);
         let a = generate_history(&spec, 7);
-        let b = generate_history(&spec, 7);
-        assert_eq!(a, b);
-        let c = generate_history(&spec, 8);
-        assert_ne!(a, c, "different seeds must differ");
-        let puts = a.iter().filter(|o| matches!(o, KvOp::Put { .. })).count();
-        let gets = a.iter().filter(|o| matches!(o, KvOp::Get { .. })).count();
-        assert!(puts > 0 && gets > 0, "mix must produce both kinds");
+        assert_eq!(a, generate_history(&spec, 7));
+        assert_ne!(a, generate_history(&spec, 8), "different seeds must differ");
+        let puts = a
+            .iter()
+            .filter(|r| matches!(r, Request::Put { .. }))
+            .count();
+        let scans = a.iter().filter(|r| matches!(r, Request::Scan)).count();
+        assert!(puts > 0 && scans > 0, "mix must produce both kinds");
     }
 
     #[test]
@@ -671,169 +168,5 @@ mod tests {
         assert_eq!(value_bytes(1, 10), value_bytes(1, 10));
         assert_ne!(value_bytes(1, 10), value_bytes(2, 10));
         assert_eq!(value_bytes(1, 0).len(), 0);
-    }
-
-    #[test]
-    fn fleet_round_trip_matches_oracle() {
-        let spec = KvSpec::small(40);
-        let history = generate_history(&spec, 11);
-        let mut mem =
-            build_mem(PersistScheme::triad_nvm(2), CounterPersistence::Strict, 11).unwrap();
-        let mut fleet = KvFleet::create(&mut mem, &spec).unwrap();
-        assert_eq!(fleet.shard_count(), 2);
-        let mut oracle = Model::new();
-        for op in &history {
-            let outcome = fleet.apply(&mut mem, op).unwrap();
-            oracle_apply(&mut oracle, op);
-            check_read(op, &outcome, &oracle).unwrap();
-        }
-        assert_eq!(fleet.dump(&mut mem).unwrap(), oracle);
-        // Clean crash: everything persisted must survive verbatim.
-        mem.crash();
-        let (mut fleet, report) = KvFleet::recover(&mut mem).unwrap();
-        assert!(report.persistent_recovered);
-        assert!(report.log_replay.is_some());
-        assert_eq!(fleet.dump(&mut mem).unwrap(), oracle);
-    }
-
-    #[test]
-    fn routing_reduces_in_u64_before_narrowing() {
-        // Ids above 2^32 with a non-power-of-two fleet: the buggy
-        // narrow-then-modulo form truncates to `(s mod 2^32) mod len`
-        // on 32-bit targets, which disagrees whenever 2^32 % len != 0.
-        let big = (1u64 << 32) + 3;
-        assert_eq!(route_shard(big, 3), (big % 3) as usize);
-        assert_eq!(route_shard(big, 3), 1);
-        assert_eq!(route_shard(u64::MAX, 7), (u64::MAX % 7) as usize);
-        assert_eq!(route_shard(5, 1), 0);
-
-        // End to end: a history op carrying a >2^32 shard id lands on
-        // the reduced index and is readable back from that shard.
-        let spec = KvSpec {
-            shards: 3,
-            ..KvSpec::small(0)
-        };
-        let mut mem =
-            build_mem(PersistScheme::triad_nvm(2), CounterPersistence::Strict, 5).unwrap();
-        let mut fleet = KvFleet::create(&mut mem, &spec).unwrap();
-        fleet
-            .apply(
-                &mut mem,
-                &KvOp::Put {
-                    shard: big,
-                    key: 9,
-                    len: 4,
-                    tag: 77,
-                },
-            )
-            .unwrap();
-        let state = fleet.dump(&mut mem).unwrap();
-        assert_eq!(state.get(&(1, 9)), Some(&value_bytes(77, 4)));
-    }
-
-    #[test]
-    fn create_rejects_oversized_fleets_instead_of_clamping() {
-        let spec = KvSpec {
-            shards: MAX_SHARDS + 1,
-            ..KvSpec::small(0)
-        };
-        let mut mem =
-            build_mem(PersistScheme::triad_nvm(2), CounterPersistence::Strict, 5).unwrap();
-        assert_eq!(
-            KvFleet::create(&mut mem, &spec).unwrap_err(),
-            KvError::TooManyShards {
-                requested: MAX_SHARDS + 1,
-                max: MAX_SHARDS
-            }
-        );
-    }
-
-    #[test]
-    fn multi_block_directory_chain_survives_recovery() {
-        // 16 shards no longer fit one directory block (6 + 7 + 3): the
-        // chain must round-trip through crash recovery intact.
-        let spec = KvSpec {
-            shards: 16,
-            buckets: 8,
-            log_blocks: 16,
-            ..KvSpec::small(0)
-        };
-        let mut mem =
-            build_mem(PersistScheme::triad_nvm(2), CounterPersistence::Strict, 9).unwrap();
-        let mut fleet = KvFleet::create(&mut mem, &spec).unwrap();
-        assert_eq!(fleet.shard_count(), 16);
-        let mut oracle = Model::new();
-        for s in 0..16u64 {
-            let op = KvOp::Put {
-                shard: s,
-                key: s,
-                len: 8,
-                tag: s + 1,
-            };
-            fleet.apply(&mut mem, &op).unwrap();
-            oracle_apply(&mut oracle, &op);
-        }
-        mem.crash();
-        let (mut fleet, report) = KvFleet::recover(&mut mem).unwrap();
-        assert!(report.persistent_recovered);
-        assert_eq!(fleet.shard_count(), 16);
-        assert_eq!(fleet.dump(&mut mem).unwrap(), oracle);
-    }
-
-    #[test]
-    fn open_rejects_corrupted_directories() {
-        let corrupt = |patch: fn(&mut [u8; BLOCK_BYTES], u64)| {
-            let spec = KvSpec::small(0);
-            let mut mem =
-                build_mem(PersistScheme::triad_nvm(2), CounterPersistence::Strict, 13).unwrap();
-            let fleet = KvFleet::create(&mut mem, &spec).unwrap();
-            let heap = fleet.heap();
-            let root = heap.root(&mut mem).unwrap();
-            let mut dir = mem.read(PhysAddr(root)).unwrap();
-            let valid_entry = u64::from_le_bytes(dir[8..16].try_into().unwrap());
-            patch(&mut dir, valid_entry);
-            mem.write(PhysAddr(root), &dir).unwrap();
-            mem.persist(PhysAddr(root)).unwrap();
-            KvFleet::open(&mut mem).unwrap_err()
-        };
-        // A zeroed superblock entry.
-        let err = corrupt(|dir, _| dir[16..24].copy_from_slice(&0u64.to_le_bytes()));
-        assert_eq!(err, KvError::NotAStore);
-        // The same shard listed twice: without validation this opens
-        // one store as two aliased shards.
-        let err = corrupt(|dir, first| dir[16..24].copy_from_slice(&first.to_le_bytes()));
-        assert_eq!(err, KvError::NotAStore);
-        // An absurd count word.
-        let err = corrupt(|dir, _| dir[..8].copy_from_slice(&(MAX_SHARDS + 1).to_le_bytes()));
-        assert_eq!(err, KvError::NotAStore);
-        // A count promising more shards than the (unchained) block has.
-        let err = corrupt(|dir, _| dir[..8].copy_from_slice(&7u64.to_le_bytes()));
-        assert_eq!(err, KvError::NotAStore);
-    }
-
-    #[test]
-    fn fleet_open_without_root_is_rejected() {
-        let mut mem =
-            build_mem(PersistScheme::triad_nvm(2), CounterPersistence::Strict, 3).unwrap();
-        PersistentHeap::format(&mut mem).unwrap();
-        assert!(matches!(
-            KvFleet::open(&mut mem).unwrap_err(),
-            KvError::NotAStore
-        ));
-    }
-
-    #[test]
-    fn crash_equivalence_holds_on_one_small_history() {
-        // The full seeded sweep lives in tests/property_crash.rs; this
-        // is the in-crate smoke version (one scheme, one tiny history).
-        let spec = KvSpec::small(6);
-        let boundaries = crash_equivalence_check(
-            PersistScheme::triad_nvm(2),
-            CounterPersistence::Strict,
-            &spec,
-            42,
-        )
-        .unwrap();
-        assert!(boundaries > 0, "history must cross persist boundaries");
     }
 }

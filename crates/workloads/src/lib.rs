@@ -19,10 +19,8 @@
 //!   the `DAXBENCH-S-RW` strided workload, for the timing simulator.
 //! * [`mixes`] — the Table 2 workload registry (DAXBENCH1–4, MIX1–4)
 //!   plus every single-program workload the figures sweep.
-//! * [`kv`] — the deterministic multi-shard driver for the `triad-kv`
-//!   store: seeded history generation (Zipf or uniform keys), an
-//!   in-DRAM oracle, and the crash-equivalence check that replays a
-//!   history through crash injection at every persist boundary.
+//! * [`kv`] — seeded request histories for the `triad-kv` store (Zipf
+//!   or uniform keys over one keyspace, a put/get/delete/scan mix).
 //! * [`recov`] — the mixed-operation driver for the `triad-recov`
 //!   detectably recoverable lock-free structures: deterministic
 //!   per-thread scripts through the seeded interleaving harness, with
@@ -31,6 +29,9 @@
 //!   keyed-hash routing across independent shard engines on worker
 //!   threads, group commit (one commit marker per flushed batch), and
 //!   WPQ-pressure admission control, with deterministic merges.
+//! * [`sweep`] — the crash-sweep driver: a schedule replayed with a
+//!   crash at every persist boundary of a victim engine, each recovery
+//!   judged by a durability-tier oracle.
 
 #![warn(missing_docs)]
 
@@ -42,16 +43,16 @@ pub mod recov;
 pub mod service;
 pub mod spec;
 pub mod structures;
+pub mod sweep;
 pub mod traces;
 pub mod zipf;
 
 pub use heap::{HeapError, PersistentHeap};
-pub use kv::{crash_equivalence_check, generate_history, KvFleet, KvMix, KvOp, KvSpec};
+pub use kv::{generate_history, KvMix, KvSpec};
 pub use mixes::{all_figure_workloads, build_workload, WorkloadEnv};
 pub use recov::{generate_recov_scripts, run_recov_mix, RecovMixResult, RecovMixSpec};
 pub use service::{
-    generate_requests, service_crash_equivalence_check, AdmissionPolicy, DurabilityMode, KvService,
-    Request, Response, ServiceSpec,
+    generate_requests, AdmissionPolicy, DurabilityMode, KvService, Request, Response, ServiceSpec,
 };
 pub use spec::SpecWorkload;
 pub use traces::{DaxBench, PmdkKind, PmdkTrace};

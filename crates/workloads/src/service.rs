@@ -1,10 +1,6 @@
-//! The sharded KV serving front-end: [`KvService`] — the ROADMAP's
-//! "fleet scale" layer over `triad-kv`.
-//!
-//! Where [`crate::kv::KvFleet`] is a deterministic test driver (many
-//! shards multiplexed onto one secure memory, one op at a time), the
-//! service is the serving-shaped composition the paper's throughput
-//! argument needs:
+//! The sharded KV serving front-end: [`KvService`], the one sharded
+//! composition of `triad-kv` stores — the serving shape the paper's
+//! throughput argument needs:
 //!
 //! * **Routing** — every key is hashed (keyed SipHash-2-4) onto one of
 //!   N *independent* shards, each owning its own [`SecureMemory`],
@@ -40,8 +36,8 @@
 //!   admitted mutation of the batch is durable (each lane drains its
 //!   pending group before returning). A crash mid-submit loses at
 //!   most the interrupted group on the crashed shard — recovery lands
-//!   on a group boundary, which the fleet crash sweep in
-//!   `tests/property_crash.rs` checks at every persist boundary.
+//!   on a group boundary, which the [`crate::sweep`] driver checks at
+//!   every persist boundary (`tests/property_crash.rs`).
 //! * **Buffered { flush_interval, max_loss }**: mutations are
 //!   acknowledged from a DRAM buffer that survives across submits and
 //!   group-commits when it reaches `max_loss` mutations or when
@@ -79,9 +75,14 @@ use triad_sim::rng::SplitMix64;
 use triad_sim::time::Duration;
 use triad_sim::Time;
 
-use crate::kv::{value_bytes, MAX_SHARDS};
+use crate::kv::value_bytes;
 
 pub use triad_kv::DurabilityMode;
+
+/// The most shards a service runs. Far above any simulated geometry;
+/// the bound turns an absurd shard count into a typed error instead
+/// of an allocation storm.
+pub const MAX_SHARDS: u64 = 64;
 
 /// Per-shard reaction to WPQ saturation observed at flush time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -669,8 +670,9 @@ impl KvService {
         self.threaded = threaded;
     }
 
-    /// The shard index serving `key` (keyed-hash routing, reduced in
-    /// u64 — see `route_shard` in [`crate::kv`]).
+    /// The shard index serving `key`: keyed-hash routing, reduced
+    /// modulo the shard count in u64 before narrowing, so no hash bit
+    /// is truncated away on 32-bit targets.
     pub fn route(&self, key: u64) -> usize {
         let h = SipHash24::new(*b"triad-kv routing").hash_words(&[key]);
         (h % self.lanes.len().max(1) as u64) as usize
@@ -970,152 +972,10 @@ pub fn generate_requests(
         .collect()
 }
 
-/// The serving-layer crash-equivalence property: a seeded schedule,
-/// submitted batch by batch (one group-commit flush per shard per
-/// batch), replayed once per persist boundary of the victim shard with
-/// a crash armed at that boundary. After every crash the victim must
-/// recover to **exactly** the pre- or post-group durable snapshot of
-/// the interrupted batch — a serial prefix at group granularity,
-/// nothing else — and re-driving the schedule must converge on the
-/// clean run's final state. Returns the number of boundaries swept.
-///
-/// `base` supplies the fleet geometry and scheme; the check forces
-/// serial lane execution, `Open` admission and a whole-batch group
-/// window so group boundaries are exactly batch boundaries.
-///
-/// # Errors
-///
-/// A human-readable description of the first divergence, formatted
-/// with the boundary and batch index for reproduction.
-pub fn service_crash_equivalence_check(
-    base: &ServiceSpec,
-    batches: usize,
-    batch_len: usize,
-    seed: u64,
-) -> Result<u64, String> {
-    let spec = ServiceSpec {
-        group_window: batch_len.max(1),
-        admission: AdmissionPolicy::Open,
-        // Roomy WAL: the sweep's batch = one group, never log-split.
-        log_blocks: base.log_blocks.max(256),
-        ..*base
-    };
-    let schedule: Vec<Vec<Request>> = (0..batches)
-        .map(|b| generate_requests(seed ^ (b as u64 + 1), batch_len, 16, (1, 48)))
-        .collect();
-    let victim = 0usize;
-
-    // Clean run: verify every response against the model and snapshot
-    // the victim shard's durable state at every group boundary.
-    let mut svc = KvService::create(&spec).map_err(|e| format!("create: {e}"))?;
-    svc.set_threaded(false);
-    let persist_base = svc
-        .shard_mem(victim)
-        .map(|m| m.stats().persists)
-        .unwrap_or(0);
-    let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-    let victim_view = |svc: &KvService, m: &BTreeMap<u64, Vec<u8>>| -> BTreeMap<u64, Vec<u8>> {
-        m.iter()
-            .filter(|(k, _)| svc.route(**k) == victim)
-            .map(|(k, v)| (*k, v.clone()))
-            .collect()
-    };
-    let mut snaps: Vec<BTreeMap<u64, Vec<u8>>> = vec![BTreeMap::new()];
-    for (b, batch) in schedule.iter().enumerate() {
-        let resps = svc
-            .submit(batch)
-            .map_err(|e| format!("clean run, batch {b}: {e}"))?;
-        for (req, resp) in batch.iter().zip(&resps) {
-            match (req, resp) {
-                (Request::Put { key, value }, Response::Done) => {
-                    model.insert(*key, value.clone());
-                }
-                (Request::Delete { key }, Response::Done) => {
-                    model.remove(key);
-                }
-                (Request::Get { key }, Response::Value(v)) => {
-                    if v.as_ref() != model.get(key) {
-                        return Err(format!(
-                            "clean run, batch {b}: get({key}) disagrees with the model"
-                        ));
-                    }
-                }
-                (rq, rs) => {
-                    return Err(format!(
-                        "clean run, batch {b}: unexpected response {rs:?} for {rq:?}"
-                    ))
-                }
-            }
-        }
-        snaps.push(victim_view(&svc, &model));
-    }
-    let final_state = svc.dump().map_err(|e| format!("clean run: dump: {e}"))?;
-    if final_state != model {
-        return Err("clean run: durable state diverges from the model".into());
-    }
-    let boundaries = svc
-        .shard_mem(victim)
-        .map(|m| m.stats().persists)
-        .unwrap_or(0)
-        - persist_base;
-
-    for k in 0..boundaries {
-        let mut svc = KvService::create(&spec).map_err(|e| format!("boundary {k}: create: {e}"))?;
-        svc.set_threaded(false);
-        if let Some(m) = svc.shard_mem_mut(victim) {
-            m.inject_crash_after_persists(k);
-        }
-        let mut crashed_at: Option<usize> = None;
-        let mut b = 0;
-        while b < schedule.len() {
-            match svc.submit(&schedule[b]) {
-                Ok(_) => b += 1,
-                Err(KvError::Memory(SecureMemoryError::NeedsRecovery)) if crashed_at.is_none() => {
-                    crashed_at = Some(b);
-                    let report = svc
-                        .recover_shard(victim)
-                        .map_err(|e| format!("boundary {k}, batch {b}: recovery failed: {e}"))?;
-                    if !report.persistent_recovered {
-                        return Err(format!(
-                            "boundary {k}, batch {b}: persistent region did not recover"
-                        ));
-                    }
-                    let state = svc
-                        .dump()
-                        .map_err(|e| format!("boundary {k}, batch {b}: dump: {e}"))?;
-                    let recovered = victim_view(&svc, &state);
-                    // The interrupted group either committed or it
-                    // didn't; any third state breaks crash atomicity.
-                    if recovered != snaps[b] && recovered != snaps[b + 1] {
-                        return Err(format!(
-                            "boundary {k}, batch {b}: recovered victim state matches \
-                             neither the pre-group nor the post-group snapshot"
-                        ));
-                    }
-                    // Re-drive the interrupted batch (idempotent at
-                    // the model level) and the rest of the schedule.
-                }
-                Err(e) => return Err(format!("boundary {k}, batch {b}: {e}")),
-            }
-        }
-        if crashed_at.is_none() {
-            return Err(format!("boundary {k}: armed crash never fired"));
-        }
-        let state = svc
-            .dump()
-            .map_err(|e| format!("boundary {k}: final dump: {e}"))?;
-        if state != model {
-            return Err(format!(
-                "boundary {k}: final state diverges from the clean run"
-            ));
-        }
-    }
-    Ok(boundaries)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triad_core::CrashHookKind;
 
     fn spec(shards: u64) -> ServiceSpec {
         ServiceSpec {
@@ -1144,53 +1004,14 @@ mod tests {
             .collect()
     }
 
-    /// The in-DRAM oracle of a schedule, tracking shed responses.
-    fn oracle(reqs: &[Request], resps: &[Response]) -> BTreeMap<u64, Vec<u8>> {
-        let mut model = BTreeMap::new();
-        for (req, resp) in reqs.iter().zip(resps) {
-            if *resp == Response::Shed {
-                continue;
-            }
-            match req {
-                Request::Put { key, value } => {
-                    model.insert(*key, value.clone());
-                }
-                Request::Delete { key } => {
-                    model.remove(key);
-                }
-                Request::Get { .. } | Request::Scan => {}
-            }
-        }
-        model
-    }
-
     #[test]
     fn serves_reads_and_scans_consistently() {
         let mut svc = KvService::create(&spec(3)).unwrap();
         let reqs = schedule(42, 120, 40);
         let resps = svc.submit(&reqs).unwrap();
-        let model = oracle(&reqs, &resps);
         // Every response type checks out against a replayed model.
-        let mut replay = BTreeMap::new();
-        for (req, resp) in reqs.iter().zip(&resps) {
-            match (req, resp) {
-                (Request::Put { key, value }, Response::Done) => {
-                    replay.insert(*key, value.clone());
-                }
-                (Request::Delete { key }, Response::Done) => {
-                    replay.remove(key);
-                }
-                (Request::Get { key }, Response::Value(v)) => {
-                    assert_eq!(v.as_ref(), replay.get(key), "get({key})");
-                }
-                (Request::Scan, Response::Scanned(pairs)) => {
-                    let want: Vec<(u64, Vec<u8>)> =
-                        replay.iter().map(|(k, v)| (*k, v.clone())).collect();
-                    assert_eq!(*pairs, want, "scan");
-                }
-                (req, resp) => panic!("mismatched response {resp:?} for {req:?}"),
-            }
-        }
+        let mut model = BTreeMap::new();
+        crate::sweep::apply(&mut model, &reqs, &resps).unwrap();
         assert_eq!(svc.dump().unwrap(), model);
     }
 
@@ -1399,7 +1220,10 @@ mod tests {
         svc.submit(&warm).unwrap();
         let durable = svc.dump().unwrap();
         // Arm a crash early on shard 0, then push another batch.
-        svc.shard_mem_mut(0).unwrap().inject_crash_after_persists(2);
+        svc.shard_mem_mut(0)
+            .unwrap()
+            .arm_crash(CrashHookKind::PersistBoundary, 2)
+            .unwrap();
         let burst: Vec<Request> = (100..120u64)
             .map(|k| Request::Put {
                 key: k,
@@ -1419,15 +1243,6 @@ mod tests {
         // The service keeps serving.
         svc.submit(&warm).unwrap();
         assert!(svc.dump().unwrap().len() >= durable.len());
-    }
-
-    #[test]
-    fn crash_equivalence_smoke_sweeps_group_boundaries() {
-        // The full seeded sweep lives in tests/property_crash.rs; this
-        // is the in-crate smoke version (one scheme, one tiny
-        // schedule).
-        let boundaries = service_crash_equivalence_check(&spec(2), 2, 4, 99).unwrap();
-        assert!(boundaries > 0, "schedule must cross persist boundaries");
     }
 
     fn puts(range: std::ops::Range<u64>) -> Vec<Request> {

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example crash_recovery`
 
-use triad_nvm::core::{PersistScheme, SecureMemoryBuilder};
+use triad_nvm::core::{CrashHookKind, PersistScheme, SecureMemoryBuilder};
 use triad_nvm::sim::PhysAddr;
 use triad_nvm::workloads::heap::PersistentHeap;
 use triad_nvm::workloads::structures::PersistentHashtable;
@@ -30,7 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for round in 0..30u64 {
         // Arm a crash somewhere inside the engine's upcoming atomic
         // persists (varies per round to hit different protocol steps).
-        mem.inject_crash_after_wpq_writes(13 + round * 7);
+        mem.disarm_crash_hooks();
+        mem.arm_crash(CrashHookKind::WpqWrite, 13 + round * 7)?;
         let mut k = round * 17 % 512;
         loop {
             let key = k % 512;

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example kv_demo`
 
-use triad_nvm::core::{PersistScheme, SecureMemoryBuilder, SecureMemoryError};
+use triad_nvm::core::{CrashHookKind, PersistScheme, SecureMemoryBuilder, SecureMemoryError};
 use triad_nvm::kv::heap::PersistentHeap;
 use triad_nvm::kv::{recover_store, KvConfig, KvError, KvStore};
 
@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // (5), then the index apply writes (6–7). Arming the crash at
     // boundary 6 leaves the commit marker durable but the apply torn:
     // the transaction must survive via redo replay.
-    mem.inject_crash_after_persists(6);
+    mem.arm_crash(CrashHookKind::PersistBoundary, 6)?;
     match store.put(&mut mem, 3, b"written while crashing") {
         Err(KvError::Memory(SecureMemoryError::NeedsRecovery)) => {
             println!("crashed mid-transaction, as injected")

@@ -3,7 +3,9 @@
 //! suite (`property_crash.rs`) and the checked-in regression histories
 //! (`regression_triad2_persist_floor.rs`).
 
-use triad_nvm::core::{CounterPersistence, PersistScheme, SecureMemoryBuilder, SecureMemoryError};
+use triad_nvm::core::{
+    CounterPersistence, CrashHookKind, PersistScheme, SecureMemoryBuilder, SecureMemoryError,
+};
 use triad_nvm::sim::{PhysAddr, Time};
 
 /// Operations the crash-consistency machine can perform.
@@ -174,7 +176,10 @@ pub fn run_history(
                 epoch_floor = None; // deferred persists are lost
             }
             Op::ArmCrash { n } => {
-                mem.inject_crash_after_wpq_writes(n as u64);
+                // Re-arming replaces a hook that has not fired yet.
+                mem.disarm_crash_hooks();
+                mem.arm_crash(CrashHookKind::WpqWrite, n as u64)
+                    .map_err(|e| format!("{e}"))?;
             }
         }
     }
