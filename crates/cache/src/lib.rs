@@ -1,11 +1,15 @@
 //! Set-associative cache models for the Triad-NVM simulator.
 //!
-//! A [`Cache`] tracks *presence and dirtiness* of 64-byte blocks — the
-//! authoritative data always lives in the functional backing store (or,
-//! for security metadata, in the metadata stores of `triad-core`).
-//! This split keeps the timing model honest (hits, misses, evictions
-//! and write-backs all happen exactly where a hardware cache would
-//! produce them) without duplicating data movement.
+//! A [`Cache`] tracks presence, dirtiness and replacement order of
+//! 64-byte blocks, and each line has one value slot. The per-core L1/L2
+//! are `Cache<()>`: they only time accesses, and the data lives below
+//! them. The secure engine stores its on-chip state in its caches'
+//! lines: the L3 holds plaintext, the counter cache holds counter
+//! blocks and the Merkle-tree cache holds BMT nodes and MAC blocks. A
+//! hit reads the value of the line it probed, and a victim leaves with
+//! its value, so hits, misses, evictions and write-backs happen exactly
+//! where a hardware cache would produce them, with no second copy of
+//! the on-chip data to keep in step.
 //!
 //! The same type models every array in Table 1: the per-core L1/L2, the
 //! shared L3, the 128 KB counter cache and the 128 KB Merkle-tree cache.
@@ -17,11 +21,16 @@
 //! use triad_sim::config::CacheConfig;
 //! use triad_sim::BlockAddr;
 //!
-//! let mut l1 = Cache::new("l1", CacheConfig::new(1024, 2, 2), Replacement::Lru);
+//! let mut l1: Cache = Cache::new("l1", CacheConfig::new(1024, 2, 2), Replacement::Lru);
 //! let first = l1.access(BlockAddr(0), false);
 //! assert!(!first.hit);
 //! let again = l1.access(BlockAddr(0), false);
 //! assert!(again.hit);
+//!
+//! // A cache with values: a miss fills the line, a hit reads it back.
+//! let mut l3: Cache<u32> = Cache::new("l3", CacheConfig::new(1024, 2, 2), Replacement::Lru);
+//! l3.fill(BlockAddr(7), false, 42);
+//! assert_eq!(l3.hit(BlockAddr(7), false).copied(), Some(42));
 //! ```
 
 #![warn(missing_docs)]
@@ -58,20 +67,22 @@ struct Line {
 
 /// A block evicted to make room for a fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Victim {
+pub struct Victim<V = ()> {
     /// Address of the evicted block.
     pub addr: BlockAddr,
     /// Whether it was dirty (must be written back downstream).
     pub dirty: bool,
+    /// The line's value (`None` if the line was never filled).
+    pub value: Option<V>,
 }
 
 /// Result of one cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessOutcome {
+pub struct AccessOutcome<V = ()> {
     /// Whether the block was already present.
     pub hit: bool,
     /// Block evicted by the fill (only on misses in full sets).
-    pub victim: Option<Victim>,
+    pub victim: Option<Victim<V>>,
 }
 
 /// Per-cache statistics.
@@ -115,21 +126,29 @@ impl CacheStats {
     }
 }
 
-/// A write-back, write-allocate set-associative cache.
+/// A write-back, write-allocate set-associative cache with one value
+/// slot per line (`V = ()` for caches that only model timing).
+///
+/// A line allocated by [`Cache::access`] starts *unfilled*; [`Cache::fill`]
+/// and [`Cache::set`] store its value. The value leaves with the line:
+/// in the [`Victim`] of the miss that evicts it, or dropped by
+/// [`Cache::invalidate`] and [`Cache::lose_all`].
 #[derive(Debug, Clone)]
-pub struct Cache {
+pub struct Cache<V = ()> {
     name: String,
     sets: usize,
     ways: usize,
     latency: Duration,
     policy: Replacement,
     lines: Vec<Line>,
+    /// Each line's value, index-parallel to `lines`.
+    values: Vec<Option<V>>,
     clock: u64,
     rng: SplitMix64,
     stats: CacheStats,
 }
 
-impl Cache {
+impl<V> Cache<V> {
     /// Creates a cache with the given geometry and replacement policy.
     ///
     /// # Panics
@@ -142,13 +161,15 @@ impl Cache {
         let seed = name
             .bytes()
             .fold(0xC0FF_EE00u64, |acc, b| acc.rotate_left(7) ^ b as u64);
+        let lines = sets * config.ways;
         Cache {
             name,
             sets,
             ways: config.ways,
             latency: config.latency,
             policy,
-            lines: vec![Line::default(); sets * config.ways],
+            lines: vec![Line::default(); lines],
+            values: (0..lines).map(|_| None).collect(),
             clock: 0,
             rng: SplitMix64::new(seed),
             stats: CacheStats::default(),
@@ -174,133 +195,179 @@ impl Cache {
         (block.0 % self.sets as u64) as usize
     }
 
-    fn set_lines(&mut self, set: usize) -> &mut [Line] {
-        &mut self.lines[set * self.ways..(set + 1) * self.ways]
+    /// Index of `block`'s line, if it is resident.
+    fn find(&self, block: BlockAddr) -> Option<usize> {
+        let base = self.set_of(block) * self.ways;
+        self.lines[base..base + self.ways]
+            .iter()
+            .position(|l| l.valid && l.tag == block.0)
+            .map(|way| base + way)
     }
 
-    /// Accesses `block`; on a miss the block is allocated, possibly
-    /// evicting a victim which the caller must handle (write back if
-    /// dirty). `write` marks the block dirty.
-    pub fn access(&mut self, block: BlockAddr, write: bool) -> AccessOutcome {
+    /// Records a hit on line `i`.
+    fn touch(&mut self, i: usize, write: bool) {
         self.clock += 1;
-        let clock = self.clock;
-        let set = self.set_of(block);
-        let policy = self.policy;
-        let ways = self.ways;
-        // Probe for a hit.
-        let lines = self.set_lines(set);
-        if let Some(line) = lines.iter_mut().find(|l| l.valid && l.tag == block.0) {
-            if policy == Replacement::Lru {
-                line.stamp = clock;
-            }
-            line.dirty |= write;
-            if write {
-                self.stats.write_hits += 1;
-            } else {
-                self.stats.read_hits += 1;
-            }
-            return AccessOutcome {
-                hit: true,
-                victim: None,
-            };
+        let line = &mut self.lines[i];
+        if self.policy == Replacement::Lru {
+            line.stamp = self.clock;
         }
-        // Miss: pick a victim way.
-        let way = {
-            let lines = self.set_lines(set);
-            match lines.iter().position(|l| !l.valid) {
-                Some(free) => free,
-                None => match policy {
-                    Replacement::Lru | Replacement::Fifo => lines
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, l)| l.stamp)
-                        .map(|(i, _)| i)
-                        .expect("ways >= 1"),
-                    Replacement::Random => self.rng.below(ways as u64) as usize,
-                },
-            }
-        };
-        let line = &mut self.set_lines(set)[way];
-        let victim = if line.valid {
-            Some(Victim {
-                addr: BlockAddr(line.tag),
-                dirty: line.dirty,
-            })
+        line.dirty |= write;
+        if write {
+            self.stats.write_hits += 1;
         } else {
-            None
+            self.stats.read_hits += 1;
+        }
+    }
+
+    /// Allocates an unfilled line for `block` (a miss), returning its
+    /// index and the block it displaced.
+    fn allocate(&mut self, block: BlockAddr, write: bool) -> (usize, Option<Victim<V>>) {
+        self.clock += 1;
+        let base = self.set_of(block) * self.ways;
+        let set = &self.lines[base..base + self.ways];
+        let way = match set.iter().position(|l| !l.valid) {
+            Some(free) => free,
+            None => match self.policy {
+                Replacement::Lru | Replacement::Fifo => set
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, l)| l.stamp)
+                    .map(|(i, _)| i)
+                    .expect("ways >= 1"),
+                Replacement::Random => self.rng.below(self.ways as u64) as usize,
+            },
         };
-        *line = Line {
+        let i = base + way;
+        let old = self.lines[i];
+        let value = self.values[i].take();
+        let victim = old.valid.then_some(Victim {
+            addr: BlockAddr(old.tag),
+            dirty: old.dirty,
+            value,
+        });
+        self.lines[i] = Line {
             tag: block.0,
             valid: true,
             dirty: write,
-            stamp: clock,
+            stamp: self.clock,
         };
         if write {
             self.stats.write_misses += 1;
         } else {
             self.stats.read_misses += 1;
         }
-        if let Some(v) = victim {
+        if let Some(v) = &victim {
             self.stats.evictions += 1;
             if v.dirty {
                 self.stats.dirty_evictions += 1;
             }
         }
-        AccessOutcome { hit: false, victim }
+        (i, victim)
+    }
+
+    fn access_line(&mut self, block: BlockAddr, write: bool) -> (usize, AccessOutcome<V>) {
+        match self.find(block) {
+            Some(i) => {
+                self.touch(i, write);
+                let out = AccessOutcome {
+                    hit: true,
+                    victim: None,
+                };
+                (i, out)
+            }
+            None => {
+                let (i, victim) = self.allocate(block, write);
+                (i, AccessOutcome { hit: false, victim })
+            }
+        }
+    }
+
+    /// Accesses `block`; on a miss the block is allocated in an
+    /// unfilled line, possibly evicting a victim which the caller must
+    /// handle (write back if dirty). `write` marks the block dirty. A
+    /// hit keeps the line's value.
+    pub fn access(&mut self, block: BlockAddr, write: bool) -> AccessOutcome<V> {
+        self.access_line(block, write).1
+    }
+
+    /// [`Cache::access`], then stores `value` in `block`'s line (hit or
+    /// miss alike).
+    pub fn fill(&mut self, block: BlockAddr, write: bool, value: V) -> AccessOutcome<V> {
+        let (i, out) = self.access_line(block, write);
+        self.values[i] = Some(value);
+        out
+    }
+
+    /// Accesses `block` only if it is resident with a value: the hit
+    /// updates replacement state, dirtiness and statistics exactly as
+    /// [`Cache::access`] would, and returns the line's value. Returns
+    /// `None` and changes nothing when the block is absent or its line
+    /// is unfilled.
+    pub fn hit(&mut self, block: BlockAddr, write: bool) -> Option<&mut V> {
+        let i = self.find(block).filter(|&i| self.values[i].is_some())?;
+        self.touch(i, write);
+        self.values[i].as_mut()
+    }
+
+    /// The value of `block`'s line, without disturbing replacement state
+    /// or statistics. `None` when the block is absent or unfilled.
+    pub fn get(&self, block: BlockAddr) -> Option<&V> {
+        self.find(block).and_then(|i| self.values[i].as_ref())
+    }
+
+    /// Stores `value` in `block`'s line without counting an access.
+    /// Returns `false` (dropping `value`) when the block is not resident.
+    pub fn set(&mut self, block: BlockAddr, value: V) -> bool {
+        match self.find(block) {
+            Some(i) => {
+                self.values[i] = Some(value);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Whether `block` is present, without disturbing replacement state
     /// or statistics.
     pub fn probe(&self, block: BlockAddr) -> bool {
-        let set = self.set_of(block);
-        self.lines[set * self.ways..(set + 1) * self.ways]
-            .iter()
-            .any(|l| l.valid && l.tag == block.0)
+        self.find(block).is_some()
     }
 
     /// Whether `block` is present *and dirty*.
     pub fn probe_dirty(&self, block: BlockAddr) -> bool {
-        let set = self.set_of(block);
-        self.lines[set * self.ways..(set + 1) * self.ways]
-            .iter()
-            .any(|l| l.valid && l.tag == block.0 && l.dirty)
+        self.find(block).is_some_and(|i| self.lines[i].dirty)
     }
 
     /// Writes back `block` if present and dirty (clwb semantics: the
-    /// line stays valid but becomes clean). Returns whether a
-    /// write-back was generated.
+    /// line stays valid, keeps its value and becomes clean). Returns
+    /// whether a write-back was generated.
     pub fn flush(&mut self, block: BlockAddr) -> bool {
-        let set = self.set_of(block);
-        for l in self.set_lines(set) {
-            if l.valid && l.tag == block.0 && l.dirty {
-                l.dirty = false;
+        match self.find(block) {
+            Some(i) if self.lines[i].dirty => {
+                self.lines[i].dirty = false;
                 self.stats.flushes += 1;
-                return true;
+                true
             }
+            _ => false,
         }
-        false
     }
 
-    /// Invalidates `block` if present, returning whether it was dirty.
+    /// Invalidates `block` if present, dropping its value, and returns
+    /// whether it was dirty.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<bool> {
-        let set = self.set_of(block);
-        for l in self.set_lines(set) {
-            if l.valid && l.tag == block.0 {
-                let dirty = l.dirty;
-                *l = Line::default();
-                return Some(dirty);
-            }
-        }
-        None
+        let i = self.find(block)?;
+        let dirty = self.lines[i].dirty;
+        self.lines[i] = Line::default();
+        self.values[i] = None;
+        Some(dirty)
     }
 
-    /// Drops every line (a power loss: volatile contents vanish).
-    /// Dirty lines are *lost*, not written back — that is the point of
-    /// the paper's crash experiments.
+    /// Drops every line and its value (a power loss: volatile contents
+    /// vanish). Dirty lines are *lost*, not written back — that is the
+    /// point of the paper's crash experiments.
     pub fn lose_all(&mut self) {
-        for l in &mut self.lines {
-            *l = Line::default();
-        }
+        self.lines.fill(Line::default());
+        self.values.fill_with(|| None);
     }
 
     /// Returns all dirty blocks (used by orderly shutdown and by tests).
@@ -312,13 +379,23 @@ impl Cache {
             .collect()
     }
 
+    /// Returns every resident block whose line holds no value.
+    pub fn unfilled_blocks(&self) -> Vec<BlockAddr> {
+        self.lines
+            .iter()
+            .zip(&self.values)
+            .filter(|(l, v)| l.valid && v.is_none())
+            .map(|(l, _)| BlockAddr(l.tag))
+            .collect()
+    }
+
     /// Number of valid lines currently held.
     pub fn occupancy(&self) -> usize {
         self.lines.iter().filter(|l| l.valid).count()
     }
 }
 
-impl StatRegister for Cache {
+impl<V> StatRegister for Cache<V> {
     fn register(&self, scope: &mut Scope<'_>) {
         let s = &self.stats;
         scope.set("read_hits", s.read_hits);
@@ -335,7 +412,7 @@ impl StatRegister for Cache {
 mod tests {
     use super::*;
 
-    fn tiny(ways: usize) -> Cache {
+    fn tiny<V>(ways: usize) -> Cache<V> {
         // 4 sets × `ways` ways.
         Cache::new(
             "t",
@@ -346,7 +423,7 @@ mod tests {
 
     #[test]
     fn miss_then_hit() {
-        let mut c = tiny(2);
+        let mut c: Cache = tiny(2);
         assert!(!c.access(BlockAddr(0), false).hit);
         assert!(c.access(BlockAddr(0), false).hit);
         assert_eq!(c.stats().read_hits, 1);
@@ -355,7 +432,7 @@ mod tests {
 
     #[test]
     fn write_marks_dirty_and_eviction_reports_it() {
-        let mut c = tiny(1); // direct-mapped, 4 sets
+        let mut c: Cache = tiny(1); // direct-mapped, 4 sets
         c.access(BlockAddr(0), true);
         assert!(c.probe_dirty(BlockAddr(0)));
         // Block 4 maps to the same set in a 4-set cache.
@@ -365,7 +442,8 @@ mod tests {
             out.victim,
             Some(Victim {
                 addr: BlockAddr(0),
-                dirty: true
+                dirty: true,
+                value: None,
             })
         );
         assert_eq!(c.stats().dirty_evictions, 1);
@@ -373,7 +451,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent() {
-        let mut c = tiny(2);
+        let mut c: Cache = tiny(2);
         c.access(BlockAddr(0), false); // set 0
         c.access(BlockAddr(4), false); // set 0
         c.access(BlockAddr(0), false); // touch 0 again
@@ -383,7 +461,7 @@ mod tests {
 
     #[test]
     fn fifo_ignores_touches() {
-        let mut c = Cache::new("f", CacheConfig::new(2 * 64, 2, 1), Replacement::Fifo);
+        let mut c: Cache = Cache::new("f", CacheConfig::new(2 * 64, 2, 1), Replacement::Fifo);
         c.access(BlockAddr(0), false);
         c.access(BlockAddr(1), false);
         c.access(BlockAddr(0), false); // touch does not refresh FIFO order
@@ -394,7 +472,7 @@ mod tests {
     #[test]
     fn random_policy_is_deterministic_per_name() {
         let mk = || {
-            let mut c = Cache::new("r", CacheConfig::new(2 * 64, 2, 1), Replacement::Random);
+            let mut c: Cache = Cache::new("r", CacheConfig::new(2 * 64, 2, 1), Replacement::Random);
             c.access(BlockAddr(0), false);
             c.access(BlockAddr(1), false);
             c.access(BlockAddr(2), false).victim.unwrap().addr
@@ -404,40 +482,83 @@ mod tests {
 
     #[test]
     fn flush_cleans_but_keeps_line() {
-        let mut c = tiny(2);
-        c.access(BlockAddr(0), true);
+        let mut c: Cache<u8> = tiny(2);
+        c.fill(BlockAddr(0), true, 5);
         assert!(c.flush(BlockAddr(0)));
         assert!(c.probe(BlockAddr(0)));
         assert!(!c.probe_dirty(BlockAddr(0)));
+        assert_eq!(c.get(BlockAddr(0)), Some(&5), "flush keeps the value");
         assert!(!c.flush(BlockAddr(0)), "second flush is a no-op");
         assert_eq!(c.stats().flushes, 1);
     }
 
     #[test]
     fn invalidate_reports_dirtiness() {
-        let mut c = tiny(2);
-        c.access(BlockAddr(0), true);
+        let mut c: Cache<u8> = tiny(2);
+        c.fill(BlockAddr(0), true, 1);
         c.access(BlockAddr(1), false);
         assert_eq!(c.invalidate(BlockAddr(0)), Some(true));
         assert_eq!(c.invalidate(BlockAddr(1)), Some(false));
         assert_eq!(c.invalidate(BlockAddr(2)), None);
         assert!(!c.probe(BlockAddr(0)));
+        assert!(!c.access(BlockAddr(0), false).hit);
+        assert_eq!(
+            c.get(BlockAddr(0)),
+            None,
+            "a refetched line starts unfilled"
+        );
     }
 
     #[test]
     fn lose_all_drops_dirty_data() {
-        let mut c = tiny(2);
-        c.access(BlockAddr(0), true);
+        let mut c: Cache<u8> = tiny(2);
+        c.fill(BlockAddr(0), true, 1);
         c.access(BlockAddr(9), true);
         assert_eq!(c.dirty_blocks().len(), 2);
         c.lose_all();
         assert_eq!(c.occupancy(), 0);
         assert!(c.dirty_blocks().is_empty());
+        c.access(BlockAddr(0), false);
+        assert_eq!(c.get(BlockAddr(0)), None);
+    }
+
+    #[test]
+    fn victims_leave_with_their_values() {
+        let mut c: Cache<u8> = tiny(1);
+        assert_eq!(c.fill(BlockAddr(0), true, 7).victim, None);
+        let out = c.fill(BlockAddr(4), false, 8);
+        assert_eq!(
+            out.victim,
+            Some(Victim {
+                addr: BlockAddr(0),
+                dirty: true,
+                value: Some(7),
+            })
+        );
+        assert_eq!(c.get(BlockAddr(4)), Some(&8));
+    }
+
+    #[test]
+    fn hit_touches_only_filled_lines() {
+        let mut c: Cache<u8> = tiny(2);
+        assert_eq!(c.hit(BlockAddr(0), false), None, "absent");
+        c.access(BlockAddr(0), false);
+        assert_eq!(c.hit(BlockAddr(0), true), None, "unfilled");
+        assert_eq!(c.unfilled_blocks(), vec![BlockAddr(0)]);
+        assert_eq!(c.stats().accesses(), 1, "a refused hit counts nothing");
+        assert!(c.set(BlockAddr(0), 3));
+        assert!(c.unfilled_blocks().is_empty());
+        *c.hit(BlockAddr(0), true).unwrap() += 1;
+        assert_eq!(c.get(BlockAddr(0)), Some(&4));
+        assert!(c.probe_dirty(BlockAddr(0)));
+        assert_eq!(c.stats().write_hits, 1);
+        assert!(!c.set(BlockAddr(1), 9), "set never allocates");
+        assert_eq!(c.stats().accesses(), 2);
     }
 
     #[test]
     fn hit_rate_math() {
-        let mut c = tiny(2);
+        let mut c: Cache = tiny(2);
         assert_eq!(c.stats().hit_rate(), 0.0);
         c.access(BlockAddr(0), false);
         c.access(BlockAddr(0), false);
@@ -450,7 +571,7 @@ mod tests {
 
     #[test]
     fn stat_register_reports_scoped() {
-        let mut c = tiny(2);
+        let mut c: Cache = tiny(2);
         c.access(BlockAddr(0), false);
         let mut reg = triad_sim::stats::StatRegistry::new();
         c.register(&mut reg.scope("l1"));
@@ -460,7 +581,7 @@ mod tests {
 
     #[test]
     fn occupancy_bounded_by_capacity() {
-        let mut c = tiny(2); // 8 lines total
+        let mut c: Cache = tiny(2); // 8 lines total
         for i in 0..100 {
             c.access(BlockAddr(i), false);
         }
@@ -469,7 +590,7 @@ mod tests {
 
     #[test]
     fn latency_and_name_accessors() {
-        let c = tiny(2);
+        let c: Cache = tiny(2);
         assert_eq!(c.latency(), Duration::from_cpu_cycles(1));
         assert_eq!(c.name(), "t");
     }

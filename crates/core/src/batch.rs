@@ -245,8 +245,7 @@ impl SecureMemory {
                 return Err(SecureMemoryError::NeedsRecovery);
             }
             self.reclaim(*block);
-            self.plain.insert(block.0, *data);
-            self.l3_touch(*block, true);
+            self.l3_fill(*block, true, *data);
             let done = match self.writeback_data(*block, *data, t0, true) {
                 Ok(done) => done,
                 Err(e) => {
@@ -404,7 +403,7 @@ impl SecureMemory {
     /// and precomputes their one-time pads in one batched AES pass.
     ///
     /// The simulation peeks counters exactly where the write path will
-    /// find them (resident map, pending eviction, NVM image) *without*
+    /// find them (counter cache, pending eviction, NVM image) *without*
     /// touching any engine state; a misprediction merely misses the pad
     /// map and the member falls back to the scalar AES path.
     pub(crate) fn precompute_batch_pads(
@@ -429,7 +428,7 @@ impl SecureMemory {
             let slot = (data_index % coverage) as usize;
             let addr = layout.counter_start + leaf;
             let cb = sim.entry(addr.0).or_insert_with(|| {
-                if let Some(cb) = self.counters.get(&addr.0) {
+                if let Some(cb) = self.ctr_cache.get(addr) {
                     *cb
                 } else if let Some(EvictItem::Counter { value, .. }) = self
                     .evict_queue
@@ -484,23 +483,16 @@ impl SecureMemory {
         }
         let SecureMemory {
             prefetcher,
-            counters,
-            nodes,
-            macs,
             ctr_cache,
             mt_cache,
             evict_queue,
             ..
         } = self;
         let plan = prefetcher.plan(&reqs, |class, addr| {
-            let queued = evict_queue.iter().any(|e| e.addr() == addr);
-            queued
+            evict_queue.iter().any(|e| e.addr() == addr)
                 || match class {
-                    PrefetchClass::Counter => {
-                        counters.contains_key(&addr.0) || ctr_cache.probe(addr)
-                    }
-                    PrefetchClass::Mac => macs.contains_key(&addr.0) || mt_cache.probe(addr),
-                    PrefetchClass::Node => nodes.contains_key(&addr.0) || mt_cache.probe(addr),
+                    PrefetchClass::Counter => ctr_cache.probe(addr),
+                    PrefetchClass::Mac | PrefetchClass::Node => mt_cache.probe(addr),
                 }
         });
         emit(

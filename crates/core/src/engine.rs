@@ -11,8 +11,10 @@
 //! The NVM image ([`triad_mem::SparseStore`]) always holds
 //! *ciphertext* and *serialised metadata* — exactly the bytes a
 //! physical attacker could read or modify. Plaintext and current
-//! metadata values live in volatile maps mirroring the caches' resident
-//! sets; a [`SecureMemory::crash`] drops all of it, and
+//! metadata values live in the on-chip caches' lines: the L3 holds
+//! plaintext, the counter cache holds counter blocks, and the
+//! Merkle-tree cache holds BMT nodes and MAC blocks. A
+//! [`SecureMemory::crash`] drops all of it, and
 //! [`SecureMemory::recover`] must then reconstruct a verified state
 //! from the NVM image alone, which is what makes the paper's
 //! experiments honest: tampering and torn persists really are detected
@@ -31,7 +33,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use triad_cache::{BatchPrefetcher, Cache, Replacement};
+use triad_cache::{AccessOutcome, BatchPrefetcher, Cache, Replacement, Victim};
 use triad_crypto::aes::Aes128;
 use triad_crypto::counter::{AnyCounterBlock, IncrementOutcome};
 use triad_crypto::ctr::{decrypt_block, encrypt_block, Iv};
@@ -376,6 +378,22 @@ pub(crate) enum EvictItem {
     },
 }
 
+/// The value of a Merkle-tree-cache line: the cache holds BMT nodes
+/// and MAC blocks side by side (their addresses never overlap).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum MtLine {
+    Node(NodeBuf),
+    Mac(NodeBuf),
+}
+
+impl MtLine {
+    fn buf(&self) -> NodeBuf {
+        match self {
+            MtLine::Node(buf) | MtLine::Mac(buf) => *buf,
+        }
+    }
+}
+
 impl EvictItem {
     pub(crate) fn addr(&self) -> BlockAddr {
         match self {
@@ -399,17 +417,12 @@ pub struct SecureMemory {
     aes_volatile: Aes128,
     mac_engine: MacEngine,
     pub(crate) mc: MemoryController,
-    pub(crate) l3: Cache,
-    pub(crate) ctr_cache: Cache,
-    pub(crate) mt_cache: Cache,
-    /// Plaintext of data blocks resident in L3.
-    pub(crate) plain: BTreeMap<u64, Block>,
-    /// Current values of counter blocks resident in the counter cache.
-    pub(crate) counters: BTreeMap<u64, AnyCounterBlock>,
-    /// Current values of BMT nodes resident in the MT cache.
-    pub(crate) nodes: BTreeMap<u64, NodeBuf>,
-    /// Current values of MAC blocks resident in the MT cache.
-    pub(crate) macs: BTreeMap<u64, NodeBuf>,
+    /// Shared L3; its lines hold the blocks' plaintext.
+    pub(crate) l3: Cache<Block>,
+    /// Counter cache; its lines hold the current counter blocks.
+    pub(crate) ctr_cache: Cache<AnyCounterBlock>,
+    /// Merkle-tree cache; its lines hold BMT nodes and MAC blocks.
+    pub(crate) mt_cache: Cache<MtLine>,
     pub(crate) regs: PersistentRegisters,
     pub(crate) state: EngineState,
     pub(crate) counter_persistence: CounterPersistence,
@@ -459,10 +472,6 @@ impl SecureMemory {
             l3: Cache::new("l3", config.l3, Replacement::Lru),
             ctr_cache: Cache::new("ctr", config.security.counter_cache, Replacement::Lru),
             mt_cache: Cache::new("mt", config.security.mt_cache, Replacement::Lru),
-            plain: BTreeMap::new(),
-            counters: BTreeMap::new(),
-            nodes: BTreeMap::new(),
-            macs: BTreeMap::new(),
             regs: PersistentRegisters::new(),
             state: EngineState::Running,
             counter_persistence,
@@ -722,51 +731,50 @@ impl SecureMemory {
 
     // ----- cache wrappers: victims are queued, never handled inline --------
 
-    pub(crate) fn l3_touch(&mut self, block: BlockAddr, write: bool) -> bool {
-        let out = self.l3.access(block, write);
-        if let Some(v) = out.victim {
-            let plain = self.plain.remove(&v.addr.0).unwrap_or([0; BLOCK_BYTES]);
-            self.evict_queue.push(EvictItem::Data {
-                addr: v.addr,
-                plain,
-                dirty: v.dirty,
+    /// Queues an L3 victim's plaintext for write-back.
+    fn queue_l3_victim(&mut self, out: AccessOutcome<Block>) {
+        if let Some(Victim {
+            addr,
+            dirty,
+            value: Some(plain),
+        }) = out.victim
+        {
+            self.evict_queue
+                .push(EvictItem::Data { addr, plain, dirty });
+        }
+    }
+
+    pub(crate) fn l3_fill(&mut self, block: BlockAddr, write: bool, plain: Block) {
+        let out = self.l3.fill(block, write, plain);
+        self.queue_l3_victim(out);
+    }
+
+    fn ctr_fill(&mut self, block: BlockAddr, write: bool, value: AnyCounterBlock) {
+        let out = self.ctr_cache.fill(block, write, value);
+        if let Some(Victim {
+            addr,
+            dirty,
+            value: Some(value),
+        }) = out.victim
+        {
+            self.evict_queue
+                .push(EvictItem::Counter { addr, value, dirty });
+        }
+    }
+
+    fn mt_fill(&mut self, block: BlockAddr, write: bool, value: MtLine) {
+        let out = self.mt_cache.fill(block, write, value);
+        if let Some(Victim {
+            addr,
+            dirty,
+            value: Some(value),
+        }) = out.victim
+        {
+            self.evict_queue.push(match value {
+                MtLine::Node(value) => EvictItem::Node { addr, value, dirty },
+                MtLine::Mac(value) => EvictItem::Mac { addr, value, dirty },
             });
         }
-        out.hit
-    }
-
-    fn ctr_touch(&mut self, block: BlockAddr, write: bool) -> bool {
-        let out = self.ctr_cache.access(block, write);
-        if let Some(v) = out.victim {
-            if let Some(value) = self.counters.remove(&v.addr.0) {
-                self.evict_queue.push(EvictItem::Counter {
-                    addr: v.addr,
-                    value,
-                    dirty: v.dirty,
-                });
-            }
-        }
-        out.hit
-    }
-
-    fn mt_touch(&mut self, block: BlockAddr, write: bool) -> bool {
-        let out = self.mt_cache.access(block, write);
-        if let Some(v) = out.victim {
-            if let Some(value) = self.nodes.remove(&v.addr.0) {
-                self.evict_queue.push(EvictItem::Node {
-                    addr: v.addr,
-                    value,
-                    dirty: v.dirty,
-                });
-            } else if let Some(value) = self.macs.remove(&v.addr.0) {
-                self.evict_queue.push(EvictItem::Mac {
-                    addr: v.addr,
-                    value,
-                    dirty: v.dirty,
-                });
-            }
-        }
-        out.hit
     }
 
     /// Pulls a still-queued victim back on chip (a fetch racing its own
@@ -893,11 +901,12 @@ impl SecureMemory {
                     "BMT parent ({p_level}, {p_index}) has no in-memory address"
                 ))
             })?;
-        let entry = self.nodes.get_mut(&addr.0).ok_or_else(|| {
-            SecureMemoryError::internal(format!("ensure_node left no resident node at {addr}"))
-        })?;
+        let Some(MtLine::Node(entry)) = self.mt_cache.hit(addr, true) else {
+            return Err(SecureMemoryError::internal(format!(
+                "ensure_node left no resident node at {addr}"
+            )));
+        };
         entry.set_slot(slot, hash);
-        self.mt_touch(addr, true);
         Ok(())
     }
 
@@ -924,16 +933,13 @@ impl SecureMemory {
                     "BMT node ({level}, {index}) below root has no in-memory address"
                 ))
             })?;
-        if let Some(buf) = self.nodes.get(&addr.0) {
-            let buf = *buf;
-            let lat = self.mt_cache.latency();
-            self.mt_touch(addr, false);
-            return Ok((buf, now + lat));
+        if let Some(line) = self.mt_cache.hit(addr, false) {
+            let buf = line.buf();
+            return Ok((buf, now + self.mt_cache.latency()));
         }
         // A pending write-back holds the newest value.
         if let Some(EvictItem::Node { value, dirty, .. }) = self.reclaim(addr) {
-            self.nodes.insert(addr.0, value);
-            self.mt_touch(addr, dirty);
+            self.mt_fill(addr, dirty, MtLine::Node(value));
             return Ok((value, now + self.mt_cache.latency()));
         }
         // Fetch from NVM and verify against the parent. A block staged
@@ -964,8 +970,7 @@ impl SecureMemory {
             });
         }
         let buf = NodeBuf(bytes);
-        self.nodes.insert(addr.0, buf);
-        self.mt_touch(addr, false);
+        self.mt_fill(addr, false, MtLine::Node(buf));
         let done = t.max(tp) + self.config.security.hash_latency;
         self.hists.node_fetch_ns.record(done.since(now).as_ns());
         Ok((buf, done))
@@ -991,8 +996,7 @@ impl SecureMemory {
                     "BMT node ({level}, {index}) below root has no in-memory address"
                 ))
             })?;
-        self.nodes.insert(addr.0, buf);
-        self.mt_touch(addr, dirty);
+        self.mt_fill(addr, dirty, MtLine::Node(buf));
         Ok(())
     }
 
@@ -1006,15 +1010,12 @@ impl SecureMemory {
         now: Time,
     ) -> Result<(AnyCounterBlock, Time)> {
         let addr = self.layout(kind).counter_start + leaf;
-        if let Some(cb) = self.counters.get(&addr.0) {
+        if let Some(cb) = self.ctr_cache.hit(addr, false) {
             let cb = *cb;
-            let lat = self.ctr_cache.latency();
-            self.ctr_touch(addr, false);
-            return Ok((cb, now + lat));
+            return Ok((cb, now + self.ctr_cache.latency()));
         }
         if let Some(EvictItem::Counter { value, dirty, .. }) = self.reclaim(addr) {
-            self.counters.insert(addr.0, value);
-            self.ctr_touch(addr, dirty);
+            self.ctr_fill(addr, dirty, value);
             return Ok((value, now + self.ctr_cache.latency()));
         }
         let (bytes, t) = match self.batch_forward(addr) {
@@ -1048,8 +1049,7 @@ impl SecureMemory {
                 block: addr,
             });
         };
-        self.counters.insert(addr.0, cb);
-        self.ctr_touch(addr, false);
+        self.ctr_fill(addr, false, cb);
         let done = t.max(tp) + self.config.security.hash_latency;
         self.hists.counter_fetch_ns.record(done.since(now).as_ns());
         Ok((cb, done))
@@ -1137,15 +1137,12 @@ impl SecureMemory {
         now: Time,
     ) -> Result<(NodeBuf, Time)> {
         let addr = self.layout(kind).mac_start + data_index / 8;
-        if let Some(buf) = self.macs.get(&addr.0) {
-            let buf = *buf;
-            let lat = self.mt_cache.latency();
-            self.mt_touch(addr, false);
-            return Ok((buf, now + lat));
+        if let Some(line) = self.mt_cache.hit(addr, false) {
+            let buf = line.buf();
+            return Ok((buf, now + self.mt_cache.latency()));
         }
         if let Some(EvictItem::Mac { value, dirty, .. }) = self.reclaim(addr) {
-            self.macs.insert(addr.0, value);
-            self.mt_touch(addr, dirty);
+            self.mt_fill(addr, dirty, MtLine::Mac(value));
             return Ok((value, now + self.mt_cache.latency()));
         }
         let (bytes, t) = match self.batch_forward(addr) {
@@ -1154,8 +1151,7 @@ impl SecureMemory {
         };
         self.stats.mac_reads += 1;
         let buf = NodeBuf(bytes);
-        self.macs.insert(addr.0, buf);
-        self.mt_touch(addr, false);
+        self.mt_fill(addr, false, MtLine::Mac(buf));
         self.hists.mac_fetch_ns.record(t.since(now).as_ns());
         Ok((buf, t))
     }
@@ -1211,8 +1207,7 @@ impl SecureMemory {
         let (mut cb, mut t) = self.ensure_counter(kind, leaf, now)?;
         let old_cb = cb;
         let outcome = cb.increment(slot);
-        self.counters.insert(counter_addr.0, cb);
-        self.ctr_touch(counter_addr, true);
+        self.ctr_fill(counter_addr, true, cb);
 
         // 2. Encrypt and MAC the block. An open batch may have
         //    precomputed this pad from the batched AES pass; a miss
@@ -1232,8 +1227,7 @@ impl SecureMemory {
         let tag = self.data_tag(kind, block, &ct, &iv);
         let (mut mac_buf, t_mac) = self.ensure_mac_block(kind, data_index, now)?;
         mac_buf.set_slot((data_index % 8) as usize, tag);
-        self.macs.insert(mac_addr.0, mac_buf);
-        self.mt_touch(mac_addr, true);
+        self.mt_fill(mac_addr, true, MtLine::Mac(mac_buf));
         t = t.max(t_mac) + self.config.security.hash_latency;
 
         // 3. Minor overflow: the whole page re-encrypts under the new
@@ -1247,8 +1241,8 @@ impl SecureMemory {
             // The re-encryption retagged the other blocks of this MAC
             // block on chip: persist that copy, not the one captured
             // before it (fetching it back if it was evicted meanwhile).
-            mac_buf = match self.macs.get(&mac_addr.0) {
-                Some(buf) => *buf,
+            mac_buf = match self.mt_cache.get(mac_addr) {
+                Some(line) => line.buf(),
                 None => self.ensure_mac_block(kind, data_index, now)?.0,
             };
         }
@@ -1414,7 +1408,7 @@ impl SecureMemory {
                 EvictItem::Data { addr, plain, .. } if *addr == block => Some(*plain),
                 _ => None,
             });
-            let plaintext = if let Some(p) = self.plain.get(&block.0) {
+            let plaintext = if let Some(p) = self.l3.get(block) {
                 *p
             } else if let Some(p) = queued_plain {
                 p
@@ -1439,8 +1433,7 @@ impl SecureMemory {
             let (mut mac_buf, _) = self.ensure_mac_block(kind, data_index, now)?;
             mac_buf.set_slot((data_index % 8) as usize, new_tag);
             let mac_addr = mac_start + data_index / 8;
-            self.macs.insert(mac_addr.0, mac_buf);
-            self.mt_touch(mac_addr, true);
+            self.mt_fill(mac_addr, true, MtLine::Mac(mac_buf));
             touched_macs.insert(mac_addr.0);
             // Under an open batch the re-encrypted ciphertext of an
             // atomically-persisted region must stage (a direct write
@@ -1460,8 +1453,8 @@ impl SecureMemory {
             // persistence domain with the re-encrypted data, or a crash
             // would leave new ciphertext under stale NVM tags.
             for mac_addr in touched_macs {
-                if let Some(buf) = self.macs.get(&mac_addr) {
-                    let data = buf.0;
+                if let Some(line) = self.mt_cache.get(BlockAddr(mac_addr)) {
+                    let data = line.buf().0;
                     if self.batch.is_some() {
                         self.batch_stage_raw(
                             crate::batch::WriteClass::Mac,
@@ -1560,22 +1553,21 @@ impl SecureMemory {
             });
         }
         self.stats.loads += 1;
-        if self.l3_touch(block, false) {
+        if let Some(data) = self.l3.hit(block, false) {
+            let data = *data;
             self.stats.l3_load_hits += 1;
-            let data = self
-                .plain
-                .get(&block.0)
-                .copied()
-                .unwrap_or([0; BLOCK_BYTES]);
             self.drain_evictions(now)?;
             let done = now + self.l3.latency();
             self.hists.op_latency_ns.record(done.since(now).as_ns());
             return Ok((data, done));
         }
+        // Miss: the line is allocated (displacing its victim) before the
+        // fetch, and stays unfilled until the plaintext is known.
+        let out = self.l3.access(block, false);
+        self.queue_l3_victim(out);
         // The block may be sitting in its own pending write-back.
         if let Some(EvictItem::Data { plain, dirty, .. }) = self.reclaim(block) {
-            self.plain.insert(block.0, plain);
-            self.l3.access(block, dirty);
+            self.l3.fill(block, dirty, plain);
             self.drain_evictions(now)?;
             let done = now + self.l3.latency();
             self.hists.op_latency_ns.record(done.since(now).as_ns());
@@ -1584,12 +1576,36 @@ impl SecureMemory {
         // Fresh non-persistent blocks read as zeros (OS zero page).
         if kind == RegionKind::NonPersistent && !self.np_written.contains(&block.0) {
             self.stats.fresh_reads += 1;
-            self.plain.insert(block.0, [0; BLOCK_BYTES]);
+            self.l3.set(block, [0; BLOCK_BYTES]);
             let (_, t) = self.mc.read(block, now);
             self.drain_evictions(now)?;
             self.hists.op_latency_ns.record(t.since(now).as_ns());
             return Ok(([0; BLOCK_BYTES], t));
         }
+        let (plaintext, done) = match self.fetch_verified(kind, block, now) {
+            Ok(fetched) => fetched,
+            Err(e) => {
+                // Drop the unfilled line: a retry must fetch and verify
+                // again, not hit on a line that holds no plaintext.
+                self.l3.invalidate(block);
+                return Err(e);
+            }
+        };
+        self.l3.set(block, plaintext);
+        self.drain_evictions(now)?;
+        self.hists.op_latency_ns.record(done.since(now).as_ns());
+        Ok((plaintext, done))
+    }
+
+    /// The NVM path of a load miss: reads the ciphertext, fetches the
+    /// counter and MAC, decrypts and checks the tag. Returns the
+    /// plaintext and the time it is verified.
+    fn fetch_verified(
+        &mut self,
+        kind: RegionKind,
+        block: BlockAddr,
+        now: Time,
+    ) -> Result<(Block, Time)> {
         let layout = self.layout(kind);
         let data_index = layout.data_index(block);
         let leaf = data_index / layout.counter_coverage;
@@ -1612,12 +1628,9 @@ impl SecureMemory {
             }
             plaintext
         };
-        self.plain.insert(block.0, plaintext);
-        self.drain_evictions(now)?;
         // Decryption overlaps the data fetch (counter-mode); the MAC
         // check costs one hash after everything arrives.
         let done = t_data.max(t_ctr).max(t_mac) + self.config.security.hash_latency;
-        self.hists.op_latency_ns.record(done.since(now).as_ns());
         Ok((plaintext, done))
     }
 
@@ -1645,8 +1658,7 @@ impl SecureMemory {
         }
         // Supersede any pending write-back of the same block.
         self.reclaim(block);
-        self.plain.insert(block.0, data);
-        self.l3_touch(block, true);
+        self.l3_fill(block, true, data);
         self.drain_evictions(now)?;
         let done = now + self.l3.latency();
         self.hists.op_latency_ns.record(done.since(now).as_ns());
@@ -1676,8 +1688,7 @@ impl SecureMemory {
         self.stats.stores += 1;
         self.stats.persists += 1;
         self.reclaim(block);
-        self.plain.insert(block.0, data);
-        self.l3_touch(block, true);
+        self.l3_fill(block, true, data);
         // Under epoch persistency (Liu et al., HPCA'18 — cited by the
         // paper as an orthogonal relaxation) the persist is deferred to
         // the epoch boundary: within an epoch only program order, not
@@ -1765,11 +1776,7 @@ impl SecureMemory {
                 if self.persist_boundary_crash(now) {
                     return Err(SecureMemoryError::NeedsRecovery);
                 }
-                let plaintext = self
-                    .plain
-                    .get(&block.0)
-                    .copied()
-                    .unwrap_or([0; BLOCK_BYTES]);
+                let plaintext = self.l3.get(block).copied().unwrap_or([0; BLOCK_BYTES]);
                 let done = self.writeback_data(block, plaintext, t, true)?;
                 self.l3.flush(block);
                 t = t.max(done);
@@ -1780,12 +1787,7 @@ impl SecureMemory {
         // Batched boundary.
         let flushes: Vec<(BlockAddr, Block)> = members
             .iter()
-            .map(|b| {
-                (
-                    *b,
-                    self.plain.get(&b.0).copied().unwrap_or([0; BLOCK_BYTES]),
-                )
-            })
+            .map(|b| (*b, self.l3.get(*b).copied().unwrap_or([0; BLOCK_BYTES])))
             .collect();
         let pads = self.precompute_batch_pads(&flushes);
         self.plan_batch_prefetch(&flushes);
@@ -1837,11 +1839,7 @@ impl SecureMemory {
         if self.persist_boundary_crash(now) {
             return Err(SecureMemoryError::NeedsRecovery);
         }
-        let plaintext = self
-            .plain
-            .get(&block.0)
-            .copied()
-            .unwrap_or([0; BLOCK_BYTES]);
+        let plaintext = self.l3.get(block).copied().unwrap_or([0; BLOCK_BYTES]);
         let t = self.writeback_data(block, plaintext, now + self.l3.latency(), true)?;
         self.l3.flush(block);
         self.drain_evictions(now)?;
@@ -1903,18 +1901,15 @@ impl SecureMemory {
 
     // ----- crash and recovery ------------------------------------------------
 
-    /// Simulates a power loss: every volatile structure (caches,
-    /// plaintext, on-chip metadata values, WPQ bookkeeping) vanishes;
-    /// the NVM image and the persistent registers survive.
+    /// Simulates a power loss: every volatile structure (the caches with
+    /// the plaintext and metadata values in their lines, WPQ
+    /// bookkeeping) vanishes; the NVM image and the persistent
+    /// registers survive.
     pub fn crash(&mut self) {
         emit(&self.events, self.clock, "crash", &[]);
         self.l3.lose_all();
         self.ctr_cache.lose_all();
         self.mt_cache.lose_all();
-        self.plain.clear();
-        self.counters.clear();
-        self.nodes.clear();
-        self.macs.clear();
         self.np_written.clear();
         self.evict_queue.clear();
         self.epoch = None;
@@ -2094,37 +2089,29 @@ impl SecureMemory {
     /// debugging; O(cached state + leaves), not O(memory contents).
     ///
     /// Invariants checked:
-    /// 1. volatile value maps and cache residency agree 1:1,
+    /// 1. no resident line of the L3, counter or Merkle-tree cache
+    ///    lacks its value,
     /// 2. every queued eviction victim is absent from the caches,
     /// 3. for every *uncached* counter block, the NVM copy's hash
     ///    matches its parent's slot (the §3.2 lazy-propagation
     ///    invariant that makes verification sound).
     pub fn validate_consistency(&self) -> Vec<String> {
         let mut problems = Vec::new();
-        // 1. Map <-> cache agreement.
-        for addr in self.counters.keys() {
-            if !self.ctr_cache.probe(BlockAddr(*addr)) {
-                problems.push(format!("counter {addr:#x} in map but not cached"));
-            }
-        }
-        for addr in self.nodes.keys().chain(self.macs.keys()) {
-            if !self.mt_cache.probe(BlockAddr(*addr)) {
-                problems.push(format!("metadata {addr:#x} in map but not cached"));
-            }
-        }
-        for addr in self.plain.keys() {
-            if !self.l3.probe(BlockAddr(*addr)) {
-                problems.push(format!("plaintext {addr:#x} in map but not in L3"));
+        // 1. Every resident line holds its value.
+        let unfilled = [
+            ("L3", self.l3.unfilled_blocks()),
+            ("counter cache", self.ctr_cache.unfilled_blocks()),
+            ("Merkle-tree cache", self.mt_cache.unfilled_blocks()),
+        ];
+        for (cache, blocks) in unfilled {
+            for a in blocks {
+                problems.push(format!("{cache} line {a} holds no value"));
             }
         }
         // 2. Queued victims are off-chip.
         for item in &self.evict_queue {
             let a = item.addr();
-            if self.counters.contains_key(&a.0)
-                || self.nodes.contains_key(&a.0)
-                || self.macs.contains_key(&a.0)
-                || self.plain.contains_key(&a.0)
-            {
+            if self.l3.probe(a) || self.ctr_cache.probe(a) || self.mt_cache.probe(a) {
                 problems.push(format!("queued victim {a} still resident"));
             }
         }
@@ -2144,16 +2131,15 @@ impl SecureMemory {
                 }
                 let paddr = layout.bmt_node_addr(pl, pi)?;
                 let buf = self
-                    .nodes
-                    .get(&paddr.0)
-                    .copied()
-                    .unwrap_or(NodeBuf(store.read(paddr)));
+                    .mt_cache
+                    .get(paddr)
+                    .map_or_else(|| NodeBuf(store.read(paddr)), MtLine::buf);
                 Some(buf.slot(slot))
             };
             let osiris = matches!(self.counter_persistence, CounterPersistence::Osiris { .. });
             for leaf in 0..geom.leaves() {
                 let addr = layout.counter_start + leaf;
-                if self.counters.contains_key(&addr.0)
+                if self.ctr_cache.get(addr).is_some()
                     || self.evict_queue.iter().any(|e| e.addr() == addr)
                 {
                     continue; // on-chip copies may legitimately run ahead

@@ -232,6 +232,65 @@ fn tampered_counter_is_detected_at_access_under_triadnvm2() {
 }
 
 #[test]
+fn a_failed_mac_check_fails_again_on_retry() {
+    // A load that fails its MAC check must not leave an L3 line behind
+    // for the retry to hit: every read of the tampered block fails.
+    let mut m = build(PersistScheme::triad_nvm(1));
+    let p = m.persistent_region().start();
+    m.write(p, b"secret").unwrap();
+    m.persist(p).unwrap();
+    m.crash();
+    m.recover().unwrap();
+    let mut mask = [0u8; 64];
+    mask[0] = 0x80;
+    m.nvm_image_mut().tamper(p.block(), mask);
+    for attempt in 0..2 {
+        let got = m.read(p);
+        assert!(
+            matches!(got, Err(SecureMemoryError::MacMismatch { .. })),
+            "read {attempt} of tampered ciphertext: {got:?}"
+        );
+        assert_eq!(m.validate_consistency(), Vec::<String>::new());
+    }
+}
+
+#[test]
+fn a_failed_counter_check_fails_again_on_retry() {
+    // Set up as in `tampered_counter_is_detected_at_access_under_triadnvm2`:
+    // the counter fetch fails verification, and so must every retry.
+    let mut m = build(PersistScheme::triad_nvm(2));
+    let p = m.persistent_region().start();
+    m.write(p, b"secret").unwrap();
+    m.persist(p).unwrap();
+    let counter_block = m.memory_map().persistent().counter_block_of(p.block());
+    m.crash();
+    let mut mask = [0u8; 64];
+    mask[8] = 1;
+    m.nvm_image_mut().tamper(counter_block, mask);
+    assert!(m.recover().unwrap().persistent_recovered);
+    for attempt in 0..2 {
+        let got = m.read(p);
+        assert!(
+            matches!(
+                got,
+                Err(SecureMemoryError::IntegrityViolation {
+                    kind: IntegrityKind::Counter,
+                    ..
+                })
+            ),
+            "read {attempt} behind a tampered counter: {got:?}"
+        );
+        // The validator flags the tampered counter itself, and no line
+        // left without a value.
+        let problems = m.validate_consistency();
+        assert!(
+            !problems.is_empty() && problems.iter().all(|p| p.contains("NVM hash")),
+            "{problems:?}"
+        );
+    }
+}
+
+#[test]
 fn within_boot_counter_tamper_detected_on_fetch() {
     let mut m = build(PersistScheme::triad_nvm(1));
     let p = m.persistent_region().start();
