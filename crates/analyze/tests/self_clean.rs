@@ -187,7 +187,7 @@ fn workload_mutant_with_cloned_rng_is_flagged() {
     let rule = "shard-safety/rng-fork-discipline";
     assert!(findings_for(rel, &kv, rule).is_empty());
 
-    let anchor = "let mut rng = SplitMix64::stream(seed, 0x6b76_6f70_7321);";
+    let anchor = "let mut rng = SplitMix64::stream(seed, salt);";
     assert!(kv.contains(anchor), "rng anchor moved");
     let mutant = kv.replacen(
         anchor,

@@ -6,8 +6,8 @@
 //! schema versions differ, when no rows match, or when any matched row
 //! *regresses* — a higher p95 bucket, a >1% higher metadata-write rate
 //! per op, or a cell that recovered in the baseline but no longer
-//! does. Rows only in the baseline are reported but not fatal (the
-//! smoke matrix is a subset of the full one).
+//! does. Rows only in the baseline are reported but not fatal, so two
+//! reports compare on the rows they share.
 //!
 //! Usage:
 //!   cargo run -p triad-bench --release --bin bench-delta -- \

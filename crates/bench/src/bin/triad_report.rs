@@ -35,11 +35,7 @@
 //!
 //! Usage:
 //!   cargo run -p triad-bench --release --bin triad-report
-//!   cargo run -p triad-bench --release --bin triad-report -- --smoke
 //!   ... -- --ops 2000 --out /tmp/report.json --seed 7
-//!
-//! `--smoke` shrinks the matrix (two workloads, fewer ops; the KV and
-//! recov rows keep full depth) for CI.
 
 use std::fmt::Write as _;
 
@@ -472,7 +468,7 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Hand-rolled, key-order-fixed JSON: determinism is the whole point.
-fn render_json(cells: &[Cell], ops: u64, seed: u64, smoke: bool) -> String {
+fn render_json(cells: &[Cell], ops: u64, seed: u64) -> String {
     let cfg = report_config();
     let mut out = String::new();
     out.push_str("{\n");
@@ -480,7 +476,6 @@ fn render_json(cells: &[Cell], ops: u64, seed: u64, smoke: bool) -> String {
     let _ = writeln!(out, "  \"version\": 2,");
     let _ = writeln!(out, "  \"seed\": {seed},");
     let _ = writeln!(out, "  \"ops_per_core\": {ops},");
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
     let _ = writeln!(
         out,
         "  \"config\": {{ \"capacity_bytes\": {}, \"cores\": {}, \"wpq_entries\": {} }},",
@@ -588,17 +583,15 @@ fn print_table(cells: &[Cell]) {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut ops: Option<u64> = None;
+    let mut ops: u64 = 4000;
     let mut out_path = String::from("BENCH_pr10.json");
     let mut seed: u64 = 42;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--smoke" => smoke = true,
             "--ops" => {
                 let v = args.next().expect("--ops needs a value");
-                ops = Some(v.parse().expect("--ops needs an integer"));
+                ops = v.parse().expect("--ops needs an integer");
             }
             "--out" => out_path = args.next().expect("--out needs a path"),
             "--seed" => {
@@ -606,46 +599,35 @@ fn main() {
                 seed = v.parse().expect("--seed needs an integer");
             }
             other => {
-                eprintln!("unknown flag {other:?}; flags: --smoke --ops N --out PATH --seed N");
+                eprintln!("unknown flag {other:?}; flags: --ops N --out PATH --seed N");
                 std::process::exit(2);
             }
         }
     }
 
-    // The fixed matrix: the PMDK persistent structures plus the four
-    // MIX workloads, i.e. every trace with a persistent-store component
+    // The fixed matrix: the three PMDK microbenchmark traces plus the
+    // four MIX workloads, i.e. every trace with a persistent-store component
     // (pure SPEC lanes exercise no persists and tell the schemes apart
     // far less) — plus the two triad-kv rows (`kv-zipf`,
     // `kv-uniform`), which are driven through `run_kv_cell` and carry
     // the oracle-verified recovery column.
-    let workloads: &[&'static str] = if smoke {
-        &["hashtable", "mix1", "kv-zipf"]
-    } else {
-        &[
-            "hashtable",
-            "queue",
-            "arrayswap",
-            "mix1",
-            "mix2",
-            "mix3",
-            "mix4",
-            "kv-zipf",
-            "kv-uniform",
-        ]
-    };
-    // KV and recov rows keep full depth even under --smoke (they are
-    // cheap, and identical specs make the smoke rows exact replicas of
-    // the checked-in baseline rows, so the gate compares like for like
-    // instead of different warm-up depths: a KV history's metadata
-    // writes per op drift as its keyspace fills).
-    let full_ops = ops.unwrap_or(4000);
-    let ops = ops.unwrap_or(if smoke { 800 } else { 4000 });
+    let workloads = [
+        "hashtable",
+        "queue",
+        "arrayswap",
+        "mix1",
+        "mix2",
+        "mix3",
+        "mix4",
+        "kv-zipf",
+        "kv-uniform",
+    ];
 
     let mut cells = Vec::new();
     for w in workloads {
         for s in schemes() {
             cells.push(if w.starts_with("kv-") {
-                run_kv_cell(w, s, full_ops, seed)
+                run_kv_cell(w, s, ops, seed)
             } else {
                 run_cell(w, s, ops, seed)
             });
@@ -682,31 +664,22 @@ fn main() {
     // The recov rows sweep thread count (not scheme) for the two
     // detectably recoverable structures; the 1-thread → 4-thread
     // progression is the contention curve and `persists_per_op` the
-    // per-op persistence price of detectability. Smoke keeps one
-    // mid-contention row per structure.
-    let recov_rows: &[(&'static str, StructureKind, usize)] = if smoke {
-        &[
-            ("stack-mixed-2", StructureKind::Stack, 2),
-            ("queue-mixed-2", StructureKind::Queue, 2),
-        ]
-    } else {
-        &[
-            ("stack-mixed-1", StructureKind::Stack, 1),
-            ("stack-mixed-2", StructureKind::Stack, 2),
-            ("stack-mixed-3", StructureKind::Stack, 3),
-            ("stack-mixed-4", StructureKind::Stack, 4),
-            ("queue-mixed-1", StructureKind::Queue, 1),
-            ("queue-mixed-2", StructureKind::Queue, 2),
-            ("queue-mixed-3", StructureKind::Queue, 3),
-            ("queue-mixed-4", StructureKind::Queue, 4),
-        ]
-    };
-    for &(label, kind, threads) in recov_rows {
-        cells.push(run_recov_cell(label, kind, threads, full_ops, seed));
+    // per-op persistence price of detectability.
+    for (label, kind, threads) in [
+        ("stack-mixed-1", StructureKind::Stack, 1),
+        ("stack-mixed-2", StructureKind::Stack, 2),
+        ("stack-mixed-3", StructureKind::Stack, 3),
+        ("stack-mixed-4", StructureKind::Stack, 4),
+        ("queue-mixed-1", StructureKind::Queue, 1),
+        ("queue-mixed-2", StructureKind::Queue, 2),
+        ("queue-mixed-3", StructureKind::Queue, 3),
+        ("queue-mixed-4", StructureKind::Queue, 4),
+    ] {
+        cells.push(run_recov_cell(label, kind, threads, ops, seed));
     }
 
     print_table(&cells);
-    let json = render_json(&cells, ops, seed, smoke);
+    let json = render_json(&cells, ops, seed);
     std::fs::write(&out_path, &json).expect("write report");
     println!("\nwrote {out_path} ({} cells)", cells.len());
 }

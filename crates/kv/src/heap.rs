@@ -1,17 +1,19 @@
-//! A miniature PMDK (`libpmemobj`) substitute.
+//! The block-granular persistent heap the KV store lives on.
 //!
-//! The paper builds its microbenchmarks on Intel PMDK; this module
-//! provides the equivalent substrate over the simulated secure memory:
-//! a block-granular persistent heap in the persistent region with
+//! The paper builds its microbenchmarks on Intel PMDK; this module is
+//! the allocator layer of that substrate over the simulated secure
+//! memory: a heap over the whole persistent region with
 //!
-//! * a **header** (magic, allocation cursor, root pointer),
-//! * a fixed **redo-log** area giving crash-atomic multi-block
-//!   transactions (log → commit flag → apply → clear), and
+//! * a **header** block (magic, allocation cursor, root pointer,
+//!   allocation-slot registration),
+//! * 32 reserved blocks, and
 //! * a bump-allocated **data area**.
 //!
-//! Every mutation follows the PMDK discipline: store, `clwb`, `sfence`
-//! — which the simulator models as [`SecureMemory::persist`] — so the
-//! full Triad-NVM metadata machinery is exercised on every step.
+//! Every header update is one single-block persist: store, `clwb`,
+//! `sfence`, which the simulator models as [`SecureMemory::persist`],
+//! so the full Triad-NVM metadata machinery is exercised on every
+//! step. Crash-atomic multi-block updates are the store's job: its
+//! redo log is [`crate::log::RedoLog`].
 //!
 //! ## Allocation crash-safety
 //!
@@ -41,8 +43,8 @@
 //! *before* bumping the cursor, so a re-executed call with the same
 //! `(slot, seq)` returns the same address instead of leaking —
 //! detectable allocation. A torn cursor bump (marker durable, bump
-//! lost) is completed by [`PersistentHeap::open`], which replays slot
-//! markers exactly like the redo log.
+//! lost) is completed by [`PersistentHeap::open`], which replays the
+//! slot markers idempotently.
 
 use std::error::Error;
 use std::fmt;
@@ -60,8 +62,6 @@ pub enum HeapError {
     NotFormatted,
     /// The data area is exhausted.
     OutOfSpace,
-    /// A transaction exceeded the redo-log capacity.
-    LogFull,
     /// `register_alloc_slots` was called on a heap that already has
     /// slots registered (registration is once per heap lifetime).
     SlotsAlreadyRegistered {
@@ -85,7 +85,6 @@ impl fmt::Display for HeapError {
             HeapError::Memory(e) => write!(f, "secure memory error: {e}"),
             HeapError::NotFormatted => write!(f, "no formatted heap in the persistent region"),
             HeapError::OutOfSpace => write!(f, "persistent heap is out of space"),
-            HeapError::LogFull => write!(f, "transaction exceeds redo-log capacity"),
             HeapError::SlotsAlreadyRegistered { slots } => {
                 write!(f, "{slots} allocation slots are already registered")
             }
@@ -123,9 +122,6 @@ impl From<SecureMemoryError> for HeapError {
 /// Shorthand for heap results.
 pub type Result<T> = std::result::Result<T, HeapError>;
 
-/// Log capacity in entries (each entry = 2 blocks: target + payload).
-pub const LOG_ENTRIES: usize = 16;
-
 /// A persistent heap living in the secure memory's persistent region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PersistentHeap {
@@ -136,10 +132,16 @@ pub struct PersistentHeap {
 const HDR_MAGIC: usize = 0;
 const HDR_CURSOR: usize = 8;
 const HDR_ROOT: usize = 16;
-const HDR_COMMIT: usize = 24;
-const HDR_LOG_LEN: usize = 32;
+// Bytes 24..40 of the header are unused.
 const HDR_SLOT_BASE: usize = 40;
 const HDR_SLOTS: usize = 48;
+
+/// Blocks from the heap base to the data area: the header block plus
+/// 32 reserved blocks. Nothing reads or writes the reserved blocks.
+/// They hold the data area at the offset it has always had, so every
+/// allocation keeps its address, and with it the cache sets, banks
+/// and counter pages that the checked-in simulated baselines measure.
+const DATA_OFFSET_BLOCKS: u64 = 1 + 32;
 
 /// Slot-marker block layout (one 64 B block per registered slot).
 const MARK_SEQ: usize = 0;
@@ -169,12 +171,8 @@ impl PersistentHeap {
         self.base
     }
 
-    fn log_addr(&self, entry: usize, part: usize) -> PhysAddr {
-        PhysAddr(self.base.0 + 64 + (entry * 2 + part) as u64 * 64)
-    }
-
     fn data_base(&self) -> PhysAddr {
-        PhysAddr(self.base.0 + 64 + (LOG_ENTRIES as u64 * 2) * 64)
+        PhysAddr(self.base.0 + DATA_OFFSET_BLOCKS * 64)
     }
 
     /// Total allocatable data bytes.
@@ -217,8 +215,7 @@ impl PersistentHeap {
         Ok(heap)
     }
 
-    /// Opens an existing heap, replaying a committed-but-unapplied
-    /// transaction if the crash hit between commit and apply.
+    /// Opens an existing heap, completing a torn slot allocation.
     ///
     /// # Errors
     ///
@@ -233,24 +230,11 @@ impl PersistentHeap {
         if Self::header_u64(&hdr, HDR_MAGIC) != heap_magic() {
             return Err(HeapError::NotFormatted);
         }
-        if Self::header_u64(&hdr, HDR_COMMIT) == 1 {
-            // Redo: the log is complete; apply it (idempotent).
-            let len = Self::header_u64(&hdr, HDR_LOG_LEN) as usize;
-            for i in 0..len.min(LOG_ENTRIES) {
-                let meta = mem.read(heap.log_addr(i, 0))?;
-                let target = PhysAddr(read_u64(&meta, 0));
-                let payload = mem.read(heap.log_addr(i, 1))?;
-                mem.write(target, &payload)?;
-                mem.persist(target)?;
-            }
-            heap.write_header_u64(mem, HDR_COMMIT, 0)?;
-        }
         // Replay a torn slot allocation: a marker pointing exactly at
         // the current cursor means `alloc_blocks_for` persisted the
-        // marker but crashed before the bump — complete it (idempotent,
-        // same discipline as the redo log above). At most one marker
-        // can match: the cursor has moved past every completed one.
-        let hdr = heap.read_header(mem)?;
+        // marker but crashed before the bump — complete it
+        // (idempotent). At most one marker can match: the cursor has
+        // moved past every completed one.
         let nslots = Self::header_u64(&hdr, HDR_SLOTS);
         if nslots != 0 {
             let slot_base = Self::header_u64(&hdr, HDR_SLOT_BASE);
@@ -425,43 +409,6 @@ impl PersistentHeap {
     pub fn set_root(&self, mem: &mut SecureMemory, root: u64) -> Result<()> {
         self.write_header_u64(mem, HDR_ROOT, root)
     }
-
-    /// Runs a crash-atomic transaction: all `writes` (full 64 B blocks)
-    /// become durable together or not at all.
-    ///
-    /// # Errors
-    ///
-    /// [`HeapError::LogFull`] when more than [`LOG_ENTRIES`] blocks are
-    /// written.
-    pub fn commit(
-        &self,
-        mem: &mut SecureMemory,
-        writes: &[(PhysAddr, [u8; BLOCK_BYTES])],
-    ) -> Result<()> {
-        if writes.len() > LOG_ENTRIES {
-            return Err(HeapError::LogFull);
-        }
-        // 1. Write the redo log.
-        for (i, (target, payload)) in writes.iter().enumerate() {
-            let mut meta = [0u8; BLOCK_BYTES];
-            meta[..8].copy_from_slice(&target.0.to_le_bytes());
-            mem.write(self.log_addr(i, 0), &meta)?;
-            mem.persist(self.log_addr(i, 0))?;
-            mem.write(self.log_addr(i, 1), payload)?;
-            mem.persist(self.log_addr(i, 1))?;
-        }
-        self.write_header_u64(mem, HDR_LOG_LEN, writes.len() as u64)?;
-        // 2. Commit point.
-        self.write_header_u64(mem, HDR_COMMIT, 1)?;
-        // 3. Apply in place.
-        for (target, payload) in writes {
-            mem.write(*target, payload)?;
-            mem.persist(*target)?;
-        }
-        // 4. Clear.
-        self.write_header_u64(mem, HDR_COMMIT, 0)?;
-        Ok(())
-    }
 }
 
 fn heap_magic() -> u64 {
@@ -538,81 +485,6 @@ mod tests {
         // The cursor must be untouched by the rejected calls.
         let a = h.alloc_blocks(&mut m, 1).unwrap();
         assert_eq!(a, h.data_base());
-    }
-
-    #[test]
-    fn transaction_applies_all_writes() {
-        let mut m = mem();
-        let h = PersistentHeap::format(&mut m).unwrap();
-        let a = h.alloc_blocks(&mut m, 2).unwrap();
-        let b = PhysAddr(a.0 + 64);
-        h.commit(&mut m, &[(a, [1; 64]), (b, [2; 64])]).unwrap();
-        assert_eq!(m.read(a).unwrap(), [1; 64]);
-        assert_eq!(m.read(b).unwrap(), [2; 64]);
-    }
-
-    #[test]
-    fn log_overflow_rejected() {
-        let mut m = mem();
-        let h = PersistentHeap::format(&mut m).unwrap();
-        let a = h.alloc_blocks(&mut m, LOG_ENTRIES as u64 + 1).unwrap();
-        let writes: Vec<_> = (0..LOG_ENTRIES as u64 + 1)
-            .map(|i| (PhysAddr(a.0 + i * 64), [3u8; 64]))
-            .collect();
-        assert_eq!(h.commit(&mut m, &writes).unwrap_err(), HeapError::LogFull);
-    }
-
-    #[test]
-    fn committed_transaction_survives_crash_between_commit_and_apply() {
-        // Crash-atomicity at the heap level composes with the engine's
-        // metadata persistence: after the commit flag is durable, a
-        // crash anywhere must still produce the new state at reopen.
-        let mut m = mem();
-        let h = PersistentHeap::format(&mut m).unwrap();
-        let a = h.alloc_blocks(&mut m, 2).unwrap();
-        let b = PhysAddr(a.0 + 64);
-        h.commit(&mut m, &[(a, [1; 64]), (b, [1; 64])]).unwrap();
-        // Second tx: stop right after the commit flag persists by
-        // simulating the crash through a full commit followed by
-        // rewinding the applied blocks is not possible from outside —
-        // instead drive the log manually.
-        let writes = [(a, [9u8; 64]), (b, [9u8; 64])];
-        for (i, (target, payload)) in writes.iter().enumerate() {
-            let mut meta = [0u8; 64];
-            meta[..8].copy_from_slice(&target.0.to_le_bytes());
-            m.write(h.log_addr(i, 0), &meta).unwrap();
-            m.persist(h.log_addr(i, 0)).unwrap();
-            m.write(h.log_addr(i, 1), payload).unwrap();
-            m.persist(h.log_addr(i, 1)).unwrap();
-        }
-        h.write_header_u64(&mut m, HDR_LOG_LEN, 2).unwrap();
-        h.write_header_u64(&mut m, HDR_COMMIT, 1).unwrap();
-        // CRASH before applying.
-        m.crash();
-        m.recover().unwrap();
-        let h = PersistentHeap::open(&mut m).unwrap();
-        let _ = h;
-        assert_eq!(m.read(a).unwrap(), [9; 64], "redo log must be replayed");
-        assert_eq!(m.read(b).unwrap(), [9; 64]);
-    }
-
-    #[test]
-    fn uncommitted_transaction_is_discarded() {
-        let mut m = mem();
-        let h = PersistentHeap::format(&mut m).unwrap();
-        let a = h.alloc_blocks(&mut m, 1).unwrap();
-        h.commit(&mut m, &[(a, [1; 64])]).unwrap();
-        // Write log entries but never set the commit flag.
-        let mut meta = [0u8; 64];
-        meta[..8].copy_from_slice(&a.0.to_le_bytes());
-        m.write(h.log_addr(0, 0), &meta).unwrap();
-        m.persist(h.log_addr(0, 0)).unwrap();
-        m.write(h.log_addr(0, 1), &[7u8; 64]).unwrap();
-        m.persist(h.log_addr(0, 1)).unwrap();
-        m.crash();
-        m.recover().unwrap();
-        PersistentHeap::open(&mut m).unwrap();
-        assert_eq!(m.read(a).unwrap(), [1; 64], "old value must remain");
     }
 
     #[test]
@@ -819,10 +691,6 @@ mod error_surface {
         let wrapped = HeapError::from(inner.clone());
         assert!(wrapped.to_string().contains("secure memory error"));
         assert!(wrapped.source().is_some());
-        assert_eq!(
-            HeapError::LogFull.to_string(),
-            "transaction exceeds redo-log capacity"
-        );
         assert!(HeapError::NotFormatted.to_string().contains("formatted"));
         assert!(HeapError::SlotsAlreadyRegistered { slots: 4 }
             .to_string()
@@ -837,11 +705,20 @@ mod error_surface {
     }
 
     #[test]
-    fn heap_capacity_accounts_for_header_and_log() {
+    fn heap_capacity_accounts_for_header_and_reserved_blocks() {
         let mut m = triad_core::SecureMemoryBuilder::new().build().unwrap();
         let h = PersistentHeap::format(&mut m).unwrap();
         let region = m.persistent_region().len_bytes();
-        let overhead = 64 * (1 + 2 * LOG_ENTRIES as u64);
-        assert_eq!(h.capacity_bytes(), region - overhead);
+        assert_eq!(h.capacity_bytes(), region - 33 * 64);
+    }
+
+    #[test]
+    fn first_allocation_lands_after_the_reserved_blocks() {
+        // Every simulated baseline depends on where data lands: this
+        // pins the header block plus 32 reserved blocks in front of it.
+        let mut m = triad_core::SecureMemoryBuilder::new().build().unwrap();
+        let h = PersistentHeap::format(&mut m).unwrap();
+        let first = h.alloc_blocks(&mut m, 1).unwrap();
+        assert_eq!(first.0, m.persistent_region().start().0 + 33 * 64);
     }
 }

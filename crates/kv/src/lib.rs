@@ -3,14 +3,14 @@
 //! A crash-consistent, transactional key-value store built entirely on
 //! [`triad_core::SecureMemory`] — the "real software" tier of the
 //! Triad-NVM reproduction. Where `triad-workloads` drives the secure
-//! memory with synthetic traces and toy structures, this crate layers a
-//! proper storage protocol on top of it:
+//! memory with synthetic traces, this crate layers a proper storage
+//! protocol on top of it:
 //!
-//! * [`heap`] — the block-granular persistent bump allocator (moved
-//!   here from `triad-workloads`, which re-exports it for
-//!   compatibility).
+//! * [`heap`] — the block-granular persistent bump allocator the
+//!   store lives on.
 //! * [`log`] — a redo write-ahead log of 64-B-aligned records with
-//!   checksummed commit markers and torn-write detection.
+//!   checksummed commit markers and torn-write detection: the one
+//!   redo log in the tree.
 //! * [`store`] — the [`KvStore`]: open/put/get/delete/scan over an
 //!   on-NVM bucket index, with every mutation made durable through a
 //!   log → commit-marker → apply transaction.

@@ -762,7 +762,8 @@ impl KvStore {
 }
 
 /// One-call crash recovery for a single-store heap: engine recovery,
-/// heap open (heap-level redo), store open (WAL replay), with the
+/// heap open (completing a torn slot allocation), store open (WAL
+/// replay), with the
 /// replay work merged into the returned [`RecoveryReport`] — the
 /// `log_replay` extension this crate adds to the report.
 ///

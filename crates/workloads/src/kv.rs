@@ -5,7 +5,9 @@
 //! ([`generate_history`]: one SplitMix64 stream, Zipf or uniform keys
 //! over one keyspace, a configurable put/get/delete/scan mix). Put
 //! payloads come from [`value_bytes`], so a history is reproducible
-//! from its seed alone.
+//! from its seed alone. The service's request schedules
+//! ([`crate::service::generate_requests`]) come from the same
+//! generator loop on a stream of their own.
 
 use triad_sim::rng::SplitMix64;
 
@@ -117,7 +119,22 @@ pub fn value_bytes(tag: u64, len: usize) -> Vec<u8> {
 
 /// Generates the seeded request history for `spec`.
 pub fn generate_history(spec: &KvSpec, seed: u64) -> Vec<Request> {
-    let mut rng = SplitMix64::stream(seed, 0x6b76_6f70_7321);
+    generate(spec, seed, 0x6b76_6f70_7321)
+}
+
+/// The one request generator: `spec.ops` requests drawn from the
+/// SplitMix64 stream `(seed, salt)`. Each request takes a key, then a
+/// kind by `spec.mix` weight, then, for a put, a length and a value
+/// tag.
+///
+/// Always inlined: in a caller whose spec has no Zipf skew, such as
+/// [`crate::service::generate_requests`], the Zipf branch then folds
+/// away, and a release binary that only generates uniform requests
+/// does not link libm for `Zipf::new`'s `powf` (about 0.3 MiB of
+/// resident set).
+#[inline(always)]
+pub(crate) fn generate(spec: &KvSpec, seed: u64, salt: u64) -> Vec<Request> {
+    let mut rng = SplitMix64::stream(seed, salt);
     let zipf = spec.zipf_s.map(|s| Zipf::new(spec.keyspace, s));
     let total = spec.mix.total().max(1) as u64;
     (0..spec.ops)

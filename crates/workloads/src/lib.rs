@@ -8,15 +8,9 @@
 //!   SPEC benchmark's first-order memory behaviour (footprint,
 //!   write intensity, spatial locality, pointer-chasing) — the
 //!   properties Figures 4/8/9 actually depend on.
-//! * [`heap`] — a miniature PMDK (`libpmemobj`) substitute: a
-//!   persistent heap with a redo-log transaction mechanism over
-//!   [`triad_core::SecureMemory`] (now lives in `triad-kv`;
-//!   re-exported here for compatibility).
-//! * [`structures`] — the paper's three PMDK microbenchmarks as real
-//!   data structures on that heap: [`structures::PersistentHashtable`],
-//!   [`structures::PersistentQueue`], [`structures::ArraySwap`].
-//! * [`traces`] — trace-generator forms of the PMDK benchmarks and
-//!   the `DAXBENCH-S-RW` strided workload, for the timing simulator.
+//! * [`traces`] — trace-generator forms of the paper's three PMDK
+//!   microbenchmarks (hashtable, queue, array swap) and the
+//!   `DAXBENCH-S-RW` strided workload, for the timing simulator.
 //! * [`mixes`] — the Table 2 workload registry (DAXBENCH1–4, MIX1–4)
 //!   plus every single-program workload the figures sweep.
 //! * [`kv`] — seeded request histories for the `triad-kv` store (Zipf
@@ -35,19 +29,15 @@
 
 #![warn(missing_docs)]
 
-pub use triad_kv::heap;
-
 pub mod kv;
 pub mod mixes;
 pub mod recov;
 pub mod service;
 pub mod spec;
-pub mod structures;
 pub mod sweep;
 pub mod traces;
 pub mod zipf;
 
-pub use heap::{HeapError, PersistentHeap};
 pub use kv::{generate_history, KvMix, KvSpec};
 pub use mixes::{all_figure_workloads, build_workload, WorkloadEnv};
 pub use recov::{generate_recov_scripts, run_recov_mix, RecovMixResult, RecovMixSpec};

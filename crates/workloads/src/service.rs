@@ -71,11 +71,10 @@ use triad_crypto::SipHash24;
 use triad_kv::heap::PersistentHeap;
 use triad_kv::{KvConfig, KvError, KvStats, KvStore};
 use triad_sim::config::SystemConfig;
-use triad_sim::rng::SplitMix64;
 use triad_sim::time::Duration;
 use triad_sim::Time;
 
-use crate::kv::value_bytes;
+use crate::kv::{generate, KvMix, KvSpec};
 
 pub use triad_kv::DurabilityMode;
 
@@ -944,38 +943,35 @@ impl KvService {
 }
 
 /// Generates a seeded put/get/delete request schedule over a global
-/// keyspace (5:3:2 mix, [`value_bytes`]-derived payloads). Scans are
-/// fleet-wide barriers and are driven explicitly where needed.
+/// keyspace (uniform keys, 5:3:2 mix, [`crate::kv::value_bytes`]
+/// payloads). Scans are fleet-wide barriers and are driven explicitly
+/// where needed.
 pub fn generate_requests(
     seed: u64,
     ops: usize,
     keyspace: u64,
     value_len: (usize, usize),
 ) -> Vec<Request> {
-    let mut rng = SplitMix64::stream(seed, 0x73_7276_6372_6571);
-    (0..ops)
-        .map(|_| {
-            let key = rng.below(keyspace.max(1));
-            match rng.below(10) {
-                0..=4 => {
-                    let len =
-                        rng.gen_range_inclusive(value_len.0 as u64..=value_len.1 as u64) as usize;
-                    Request::Put {
-                        key,
-                        value: value_bytes(rng.next_u64(), len),
-                    }
-                }
-                5..=7 => Request::Get { key },
-                _ => Request::Delete { key },
-            }
-        })
-        .collect()
+    let spec = KvSpec {
+        ops: ops as u64,
+        keyspace: usize::try_from(keyspace).unwrap_or(usize::MAX),
+        zipf_s: None,
+        value_len,
+        mix: KvMix {
+            put: 5,
+            get: 3,
+            delete: 2,
+            scan: 0,
+        },
+    };
+    generate(&spec, seed, 0x73_7276_6372_6571)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use triad_core::CrashHookKind;
+    use triad_sim::rng::SplitMix64;
 
     fn spec(shards: u64) -> ServiceSpec {
         ServiceSpec {

@@ -1,10 +1,11 @@
 //! Trace-generator forms of the persistent workloads, for the timing
 //! simulator.
 //!
-//! [`PmdkTrace`] replays the *memory-access shape* of the
-//! [`crate::structures`] benchmarks (bucket/slot loads, redo-log
-//! persists, header persists) without needing a live engine, and
-//! [`DaxBench`] is the paper's `DAXBENCH-S-RW` strided mmap workload:
+//! [`PmdkTrace`] replays the *memory-access shape* of the paper's
+//! three PMDK microbenchmarks (hashtable insert, queue push, array
+//! swap): bucket/slot loads, redo-log persists and header persists,
+//! without needing a live engine. [`DaxBench`] is the paper's
+//! `DAXBENCH-S-RW` strided mmap workload:
 //! stride `S` bytes, `RW` reads per write, writes persisted in place
 //! (DAX semantics).
 
@@ -84,9 +85,8 @@ impl PmdkTrace {
         PhysAddr(self.base.0 + META_BLOCKS * 64 + (i % self.data_blocks) * 64)
     }
 
-    /// Queues the §PMDK transaction skeleton: log writes, commit,
-    /// in-place writes, clear — exactly the persist sequence
-    /// [`crate::heap::PersistentHeap::commit`] issues.
+    /// Queues the persist sequence of one PMDK-style redo transaction:
+    /// log writes, log length, commit flag, in-place writes, clear.
     fn queue_tx(&mut self, targets: &[PhysAddr]) {
         for (i, _) in targets.iter().enumerate() {
             self.pending

@@ -1,15 +1,28 @@
-//! Crash-consistency torture demo: run transactional updates against
-//! a persistent hashtable, crash at randomised points — including in
-//! the middle of the engine's atomic metadata persists (§3.3.5
-//! READY_BIT protocol) — and verify after every recovery that the
-//! table is in a consistent, fully verified state.
+//! Crash-consistency torture demo: run puts against a `triad-kv` store,
+//! crash in the middle of the engine's atomic metadata persists
+//! (§3.3.5 READY_BIT protocol) and verify after every recovery — engine
+//! recovery plus WAL replay — that the interrupted put reads as its old
+//! or its new value and that every completed put survived.
 //!
 //! Run with: `cargo run --example crash_recovery`
 
-use triad_nvm::core::{CrashHookKind, PersistScheme, SecureMemoryBuilder};
-use triad_nvm::sim::PhysAddr;
-use triad_nvm::workloads::heap::PersistentHeap;
-use triad_nvm::workloads::structures::PersistentHashtable;
+use std::collections::BTreeMap;
+
+use triad_nvm::core::{CrashHookKind, PersistScheme, SecureMemoryBuilder, SecureMemoryError};
+use triad_nvm::kv::heap::PersistentHeap;
+use triad_nvm::kv::{recover_store, KvConfig, KvError, KvStore};
+
+const ROUNDS: u64 = 30;
+const KEYS: u64 = 512;
+const PUTS_PER_ROUND: u64 = 40;
+
+/// The value round `round` puts under `key`: one to three entry blocks
+/// long, so some puts log several blocks.
+fn value(round: u64, key: u64) -> Vec<u8> {
+    format!("r{round}-k{key};")
+        .repeat(1 + (round % 4) as usize * 4)
+        .into_bytes()
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut mem = SecureMemoryBuilder::new()
@@ -19,68 +32,69 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
 
     let heap = PersistentHeap::format(&mut mem)?;
-    let table = PersistentHashtable::create(&mut mem, heap, 64)?;
-    heap.set_root(&mut mem, table.header().0)?;
+    let mut store = KvStore::create(&mut mem, heap, KvConfig::default())?;
+    heap.set_root(&mut mem, store.superblock().0)?;
 
-    // `expected[k]` mirrors what a completed insert guaranteed.
-    let mut expected = vec![None::<u64>; 512];
-    let mut crashes = 0;
-    let mut mid_persist_crashes = 0;
+    // What every completed put guaranteed.
+    let mut expected = BTreeMap::<u64, Vec<u8>>::new();
 
-    for round in 0..30u64 {
+    for round in 0..ROUNDS {
         // Arm a crash somewhere inside the engine's upcoming atomic
         // persists (varies per round to hit different protocol steps).
-        mem.disarm_crash_hooks();
         mem.arm_crash(CrashHookKind::WpqWrite, 13 + round * 7)?;
-        let mut k = round * 17 % 512;
-        loop {
-            let key = k % 512;
-            let value = round * 1000 + key;
-            match table.insert(&mut mem, key, value) {
+        let first = round * 17 % KEYS;
+        let mut interrupted = None;
+        for key in (first..first + PUTS_PER_ROUND).map(|k| k % KEYS) {
+            let v = value(round, key);
+            match store.put(&mut mem, key, &v) {
                 Ok(()) => {
-                    expected[key as usize] = Some(value);
-                    k += 1;
+                    expected.insert(key, v);
                 }
-                Err(_) => {
-                    // The armed crash fired mid-transaction.
-                    crashes += 1;
-                    mid_persist_crashes += 1;
+                Err(KvError::Memory(SecureMemoryError::NeedsRecovery)) => {
+                    interrupted = Some((key, v));
                     break;
                 }
-            }
-            if k > round * 17 % 512 + 40 {
-                // No crash this round; force a clean one.
-                mem.crash();
-                crashes += 1;
-                break;
+                Err(e) => return Err(e.into()),
             }
         }
-        let report = mem.recover()?;
+        let (key, new) =
+            interrupted.ok_or(format!("round {round}: the armed crash never fired"))?;
+
+        let (recovered, report) = recover_store(&mut mem)?;
+        store = recovered;
         assert!(
             report.persistent_recovered,
             "round {round}: recovery failed: {report:?}"
         );
-        if report.replayed_staged_writes > 0 {
-            println!(
-                "round {round:2}: crash hit mid-persist; replayed {} staged writes (READY_BIT)",
-                report.replayed_staged_writes
+        // The interrupted put is all-or-nothing.
+        let got = store.get(&mut mem, key)?;
+        let outcome = if got.as_ref() == Some(&new) {
+            "new"
+        } else if got.as_ref() == expected.get(&key) {
+            "old"
+        } else {
+            return Err(
+                format!("round {round}: key {key} reads {got:?}, neither old nor new").into(),
             );
+        };
+        let replay = report.log_replay.unwrap_or_default();
+        println!(
+            "round {round:2}: crash mid-put of key {key:3}; replayed {} staged \
+             writes (READY_BIT), redid {} WAL txns; the key reads its {outcome} value",
+            report.replayed_staged_writes, replay.txns_applied
+        );
+        if let Some(v) = got {
+            expected.insert(key, v);
         }
-        // Reopen and verify every completed insert survived.
-        let heap2 = PersistentHeap::open(&mut mem)?;
-        let root = heap2.root(&mut mem)?;
-        let table2 = PersistentHashtable::open(&mut mem, heap2, PhysAddr(root))?;
-        for (key, exp) in expected.iter().enumerate() {
-            if let Some(v) = exp {
-                let got = table2.get(&mut mem, key as u64)?;
-                assert_eq!(got, Some(*v), "round {round}, key {key}");
-            }
-        }
+        // Every completed put survived, and nothing else appeared.
+        let state: BTreeMap<u64, Vec<u8>> = store.scan(&mut mem)?.into_iter().collect();
+        assert_eq!(state, expected, "round {round}: recovered state");
     }
 
     println!(
-        "\nsurvived {crashes} crashes ({mid_persist_crashes} mid-persist); \
-         every completed insert verified after every recovery"
+        "\nsurvived {ROUNDS} mid-put crashes; every completed put verified \
+         after every recovery ({} keys)",
+        expected.len()
     );
     println!("final session counter: {}", mem.session());
     Ok(())

@@ -1,109 +1,140 @@
-//! YCSB-style key-value benchmarking over the persistent hashtable —
+//! YCSB-style key-value benchmarking over a one-shard `KvService` —
 //! the kind of storage service the paper's introduction motivates —
-//! with Zipfian key skew, a crash in the middle of workload A, and a
-//! full post-recovery verification.
+//! with Zipfian key skew, a crash in the middle of an update burst,
+//! and a full post-recovery verification. Every response is checked
+//! against an in-DRAM model with `sweep::apply`.
 //!
 //! Workloads (YCSB letters): A = 50 % reads / 50 % updates,
 //! B = 95/5, C = read-only.
 //!
 //! Run with: `cargo run --release --example ycsb`
 
-use triad_nvm::core::{PersistScheme, SecureMemory, SecureMemoryBuilder};
+use triad_nvm::core::{CrashHookKind, SecureMemoryError};
+use triad_nvm::kv::KvError;
+use triad_nvm::sim::config::SystemConfig;
 use triad_nvm::sim::rng::SplitMix64;
-use triad_nvm::sim::PhysAddr;
-use triad_nvm::workloads::heap::PersistentHeap;
-use triad_nvm::workloads::structures::PersistentHashtable;
+use triad_nvm::workloads::service::{KvService, Request, ServiceSpec};
+use triad_nvm::workloads::sweep::{apply, State};
 use triad_nvm::workloads::zipf::Zipf;
 
 const KEYS: u64 = 2_000;
 const OPS: u64 = 10_000;
+/// Requests per submit: a closed-loop client sends the next batch only
+/// after the previous one returned.
+const BATCH: usize = 64;
+
+type Result<T> = std::result::Result<T, Box<dyn std::error::Error>>;
+
+/// Serves `reqs` batch by batch, checking every response against
+/// `model` and applying the acknowledged mutations to it.
+fn serve(svc: &mut KvService, model: &mut State, reqs: &[Request]) -> Result<()> {
+    for batch in reqs.chunks(BATCH) {
+        let resps = svc.submit(batch)?;
+        apply(model, batch, &resps)?;
+    }
+    Ok(())
+}
+
+/// `OPS` Zipfian requests, a `read_fraction` share of them gets and
+/// the rest puts of a fresh value, tagged from `tag` upwards.
+fn requests(read_fraction: f64, seed: u64, tag: u64) -> Vec<Request> {
+    let zipf = Zipf::new(KEYS as usize, 0.99);
+    let mut rng = SplitMix64::new(seed);
+    (0..OPS)
+        .map(|i| {
+            let key = zipf.sample(&mut rng) as u64;
+            if rng.gen_bool(read_fraction) {
+                Request::Get { key }
+            } else {
+                Request::Put {
+                    key,
+                    value: (tag + i).to_le_bytes().to_vec(),
+                }
+            }
+        })
+        .collect()
+}
 
 fn run_workload(
     name: &str,
     read_fraction: f64,
-    mem: &mut SecureMemory,
-    table: &PersistentHashtable,
-    model: &mut [u64],
-) -> Result<(), Box<dyn std::error::Error>> {
-    let zipf = Zipf::new(KEYS as usize, 0.99);
-    let mut rng = SplitMix64::new(7);
-    let t0 = mem.now();
-    let (mut reads, mut updates) = (0u64, 0u64);
-    for i in 0..OPS {
-        let key = zipf.sample(&mut rng) as u64;
-        if rng.gen_bool(read_fraction) {
-            let got = table.get(mem, key)?;
-            assert_eq!(got, Some(model[key as usize]), "{name}: key {key}");
-            reads += 1;
-        } else {
-            let value = i + 1_000_000;
-            table.insert(mem, key, value)?;
-            model[key as usize] = value;
-            updates += 1;
-        }
-    }
-    let elapsed = mem.now() - t0;
+    svc: &mut KvService,
+    model: &mut State,
+) -> Result<()> {
+    let reqs = requests(read_fraction, 7, 1_000_000);
+    let reads = reqs
+        .iter()
+        .filter(|r| matches!(r, Request::Get { .. }))
+        .count();
+    let t0 = svc.max_shard_time();
+    serve(svc, model, &reqs)?;
+    let elapsed = svc.max_shard_time() - t0;
     println!(
-        "{name}: {reads} reads + {updates} updates in {elapsed} simulated \
-         ({:.0} kops/s)",
+        "{name}: {reads} reads + {} updates in {elapsed} simulated ({:.0} kops/s)",
+        reqs.len() - reads,
         OPS as f64 / elapsed.as_secs_f64() / 1e3
     );
     Ok(())
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut mem = SecureMemoryBuilder::new()
-        .capacity_bytes(32 << 20)
-        .persistent_fraction_eighths(6)
-        .scheme(PersistScheme::triad_nvm(2))
-        .build()?;
-    let heap = PersistentHeap::format(&mut mem)?;
-    let table = PersistentHashtable::create(&mut mem, heap, 1024)?;
-    heap.set_root(&mut mem, table.header().0)?;
+fn main() -> Result<()> {
+    let mut config = SystemConfig::tiny();
+    config.mem.capacity_bytes = 32 << 20;
+    config.persistent_eighths = 6;
+    let mut svc = KvService::create(&ServiceSpec {
+        buckets: 1024,
+        config: Some(config),
+        ..ServiceSpec::new(1)
+    })?;
 
     // Load phase.
-    let mut model = vec![0u64; KEYS as usize];
-    for k in 0..KEYS {
-        table.insert(&mut mem, k, k)?;
-        model[k as usize] = k;
-    }
+    let mut model = State::new();
+    let load: Vec<Request> = (0..KEYS)
+        .map(|key| Request::Put {
+            key,
+            value: key.to_le_bytes().to_vec(),
+        })
+        .collect();
+    serve(&mut svc, &mut model, &load)?;
     println!("loaded {KEYS} keys");
 
-    run_workload("YCSB-C (read-only) ", 1.0, &mut mem, &table, &mut model)?;
-    run_workload("YCSB-B (95/5)      ", 0.95, &mut mem, &table, &mut model)?;
-    run_workload("YCSB-A (50/50)     ", 0.50, &mut mem, &table, &mut model)?;
+    run_workload("YCSB-C (read-only) ", 1.0, &mut svc, &mut model)?;
+    run_workload("YCSB-B (95/5)      ", 0.95, &mut svc, &mut model)?;
+    run_workload("YCSB-A (50/50)     ", 0.50, &mut svc, &mut model)?;
 
-    // Crash in the middle of another update burst.
-    let zipf = Zipf::new(KEYS as usize, 0.99);
-    let mut rng = SplitMix64::new(99);
-    for i in 0..2_500u64 {
-        let key = zipf.sample(&mut rng) as u64;
-        let value = i + 9_000_000;
-        table.insert(&mut mem, key, value)?;
-        model[key as usize] = value;
+    // Crash the shard at a persist boundary in the middle of an
+    // update burst, recover it, and re-drive the interrupted batch:
+    // its puts are idempotent, so the model stays exact.
+    let burst = requests(0.0, 99, 9_000_000);
+    svc.shard_mem_mut(0)
+        .ok_or("the service has one shard")?
+        .arm_crash(CrashHookKind::PersistBoundary, 1_000)?;
+    let mut crashed = false;
+    for batch in burst.chunks(BATCH) {
+        let resps = match svc.submit(batch) {
+            Err(KvError::Memory(SecureMemoryError::NeedsRecovery)) if !crashed => {
+                crashed = true;
+                let report = svc.recover_shard(0)?;
+                assert!(report.persistent_recovered);
+                println!(
+                    "\ncrashed mid-burst and recovered (est. {}; {} WAL txns redone)",
+                    report.estimated_duration,
+                    report.log_replay.map_or(0, |r| r.txns_applied)
+                );
+                svc.submit(batch)?
+            }
+            other => other?,
+        };
+        apply(&mut model, batch, &resps)?;
     }
-    mem.crash();
-    let report = mem.recover()?;
-    assert!(report.persistent_recovered);
-    println!(
-        "\ncrashed mid-burst and recovered (est. {})",
-        report.estimated_duration
-    );
+    assert!(crashed, "the armed crash never fired");
 
-    // Reopen and verify every key: each completed insert was a
-    // crash-atomic transaction, so the model must match exactly.
-    let heap = PersistentHeap::open(&mut mem)?;
-    let root = heap.root(&mut mem)?;
-    let table = PersistentHashtable::open(&mut mem, heap, PhysAddr(root))?;
-    for k in 0..KEYS {
-        assert_eq!(
-            table.get(&mut mem, k)?,
-            Some(model[k as usize]),
-            "post-crash key {k}"
-        );
-    }
+    // Read every key back: each must hold the model's value.
+    let gets: Vec<Request> = (0..KEYS).map(|key| Request::Get { key }).collect();
+    serve(&mut svc, &mut model, &gets)?;
+    assert_eq!(svc.dump()?, model, "durable state diverges from the model");
     println!("all {KEYS} keys verified after recovery");
-    let s = mem.stats();
+    let s = svc.shard_mem(0).ok_or("the service has one shard")?.stats();
     println!(
         "totals: {} loads, {} persists, {} page re-encryptions",
         s.loads, s.persists, s.page_reencryptions
