@@ -156,14 +156,14 @@ fn engine_mutant_with_shared_static_is_flagged() {
 
 #[test]
 fn stats_mutant_with_hashed_merge_is_flagged() {
-    // Reroute the real `StatSet::merge` through a default-hashed
+    // Reroute the real `StatRegistry::merge` through a default-hashed
     // scratch map: shard results would merge in RandomState order.
     let rel = "crates/sim/src/stats.rs";
     let stats = read_crate_file(rel);
     let rule = "shard-safety/nondeterministic-merge";
     assert!(findings_for(rel, &stats, rule).is_empty());
 
-    let sig = "pub fn merge(&mut self, other: &StatSet) {";
+    let sig = "pub fn merge(&mut self, other: &StatRegistry) {";
     assert!(stats.contains(sig), "merge anchor moved");
     let mutant = stats.replacen(
         sig,

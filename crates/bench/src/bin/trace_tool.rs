@@ -56,7 +56,6 @@ fn main() {
             let reread = ReplayTrace::from_reader(
                 workload.clone(),
                 BufReader::new(File::open(path).expect("reopen")),
-                false,
             )
             .expect("parse recorded trace");
             let fresh = build_workload(workload, &env, 42).remove(0);
@@ -74,7 +73,6 @@ fn main() {
             let trace = ReplayTrace::from_reader(
                 path.clone(),
                 BufReader::new(File::open(path).expect("open trace")),
-                false,
             )
             .expect("parse trace");
             println!("replaying {} ops from {path}", trace.len());

@@ -25,13 +25,13 @@
 //! `fleet-2`. Emits `BENCH_pr10.json` (deterministic: running twice
 //! with the same seed is byte-identical) plus a human-readable table.
 //!
-//! Since PR 6 the matrix runs over the batched write path: trace cells
-//! enable an 8-deep persist write-combining window
-//! ([`System::set_persist_batch`]) and the KV cells inherit batching
-//! through the store's WAL apply path, so comparing the emitted file
-//! against the checked-in `BENCH_pr4.json` (same matrix, scalar
-//! persists) measures the batch pipeline; `bench-delta` does exactly
-//! that in CI.
+//! The matrix runs over the batched write path: trace cells enable an
+//! 8-deep persist write-combining window ([`System::set_persist_batch`])
+//! and the KV cells inherit batching through the store's WAL apply
+//! path. CI checks that a default-args run reproduces the checked-in
+//! `BENCH_pr10.json` byte for byte. `bench-delta OLD NEW` compares two
+//! reports row by row, for a change that moves simulated numbers on
+//! purpose.
 //!
 //! Usage:
 //!   cargo run -p triad-bench --release --bin triad-report
@@ -40,15 +40,16 @@
 use std::fmt::Write as _;
 
 use triad_core::{PersistScheme, RecoveryReport, SecureMemoryBuilder, System};
+use triad_recov::{crash_equivalence_concurrent, OpSpec, RunSpec, StructureKind};
 use triad_sim::config::SystemConfig;
+use triad_sim::rng::SplitMix64;
 use triad_sim::stats::Histogram;
 use triad_workloads::kv::{generate_history, KvSpec};
-use triad_workloads::recov::StructureKind;
 use triad_workloads::service::{
     generate_requests, DurabilityMode, KvService, Request, ServiceSpec,
 };
 use triad_workloads::sweep::{self, State};
-use triad_workloads::{build_workload, run_recov_mix, RecovMixSpec, WorkloadEnv};
+use triad_workloads::{build_workload, WorkloadEnv};
 
 /// The serving-layer extras a fleet row carries on top of the common
 /// cell columns: shard geometry and group-commit amortization.
@@ -172,9 +173,9 @@ fn run_cell(workload: &'static str, scheme: PersistScheme, ops: u64, seed: u64) 
         throughput: result.throughput(),
         latency,
         nvm_writes: result.nvm_writes,
-        persist_metadata_writes: result.stats.get("secure.persist_metadata_writes"),
-        evict_metadata_writes: result.stats.get("secure.evict_metadata_writes"),
-        wpq_full_events: result.stats.get("mem.wpq_full_events"),
+        persist_metadata_writes: result.registry.counter("secure.persist_metadata_writes"),
+        evict_metadata_writes: result.registry.counter("secure.evict_metadata_writes"),
+        wpq_full_events: result.registry.counter("mem.wpq_full_events"),
         recovered: report.persistent_recovered,
         recovery_blocks_read: report.persistent_blocks_read + report.non_persistent_blocks_read,
         recovery_ns: report.estimated_duration.as_ns(),
@@ -393,6 +394,31 @@ fn run_mode_cell(workload: &'static str, mode: DurabilityMode, ops: u64, seed: u
     cell
 }
 
+/// Stream selector for recov script generation, so the scripts never
+/// collide with other consumers of the same seed.
+const RECOV_SCRIPT_STREAM: u64 = 0x5EC0_4D17;
+
+/// Deterministic per-thread recov scripts: roughly two inserts for
+/// every remove, with values unique across the whole run.
+fn recov_scripts(threads: usize, ops_per_thread: usize, seed: u64) -> Vec<Vec<OpSpec>> {
+    (0..threads)
+        .map(|t| {
+            let mut rng = SplitMix64::stream(seed ^ RECOV_SCRIPT_STREAM, t as u64);
+            (0..ops_per_thread)
+                .map(|i| {
+                    if rng.below(3) == 2 {
+                        OpSpec::Remove
+                    } else {
+                        // Bit 60 keeps every value nonzero and disjoint
+                        // from node addresses that may appear in logs.
+                        OpSpec::Insert(((t as u64) << 32) | (i as u64) | (1 << 60))
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// A recov cell: drives the detectably recoverable Treiber stack or
 /// MS queue from `triad-recov` through the seeded interleaving
 /// harness at `threads` threads, mixed insert/remove scripts, on
@@ -410,16 +436,17 @@ fn run_recov_cell(
     ops: u64,
     seed: u64,
 ) -> Cell {
-    let spec = RecovMixSpec {
+    let scheme = PersistScheme::triad_nvm(2);
+    let spec = RunSpec {
         kind,
-        threads,
-        ops_per_thread: (ops / 8).max(32) as usize,
-        scheme: PersistScheme::triad_nvm(2),
+        scheme,
         seed,
+        scripts: recov_scripts(threads, (ops / 8).max(32) as usize, seed),
         thread_crash: None,
+        engine_crash_after_persists: None,
     };
-    let res = run_recov_mix(&spec).expect("recov oracle holds on the clean run");
-    let out = &res.outcome;
+    let out = crash_equivalence_concurrent(&spec).expect("recov oracle holds on the clean run");
+    let total_ops = out.op_latency_ns.len() as f64;
     let mut latency = Histogram::new();
     for &ns in &out.op_latency_ns {
         latency.record(ns);
@@ -428,21 +455,17 @@ fn run_recov_cell(
     // Crash the last thread mid-run and demand the oracle still pass:
     // this is the detectability column — recovery must resolve the
     // in-flight op and re-execute it at most once.
-    let crash_at = out.per_thread_steps[threads - 1] / 2;
-    let crashed = RecovMixSpec {
-        thread_crash: Some((threads - 1, crash_at)),
+    let crashed = RunSpec {
+        thread_crash: Some((threads - 1, out.per_thread_steps[threads - 1] / 2)),
         ..spec
     };
-    let recovered = match run_recov_mix(&crashed) {
-        Ok(r) => r.outcome.thread_crashes == 1,
-        Err(_) => false,
-    };
+    let recovered = crash_equivalence_concurrent(&crashed).is_ok_and(|r| r.thread_crashes == 1);
 
     Cell {
         workload,
-        scheme: spec.scheme,
+        scheme,
         ops: out.op_latency_ns.len() as u64,
-        throughput: res.ops_per_sec,
+        throughput: total_ops / (out.sim_ns.max(1) as f64 * 1e-9),
         latency,
         nvm_writes: out.nvm_writes,
         persist_metadata_writes: out.persist_metadata_writes,
@@ -458,7 +481,11 @@ fn run_recov_cell(
             steps: out.steps,
             thread_crashes: out.thread_crashes,
             engine_crashes: out.engine_crashes,
-            persists_per_op: res.persists_per_op,
+            persists_per_op: if total_ops > 0.0 {
+                out.persists as f64 / total_ops
+            } else {
+                0.0
+            },
         }),
     }
 }
@@ -682,4 +709,19 @@ fn main() {
     let json = render_json(&cells, ops, seed);
     std::fs::write(&out_path, &json).expect("write report");
     println!("\nwrote {out_path} ({} cells)", cells.len());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scripts_are_deterministic_and_mixed() {
+        let a = recov_scripts(3, 32, 7);
+        assert_eq!(a, recov_scripts(3, 32, 7));
+        assert_ne!(a, recov_scripts(3, 32, 8));
+        let flat: Vec<_> = a.into_iter().flatten().collect();
+        assert!(flat.iter().any(|o| matches!(o, OpSpec::Insert(_))));
+        assert!(flat.iter().any(|o| matches!(o, OpSpec::Remove)));
+    }
 }

@@ -1,10 +1,11 @@
 //! Shared harness for regenerating the paper's figures.
 //!
-//! Each `fig*` binary sweeps the workloads of §4 over the persistence
-//! schemes of §5 on the simulated system and prints the same rows the
-//! paper plots. Absolute numbers differ from the paper (different
-//! substrate), but the orderings and rough factors are the point —
-//! see EXPERIMENTS.md for the side-by-side.
+//! `fig8` sweeps the workloads of §4 over the persistence schemes of
+//! §5 on the simulated system once and prints the rows the paper plots
+//! in Figures 4, 8 and 9; `fig10` and the other binaries cover the
+//! remaining figures and studies. Absolute numbers differ from the
+//! paper (different substrate), but the orderings and rough factors
+//! are the point — see EXPERIMENTS.md for the side-by-side.
 
 use triad_core::{PersistScheme, SecureMemoryBuilder, System};
 use triad_sim::config::SystemConfig;
@@ -21,6 +22,12 @@ pub struct RunOutcome {
     pub nvm_writes: u64,
     /// Memory ops executed across all cores.
     pub ops: u64,
+    /// Writes absorbed by the hottest NVM block (the endurance view).
+    pub max_block_writes: u64,
+    /// Distinct NVM blocks written.
+    pub blocks_touched: usize,
+    /// Hottest block's writes over the mean per written block.
+    pub wear_imbalance: f64,
 }
 
 /// The evaluation configuration: Table 1 caches and timing over a
@@ -60,10 +67,14 @@ pub fn run_one(workload: &str, scheme: PersistScheme, ops_per_core: u64, seed: u
     let traces = build_workload(workload, &env, seed);
     let mut system = System::new(mem, traces);
     let result = system.run(ops_per_core).expect("clean run");
+    let wear = system.secure().wear();
     RunOutcome {
         throughput: result.throughput(),
         nvm_writes: result.nvm_writes,
         ops: result.cores.iter().map(|c| c.ops).sum(),
+        max_block_writes: wear.max_writes(),
+        blocks_touched: wear.blocks_touched(),
+        wear_imbalance: wear.imbalance(),
     }
 }
 

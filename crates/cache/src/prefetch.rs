@@ -201,11 +201,16 @@ mod tests {
         p.plan(&[(PrefetchClass::Counter, BlockAddr(1))], |_, _| false);
         let mut reg = triad_sim::stats::StatRegistry::new();
         p.stats().register(&mut reg.scope("prefetch"));
-        let flat = reg.to_stat_set();
-        assert_eq!(flat.get("prefetch.batches"), 1);
-        assert_eq!(flat.get("prefetch.lines_planned"), 1);
-        assert_eq!(flat.get("prefetch.predicted_misses"), 1);
-        assert_eq!(flat.get("prefetch.predicted_hits"), 0);
-        assert_eq!(flat.get("prefetch.dedup_saved"), 0);
+        let counters: Vec<(&str, u64)> = reg.counters().collect();
+        assert_eq!(
+            counters,
+            [
+                ("prefetch.batches", 1),
+                ("prefetch.dedup_saved", 0),
+                ("prefetch.lines_planned", 1),
+                ("prefetch.predicted_hits", 0),
+                ("prefetch.predicted_misses", 1),
+            ]
+        );
     }
 }

@@ -44,7 +44,7 @@ use triad_meta::bmt::{self, NodeBuf, NodeId};
 use triad_meta::layout::{BlockRole, MemoryMap, RegionKind, RegionLayout};
 use triad_sim::config::SystemConfig;
 use triad_sim::events::{emit, SharedEventSink, Value};
-use triad_sim::stats::{Histogram, Scope, StatRegister, StatRegistry, StatSet};
+use triad_sim::stats::{Histogram, Scope, StatRegister, StatRegistry};
 use triad_sim::time::{Duration, Time};
 use triad_sim::{BlockAddr, PhysAddr, BLOCK_BYTES};
 
@@ -148,6 +148,12 @@ impl StatRegister for SecureStats {
         scope.set("counter_reads", self.counter_reads);
         scope.set("mac_reads", self.mac_reads);
         scope.set("node_reads", self.node_reads);
+        scope.set("counter_writes_persist", self.counter_writes_persist);
+        scope.set("counter_writes_evict", self.counter_writes_evict);
+        scope.set("mac_writes_persist", self.mac_writes_persist);
+        scope.set("mac_writes_evict", self.mac_writes_evict);
+        scope.set("node_writes_persist", self.node_writes_persist);
+        scope.set("node_writes_evict", self.node_writes_evict);
         scope.set("persist_metadata_writes", self.persist_metadata_writes());
         scope.set("evict_metadata_writes", self.evict_metadata_writes());
         scope.set("page_reencryptions", self.page_reencryptions);
@@ -327,7 +333,8 @@ impl SecureMemoryBuilder {
             }
             if self.scheme.persisted_bmt_levels() < 1 {
                 return Err(SecureMemoryError::Config(format!(
-                    "osiris counter relaxation needs a persisted BMT level 1                      as its recovery oracle; scheme {} does not persist it",
+                    "osiris counter relaxation needs a persisted BMT level 1 \
+                     as its recovery oracle; scheme {} does not persist it",
                     self.scheme
                 )));
             }
@@ -2180,12 +2187,5 @@ impl SecureMemory {
         w.set("blocks_touched", wear.blocks_touched() as u64);
         w.set("imbalance_x1000", (wear.imbalance() * 1000.0) as u64);
         reg
-    }
-
-    /// Reports every cache's and the memory controller's statistics
-    /// under standard prefixes (the flattened view of
-    /// [`SecureMemory::stat_registry`]).
-    pub fn report_stats(&self) -> StatSet {
-        self.stat_registry().to_stat_set()
     }
 }

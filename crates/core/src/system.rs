@@ -11,7 +11,7 @@
 
 use triad_cache::{Cache, Replacement};
 use triad_sim::config::SystemConfig;
-use triad_sim::stats::{Histogram, StatRegistry, StatSet};
+use triad_sim::stats::{Histogram, StatRegistry};
 use triad_sim::time::Time;
 use triad_sim::trace::{MemOp, OpKind, TraceSource};
 use triad_sim::{BlockAddr, BLOCK_BYTES};
@@ -35,26 +35,11 @@ pub struct CoreStats {
     pub latency_ns: Histogram,
 }
 
-impl CoreStats {
-    /// Instructions per second of simulated time.
-    pub fn ips(&self) -> f64 {
-        let secs = self.finish_time.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.instructions as f64 / secs
-        }
-    }
-}
-
 /// Result of a [`System::run`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemResult {
     /// Per-core outcomes.
     pub cores: Vec<CoreStats>,
-    /// Collected statistics of the shared uncore (the flattened view
-    /// of [`SystemResult::registry`]).
-    pub stats: StatSet,
     /// The hierarchical registry: every component's counters and
     /// latency histograms, plus the merged per-core `core.latency_ns`.
     pub registry: StatRegistry,
@@ -374,11 +359,9 @@ impl System {
                 core_scope.histogram("latency_ns", &c.latency_ns);
             }
         }
-        let stats = registry.to_stat_set();
         Ok(SystemResult {
             cores,
             nvm_writes: self.secure.mem_stats().writes,
-            stats,
             registry,
         })
     }
@@ -449,8 +432,8 @@ mod tests {
             let mut sys = System::new(m, vec![simple_trace("p", p, 200, true)]);
             sys.run(200)
                 .unwrap()
-                .stats
-                .get("secure.persist_metadata_writes")
+                .registry
+                .counter("secure.persist_metadata_writes")
         };
         let strict = writes(PersistScheme::Strict);
         let t1 = writes(PersistScheme::triad_nvm(1));
@@ -474,7 +457,7 @@ mod tests {
         let r = sys.run(50).unwrap();
         assert_eq!(r.cores.len(), 2);
         assert!(r.cores.iter().all(|c| c.ops == 50));
-        assert!(r.stats.get("secure.persists") >= 50);
+        assert!(r.registry.counter("secure.persists") >= 50);
     }
 
     #[test]
@@ -487,9 +470,9 @@ mod tests {
             let r = sys.run(200).unwrap();
             assert_eq!(r.cores[0].ops, 200);
             (
-                r.stats.get("secure.persist_metadata_writes"),
-                r.stats.get("secure.persists"),
-                r.stats.get("secure.batches"),
+                r.registry.counter("secure.persist_metadata_writes"),
+                r.registry.counter("secure.persists"),
+                r.registry.counter("secure.batches"),
             )
         };
         let (scalar_meta, scalar_persists, scalar_batches) = run(0);

@@ -1,5 +1,5 @@
 //! Coverage of the smaller public API surfaces: accessors, display
-//! implementations, handles, stats reporting.
+//! implementations, handles, the stat registry.
 
 use triad_core::{
     CounterPersistence, KeyPolicy, PersistScheme, RecoveryReport, SecureMemoryBuilder,
@@ -59,14 +59,20 @@ fn default_builder_equals_new() {
 }
 
 #[test]
-fn report_stats_carries_all_components() {
+fn stat_registry_carries_all_components() {
     let mut m = SecureMemoryBuilder::new().build().unwrap();
     let p = m.persistent_region().start();
     m.write(p, b"x").unwrap();
     m.persist(p).unwrap();
-    let stats = m.report_stats();
+    let reg = m.stat_registry();
     for key in [
         "secure.persists",
+        "secure.counter_writes_persist",
+        "secure.counter_writes_evict",
+        "secure.mac_writes_persist",
+        "secure.mac_writes_evict",
+        "secure.node_writes_persist",
+        "secure.node_writes_evict",
         "l3.write_hits",
         "ctr_cache.read_misses",
         "mt_cache.read_hits",
@@ -74,14 +80,22 @@ fn report_stats_carries_all_components() {
         "wear.max_writes",
     ] {
         assert!(
-            stats.iter().any(|(k, _)| k == key),
-            "missing {key} in:\n{stats}"
+            reg.counters().any(|(k, _)| k == key),
+            "missing {key} in:\n{reg}"
         );
     }
-    assert_eq!(stats.get("secure.persists"), 1);
+    assert_eq!(reg.counter("secure.persists"), 1);
     assert!(
-        stats.get("mem.writes") >= 3,
+        reg.counter("mem.writes") >= 3,
         "data + counter + mac at least"
+    );
+    // The per-class counters add up to the totals they are reported
+    // beside.
+    assert_eq!(
+        reg.counter("secure.persist_metadata_writes"),
+        reg.counter("secure.counter_writes_persist")
+            + reg.counter("secure.mac_writes_persist")
+            + reg.counter("secure.node_writes_persist")
     );
 }
 

@@ -24,6 +24,11 @@ fn osiris_requires_a_persisted_oracle_level() {
         .build()
         .unwrap_err();
     assert!(matches!(err, SecureMemoryError::Config(_)), "{err}");
+    assert_eq!(
+        err.to_string(),
+        "invalid configuration: osiris counter relaxation needs a persisted \
+         BMT level 1 as its recovery oracle; scheme TriadNVM-1 does not persist it"
+    );
     let err = SecureMemoryBuilder::new()
         .scheme(PersistScheme::triad_nvm(2))
         .counter_persistence(CounterPersistence::Osiris { interval: 0 })

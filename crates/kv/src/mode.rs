@@ -88,12 +88,6 @@ impl DurabilityMode {
         }
     }
 
-    /// Whether mutations admitted under this mode reach the redo log
-    /// without an explicit barrier.
-    pub fn is_durable_tier(self) -> bool {
-        !matches!(self, DurabilityMode::InMemory)
-    }
-
     /// The engine persistence scheme this tier pairs with naturally —
     /// the paper mapping, advisory only (shards in one service share
     /// one engine scheme regardless of tenant mix):

@@ -51,6 +51,6 @@ pub use addr::{BlockAddr, PhysAddr, BLOCK_BYTES, BLOCK_SHIFT};
 pub use config::SystemConfig;
 pub use events::{EventSink, SharedEventSink};
 pub use sched::{Interleaver, SchedError, SchedEvent};
-pub use stats::{Histogram, Scope, StatRegister, StatRegistry, StatSet};
+pub use stats::{Histogram, Scope, StatRegister, StatRegistry};
 pub use time::{Duration, Time};
 pub use trace::{InterleavedTrace, MemOp, OpKind, TakeTrace, TraceSource};

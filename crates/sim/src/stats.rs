@@ -1,95 +1,10 @@
 //! Statistics: named counters, log-bucketed latency histograms, and
 //! the hierarchical [`StatRegistry`] every component registers into
-//! via [`StatRegister`]. The harness flattens a registry into an
-//! ordered, diffable [`StatSet`] report.
+//! via [`StatRegister`]. A registry displays as an ordered, diffable
+//! `name value` report.
 
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// An ordered set of named integer counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StatSet {
-    values: BTreeMap<String, u64>,
-}
-
-impl StatSet {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets `name` to `value`, replacing any previous value.
-    pub fn set(&mut self, name: impl Into<String>, value: u64) {
-        self.values.insert(name.into(), value);
-    }
-
-    /// Adds `delta` to `name` (creating it at zero first).
-    pub fn add(&mut self, name: impl Into<String>, delta: u64) {
-        *self.values.entry(name.into()).or_insert(0) += delta;
-    }
-
-    /// Reads a counter; zero if absent.
-    pub fn get(&self, name: &str) -> u64 {
-        self.values.get(name).copied().unwrap_or(0)
-    }
-
-    /// Merges another set into this one, summing shared counters.
-    pub fn merge(&mut self, other: &StatSet) {
-        for (k, v) in &other.values {
-            *self.values.entry(k.clone()).or_insert(0) += v;
-        }
-    }
-
-    /// Iterates counters in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.values.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Number of counters present.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether no counters are present.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-}
-
-impl fmt::Display for StatSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.values.is_empty() {
-            return write!(f, "(no stats)");
-        }
-        // BTreeMap iteration is name-ordered, so two reports over the
-        // same counters are line-for-line diffable.
-        for (k, v) in &self.values {
-            writeln!(f, "{k:<48} {v}")?;
-        }
-        Ok(())
-    }
-}
-
-impl FromIterator<(String, u64)> for StatSet {
-    fn from_iter<I: IntoIterator<Item = (String, u64)>>(iter: I) -> Self {
-        // Duplicate keys must *sum*, matching `merge` and `Extend`:
-        // collecting straight into the map would silently keep only the
-        // last occurrence and drop counts.
-        let mut out = StatSet::new();
-        for (k, v) in iter {
-            out.add(k, v);
-        }
-        out
-    }
-}
-
-impl Extend<(String, u64)> for StatSet {
-    fn extend<I: IntoIterator<Item = (String, u64)>>(&mut self, iter: I) {
-        for (k, v) in iter {
-            self.add(k, v);
-        }
-    }
-}
 
 /// A power-of-two-bucketed histogram for latency-style samples.
 ///
@@ -217,7 +132,7 @@ impl Histogram {
 ///
 /// Components contribute through a [`Scope`] handle that prefixes
 /// every name with a dotted path (`mem.wpq_residency_ns`), so the
-/// flattened report groups by component automatically. Identical names
+/// displayed report groups by component automatically. Identical names
 /// accumulate: counters sum, histograms merge.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatRegistry {
@@ -270,30 +185,34 @@ impl StatRegistry {
             self.histograms.entry(k.clone()).or_default().merge(h);
         }
     }
-
-    /// Flattens into a plain counter set: counters verbatim, each
-    /// histogram expanded to `name.count/.min/.max/.mean/.p50/.p95/.p99`.
-    pub fn to_stat_set(&self) -> StatSet {
-        let mut out = StatSet::new();
-        for (k, v) in &self.counters {
-            out.set(k.clone(), *v);
-        }
-        for (k, h) in &self.histograms {
-            out.set(format!("{k}.count"), h.count());
-            out.set(format!("{k}.min"), h.min());
-            out.set(format!("{k}.max"), h.max());
-            out.set(format!("{k}.mean"), h.mean().round() as u64);
-            out.set(format!("{k}.p50"), h.p50());
-            out.set(format!("{k}.p95"), h.p95());
-            out.set(format!("{k}.p99"), h.p99());
-        }
-        out
-    }
 }
 
 impl fmt::Display for StatRegistry {
+    /// One `name value` line per counter and per histogram summary
+    /// (`name.count/.min/.max/.mean/.p50/.p95/.p99`), name-sorted, so
+    /// two reports over the same stats are line-for-line diffable.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_stat_set())
+        let mut lines = self.counters.clone();
+        for (k, h) in &self.histograms {
+            for (suffix, v) in [
+                ("count", h.count()),
+                ("min", h.min()),
+                ("max", h.max()),
+                ("mean", h.mean().round() as u64),
+                ("p50", h.p50()),
+                ("p95", h.p95()),
+                ("p99", h.p99()),
+            ] {
+                lines.insert(format!("{k}.{suffix}"), v);
+            }
+        }
+        if lines.is_empty() {
+            return write!(f, "(no stats)");
+        }
+        for (k, v) in &lines {
+            writeln!(f, "{k:<48} {v}")?;
+        }
+        Ok(())
     }
 }
 
@@ -363,95 +282,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn add_and_get() {
-        let mut s = StatSet::new();
-        assert_eq!(s.get("x"), 0);
-        s.add("x", 2);
-        s.add("x", 3);
-        assert_eq!(s.get("x"), 5);
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn merge_sums_shared_keys() {
-        let mut a = StatSet::new();
-        a.set("x", 1);
-        a.set("y", 2);
-        let mut b = StatSet::new();
-        b.set("y", 3);
-        b.set("z", 4);
-        a.merge(&b);
-        assert_eq!(a.get("x"), 1);
-        assert_eq!(a.get("y"), 5);
-        assert_eq!(a.get("z"), 4);
-    }
-
-    #[test]
-    fn from_iterator_sums_duplicate_keys() {
-        // Regression: `FromIterator` used to collect straight into the
-        // BTreeMap, so a duplicate key *overwrote* instead of summing —
-        // disagreeing with `merge` and `Extend` and silently dropping
-        // counts when per-shard reports were collected by iterator.
-        let s: StatSet = vec![
-            ("a".to_string(), 1),
-            ("b".to_string(), 10),
-            ("a".to_string(), 2),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(s.get("a"), 3, "duplicate keys must sum, not overwrite");
-        assert_eq!(s.get("b"), 10);
-    }
-
-    #[test]
-    fn merge_and_collect_agree_on_duplicates() {
-        let pairs = [("k".to_string(), 7), ("k".to_string(), 5)];
-        let collected: StatSet = pairs.iter().cloned().collect();
-        let mut merged = StatSet::new();
-        for (k, v) in &pairs {
-            let mut one = StatSet::new();
-            one.set(k.clone(), *v);
-            merged.merge(&one);
-        }
-        assert_eq!(collected, merged);
-    }
-
-    #[test]
-    fn iteration_is_name_ordered() {
-        let mut s = StatSet::new();
-        s.set("b", 1);
-        s.set("a", 2);
-        let keys: Vec<_> = s.iter().map(|(k, _)| k.to_string()).collect();
-        assert_eq!(keys, ["a", "b"]);
-    }
-
-    #[test]
-    fn display_is_never_empty() {
-        let s = StatSet::new();
-        assert_eq!(s.to_string(), "(no stats)");
-    }
-
-    #[test]
-    fn display_is_stable_ordered_and_diffable() {
-        // Insertion order must not leak into the report: the same
-        // counters inserted in any order render byte-identically.
-        let mut a = StatSet::new();
-        a.set("z.last", 3);
-        a.set("a.first", 1);
-        a.set("m.middle", 2);
-        let mut b = StatSet::new();
-        b.set("m.middle", 2);
-        b.set("z.last", 3);
-        b.set("a.first", 1);
-        assert_eq!(a.to_string(), b.to_string());
-        let rendered = a.to_string();
-        let lines: Vec<&str> = rendered.lines().map(str::trim_end).collect();
-        let mut sorted = lines.clone();
-        sorted.sort();
-        assert_eq!(lines, sorted, "display must be name-sorted");
-    }
-
-    #[test]
     fn histogram_basics() {
         let mut h = Histogram::new();
         assert_eq!(h.percentile(50.0), 0);
@@ -500,14 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn collect_and_extend() {
-        let mut s: StatSet = vec![("a".to_string(), 1)].into_iter().collect();
-        s.extend(vec![("a".to_string(), 2), ("b".to_string(), 7)]);
-        assert_eq!(s.get("a"), 3);
-        assert_eq!(s.get("b"), 7);
-    }
-
-    #[test]
     fn registry_scopes_nest_and_accumulate() {
         let mut reg = StatRegistry::new();
         {
@@ -544,31 +366,42 @@ mod tests {
     }
 
     #[test]
-    fn registry_flattens_histograms_into_stat_set() {
-        let mut reg = StatRegistry::new();
-        let mut s = reg.scope("core");
-        s.record("latency_ns", 5);
-        s.record("latency_ns", 7);
-        s.add("ops", 2);
-        let set = reg.to_stat_set();
-        assert_eq!(set.get("core.ops"), 2);
-        assert_eq!(set.get("core.latency_ns.count"), 2);
-        assert_eq!(set.get("core.latency_ns.min"), 5);
-        assert_eq!(set.get("core.latency_ns.max"), 7);
-        assert_eq!(set.get("core.latency_ns.mean"), 6);
-        assert!(set.get("core.latency_ns.p50") >= 5);
-        assert!(set.get("core.latency_ns.p99") >= set.get("core.latency_ns.p50"));
-    }
-
-    #[test]
     fn registry_display_is_stable() {
+        assert_eq!(StatRegistry::new().to_string(), "(no stats)");
+        // Insertion order must not leak into the report: the same
+        // stats registered in any order render byte-identically,
+        // name-sorted, histograms expanded in place.
         let mut a = StatRegistry::new();
-        a.scope("b").add("x", 1);
-        a.scope("a").record("h", 3);
-        let first = a.to_string();
-        assert_eq!(first, a.to_string());
-        assert!(first.contains("a.h.count"));
-        assert!(first.contains("b.x"));
+        a.scope("z").add("last", 3);
+        a.scope("core").record("latency_ns", 5);
+        a.scope("core").record("latency_ns", 7);
+        a.scope("a").add("first", 1);
+        let mut b = StatRegistry::new();
+        b.scope("a").add("first", 1);
+        b.scope("core").record("latency_ns", 7);
+        b.scope("z").add("last", 3);
+        b.scope("core").record("latency_ns", 5);
+        let rendered = a.to_string();
+        assert_eq!(rendered, b.to_string());
+        let lines: Vec<(&str, u64)> = rendered
+            .lines()
+            .map(|l| {
+                let (k, v) = l.split_once(' ').unwrap();
+                (k, v.trim().parse().unwrap())
+            })
+            .collect();
+        let names: Vec<&str> = lines.iter().map(|(k, _)| *k).collect();
+        let mut sorted = names.clone();
+        sorted.sort();
+        assert_eq!(names, sorted, "display must be name-sorted");
+        let value = |name| lines.iter().find(|(k, _)| *k == name).map(|(_, v)| *v);
+        assert_eq!(value("a.first"), Some(1));
+        assert_eq!(value("core.latency_ns.count"), Some(2));
+        assert_eq!(value("core.latency_ns.min"), Some(5));
+        assert_eq!(value("core.latency_ns.max"), Some(7));
+        assert_eq!(value("core.latency_ns.mean"), Some(6));
+        assert_eq!(value("core.latency_ns.p99"), Some(8));
+        assert_eq!(names.len(), 9, "two counters and seven histogram lines");
     }
 
     #[test]

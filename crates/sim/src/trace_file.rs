@@ -16,9 +16,7 @@
 //! The header and the `end ops=N` footer are mandatory for
 //! [`read_trace`]: a file that lost its tail (interrupted copy,
 //! truncated download) would otherwise *silently* replay as a shorter
-//! workload and skew every downstream statistic. Hand-authored
-//! headerless snippets can still be loaded with
-//! [`read_trace_lenient`], which performs no integrity checks.
+//! workload and skew every downstream statistic.
 
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -249,43 +247,21 @@ pub fn read_trace<R: BufRead>(r: R) -> Result<Vec<MemOp>, TraceFileError> {
     }
 }
 
-/// Parses a trace without requiring the header or footer, accepting
-/// hand-authored snippets. Performs **no** truncation detection — a
-/// file that lost its tail parses as a shorter trace.
-///
-/// # Errors
-///
-/// Returns [`TraceFileError`] on I/O failure or malformed lines.
-pub fn read_trace_lenient<R: BufRead>(r: R) -> Result<Vec<MemOp>, TraceFileError> {
-    let mut ops = Vec::new();
-    for (i, line) in r.lines().enumerate() {
-        let text = line?;
-        // The footer is a comment, so recorded files parse too.
-        if let Some(op) = parse_line(&text, i + 1)? {
-            ops.push(op);
-        }
-    }
-    Ok(ops)
-}
-
-/// A [`TraceSource`] replaying a parsed trace file.
+/// A [`TraceSource`] replaying a parsed trace file once.
 #[derive(Debug, Clone)]
 pub struct ReplayTrace {
     name: String,
     ops: Vec<MemOp>,
     cursor: usize,
-    /// Loop back to the start when the trace ends.
-    repeat: bool,
 }
 
 impl ReplayTrace {
     /// Creates a replayer over parsed operations.
-    pub fn new(name: impl Into<String>, ops: Vec<MemOp>, repeat: bool) -> Self {
+    pub fn new(name: impl Into<String>, ops: Vec<MemOp>) -> Self {
         ReplayTrace {
             name: name.into(),
             ops,
             cursor: 0,
-            repeat,
         }
     }
 
@@ -296,12 +272,8 @@ impl ReplayTrace {
     ///
     /// Returns [`TraceFileError`] on I/O failure, malformed lines, or
     /// a missing/inconsistent header or footer.
-    pub fn from_reader<R: BufRead>(
-        name: impl Into<String>,
-        r: R,
-        repeat: bool,
-    ) -> Result<Self, TraceFileError> {
-        Ok(ReplayTrace::new(name, read_trace(r)?, repeat))
+    pub fn from_reader<R: BufRead>(name: impl Into<String>, r: R) -> Result<Self, TraceFileError> {
+        Ok(ReplayTrace::new(name, read_trace(r)?))
     }
 
     /// Number of operations in the trace.
@@ -317,13 +289,7 @@ impl ReplayTrace {
 
 impl TraceSource for ReplayTrace {
     fn next_op(&mut self) -> Option<MemOp> {
-        if self.cursor >= self.ops.len() {
-            if !self.repeat || self.ops.is_empty() {
-                return None;
-            }
-            self.cursor = 0;
-        }
-        let op = self.ops[self.cursor];
+        let op = self.ops.get(self.cursor).copied()?;
         self.cursor += 1;
         Some(op)
     }
@@ -400,10 +366,6 @@ mod tests {
             }
             other => panic!("expected Truncated, got {other:?}"),
         }
-        // The lenient reader documents the old behaviour: it yields
-        // the short stream without complaint.
-        let lenient = read_trace_lenient(truncated.as_bytes()).unwrap();
-        assert_eq!(lenient.len(), ops.len() - 1);
     }
 
     #[test]
@@ -426,11 +388,6 @@ mod tests {
                 other => panic!("{text:?}: expected MissingHeader, got {other:?}"),
             }
         }
-        // Lenient accepts hand-authored headerless snippets.
-        assert_eq!(
-            read_trace_lenient(b"L 0x40 1\n".as_slice()).unwrap().len(),
-            1
-        );
     }
 
     #[test]
@@ -464,26 +421,21 @@ mod tests {
     }
 
     #[test]
-    fn replay_once_and_repeat() {
+    fn replay_once() {
         let ops = sample_ops();
-        let mut once = ReplayTrace::new("t", ops.clone(), false);
+        let mut once = ReplayTrace::new("t", ops.clone());
+        assert_eq!(once.len(), ops.len());
+        assert!(!once.is_empty());
         for expected in &ops {
             assert_eq!(once.next_op().as_ref(), Some(expected));
         }
         assert_eq!(once.next_op(), None);
-
-        let mut looped = ReplayTrace::new("t", ops.clone(), true);
-        for _ in 0..3 * ops.len() {
-            assert!(looped.next_op().is_some());
-        }
-        assert_eq!(looped.len(), ops.len());
-        assert!(!looped.is_empty());
     }
 
     #[test]
     fn from_reader_builds_a_source() {
         let text = "# triad-trace v1\nL 0x40 1\nP 0x80 2\n# triad-trace end ops=2\n";
-        let mut t = ReplayTrace::from_reader("file", text.as_bytes(), false).unwrap();
+        let mut t = ReplayTrace::from_reader("file", text.as_bytes()).unwrap();
         assert_eq!(t.name(), "file");
         assert_eq!(t.next_op().unwrap().kind, OpKind::Load);
         assert_eq!(t.next_op().unwrap().kind, OpKind::PersistentStore);

@@ -15,10 +15,6 @@
 //!   plus every single-program workload the figures sweep.
 //! * [`kv`] — seeded request histories for the `triad-kv` store (Zipf
 //!   or uniform keys over one keyspace, a put/get/delete/scan mix).
-//! * [`recov`] — the mixed-operation driver for the `triad-recov`
-//!   detectably recoverable lock-free structures: deterministic
-//!   per-thread scripts through the seeded interleaving harness, with
-//!   the concurrent crash-equivalence oracle checked on every run.
 //! * [`service`] — the sharded serving front-end over `triad-kv`:
 //!   keyed-hash routing across independent shard engines on worker
 //!   threads, group commit (one commit marker per flushed batch), and
@@ -31,7 +27,6 @@
 
 pub mod kv;
 pub mod mixes;
-pub mod recov;
 pub mod service;
 pub mod spec;
 pub mod sweep;
@@ -40,7 +35,6 @@ pub mod zipf;
 
 pub use kv::{generate_history, KvMix, KvSpec};
 pub use mixes::{all_figure_workloads, build_workload, WorkloadEnv};
-pub use recov::{generate_recov_scripts, run_recov_mix, RecovMixResult, RecovMixSpec};
 pub use service::{
     generate_requests, AdmissionPolicy, DurabilityMode, KvService, Request, Response, ServiceSpec,
 };

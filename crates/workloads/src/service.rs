@@ -843,15 +843,6 @@ impl KvService {
         self.lanes.iter().map(|l| l.mem.stats().persists).sum()
     }
 
-    /// Summed metadata persist writes across shards (the bench-delta
-    /// crypto-overhead metric).
-    pub fn total_persist_metadata_writes(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|l| l.mem.stats().persist_metadata_writes())
-            .sum()
-    }
-
     /// One shard's engine (crash arming, stats).
     pub fn shard_mem(&self, i: usize) -> Option<&SecureMemory> {
         self.lanes.get(i).map(|l| &l.mem)

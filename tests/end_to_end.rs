@@ -55,7 +55,7 @@ fn strict_is_slower_but_writes_more_and_recovers_like_triad() {
         let mut sys = System::new(mem, build_workload("hashtable", &env, 5));
         let r = sys.run(20_000).unwrap();
         let wall = r.cores[0].finish_time;
-        (wall, r.stats.get("secure.persist_metadata_writes"))
+        (wall, r.registry.counter("secure.persist_metadata_writes"))
     };
     let (strict_t, strict_w) = run(PersistScheme::Strict);
     let (t1_t, t1_w) = run(PersistScheme::triad_nvm(1));
