@@ -1,7 +1,7 @@
 //! Call graph: structural call-site extraction (`name(...)` — an
 //! identifier directly followed by a parenthesis group) resolved
 //! through the [`crate::symbols::SymbolTable`]. Method calls
-//! (`self.l3_touch(...)`), free calls and `Self::op(...)` paths all
+//! (`self.l3_fill(...)`), free calls and `Self::op(...)` paths all
 //! end in the same `ident (args)` shape, so one pattern covers them;
 //! macro invocations (`vec![]`, `panic!(...)`) have a `!` between the
 //! name and the group and are naturally excluded.
@@ -44,21 +44,25 @@ pub fn call_sites(body: &[Tok]) -> Vec<(String, Span)> {
 
 fn scan(toks: &[Tok], out: &mut Vec<(String, Span)>) {
     for (i, t) in toks.iter().enumerate() {
-        if let Some(name) = t.ident() {
-            // `fn name(params)` / `struct Name(fields)` are
-            // definitions, not calls.
-            let is_def = i > 0 && (toks[i - 1].is_ident("fn") || toks[i - 1].is_ident("struct"));
-            if !is_def
-                && !NON_CALL.contains(&name)
-                && matches!(toks.get(i + 1), Some(g) if g.is_group('('))
-            {
-                out.push((name.to_string(), t.span()));
-            }
+        if let Some(name) = call_at(toks, i).filter(|n| !NON_CALL.contains(n)) {
+            out.push((name.to_string(), t.span()));
         }
         if let Tok::Group { tokens, .. } = t {
             scan(tokens, out);
         }
     }
+}
+
+/// Whether `toks[i]` is a call `name(...)`, returning the name.
+/// `fn name(params)` / `struct Name(fields)` are definitions, not
+/// calls. Keywords are not filtered here (see [`call_sites`]).
+pub(crate) fn call_at(toks: &[Tok], i: usize) -> Option<&str> {
+    if i > 0 && (toks[i - 1].is_ident("fn") || toks[i - 1].is_ident("struct")) {
+        return None;
+    }
+    toks[i]
+        .ident()
+        .filter(|_| matches!(toks.get(i + 1), Some(g) if g.is_group('(')))
 }
 
 impl CallGraph {

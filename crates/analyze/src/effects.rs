@@ -2,16 +2,19 @@
 //!
 //! Every function gets a set of *effects* — what it does to NVM
 //! durability state — inferred from a primitive vocabulary at the
-//! leaves and propagated transitively through the call graph:
+//! leaves and propagated transitively through the call graph. The
+//! vocabulary is one table, [`VOCABULARY`]:
 //!
 //! | effect | primitive vocabulary |
 //! |---|---|
 //! | [`APPENDS_LOG`] | `log_append`, `log_txn` |
 //! | [`EMITS_COMMIT_MARKER`] | `log_commit`, `log_txn` |
 //! | [`PERSISTS_DATA`] | `writeback_data` |
-//! | [`PERSISTS_METADATA`] | `l3_touch`, `ctr_touch`, `mt_touch`, `ensure_*`, `reclaim` |
+//! | [`PERSISTS_METADATA`] | `l3_fill`, `ctr_fill`, `mt_fill`, `ensure_*`, `reclaim` |
 //! | [`DRAINS_WPQ`] | `drain_evictions` |
 //! | [`APPLIES_WRITES`] | `apply_writes` |
+//! | [`PERSISTS_CHECKPOINT`] | `checkpoint_persist` |
+//! | [`BUMPS_SEQNO`] | `seqno_bump` |
 //! | [`CRASH_BOUNDARY`] | `arm_crash` |
 //!
 //! The vocabulary takes precedence over call-graph resolution: a call
@@ -19,29 +22,24 @@
 //! is visible, so a single fixture file analysed stand-alone behaves
 //! exactly like the same code inside the full workspace.
 //!
-//! On top of the effect sets, each function gets two flow *summaries* —
-//! transfer functions a caller can apply at a call site without
-//! re-walking the callee:
+//! On top of the effect sets, each function gets one [`Transfer`] per
+//! ordering [`Contract`]: a summary a caller can apply at a call site
+//! without re-walking the callee. A transfer maps each input state
+//! (idle / open / committed) to the *set* of possible output states,
+//! and records the input states under which the function consumes work
+//! that is not yet durable. The three contracts read that one state
+//! machine through their own vocabulary. A queue enqueue opens and a
+//! drain returns to idle. A WAL append opens, a commit marker commits
+//! and an apply consumes. A checkpoint persist commits and a seqno
+//! bump consumes. A brace group (conditional region) contributes its
+//! body's transfer unioned with the unchanged input, since the region
+//! may not run.
 //!
-//! * [`DrainSummary`] for the eviction-queue discipline:
-//!   `pending_out = (dep && pending_in) || set`. An enqueue is
-//!   `{dep:_, set:true}`, a drain `{dep:false, set:false}`, an
-//!   unrelated call the identity `{dep:true, set:false}`. Composition
-//!   is function composition; a brace group (conditional region)
-//!   contributes `{dep:true, set: inner.set}` — it can taint the
-//!   caller's path but never clean it, exactly the v1 clone-in/OR-out
-//!   semantics.
-//! * [`WalSummary`] for the WAL protocol: a map from each input state
-//!   (idle / appended / committed) to the *set* of possible output
-//!   states, plus the set of input states under which executing the
-//!   function applies writes without a durable commit marker
-//!   (`unsafe_in`).
-//!
-//! Summaries are computed to a fixpoint (recursion-tolerant, with an
-//! iteration cap) so `A → B → C → l3_touch` gives `A` the enqueue
-//! summary even though no queue primitive appears in `A`'s own body.
+//! Transfers are computed to a fixpoint (recursion-tolerant, with an
+//! iteration cap) so `A → B → C → l3_fill` gives `A` the enqueue
+//! transfer even though no queue primitive appears in `A`'s own body.
 
-use crate::callgraph::CallGraph;
+use crate::callgraph::{call_at, CallGraph};
 use crate::symbols::{FnDef, SymbolTable};
 use crate::tree::Tok;
 
@@ -88,113 +86,83 @@ pub fn effect_names(e: EffectSet) -> Vec<&'static str> {
     out
 }
 
-/// The effects a call has *by name* — the primitive vocabulary. Always
-/// consulted before call-graph resolution.
+/// The primitive vocabulary, listed once: each name, the effects a
+/// call by that name has, and the crate that defines it. `log_append`
+/// and `log_commit` are the two-step form of `log_txn` that only the
+/// lint fixtures use.
+pub const VOCABULARY: &[(&str, EffectSet, &str)] = &[
+    ("l3_fill", PERSISTS_METADATA, "core"),
+    ("ctr_fill", PERSISTS_METADATA, "core"),
+    ("mt_fill", PERSISTS_METADATA, "core"),
+    ("reclaim", PERSISTS_METADATA, "core"),
+    ("ensure_counter", PERSISTS_METADATA, "core"),
+    ("ensure_node", PERSISTS_METADATA, "core"),
+    ("ensure_mac_block", PERSISTS_METADATA, "core"),
+    ("writeback_data", PERSISTS_DATA, "core"),
+    ("drain_evictions", DRAINS_WPQ, "core"),
+    ("arm_crash", CRASH_BOUNDARY, "core"),
+    ("log_append", APPENDS_LOG, "kv"),
+    ("log_commit", EMITS_COMMIT_MARKER, "kv"),
+    ("log_txn", APPENDS_LOG | EMITS_COMMIT_MARKER, "kv"),
+    ("apply_writes", APPLIES_WRITES, "kv"),
+    ("checkpoint_persist", PERSISTS_CHECKPOINT, "recov"),
+    ("seqno_bump", BUMPS_SEQNO, "recov"),
+];
+
+/// The effects a call has *by name*. Always consulted before
+/// call-graph resolution.
 pub fn primitive_effects(name: &str) -> EffectSet {
-    match name {
-        "l3_touch" | "ctr_touch" | "mt_touch" | "reclaim" | "ensure_counter" | "ensure_node"
-        | "ensure_mac_block" => PERSISTS_METADATA,
-        "writeback_data" => PERSISTS_DATA,
-        "drain_evictions" => DRAINS_WPQ,
-        "log_append" => APPENDS_LOG,
-        "log_commit" => EMITS_COMMIT_MARKER,
-        "log_txn" => APPENDS_LOG | EMITS_COMMIT_MARKER,
-        "apply_writes" => APPLIES_WRITES,
-        "checkpoint_persist" => PERSISTS_CHECKPOINT,
-        "seqno_bump" => BUMPS_SEQNO,
-        "arm_crash" => CRASH_BOUNDARY,
-        _ => 0,
-    }
+    VOCABULARY
+        .iter()
+        .find(|(n, ..)| *n == name)
+        .map_or(0, |&(_, e, _)| e)
 }
 
-/// Eviction-queue transfer function: `pending_out = dep·pending_in ∨ set`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DrainSummary {
-    /// Whether an undrained queue at entry survives to exit.
-    pub dep: bool,
-    /// Whether the fn leaves the queue non-empty regardless of entry.
-    pub set: bool,
-}
-
-impl DrainSummary {
-    /// Does nothing to the queue.
-    pub const IDENTITY: DrainSummary = DrainSummary {
-        dep: true,
-        set: false,
-    };
-    /// Enqueues a write-back: pending afterwards, unconditionally.
-    pub const ENQUEUE: DrainSummary = DrainSummary {
-        dep: false,
-        set: true,
-    };
-    /// Drains the queue: clean afterwards, unconditionally.
-    pub const DRAIN: DrainSummary = DrainSummary {
-        dep: false,
-        set: false,
-    };
-
-    /// Applies the transfer to a concrete pending bit.
-    pub fn apply(self, pending: bool) -> bool {
-        (self.dep && pending) || self.set
-    }
-
-    /// Sequential composition: `self` runs first, then `next`.
-    pub fn then(self, next: DrainSummary) -> DrainSummary {
-        DrainSummary {
-            dep: next.dep && self.dep,
-            set: (next.dep && self.set) || next.set,
-        }
-    }
-
-    /// The transfer a conditional region (brace group) with body
-    /// summary `self` contributes to its parent: the region may not
-    /// run, so it can taint the parent (`set`) but never clean it.
-    pub fn branched(self) -> DrainSummary {
-        DrainSummary {
-            dep: true,
-            set: self.set,
-        }
-    }
-}
-
-/// WAL protocol states (a bitset — analyses track *sets* of states).
+/// Protocol states (a bitset — analyses track *sets* of states).
 pub const ST_IDLE: u8 = 1;
-/// A transaction is appended but its commit marker may not be durable.
-pub const ST_APPENDED: u8 = 2;
-/// The commit marker is durable; applying writes is safe.
+/// Work is open but not durable: write-backs wait in the eviction
+/// queue, or a transaction is appended without a durable marker.
+pub const ST_OPEN: u8 = 2;
+/// The commit point is durable; consuming the work is safe.
 pub const ST_COMMITTED: u8 = 4;
 
-/// WAL transfer function: per input state, the set of possible output
-/// states, plus the input states under which the fn applies writes
-/// without a durable commit marker.
+/// A transfer function over the protocol states: per input state, the
+/// set of possible output states, plus the input states under which
+/// the fn consumes work that is not yet durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalSummary {
+pub struct Transfer {
     /// `out[i]` is the output state set for input state `1 << i`.
     pub out: [u8; 3],
     /// Input states on which executing the fn is a protocol violation.
     pub unsafe_in: u8,
 }
 
-impl WalSummary {
-    /// Does nothing to the WAL.
-    pub const IDENTITY: WalSummary = WalSummary {
-        out: [ST_IDLE, ST_APPENDED, ST_COMMITTED],
+impl Transfer {
+    /// Does nothing to the protocol.
+    pub const IDENTITY: Transfer = Transfer {
+        out: [ST_IDLE, ST_OPEN, ST_COMMITTED],
         unsafe_in: 0,
     };
-    /// `log_append`: any state → appended.
-    pub const APPEND: WalSummary = WalSummary {
-        out: [ST_APPENDED; 3],
+    /// A queue enqueue or `log_append`: any state → open.
+    pub const OPEN: Transfer = Transfer {
+        out: [ST_OPEN; 3],
         unsafe_in: 0,
     };
-    /// `log_commit` / `log_txn`: any state → committed.
-    pub const COMMIT: WalSummary = WalSummary {
+    /// A commit marker or checkpoint persist: any state → committed.
+    pub const COMMIT: Transfer = Transfer {
         out: [ST_COMMITTED; 3],
         unsafe_in: 0,
     };
-    /// `apply_writes`: only safe from committed; any state → idle.
-    pub const APPLY: WalSummary = WalSummary {
+    /// `apply_writes` / `seqno_bump`: only safe from committed; any
+    /// state → idle.
+    pub const APPLY: Transfer = Transfer {
         out: [ST_IDLE; 3],
-        unsafe_in: ST_IDLE | ST_APPENDED,
+        unsafe_in: ST_IDLE | ST_OPEN,
+    };
+    /// `drain_evictions`: any state → idle, safe from every state.
+    pub const DRAIN: Transfer = Transfer {
+        out: [ST_IDLE; 3],
+        unsafe_in: 0,
     };
 
     /// Applies the transfer to a concrete state set.
@@ -215,7 +183,7 @@ impl WalSummary {
     }
 
     /// Sequential composition: `self` runs first, then `next`.
-    pub fn then(self, next: WalSummary) -> WalSummary {
+    pub fn then(self, next: Transfer) -> Transfer {
         let mut out = [0u8; 3];
         let mut unsafe_in = self.unsafe_in;
         for (b, slot) in out.iter_mut().enumerate() {
@@ -225,75 +193,87 @@ impl WalSummary {
                 unsafe_in |= 1 << b;
             }
         }
-        WalSummary { out, unsafe_in }
+        Transfer { out, unsafe_in }
     }
 
-    /// The transfer a conditional region with body summary `self`
+    /// The transfer a conditional region with body transfer `self`
     /// contributes to its parent (region may not run: union with the
     /// unchanged input state).
-    pub fn branched(self) -> WalSummary {
+    pub fn branched(self) -> Transfer {
         let mut out = [0u8; 3];
         for (b, slot) in out.iter_mut().enumerate() {
             *slot = (1 << b) | self.out[b];
         }
-        WalSummary {
+        Transfer {
             out,
             unsafe_in: self.unsafe_in,
         }
     }
 }
 
-/// The drain transfer a call has by name, when it has one.
-pub fn primitive_drain(name: &str) -> Option<DrainSummary> {
-    let e = primitive_effects(name);
-    if e & (PERSISTS_METADATA | PERSISTS_DATA) != 0 {
-        Some(DrainSummary::ENQUEUE)
-    } else if e & DRAINS_WPQ != 0 {
-        Some(DrainSummary::DRAIN)
-    } else {
-        None
+/// One ordering contract over the [`Transfer`] state machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Contract {
+    /// Every write-back the engine enqueues is drained before `Ok`.
+    Queue,
+    /// `log_append` → `log_commit` → `apply_writes` on every Ok path.
+    Wal,
+    /// `checkpoint_persist` → `seqno_bump` on every Ok path: after a
+    /// crash a thread's durable checkpoint must not lag its volatile
+    /// seqno, or recovery re-executes an operation that took effect.
+    Ckpt,
+}
+
+impl Contract {
+    /// Every contract, in [`EffectTable::transfers`] order.
+    pub const ALL: [Contract; 3] = [Contract::Queue, Contract::Wal, Contract::Ckpt];
+
+    /// The contract's vocabulary as effect bits, each with the transfer
+    /// of a primitive that carries it. Earlier rows win, so `log_txn`
+    /// (append and marker in one call) commits.
+    fn vocabulary(self) -> &'static [(EffectSet, Transfer)] {
+        match self {
+            Contract::Queue => &[
+                (PERSISTS_DATA | PERSISTS_METADATA, Transfer::OPEN),
+                (DRAINS_WPQ, Transfer::DRAIN),
+            ],
+            Contract::Wal => &[
+                (EMITS_COMMIT_MARKER, Transfer::COMMIT),
+                (APPENDS_LOG, Transfer::OPEN),
+                (APPLIES_WRITES, Transfer::APPLY),
+            ],
+            Contract::Ckpt => &[
+                (PERSISTS_CHECKPOINT, Transfer::COMMIT),
+                (BUMPS_SEQNO, Transfer::APPLY),
+            ],
+        }
+    }
+
+    /// The audit gate: a fn whose effects meet none of these bits has
+    /// nothing to order under this contract.
+    pub fn gate(self) -> EffectSet {
+        self.vocabulary()
+            .iter()
+            .fold(0, |acc, (bits, _)| acc | bits)
+    }
+
+    /// The transfer of a primitive with effects `e` under this
+    /// contract, when it has one.
+    pub fn transfer_of(self, e: EffectSet) -> Option<Transfer> {
+        self.vocabulary()
+            .iter()
+            .find(|(bits, _)| e & bits != 0)
+            .map(|&(_, t)| t)
     }
 }
 
-/// The WAL transfer a call has by name, when it has one.
-pub fn primitive_wal(name: &str) -> Option<WalSummary> {
-    match name {
-        "log_append" => Some(WalSummary::APPEND),
-        "log_commit" | "log_txn" => Some(WalSummary::COMMIT),
-        "apply_writes" => Some(WalSummary::APPLY),
-        _ => None,
-    }
-}
-
-/// The checkpoint transfer a call has by name, when it has one.
-///
-/// The recoverable-structure completion contract reuses the
-/// [`WalSummary`] state machine with only two live states:
-/// `checkpoint_persist` makes the thread's completion record durable
-/// (any state → committed, like a commit marker), and `seqno_bump`
-/// consumes it (committed → idle). Bumping the volatile seqno from a
-/// non-committed state is the violation: after a crash the thread's
-/// durable checkpoint lags its volatile progress and recovery
-/// re-executes an operation that already took effect.
-pub fn primitive_ckpt(name: &str) -> Option<WalSummary> {
-    match name {
-        "checkpoint_persist" => Some(WalSummary::COMMIT),
-        "seqno_bump" => Some(WalSummary::APPLY),
-        _ => None,
-    }
-}
-
-/// Inferred effects and summaries, parallel to [`SymbolTable::fns`].
+/// Inferred effects and transfers, parallel to [`SymbolTable::fns`].
 #[derive(Debug, Default)]
 pub struct EffectTable {
     /// Transitive effect set per fn.
     pub effects: Vec<EffectSet>,
-    /// Eviction-queue transfer per fn.
-    pub drains: Vec<DrainSummary>,
-    /// WAL transfer per fn.
-    pub wals: Vec<WalSummary>,
-    /// Checkpoint/seqno transfer per fn (recov completion contract).
-    pub ckpts: Vec<WalSummary>,
+    /// Per fn, one transfer per contract in [`Contract::ALL`] order.
+    pub transfers: Vec<[Transfer; 3]>,
 }
 
 /// Iteration cap for the fixpoint: summaries propagate at least one
@@ -303,14 +283,12 @@ pub struct EffectTable {
 const MAX_PASSES: usize = 16;
 
 impl EffectTable {
-    /// Infers effects and summaries for every fn to a fixpoint.
+    /// Infers effects and transfers for every fn to a fixpoint.
     pub fn build(symbols: &SymbolTable, _graph: &CallGraph) -> EffectTable {
         let n = symbols.fns.len();
         let mut t = EffectTable {
             effects: vec![0; n],
-            drains: vec![DrainSummary::IDENTITY; n],
-            wals: vec![WalSummary::IDENTITY; n],
-            ckpts: vec![WalSummary::IDENTITY; n],
+            transfers: vec![[Transfer::IDENTITY; 3]; n],
         };
         for _ in 0..MAX_PASSES {
             let mut changed = false;
@@ -318,18 +296,11 @@ impl EffectTable {
                 // A fn that *is* vocabulary keeps its primitive effect
                 // even if its body is opaque to the scanner.
                 let mut eff = primitive_effects(&f.name);
-                let mut dr = DrainSummary::IDENTITY;
-                let mut wal = WalSummary::IDENTITY;
-                let mut ck = WalSummary::IDENTITY;
-                summarize(
-                    &f.body, f, symbols, &t, &mut eff, &mut dr, &mut wal, &mut ck,
-                );
-                if eff != t.effects[i] || dr != t.drains[i] || wal != t.wals[i] || ck != t.ckpts[i]
-                {
+                let mut tr = [Transfer::IDENTITY; 3];
+                summarize(&f.body, f, symbols, &t, &mut eff, &mut tr);
+                if eff != t.effects[i] || tr != t.transfers[i] {
                     t.effects[i] = eff;
-                    t.drains[i] = dr;
-                    t.wals[i] = wal;
-                    t.ckpts[i] = ck;
+                    t.transfers[i] = tr;
                     changed = true;
                 }
             }
@@ -339,55 +310,45 @@ impl EffectTable {
         }
         t
     }
+
+    /// The transfer of fn `f` under `contract`.
+    pub fn transfer(&self, f: usize, contract: Contract) -> Transfer {
+        self.transfers[f][contract as usize]
+    }
 }
 
 /// One symbolic pass over a body: accumulates effects and composes the
-/// running transfer. Mirrors the concrete walker in
+/// running transfer of every contract. Mirrors the concrete walker in
 /// `rules::persist_order`: call arguments evaluate before the call
 /// takes effect, brace groups are conditional regions, other groups
 /// are transparent.
-#[allow(clippy::too_many_arguments)]
 fn summarize(
     toks: &[Tok],
     f: &FnDef,
     symbols: &SymbolTable,
     t: &EffectTable,
     eff: &mut EffectSet,
-    dr: &mut DrainSummary,
-    wal: &mut WalSummary,
-    ck: &mut WalSummary,
+    tr: &mut [Transfer; 3],
 ) {
     let mut i = 0;
     while i < toks.len() {
-        let call = toks[i]
-            .ident()
-            .filter(|_| matches!(toks.get(i + 1), Some(g) if g.is_group('(')))
-            .filter(|_| {
-                // `fn name(params)` inside a body is a nested
-                // definition, not a call.
-                !(i > 0 && (toks[i - 1].is_ident("fn") || toks[i - 1].is_ident("struct")))
-            });
-        if let Some(name) = call {
+        if let Some(name) = call_at(toks, i) {
             if let Some(Tok::Group { tokens, .. }) = toks.get(i + 1) {
-                summarize(tokens, f, symbols, t, eff, dr, wal, ck);
+                summarize(tokens, f, symbols, t, eff, tr);
             }
             let pe = primitive_effects(name);
             if pe != 0 {
                 *eff |= pe;
-                if let Some(d) = primitive_drain(name) {
-                    *dr = dr.then(d);
-                }
-                if let Some(w) = primitive_wal(name) {
-                    *wal = wal.then(w);
-                }
-                if let Some(c) = primitive_ckpt(name) {
-                    *ck = ck.then(c);
+                for (acc, c) in tr.iter_mut().zip(Contract::ALL) {
+                    if let Some(p) = c.transfer_of(pe) {
+                        *acc = acc.then(p);
+                    }
                 }
             } else if let Some(c) = symbols.resolve(f, name) {
                 *eff |= t.effects[c];
-                *dr = dr.then(t.drains[c]);
-                *wal = wal.then(t.wals[c]);
-                *ck = ck.then(t.ckpts[c]);
+                for (acc, next) in tr.iter_mut().zip(t.transfers[c]) {
+                    *acc = acc.then(next);
+                }
             }
             i += 2;
             continue;
@@ -396,20 +357,14 @@ fn summarize(
             Tok::Group {
                 delim: '{', tokens, ..
             } => {
-                let mut ieff = 0;
-                let mut idr = DrainSummary::IDENTITY;
-                let mut iwal = WalSummary::IDENTITY;
-                let mut ick = WalSummary::IDENTITY;
-                summarize(
-                    tokens, f, symbols, t, &mut ieff, &mut idr, &mut iwal, &mut ick,
-                );
-                *eff |= ieff;
-                *dr = dr.then(idr.branched());
-                *wal = wal.then(iwal.branched());
-                *ck = ck.then(ick.branched());
+                let mut inner = [Transfer::IDENTITY; 3];
+                summarize(tokens, f, symbols, t, eff, &mut inner);
+                for (acc, next) in tr.iter_mut().zip(inner) {
+                    *acc = acc.then(next.branched());
+                }
             }
             Tok::Group { tokens, .. } => {
-                summarize(tokens, f, symbols, t, eff, dr, wal, ck);
+                summarize(tokens, f, symbols, t, eff, tr);
             }
             _ => {}
         }
@@ -437,38 +392,40 @@ mod tests {
     #[test]
     fn effects_propagate_through_call_chains() {
         let (s, t) = build(
-            "fn a(&mut self) { b() }\nfn b(&mut self) { c() }\nfn c(&mut self) { self.l3_touch(1); }\n",
+            "fn a(&mut self) { b() }\nfn b(&mut self) { c() }\nfn c(&mut self) { self.l3_fill(1); }\n",
         );
         assert_eq!(t.effects[idx(&s, "a")], PERSISTS_METADATA);
         assert_eq!(effect_names(t.effects[idx(&s, "a")]), ["PersistsMetadata"]);
     }
 
     #[test]
-    fn drain_summaries_compose_and_branch() {
+    fn queue_transfers_compose_and_branch() {
         let (s, t) = build(
-            "fn enq() { l3_touch(1); }\n\
-             fn enq_then_drain() { l3_touch(1); drain_evictions(0); }\n\
-             fn cond_drain() { l3_touch(1); if x { drain_evictions(0); } }\n",
+            "fn enq() { l3_fill(1); }\n\
+             fn enq_then_drain() { l3_fill(1); drain_evictions(0); }\n\
+             fn cond_drain() { l3_fill(1); if x { drain_evictions(0); } }\n",
         );
-        assert_eq!(t.drains[idx(&s, "enq")], DrainSummary::ENQUEUE);
-        assert_eq!(t.drains[idx(&s, "enq_then_drain")], DrainSummary::DRAIN);
+        let queue = |name| t.transfer(idx(&s, name), Contract::Queue);
+        assert_eq!(queue("enq"), Transfer::OPEN);
+        assert_eq!(queue("enq_then_drain"), Transfer::DRAIN);
         // A conditional drain cannot clean the path: still pending.
-        assert_eq!(t.drains[idx(&s, "cond_drain")], DrainSummary::ENQUEUE);
+        assert_ne!(queue("cond_drain").apply(ST_IDLE) & ST_OPEN, 0);
     }
 
     #[test]
-    fn wal_summaries_track_protocol_states() {
+    fn wal_transfers_track_protocol_states() {
         let (s, t) = build(
             "fn good() { log_txn(x); apply_writes(x); }\n\
              fn bad() { log_append(x); apply_writes(x); }\n\
              fn cond_commit() { log_append(x); if y { log_commit(x); } apply_writes(x); }\n",
         );
-        let good = t.wals[idx(&s, "good")];
+        let wal = |name| t.transfer(idx(&s, name), Contract::Wal);
+        let good = wal("good");
         assert_eq!(good.unsafe_in, 0);
         assert_eq!(good.apply(ST_IDLE), ST_IDLE);
-        let bad = t.wals[idx(&s, "bad")];
+        let bad = wal("bad");
         assert_ne!(bad.unsafe_in & ST_IDLE, 0, "applies while only appended");
-        let cond = t.wals[idx(&s, "cond_commit")];
+        let cond = wal("cond_commit");
         assert_ne!(
             cond.unsafe_in & ST_IDLE,
             0,
@@ -477,27 +434,28 @@ mod tests {
     }
 
     #[test]
-    fn ckpt_summaries_track_persist_before_bump() {
+    fn ckpt_transfers_track_persist_before_bump() {
         let (s, t) = build(
             "fn good() { checkpoint_persist(m); seqno_bump(); }\n\
              fn bad() { seqno_bump(); checkpoint_persist(m); }\n\
              fn cond_persist() { if y { checkpoint_persist(m); } seqno_bump(); }\n\
              fn wrapper() { good(); }\n",
         );
-        let good = t.ckpts[idx(&s, "good")];
+        let ckpt = |name| t.transfer(idx(&s, name), Contract::Ckpt);
+        let good = ckpt("good");
         assert_eq!(good.unsafe_in, 0);
         assert_eq!(good.apply(ST_IDLE), ST_IDLE);
-        let bad = t.ckpts[idx(&s, "bad")];
+        let bad = ckpt("bad");
         assert_ne!(bad.unsafe_in & ST_IDLE, 0, "bump before the checkpoint");
-        let cond = t.ckpts[idx(&s, "cond_persist")];
+        let cond = ckpt("cond_persist");
         assert_ne!(
             cond.unsafe_in & ST_IDLE,
             0,
             "checkpoint under an if leaves maybe-unpersisted alive"
         );
-        // Summaries propagate: the wrapper inherits the safe transfer
+        // Transfers propagate: the wrapper inherits the safe transfer
         // and both effect bits.
-        assert_eq!(t.ckpts[idx(&s, "wrapper")].unsafe_in, 0);
+        assert_eq!(ckpt("wrapper").unsafe_in, 0);
         let eff = t.effects[idx(&s, "wrapper")];
         assert_ne!(eff & PERSISTS_CHECKPOINT, 0);
         assert_ne!(eff & BUMPS_SEQNO, 0);
@@ -511,7 +469,7 @@ mod tests {
         let (s, t) = build(
             "fn log_txn(&mut self) { }\nfn op(&mut self) { self.log_txn(); apply_writes(x); }\n",
         );
-        let op = t.wals[idx(&s, "op")];
+        let op = t.transfer(idx(&s, "op"), Contract::Wal);
         assert_eq!(op.unsafe_in, 0, "txn committed before apply");
         assert_ne!(t.effects[idx(&s, "op")] & EMITS_COMMIT_MARKER, 0);
     }

@@ -121,10 +121,20 @@ pub struct RepoReport {
     pub files_scanned: usize,
 }
 
-/// Lints every `.rs` file under `root`'s `src/`, `crates/`, `tests/`
-/// and `examples/` trees, skipping `target/` and anything under a
-/// `fixtures/` directory (fixtures *contain* deliberate findings).
+/// Lints the workspace under `root` (see [`load_repo`]).
 pub fn analyze_repo(root: &Path) -> io::Result<RepoReport> {
+    let ws = load_repo(root)?;
+    Ok(RepoReport {
+        findings: ws.findings(),
+        files_scanned: ws.files.len(),
+    })
+}
+
+/// Builds the model over every `.rs` file under `root`'s `src/`,
+/// `crates/`, `tests/` and `examples/` trees, skipping `target/` and
+/// anything under a `fixtures/` directory (fixtures *contain*
+/// deliberate findings).
+pub fn load_repo(root: &Path) -> io::Result<Workspace> {
     let mut files = Vec::new();
     for top in ["src", "crates", "tests", "examples"] {
         collect_rs(&root.join(top), &mut files)?;
@@ -140,11 +150,7 @@ pub fn analyze_repo(root: &Path) -> io::Result<RepoReport> {
         let source = fs::read_to_string(path)?;
         analysed.push(FileAnalysis::new(&rel, &source));
     }
-    let ws = Workspace::new(analysed);
-    Ok(RepoReport {
-        findings: ws.findings(),
-        files_scanned: files.len(),
-    })
+    Ok(Workspace::new(analysed))
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

@@ -1,7 +1,7 @@
 impl SecureMemory {
     pub fn persist_batch(&mut self, batch: &Batch, now: u64) -> Result<u64, Error> {
         for w in batch.members() {
-            self.ctr_touch(w.addr, now)?;
+            self.ctr_fill(w.addr, now)?;
         }
         // Drained by the epoch barrier that closes every batch window.
         Ok(now) // triad-lint: allow(persist-order) -- fixture: drain is proven by the harness

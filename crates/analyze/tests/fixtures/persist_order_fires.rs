@@ -2,7 +2,7 @@ impl SecureMemory {
     // BAD: the drain is conditional, so the tail Ok can return with
     // queued persists still pending.
     pub fn store_block(&mut self, addr: u64, data: &[u8], now: u64) -> Result<u64, Error> {
-        self.l3_touch(addr, now)?;
+        self.l3_fill(addr, now)?;
         if addr > 100 {
             self.drain_evictions(now)?;
         }
@@ -11,7 +11,7 @@ impl SecureMemory {
 
     // BAD: the early return skips the drain below it.
     pub fn persist_block(&mut self, addr: u64, now: u64) -> Result<u64, Error> {
-        self.ctr_touch(addr, now)?;
+        self.ctr_fill(addr, now)?;
         if addr == 0 {
             return Ok(now);
         }
@@ -25,7 +25,7 @@ impl SecureMemory {
         if self.queue_is_empty() {
             return Ok(now);
         }
-        self.mt_touch(0, now)?;
+        self.mt_fill(0, now)?;
         self.drain_evictions(now)?;
         Ok(now)
     }

@@ -23,7 +23,7 @@ impl SecureMemory {
     }
 
     fn deep_schedule(&mut self, addr: u64, now: u64) -> Result<(), E> {
-        self.ctr_touch(addr, now);
+        self.ctr_fill(addr, now);
         Ok(())
     }
 
@@ -32,7 +32,7 @@ impl SecureMemory {
     }
 
     fn schedule_and_settle(&mut self, addr: u64, now: u64) -> Result<(), E> {
-        self.ctr_touch(addr, now);
+        self.ctr_fill(addr, now);
         self.drain_evictions(now)
     }
 }

@@ -315,7 +315,7 @@ fn persist_order_resolves_helpers_across_files() {
                   }\n";
     let helpers = "impl SecureMemory {\n\
                    \x20   pub(crate) fn touch_all(&mut self, now: u64) -> Result<(), E> {\n\
-                   \x20       self.mt_touch(0, now);\n\
+                   \x20       self.mt_fill(0, now);\n\
                    \x20       Ok(())\n\
                    \x20   }\n\
                    }\n";

@@ -85,6 +85,68 @@ fn engine_mutant_without_drain_is_flagged() {
 }
 
 #[test]
+fn engine_mutant_filling_l3_without_drain_is_flagged() {
+    // Strip the supersede and the drain from the real `store_block`:
+    // the dirty line it fills into L3 can push a victim onto the
+    // eviction queue, and the op now returns Ok with it undrained.
+    let rel = "crates/core/src/engine.rs";
+    let engine = read_crate_file(rel);
+    assert!(findings_for(rel, &engine, "persist-order").is_empty());
+
+    let sig = "pub fn store_block(";
+    let at = engine.find(sig).expect("store_block anchor moved");
+    let (head, body) = engine.split_at(at);
+    let end = body[sig.len()..].find("pub fn ").expect("next fn") + sig.len();
+    let (store_block, tail) = body.split_at(end);
+    let mut mutant = store_block.to_string();
+    for needle in [
+        "        self.reclaim(block);\n",
+        "        self.drain_evictions(now)?;\n",
+    ] {
+        assert!(mutant.contains(needle), "{needle:?} anchor moved");
+        mutant = mutant.replacen(needle, "", 1);
+    }
+    assert!(mutant.contains("self.l3_fill(block, true, data);"));
+    // Its callers (`write`, `recover`) inherit the open queue too.
+    let hits = findings_for(rel, &format!("{head}{mutant}{tail}"), "persist-order");
+    let expected = "`store_block` falls off the end with Ok while the eviction queue may \
+                    hold undrained persists; call `drain_evictions` before succeeding";
+    assert!(hits.iter().any(|(_, m)| m == expected), "{hits:?}");
+}
+
+#[test]
+fn vocabulary_names_are_fns_of_their_crates() {
+    // Every name the effect vocabulary keys on must be called by the
+    // real sources and be a fn of the crate that owns it; otherwise a
+    // rename silently turns part of the persist-order audit off.
+    // `log_append` and `log_commit` are exempt by name: no source calls
+    // them, because they are the two-step form of `log_txn` that only
+    // the lint fixtures use.
+    const FIXTURE_ONLY: [&str; 2] = ["log_append", "log_commit"];
+    let ws = triad_analyze::load_repo(&repo_root()).expect("scan workspace");
+    for &(name, _, krate) in triad_analyze::effects::VOCABULARY {
+        let called = ws.graph.calls.iter().flatten().any(|s| s.name == name);
+        if FIXTURE_ONLY.contains(&name) {
+            assert!(
+                !called,
+                "`{name}` is called, so it is no longer fixture-only"
+            );
+            continue;
+        }
+        assert!(called, "vocabulary name `{name}` is never called");
+        let defined = ws
+            .symbols
+            .candidates(name)
+            .iter()
+            .any(|&i| ws.symbols.fns[i].krate.as_deref() == Some(krate));
+        assert!(
+            defined,
+            "vocabulary name `{name}` is no fn of crates/{krate}"
+        );
+    }
+}
+
+#[test]
 fn kv_mutant_without_txn_append_is_flagged() {
     // Remove the batched append-plus-marker from the real store: the
     // surviving `apply_writes` now runs from the idle WAL state, the

@@ -13,7 +13,8 @@ use std::io::{BufReader, BufWriter};
 
 use triad_bench::harness_config;
 use triad_core::{PersistScheme, SecureMemoryBuilder, System};
-use triad_sim::trace_file::{record, ReplayTrace};
+use triad_sim::trace::VecTrace;
+use triad_sim::trace_file::{read_trace, record};
 use triad_sim::TraceSource;
 use triad_workloads::{build_workload, WorkloadEnv};
 
@@ -53,11 +54,11 @@ fn main() {
             println!("recorded {n} ops of {workload} to {path}");
             // Verify: replaying must produce the identical op stream,
             // hence identical simulated throughput.
-            let reread = ReplayTrace::from_reader(
+            let reread = VecTrace::new(
                 workload.clone(),
-                BufReader::new(File::open(path).expect("reopen")),
-            )
-            .expect("parse recorded trace");
+                read_trace(BufReader::new(File::open(path).expect("reopen")))
+                    .expect("parse recorded trace"),
+            );
             let fresh = build_workload(workload, &env, 42).remove(0);
             let a = run_trace(Box::new(reread), n);
             let b = run_trace(fresh, n);
@@ -70,13 +71,10 @@ fn main() {
                 .get(3)
                 .map(|s| s.parse().unwrap_or_else(|_| usage()))
                 .unwrap_or(u64::MAX);
-            let trace = ReplayTrace::from_reader(
-                path.clone(),
-                BufReader::new(File::open(path).expect("open trace")),
-            )
-            .expect("parse trace");
+            let trace = read_trace(BufReader::new(File::open(path).expect("open trace")))
+                .expect("parse trace");
             println!("replaying {} ops from {path}", trace.len());
-            let t = run_trace(Box::new(trace), ops);
+            let t = run_trace(Box::new(VecTrace::new(path.clone(), trace)), ops);
             println!("throughput: {t:.3e} inst/s");
         }
         _ => usage(),

@@ -352,7 +352,9 @@ impl SecureMemory {
     /// Commits the open batch: charges the register protocol once,
     /// drains the merged writes through the WPQ (honouring the armed
     /// WPQ-crash hook), counts per-class persist writes, and clears the
-    /// READY_BIT. A no-op when no batch is open or nothing was staged.
+    /// READY_BIT. This is the engine's one §3.3.5 commit: a scalar
+    /// atomic persist commits here as a batch of one. A no-op when no
+    /// batch is open or nothing was staged.
     pub(crate) fn commit_batch(&mut self, now: Time) -> Result<Time> {
         let Some(pending) = self.batch.take() else {
             return Ok(now);
@@ -371,7 +373,7 @@ impl SecureMemory {
         emit(
             &self.events,
             now,
-            "batch_persist",
+            "atomic_persist",
             &[
                 ("staged_writes", staged.into()),
                 ("merged_away", merged.into()),

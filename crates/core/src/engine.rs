@@ -51,7 +51,7 @@ use triad_sim::{BlockAddr, PhysAddr, BLOCK_BYTES};
 use crate::batch::PendingBatch;
 use crate::error::{CrashHookKind, IntegrityKind, SecureMemoryError};
 use crate::recovery::{CorruptRange, RecoveryReport};
-use crate::registers::{PersistentRegisters, StagedUpdate, StagedWrite};
+use crate::registers::{PersistentRegisters, StagedWrite};
 use crate::scheme::{CounterPersistence, KeyPolicy, PersistScheme};
 
 /// Shorthand for results of secure-memory operations.
@@ -1308,55 +1308,22 @@ impl SecureMemory {
                 addr: mac_addr,
                 data: mac_buf.0,
             });
-            let node_count = staged_nodes.len() as u64;
             writes.extend(staged_nodes);
-            if self.batch.is_some() {
-                // Open batch: merge this member's update set last-wins
-                // into the registers' staged update, which therefore
-                // always holds the whole replayable prefix, so the
-                // per-member root advance below stays crash-safe; the
-                // coalesced WPQ drain and register commit happen once
-                // in `commit_batch`.
-                self.stage_into_batch(kind, &writes, persist_counter, new_root);
-                self.set_root(kind, new_root);
-            } else {
-                if persist_counter {
-                    self.stats.counter_writes_persist += 1;
-                }
-                self.stats.atomic_persists += 1;
-                self.stats.mac_writes_persist += 1;
-                self.stats.node_writes_persist += node_count;
-                // §3.3.5 protocol: stage → READY_BIT → WPQ copies →
-                // commit. Only the persistent region's root matters for
-                // recovery (the non-persistent root is rebuilt lazily
-                // regardless).
-                self.regs.stage(StagedUpdate {
-                    writes: writes.clone(),
-                    new_persistent_root: (kind == RegionKind::Persistent).then_some(new_root),
-                });
-                t += self
-                    .config
-                    .security
-                    .persistent_register_latency
-                    .saturating_mul(writes.len() as u64 + 1);
-                emit(
-                    &self.events,
-                    now,
-                    "atomic_persist",
-                    &[
-                        ("block", block.0.into()),
-                        ("staged_writes", writes.len().into()),
-                    ],
-                );
-                for w in &writes {
-                    let at = || ("block", w.addr.0.into());
-                    if self.crash_hook_fires(CrashHookKind::WpqWrite, t, at) {
-                        return Err(SecureMemoryError::NeedsRecovery);
-                    }
-                    t = self.mc.write(w.addr, w.data, t);
-                }
-                self.set_root(kind, new_root);
-                self.regs.commit();
+            // §3.3.5 protocol: stage → READY_BIT → WPQ copies → commit.
+            // An open batch merges this member's update set last-wins
+            // into the registers' staged update, which therefore always
+            // holds the whole replayable prefix, so the per-member root
+            // advance stays crash-safe; the coalesced WPQ drain and
+            // register commit happen once in `commit_batch`. A scalar
+            // persist is a batch of one, committed right here.
+            let scalar = self.batch.is_none();
+            if scalar {
+                self.batch = Some(PendingBatch::new(BTreeMap::new()));
+            }
+            self.stage_into_batch(kind, &writes, persist_counter, new_root);
+            self.set_root(kind, new_root);
+            if scalar {
+                t = self.commit_batch(t)?;
             }
             // Persisted metadata is now clean on chip (under Osiris the
             // skipped counter stays dirty until its forced persist or
@@ -1693,7 +1660,6 @@ impl SecureMemory {
             });
         }
         self.stats.stores += 1;
-        self.stats.persists += 1;
         self.reclaim(block);
         self.l3_fill(block, true, data);
         // Under epoch persistency (Liu et al., HPCA'18 — cited by the
@@ -1702,6 +1668,7 @@ impl SecureMemory {
         // durability order, is guaranteed.
         if let Some(pending) = &mut self.epoch {
             pending.push(block);
+            self.stats.persists += 1;
             self.drain_evictions(now)?;
             let done = now + self.l3.latency();
             self.hists
@@ -1709,14 +1676,8 @@ impl SecureMemory {
                 .record(done.since(now).as_ns());
             return Ok(done);
         }
-        if self.persist_boundary_crash(now) {
-            return Err(SecureMemoryError::NeedsRecovery);
-        }
-        let t = self.writeback_data(block, data, now + self.l3.latency(), true)?;
-        self.l3.flush(block);
-        self.drain_evictions(now)?;
-        self.hists.persist_latency_ns.record(t.since(now).as_ns());
-        Ok(t)
+        // The line is now dirty in L3, so the rest is a flush.
+        self.flush_block(block, now)
     }
 
     /// Begins an epoch (§6 / Liu et al.'s *epoch persistency*):

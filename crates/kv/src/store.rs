@@ -407,13 +407,9 @@ impl KvStore {
     /// Batched log append + commit: appends the write records and the
     /// commit marker as one [`WriteBatch`] log transaction (see
     /// [`RedoLog::append_txn`]). The marker is the batch's last
-    /// durability point, so the transaction's commit semantics are
-    /// unchanged from the scalar [`RedoLog::append_write`] /
-    /// [`RedoLog::append_commit`] protocol.
+    /// durability point, so it is durable only once every record is.
     ///
     /// [`RedoLog::append_txn`]: crate::log::RedoLog::append_txn
-    /// [`RedoLog::append_write`]: crate::log::RedoLog::append_write
-    /// [`RedoLog::append_commit`]: crate::log::RedoLog::append_commit
     fn log_txn(
         &mut self,
         mem: &mut SecureMemory,

@@ -100,7 +100,8 @@ pub trait TraceSource {
     fn name(&self) -> &str;
 }
 
-/// A trace source backed by a pre-materialised vector, useful in tests.
+/// A trace source that replays a pre-materialised vector once: a test
+/// fixture, or a trace file parsed by [`crate::trace_file::read_trace`].
 #[derive(Debug, Clone)]
 pub struct VecTrace {
     name: String,

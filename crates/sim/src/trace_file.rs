@@ -247,58 +247,6 @@ pub fn read_trace<R: BufRead>(r: R) -> Result<Vec<MemOp>, TraceFileError> {
     }
 }
 
-/// A [`TraceSource`] replaying a parsed trace file once.
-#[derive(Debug, Clone)]
-pub struct ReplayTrace {
-    name: String,
-    ops: Vec<MemOp>,
-    cursor: usize,
-}
-
-impl ReplayTrace {
-    /// Creates a replayer over parsed operations.
-    pub fn new(name: impl Into<String>, ops: Vec<MemOp>) -> Self {
-        ReplayTrace {
-            name: name.into(),
-            ops,
-            cursor: 0,
-        }
-    }
-
-    /// Parses a complete v1 trace (header + footer verified, see
-    /// [`read_trace`]) from any reader and wraps it for replay.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceFileError`] on I/O failure, malformed lines, or
-    /// a missing/inconsistent header or footer.
-    pub fn from_reader<R: BufRead>(name: impl Into<String>, r: R) -> Result<Self, TraceFileError> {
-        Ok(ReplayTrace::new(name, read_trace(r)?))
-    }
-
-    /// Number of operations in the trace.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the trace has no operations.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-}
-
-impl TraceSource for ReplayTrace {
-    fn next_op(&mut self) -> Option<MemOp> {
-        let op = self.ops.get(self.cursor).copied()?;
-        self.cursor += 1;
-        Some(op)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,27 +366,6 @@ mod tests {
         let n = record(&mut src, 2, &mut buf).unwrap();
         assert_eq!(n, 2);
         assert_eq!(read_trace(buf.as_slice()).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn replay_once() {
-        let ops = sample_ops();
-        let mut once = ReplayTrace::new("t", ops.clone());
-        assert_eq!(once.len(), ops.len());
-        assert!(!once.is_empty());
-        for expected in &ops {
-            assert_eq!(once.next_op().as_ref(), Some(expected));
-        }
-        assert_eq!(once.next_op(), None);
-    }
-
-    #[test]
-    fn from_reader_builds_a_source() {
-        let text = "# triad-trace v1\nL 0x40 1\nP 0x80 2\n# triad-trace end ops=2\n";
-        let mut t = ReplayTrace::from_reader("file", text.as_bytes()).unwrap();
-        assert_eq!(t.name(), "file");
-        assert_eq!(t.next_op().unwrap().kind, OpKind::Load);
-        assert_eq!(t.next_op().unwrap().kind, OpKind::PersistentStore);
     }
 
     #[test]
