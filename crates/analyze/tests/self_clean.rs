@@ -148,16 +148,24 @@ fn vocabulary_names_are_fns_of_their_crates() {
 
 #[test]
 fn kv_mutant_without_txn_append_is_flagged() {
-    // Remove the batched append-plus-marker from the real store: the
-    // surviving `apply_writes` now runs from the idle WAL state, the
-    // exact torn-transaction window the rule exists for.
+    // Remove the batched append-plus-marker from the store's one
+    // mutation path: the surviving `apply_writes` now runs from the
+    // idle WAL state, the exact torn-transaction window the rule exists
+    // for.
     let rel = "crates/kv/src/store.rs";
     let store = read_crate_file(rel);
     assert!(findings_for(rel, &store, "persist-order").is_empty());
 
-    let needle = "        self.log_txn(mem, seq, &writes)?;\n";
-    assert!(store.contains(needle), "log_txn anchor moved");
-    let mutant = store.replacen(needle, "", 1);
+    // The whole `self.log_txn(..).map_err(..)?;` statement goes.
+    let start = store
+        .find("        self.log_txn(mem, seq, &writes)")
+        .expect("log_txn anchor moved");
+    let end = "})?;\n";
+    let len = store[start..]
+        .find(end)
+        .expect("log_txn statement end moved")
+        + end.len();
+    let mutant = store.replacen(&store[start..start + len], "", 1);
     let hits = findings_for(rel, &mutant, "persist-order");
     assert!(!hits.is_empty(), "apply without append/commit not flagged");
     assert!(
@@ -305,18 +313,25 @@ fn service_mutant_persisting_on_the_volatile_path_is_flagged() {
 
 #[test]
 fn store_mutant_with_a_payload_less_marker_is_flagged() {
-    // Swap `put`'s batched append-plus-marker for a bare marker: the
-    // commit frontier would advance over a transaction recovery cannot
-    // replay.
+    // Swap `apply_group`'s batched append-plus-marker for a bare
+    // marker: the commit frontier would advance over a transaction
+    // recovery cannot replay. `put` and `delete` are groups of one, so
+    // the finding reaches them through the call graph.
     let rel = "crates/kv/src/store.rs";
     let store = read_crate_file(rel);
     let rule = "durability-contract";
     assert!(findings_for(rel, &store, rule).is_empty());
 
     let anchor = "self.log_txn(mem, seq, &writes)";
-    assert!(store.contains(anchor), "put's txn anchor moved");
+    assert!(store.contains(anchor), "apply_group's txn anchor moved");
     let mutant = store.replacen(anchor, "self.log_commit(mem, seq, &writes)", 1);
     let hits = findings_for(rel, &mutant, rule);
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert!(hits[0].1.contains("commit marker"), "{}", hits[0].1);
+    assert_eq!(hits.len(), 3, "{hits:?}");
+    for fn_name in ["apply_group", "put", "delete"] {
+        assert!(
+            hits.iter()
+                .any(|(_, m)| m.contains(&format!("`{fn_name}`")) && m.contains("commit marker")),
+            "no commit-marker finding names `{fn_name}`: {hits:?}"
+        );
+    }
 }

@@ -17,18 +17,18 @@
 //! # Example
 //!
 //! ```rust
-//! use triad_cache::{Cache, Replacement};
+//! use triad_cache::Cache;
 //! use triad_sim::config::CacheConfig;
 //! use triad_sim::BlockAddr;
 //!
-//! let mut l1: Cache = Cache::new("l1", CacheConfig::new(1024, 2, 2), Replacement::Lru);
+//! let mut l1: Cache = Cache::new("l1", CacheConfig::new(1024, 2, 2));
 //! let first = l1.access(BlockAddr(0), false);
 //! assert!(!first.hit);
 //! let again = l1.access(BlockAddr(0), false);
 //! assert!(again.hit);
 //!
 //! // A cache with values: a miss fills the line, a hit reads it back.
-//! let mut l3: Cache<u32> = Cache::new("l3", CacheConfig::new(1024, 2, 2), Replacement::Lru);
+//! let mut l3: Cache<u32> = Cache::new("l3", CacheConfig::new(1024, 2, 2));
 //! l3.fill(BlockAddr(7), false, 42);
 //! assert_eq!(l3.hit(BlockAddr(7), false).copied(), Some(42));
 //! ```
@@ -40,28 +40,16 @@ pub mod prefetch;
 pub use prefetch::{BatchPrefetcher, PrefetchClass, PrefetchPlan, PrefetchStats};
 
 use triad_sim::config::CacheConfig;
-use triad_sim::rng::SplitMix64;
 use triad_sim::stats::{Scope, StatRegister};
 use triad_sim::time::Duration;
 use triad_sim::BlockAddr;
-
-/// Replacement policy for a [`Cache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Replacement {
-    /// Least-recently-used (default for all Table 1 caches).
-    Lru,
-    /// First-in-first-out.
-    Fifo,
-    /// Pseudo-random (seeded, deterministic).
-    Random,
-}
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
     tag: u64,
     valid: bool,
     dirty: bool,
-    /// LRU timestamp (access order) or FIFO fill order.
+    /// LRU timestamp: the access order of the line's last touch.
     stamp: u64,
 }
 
@@ -126,8 +114,8 @@ impl CacheStats {
     }
 }
 
-/// A write-back, write-allocate set-associative cache with one value
-/// slot per line (`V = ()` for caches that only model timing).
+/// A write-back, write-allocate, LRU set-associative cache with one
+/// value slot per line (`V = ()` for caches that only model timing).
 ///
 /// A line allocated by [`Cache::access`] starts *unfilled*; [`Cache::fill`]
 /// and [`Cache::set`] store its value. The value leaves with the line:
@@ -139,39 +127,31 @@ pub struct Cache<V = ()> {
     sets: usize,
     ways: usize,
     latency: Duration,
-    policy: Replacement,
     lines: Vec<Line>,
     /// Each line's value, index-parallel to `lines`.
     values: Vec<Option<V>>,
     clock: u64,
-    rng: SplitMix64,
     stats: CacheStats,
 }
 
 impl<V> Cache<V> {
-    /// Creates a cache with the given geometry and replacement policy.
+    /// Creates an LRU cache with the given geometry.
     ///
     /// # Panics
     ///
     /// Panics if the configured size is not an exact number of sets
     /// (see [`CacheConfig::sets`]).
-    pub fn new(name: impl Into<String>, config: CacheConfig, policy: Replacement) -> Self {
+    pub fn new(name: impl Into<String>, config: CacheConfig) -> Self {
         let sets = config.sets();
-        let name = name.into();
-        let seed = name
-            .bytes()
-            .fold(0xC0FF_EE00u64, |acc, b| acc.rotate_left(7) ^ b as u64);
         let lines = sets * config.ways;
         Cache {
-            name,
+            name: name.into(),
             sets,
             ways: config.ways,
             latency: config.latency,
-            policy,
             lines: vec![Line::default(); lines],
             values: (0..lines).map(|_| None).collect(),
             clock: 0,
-            rng: SplitMix64::new(seed),
             stats: CacheStats::default(),
         }
     }
@@ -208,9 +188,7 @@ impl<V> Cache<V> {
     fn touch(&mut self, i: usize, write: bool) {
         self.clock += 1;
         let line = &mut self.lines[i];
-        if self.policy == Replacement::Lru {
-            line.stamp = self.clock;
-        }
+        line.stamp = self.clock;
         line.dirty |= write;
         if write {
             self.stats.write_hits += 1;
@@ -227,15 +205,12 @@ impl<V> Cache<V> {
         let set = &self.lines[base..base + self.ways];
         let way = match set.iter().position(|l| !l.valid) {
             Some(free) => free,
-            None => match self.policy {
-                Replacement::Lru | Replacement::Fifo => set
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.stamp)
-                    .map(|(i, _)| i)
-                    .expect("ways >= 1"),
-                Replacement::Random => self.rng.below(self.ways as u64) as usize,
-            },
+            None => set
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, l)| l.stamp)
+                .map(|(i, _)| i)
+                .expect("ways >= 1"),
         };
         let i = base + way;
         let old = self.lines[i];
@@ -414,11 +389,7 @@ mod tests {
 
     fn tiny<V>(ways: usize) -> Cache<V> {
         // 4 sets × `ways` ways.
-        Cache::new(
-            "t",
-            CacheConfig::new(4 * ways * 64, ways, 1),
-            Replacement::Lru,
-        )
+        Cache::new("t", CacheConfig::new(4 * ways * 64, ways, 1))
     }
 
     #[test]
@@ -457,27 +428,6 @@ mod tests {
         c.access(BlockAddr(0), false); // touch 0 again
         let out = c.access(BlockAddr(8), false); // set 0, evict 4
         assert_eq!(out.victim.unwrap().addr, BlockAddr(4));
-    }
-
-    #[test]
-    fn fifo_ignores_touches() {
-        let mut c: Cache = Cache::new("f", CacheConfig::new(2 * 64, 2, 1), Replacement::Fifo);
-        c.access(BlockAddr(0), false);
-        c.access(BlockAddr(1), false);
-        c.access(BlockAddr(0), false); // touch does not refresh FIFO order
-        let out = c.access(BlockAddr(2), false);
-        assert_eq!(out.victim.unwrap().addr, BlockAddr(0));
-    }
-
-    #[test]
-    fn random_policy_is_deterministic_per_name() {
-        let mk = || {
-            let mut c: Cache = Cache::new("r", CacheConfig::new(2 * 64, 2, 1), Replacement::Random);
-            c.access(BlockAddr(0), false);
-            c.access(BlockAddr(1), false);
-            c.access(BlockAddr(2), false).victim.unwrap().addr
-        };
-        assert_eq!(mk(), mk());
     }
 
     #[test]

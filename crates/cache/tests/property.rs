@@ -3,7 +3,7 @@
 //! a map of last stored values plus a value-less twin.
 
 use std::collections::{BTreeMap, HashMap};
-use triad_cache::{AccessOutcome, Cache, Replacement};
+use triad_cache::{AccessOutcome, Cache};
 use triad_sim::config::CacheConfig;
 use triad_sim::prop::{check, check_ops, Config};
 use triad_sim::rng::SplitMix64;
@@ -45,11 +45,7 @@ macro_rules! ensure {
 
 fn run_against_model(ops: &[Op], ways: usize) -> Result<(), String> {
     let sets = 4usize;
-    let mut cache: Cache = Cache::new(
-        "m",
-        CacheConfig::new(sets * ways * 64, ways, 1),
-        Replacement::Lru,
-    );
+    let mut cache: Cache = Cache::new("m", CacheConfig::new(sets * ways * 64, ways, 1));
     let mut model: HashMap<usize, ModelSet> = HashMap::new();
 
     for op in ops {
@@ -150,8 +146,7 @@ fn occupancy_never_exceeds_capacity() {
         Config::cases(64),
         |rng| {
             let len = rng.gen_range(1..500);
-            let mut cache: Cache =
-                Cache::new("c", CacheConfig::new(16 * 64, 4, 1), Replacement::Lru);
+            let mut cache: Cache = Cache::new("c", CacheConfig::new(16 * 64, 4, 1));
             for _ in 0..len {
                 let a = rng.gen_range(0..10_000);
                 cache.access(BlockAddr(a), a % 3 == 0);
@@ -166,7 +161,7 @@ fn occupancy_never_exceeds_capacity() {
 fn every_dirty_block_was_written() {
     check("every_dirty_block_was_written", Config::cases(64), |rng| {
         let len = rng.gen_range(1..300);
-        let mut cache: Cache = Cache::new("d", CacheConfig::new(8 * 64, 2, 1), Replacement::Lru);
+        let mut cache: Cache = Cache::new("d", CacheConfig::new(8 * 64, 2, 1));
         let mut written = std::collections::HashSet::new();
         for _ in 0..len {
             let addr = rng.gen_range(0..128);
@@ -283,11 +278,10 @@ fn check_access(
     Ok(())
 }
 
-fn run_value_model(ops: &[ValueOp], ways: usize, policy: Replacement) -> Result<(), String> {
+fn run_value_model(ops: &[ValueOp], ways: usize) -> Result<(), String> {
     let config = CacheConfig::new(4 * ways * 64, ways, 1);
-    // Same name, so a Random twin draws the same victims.
-    let mut cache: Cache<u64> = Cache::new("v", config, policy);
-    let mut twin: Cache = Cache::new("v", config, policy);
+    let mut cache: Cache<u64> = Cache::new("v", config);
+    let mut twin: Cache = Cache::new("v", config);
     let mut model: BTreeMap<u64, ModelLine> = BTreeMap::new();
     for op in ops {
         match *op {
@@ -408,9 +402,9 @@ fn run_value_model(ops: &[ValueOp], ways: usize, policy: Replacement) -> Result<
 }
 
 #[test]
-fn value_cache_matches_map_model_under_every_policy() {
+fn value_cache_matches_map_model_under_lru() {
     check_ops(
-        "value_cache_matches_map_model_under_every_policy",
+        "value_cache_matches_map_model_under_lru",
         Config::cases(64),
         |rng| {
             let len = rng.gen_range(1..400) as usize;
@@ -420,11 +414,7 @@ fn value_cache_matches_map_model_under_every_policy() {
         },
         |ops, params| {
             let ways = params.gen_range(1..5) as usize;
-            for policy in [Replacement::Lru, Replacement::Fifo, Replacement::Random] {
-                run_value_model(ops, ways, policy)
-                    .map_err(|e| format!("{policy:?}, {ways} ways: {e}"))?;
-            }
-            Ok(())
+            run_value_model(ops, ways).map_err(|e| format!("{ways} ways: {e}"))
         },
     );
 }

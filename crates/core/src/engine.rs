@@ -33,7 +33,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use triad_cache::{AccessOutcome, BatchPrefetcher, Cache, Replacement, Victim};
+use triad_cache::{AccessOutcome, BatchPrefetcher, Cache, Victim};
 use triad_crypto::aes::Aes128;
 use triad_crypto::counter::{AnyCounterBlock, IncrementOutcome};
 use triad_crypto::ctr::{decrypt_block, encrypt_block, Iv};
@@ -476,9 +476,9 @@ impl SecureMemory {
             aes_volatile: Aes128::new(&derive_key(key_seed, 1)),
             mac_engine: MacEngine::new(derive_key(key_seed, 2)),
             mc: MemoryController::new(config.mem),
-            l3: Cache::new("l3", config.l3, Replacement::Lru),
-            ctr_cache: Cache::new("ctr", config.security.counter_cache, Replacement::Lru),
-            mt_cache: Cache::new("mt", config.security.mt_cache, Replacement::Lru),
+            l3: Cache::new("l3", config.l3),
+            ctr_cache: Cache::new("ctr", config.security.counter_cache),
+            mt_cache: Cache::new("mt", config.security.mt_cache),
             regs: PersistentRegisters::new(),
             state: EngineState::Running,
             counter_persistence,

@@ -9,7 +9,7 @@
 //! until the whole update set is durable — the paper's effects all
 //! live below the caches, so this simple model preserves them.
 
-use triad_cache::{Cache, Replacement};
+use triad_cache::Cache;
 use triad_sim::config::SystemConfig;
 use triad_sim::stats::{Histogram, StatRegistry};
 use triad_sim::time::Time;
@@ -129,8 +129,8 @@ impl System {
             .into_iter()
             .enumerate()
             .map(|(i, trace)| CoreState {
-                l1: Cache::new(format!("l1.{i}"), config.l1, Replacement::Lru),
-                l2: Cache::new(format!("l2.{i}"), config.l2, Replacement::Lru),
+                l1: Cache::new(format!("l1.{i}"), config.l1),
+                l2: Cache::new(format!("l2.{i}"), config.l2),
                 trace,
                 time: Time::ZERO,
                 instructions: 0,

@@ -18,16 +18,18 @@
 //!
 //! ## Mutation protocol
 //!
-//! Every put/delete computes its full write set (new entry blocks plus
-//! the one pointer block that links them in), then runs
-//! `log_txn → apply_writes → rewind`: `log_txn` batches the redo
-//! records and the checksummed commit marker into one `WriteBatch` in
-//! log order (per-member durability makes the marker — the last
-//! member — the durability point, exactly as the scalar
-//! append/commit sequence it replaced), the in-place apply follows.
-//! The `persist-order` lint enforces that call order structurally. Old entry blocks are leaked on overwrite and
-//! delete — the bump allocator never reuses space, which is exactly
-//! what makes torn in-place updates impossible.
+//! Every mutation takes one path, [`KvStore::apply_group`]; `put` and
+//! `delete` are groups of one. A group stages its mutations left to
+//! right in an overlay (new entry blocks plus the pointer blocks that
+//! link or unlink them, one image per distinct block), then runs
+//! `log_txn → apply_writes → rewind` over the overlay in address
+//! order: `log_txn` batches the redo records and the checksummed
+//! commit marker into one `WriteBatch` in log order (per-member
+//! durability makes the marker — the last member — the durability
+//! point), the in-place apply follows. The `persist-order` lint
+//! enforces that call order structurally. Old entry blocks are leaked
+//! on overwrite and delete — the bump allocator never reuses space,
+//! which is exactly what makes torn in-place updates impossible.
 
 use std::collections::BTreeMap;
 
@@ -86,25 +88,25 @@ impl Default for KvConfig {
 /// the embedder chooses (the report harness uses `kv`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KvStats {
-    /// Completed `put` transactions.
+    /// Puts in committed groups.
     pub puts: u64,
     /// `get` calls.
     pub gets: u64,
     /// `get` calls that found the key.
     pub get_hits: u64,
-    /// `delete` calls.
+    /// Deletes in groups that returned `Ok` (a group of delete misses
+    /// only commits nothing but still counts its deletes).
     pub deletes: u64,
-    /// `delete` calls that removed a key.
+    /// Deletes in committed groups that removed a key.
     pub delete_hits: u64,
     /// `scan` calls.
     pub scans: u64,
-    /// Committed write-ahead-log transactions.
+    /// Committed write-ahead-log transactions: one per group that
+    /// wrote anything, each under exactly one commit marker.
     pub txns_committed: u64,
     /// Write records appended to the log.
     pub log_records: u64,
-    /// Group-commit flushes (each persisted exactly one commit marker).
-    pub group_commits: u64,
-    /// Key mutations carried by group-commit flushes.
+    /// Key mutations carried by committed groups.
     pub group_ops: u64,
 }
 
@@ -118,7 +120,6 @@ impl StatRegister for KvStats {
         scope.set("scans", self.scans);
         scope.set("txns_committed", self.txns_committed);
         scope.set("log_records", self.log_records);
-        scope.set("group_commits", self.group_commits);
         scope.set("group_ops", self.group_ops);
     }
 }
@@ -135,7 +136,6 @@ impl KvStats {
         self.scans += other.scans;
         self.txns_committed += other.txns_committed;
         self.log_records += other.log_records;
-        self.group_commits += other.group_commits;
         self.group_ops += other.group_ops;
     }
 }
@@ -348,15 +348,11 @@ impl KvStore {
         Ok(mem.read(addr)?)
     }
 
-    /// Walks the chain from `key`'s bucket. Returns the chain head and,
-    /// when the key exists, its [`ChainHit`].
-    fn find(&self, mem: &mut SecureMemory, key: u64) -> Result<(u64, Option<ChainHit>)> {
-        self.find_in(mem, &Overlay::new(), key)
-    }
-
-    /// [`KvStore::find`] through a staging overlay: reads consult the
-    /// overlay first, so a put staged earlier in the same group is
-    /// found (and correctly replaced or unlinked) by a later mutation.
+    /// Walks the chain from `key`'s bucket through a staging overlay.
+    /// Returns the chain head and, when the key exists, its
+    /// [`ChainHit`]. Reads consult the overlay first, so a put staged
+    /// earlier in the same group is found (and correctly replaced or
+    /// unlinked) by a later mutation; `get` passes an empty overlay.
     fn find_in(
         &self,
         mem: &mut SecureMemory,
@@ -447,9 +443,8 @@ impl KvStore {
         Ok(())
     }
 
-    /// Inserts or replaces `key`, durably. The full redo transaction —
-    /// new entry blocks plus the one pointer that links them in — is
-    /// applied all-or-nothing; a crash anywhere leaves either the old
+    /// Inserts or replaces `key`, durably: a group of one through
+    /// [`KvStore::apply_group`]. A crash anywhere leaves either the old
     /// or the new value visible after recovery, never a mix.
     ///
     /// # Errors
@@ -457,61 +452,8 @@ impl KvStore {
     /// [`KvError::ValueTooLarge`] when the value exceeds
     /// [`KvStore::max_value_bytes`]; heap/memory errors otherwise.
     pub fn put(&mut self, mem: &mut SecureMemory, key: u64, value: &[u8]) -> Result<()> {
-        if value.len() > self.max_value_bytes() {
-            return Err(KvError::ValueTooLarge {
-                len: value.len(),
-                max: self.max_value_bytes(),
-            });
-        }
-        let (head, found) = self.find(mem, key)?;
-        let n_blocks = Self::entry_blocks(value.len());
-        let base = self.heap.alloc_blocks(mem, n_blocks)?;
-
-        let mut writes: Vec<(PhysAddr, [u8; BLOCK_BYTES])> =
-            Vec::with_capacity(n_blocks as usize + 1);
-        let next = found.as_ref().map_or(head, |f| f.next);
-        let mut block0 = [0u8; BLOCK_BYTES];
-        block0[ENT_KEY..ENT_KEY + 8].copy_from_slice(&key.to_le_bytes());
-        block0[ENT_NEXT..ENT_NEXT + 8].copy_from_slice(&next.to_le_bytes());
-        block0[ENT_VLEN..ENT_VLEN + 8].copy_from_slice(&(value.len() as u64).to_le_bytes());
-        let inline = value.len().min(INLINE_BYTES);
-        block0[ENT_INLINE..ENT_INLINE + inline].copy_from_slice(&value[..inline]);
-        writes.push((base, block0));
-        for (i, chunk) in value[inline..].chunks(BLOCK_BYTES).enumerate() {
-            let mut block = [0u8; BLOCK_BYTES];
-            block[..chunk.len()].copy_from_slice(chunk);
-            writes.push((
-                PhysAddr(base.0 + (i as u64 + 1) * BLOCK_BYTES as u64),
-                block,
-            ));
-        }
-        // The linking write: the bucket slot (fresh key) or whichever
-        // pointer led to the replaced entry (the old entry is unlinked
-        // and leaked).
-        let (haddr, hoff) = found
-            .as_ref()
-            .map_or_else(|| self.slot_of(key), |f| f.holder);
-        let mut hblock = mem.read(haddr)?;
-        hblock[hoff..hoff + 8].copy_from_slice(&base.0.to_le_bytes());
-        writes.push((haddr, hblock));
-
-        let seq = self.next_seq;
-        self.log_txn(mem, seq, &writes)?;
-        self.next_seq += 1;
-        self.apply_writes(mem, &writes)?;
-        self.log.rewind();
-        self.stats.puts += 1;
-        emit(
-            &self.events,
-            mem.now(),
-            kind::KV_PUT,
-            &[
-                ("key", key.into()),
-                ("vlen", value.len().into()),
-                ("seq", seq.into()),
-            ],
-        );
-        Ok(())
+        self.apply_group(mem, &[(key, Some(value.to_vec()))])
+            .map(drop)
     }
 
     /// Reads `key`'s value, if present.
@@ -521,7 +463,7 @@ impl KvStore {
     /// Propagates secure-memory errors.
     pub fn get(&mut self, mem: &mut SecureMemory, key: u64) -> Result<Option<Vec<u8>>> {
         self.stats.gets += 1;
-        let (_, found) = self.find(mem, key)?;
+        let (_, found) = self.find_in(mem, &Overlay::new(), key)?;
         match found {
             Some(hit) => {
                 self.stats.get_hits += 1;
@@ -531,46 +473,15 @@ impl KvStore {
         }
     }
 
-    /// Removes `key`, durably. Returns whether it was present. The
+    /// Removes `key`, durably: a group of one through
+    /// [`KvStore::apply_group`]. Returns whether it was present. The
     /// entry's blocks are leaked (bump allocator; see module docs).
     ///
     /// # Errors
     ///
     /// Propagates heap/memory errors.
     pub fn delete(&mut self, mem: &mut SecureMemory, key: u64) -> Result<bool> {
-        self.stats.deletes += 1;
-        let (_, found) = self.find(mem, key)?;
-        let Some(hit) = found else {
-            emit(
-                &self.events,
-                mem.now(),
-                kind::KV_DELETE,
-                &[("key", key.into()), ("found", false.into())],
-            );
-            return Ok(false);
-        };
-        let (haddr, hoff) = hit.holder;
-        let mut hblock = mem.read(haddr)?;
-        hblock[hoff..hoff + 8].copy_from_slice(&hit.next.to_le_bytes());
-        let writes = [(haddr, hblock)];
-
-        let seq = self.next_seq;
-        self.log_txn(mem, seq, &writes)?;
-        self.next_seq += 1;
-        self.apply_writes(mem, &writes)?;
-        self.log.rewind();
-        self.stats.delete_hits += 1;
-        emit(
-            &self.events,
-            mem.now(),
-            kind::KV_DELETE,
-            &[
-                ("key", key.into()),
-                ("found", true.into()),
-                ("seq", seq.into()),
-            ],
-        );
-        Ok(true)
+        Ok(self.apply_group(mem, &[(key, None)])?.commit_markers == 1)
     }
 
     /// Stages a put into `overlay`: allocates and fills the entry
@@ -635,10 +546,12 @@ impl KvStore {
         Ok(true)
     }
 
-    /// Group commit: applies a whole batch of key mutations (`Some` =
-    /// put, `None` = delete) as **one** redo transaction with **one**
-    /// commit marker — the per-transaction marker persist that
-    /// dominates small-put cost is amortized across the group.
+    /// Group commit, the store's one mutation path: applies a whole
+    /// batch of key mutations (`Some` = put, `None` = delete) as
+    /// **one** redo transaction with **one** commit marker — the
+    /// per-transaction marker persist that dominates small-put cost is
+    /// amortized across the group. [`KvStore::put`] and
+    /// [`KvStore::delete`] are groups of one.
     ///
     /// Mutations are staged left to right against an overlay, so the
     /// result is exactly the serial execution of the batch (duplicate
@@ -711,7 +624,6 @@ impl KvStore {
         self.stats.puts += staged_puts;
         self.stats.deletes += staged_deletes;
         self.stats.delete_hits += staged_delete_hits;
-        self.stats.group_commits += 1;
         self.stats.group_ops += muts.len() as u64;
         emit(
             &self.events,
@@ -912,42 +824,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_between_commit_and_apply_redoes_the_txn() {
-        let mut m = mem();
-        let mut kv = fresh(&mut m);
-        kv.put(&mut m, 1, b"old").unwrap();
-        // The overwrite's durability points: heap cursor (1), 2 write
-        // records (4), commit marker (1); crash on the first in-place
-        // apply, i.e. boundary 6.
-        m.arm_crash(CrashHookKind::PersistBoundary, 6).unwrap();
-        assert_eq!(
-            kv.put(&mut m, 1, b"new").unwrap_err(),
-            KvError::Memory(SecureMemoryError::NeedsRecovery)
-        );
-        let (mut kv, report) = recover_store(&mut m).unwrap();
-        let replay = report.log_replay.unwrap();
-        assert_eq!(replay.txns_applied, 1, "committed txn must be redone");
-        assert_eq!(kv.get(&mut m, 1).unwrap().as_deref(), Some(&b"new"[..]));
-    }
-
-    #[test]
-    fn crash_before_commit_discards_the_txn() {
-        let mut m = mem();
-        let mut kv = fresh(&mut m);
-        kv.put(&mut m, 1, b"old").unwrap();
-        // Crash while appending redo records, before the commit marker.
-        m.arm_crash(CrashHookKind::PersistBoundary, 2).unwrap();
-        assert_eq!(
-            kv.put(&mut m, 1, b"new").unwrap_err(),
-            KvError::Memory(SecureMemoryError::NeedsRecovery)
-        );
-        let (mut kv, report) = recover_store(&mut m).unwrap();
-        let replay = report.log_replay.unwrap();
-        assert_eq!(replay.txns_applied, 0);
-        assert_eq!(kv.get(&mut m, 1).unwrap().as_deref(), Some(&b"old"[..]));
-    }
-
-    #[test]
     fn open_rejects_non_superblock() {
         let mut m = mem();
         let heap = PersistentHeap::format(&mut m).unwrap();
@@ -959,32 +835,6 @@ mod tests {
         // recover_store with an unset root also refuses.
         m.crash();
         assert_eq!(recover_store(&mut m).unwrap_err(), KvError::NotAStore);
-    }
-
-    #[test]
-    fn events_are_emitted_for_mutations() {
-        use std::io::Write;
-        use std::sync::{Arc, Mutex};
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut m = mem();
-        let mut kv = fresh(&mut m);
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        kv.set_event_sink(EventSink::shared(Box::new(SharedBuf(buf.clone()))));
-        kv.put(&mut m, 1, b"x").unwrap();
-        kv.delete(&mut m, 1).unwrap();
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        assert!(text.contains("\"event\":\"kv_put\""));
-        assert!(text.contains("\"event\":\"kv_txn_commit\""));
-        assert!(text.contains("\"event\":\"kv_delete\""));
     }
 
     #[test]
@@ -1000,8 +850,7 @@ mod tests {
         assert_eq!(reg.counter("kv.puts"), 2);
         assert_eq!(reg.counter("kv.scans"), 1);
         assert_eq!(reg.counter("kv.txns_committed"), 2);
-        assert_eq!(reg.counter("kv.group_commits"), 1);
-        assert_eq!(reg.counter("kv.group_ops"), 1);
+        assert_eq!(reg.counter("kv.group_ops"), 2);
         assert!(reg.counter("kv.log_records") >= 2);
     }
 
@@ -1058,8 +907,9 @@ mod tests {
             (g.puts, g.deletes, g.delete_hits),
             (s.puts, s.deletes, s.delete_hits)
         );
-        assert_eq!((g.group_commits, g.group_ops), (1, 6));
-        assert_eq!((s.group_commits, s.group_ops), (0, 0));
+        assert_eq!(g.group_ops, 6);
+        // The delete miss committed nothing, so its group counts no op.
+        assert_eq!(s.group_ops, 5);
     }
 
     #[test]
@@ -1071,60 +921,75 @@ mod tests {
         let r = kv.apply_group(&mut m, &[(5, None), (6, None)]).unwrap();
         assert_eq!((r.ops, r.log_records, r.commit_markers), (2, 0, 0));
         let s = kv.stats();
-        assert_eq!((s.txns_committed, s.deletes, s.group_commits), (0, 2, 0));
+        assert_eq!((s.txns_committed, s.deletes, s.group_ops), (0, 2, 0));
+    }
+
+    /// The crash tests' inputs: an overwrite plus a fresh put, and the
+    /// overwrite alone — the group of one that `put` runs.
+    fn crash_groups() -> [Vec<(u64, Option<Vec<u8>>)>; 2] {
+        [
+            vec![(1, Some(b"new".to_vec())), (2, Some(b"two".to_vec()))],
+            vec![(1, Some(b"new".to_vec()))],
+        ]
     }
 
     #[test]
     fn group_crash_before_marker_discards_every_mutation() {
-        let mut m = mem();
-        let mut kv = fresh(&mut m);
-        kv.put(&mut m, 1, b"old").unwrap();
-        // Group persist schedule: one heap-cursor persist per put, then
-        // 2 persists per redo record, then the marker. Crash mid-append,
-        // after the allocations and the first record block.
-        m.arm_crash(CrashHookKind::PersistBoundary, 3).unwrap();
-        let ops = vec![(1, Some(b"new".to_vec())), (2, Some(b"two".to_vec()))];
-        assert_eq!(
-            kv.apply_group(&mut m, &ops).unwrap_err(),
-            KvError::Memory(SecureMemoryError::NeedsRecovery)
-        );
-        let (mut kv, report) = recover_store(&mut m).unwrap();
-        assert_eq!(report.log_replay.unwrap().txns_applied, 0);
-        assert_eq!(kv.get(&mut m, 1).unwrap().as_deref(), Some(&b"old"[..]));
-        assert_eq!(kv.get(&mut m, 2).unwrap(), None);
+        for ops in crash_groups() {
+            let mut m = mem();
+            let mut kv = fresh(&mut m);
+            kv.put(&mut m, 1, b"old").unwrap();
+            // Group persist schedule: one heap-cursor persist per put,
+            // then 2 persists per redo record (at least 2 records),
+            // then the marker. Crash mid-append, after the allocations.
+            m.arm_crash(CrashHookKind::PersistBoundary, 3).unwrap();
+            assert_eq!(
+                kv.apply_group(&mut m, &ops).unwrap_err(),
+                KvError::Memory(SecureMemoryError::NeedsRecovery)
+            );
+            let (mut kv, report) = recover_store(&mut m).unwrap();
+            assert_eq!(report.log_replay.unwrap().txns_applied, 0);
+            assert_eq!(kv.get(&mut m, 1).unwrap().as_deref(), Some(&b"old"[..]));
+            assert_eq!(kv.get(&mut m, 2).unwrap(), None);
+        }
     }
 
     #[test]
     fn group_crash_after_marker_redoes_every_mutation() {
-        // Twin run to learn the group's coalesced record count, so the
-        // crash boundary lands exactly on the first in-place apply.
-        let ops = vec![(1u64, Some(b"new".to_vec())), (2, Some(b"two".to_vec()))];
-        let mut twin_m = mem();
-        let mut twin = fresh(&mut twin_m);
-        twin.put(&mut twin_m, 1, b"old").unwrap();
-        let receipt = twin.apply_group(&mut twin_m, &ops).unwrap();
+        for ops in crash_groups() {
+            // Twin run to learn the group's coalesced record count, so
+            // the crash boundary lands exactly on the first in-place
+            // apply.
+            let mut twin_m = mem();
+            let mut twin = fresh(&mut twin_m);
+            twin.put(&mut twin_m, 1, b"old").unwrap();
+            let receipt = twin.apply_group(&mut twin_m, &ops).unwrap();
 
-        let mut m = mem();
-        let mut kv = fresh(&mut m);
-        kv.put(&mut m, 1, b"old").unwrap();
-        // 2 alloc persists + 2 per record + 1 marker, then apply.
-        m.arm_crash(
-            CrashHookKind::PersistBoundary,
-            2 + 2 * receipt.log_records + 1,
-        )
-        .unwrap();
-        assert_eq!(
-            kv.apply_group(&mut m, &ops).unwrap_err(),
-            KvError::Memory(SecureMemoryError::NeedsRecovery)
-        );
-        let (mut kv, report) = recover_store(&mut m).unwrap();
-        assert_eq!(
-            report.log_replay.unwrap().txns_applied,
-            1,
-            "committed group must be redone as a unit"
-        );
-        assert_eq!(kv.get(&mut m, 1).unwrap().as_deref(), Some(&b"new"[..]));
-        assert_eq!(kv.get(&mut m, 2).unwrap().as_deref(), Some(&b"two"[..]));
+            let mut m = mem();
+            let mut kv = fresh(&mut m);
+            kv.put(&mut m, 1, b"old").unwrap();
+            // One alloc persist per put + 2 per record + 1 marker, then
+            // apply.
+            let allocs = ops.len() as u64;
+            m.arm_crash(
+                CrashHookKind::PersistBoundary,
+                allocs + 2 * receipt.log_records + 1,
+            )
+            .unwrap();
+            assert_eq!(
+                kv.apply_group(&mut m, &ops).unwrap_err(),
+                KvError::Memory(SecureMemoryError::NeedsRecovery)
+            );
+            let (mut kv, report) = recover_store(&mut m).unwrap();
+            assert_eq!(
+                report.log_replay.unwrap().txns_applied,
+                1,
+                "committed group must be redone as a unit"
+            );
+            // Every put of the group is visible, and nothing else.
+            let want: Vec<(u64, Vec<u8>)> = ops.into_iter().map(|(k, v)| (k, v.unwrap())).collect();
+            assert_eq!(kv.scan(&mut m).unwrap(), want);
+        }
     }
 
     #[test]
@@ -1173,7 +1038,7 @@ mod tests {
         // group counted, and the store serves cleanly once the real
         // log is back (failed groups leak only staged heap blocks).
         assert_eq!(kv.next_seq(), seq_before);
-        assert_eq!(kv.stats().group_commits, 0);
+        assert_eq!(kv.stats().txns_committed, 1, "only the setup put");
         kv.log = full_log;
         assert_eq!(kv.scan(&mut m).unwrap(), vec![(1, b"keep".to_vec())]);
         kv.put(&mut m, 2, b"after").unwrap();
@@ -1203,15 +1068,16 @@ mod tests {
             &[(1, Some(b"x".to_vec())), (2, Some(b"y".to_vec()))],
         )
         .unwrap();
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        assert_eq!(
-            text.matches("\"event\":\"kv_group_commit\"").count(),
-            1,
-            "one group event per flush:\n{text}"
-        );
-        assert!(text.contains("\"ops\":2"));
-        // The per-op kv_put events are not emitted on the group path;
-        // the group event is the trace record.
-        assert!(!text.contains("\"event\":\"kv_put\""));
+        let text = || String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let count = |event: &str| text().matches(&format!("\"event\":\"{event}\"")).count();
+        assert_eq!(count("kv_group_commit"), 1, "one group event per flush");
+        assert!(text().contains("\"ops\":2"));
+        // `put` and `delete` are groups of one: each emits one
+        // transaction commit and one group commit of one op.
+        kv.put(&mut m, 3, b"z").unwrap();
+        kv.delete(&mut m, 1).unwrap();
+        assert_eq!(count("kv_txn_commit"), 3, "{}", text());
+        assert_eq!(count("kv_group_commit"), 3, "{}", text());
+        assert_eq!(text().matches("\"ops\":1,").count(), 2, "{}", text());
     }
 }

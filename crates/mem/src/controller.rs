@@ -12,7 +12,6 @@
 
 use crate::store::{Block, SparseStore};
 use crate::timing::{PcmTiming, RowOutcome};
-use crate::wearlevel::StartGap;
 use triad_sim::config::MemConfig;
 use triad_sim::events::{emit, SharedEventSink};
 use triad_sim::stats::{Histogram, Scope, StatRegister};
@@ -142,13 +141,6 @@ pub struct MemoryController {
     /// Structured event tracing; `None` (the default) costs nothing.
     events: Option<SharedEventSink>,
     wear: WearTracker,
-    /// Optional device-side Start-Gap wear leveller. When enabled,
-    /// `read`/`write` take *logical* addresses and the raw image
-    /// (`store()`, also after `crash()`) is the *physical* layout —
-    /// exactly like a real DIMM's internal remapping. The secure engine never
-    /// enables this (its recovery walks the raw image); it exists as a
-    /// device substrate, exercised by the endurance tests.
-    leveler: Option<StartGap>,
 }
 
 impl MemoryController {
@@ -163,31 +155,6 @@ impl MemoryController {
             hists: MemHistograms::default(),
             events: None,
             wear: WearTracker::default(),
-            leveler: None,
-        }
-    }
-
-    /// Enables Start-Gap wear levelling with a gap movement every
-    /// `interval` writes (ψ = 100 in Qureshi et al.).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after traffic has already been served (the
-    /// mapping must start from the pristine image).
-    pub fn enable_wear_leveling(&mut self, interval: u64) {
-        assert!(
-            self.stats.reads == 0 && self.stats.writes == 0,
-            "enable wear levelling before any traffic"
-        );
-        self.leveler = Some(StartGap::new(self.config.capacity_bytes / 64, interval));
-    }
-
-    /// Translates a logical block to its current physical block
-    /// (identity when wear levelling is disabled).
-    pub fn resolve(&self, addr: BlockAddr) -> BlockAddr {
-        match &self.leveler {
-            Some(sg) => sg.map(addr),
-            None => addr,
         }
     }
 
@@ -255,7 +222,6 @@ impl MemoryController {
     /// time. Reads matching a pending WPQ entry are forwarded at
     /// controller latency without touching the banks.
     pub fn read(&mut self, addr: BlockAddr, now: Time) -> (Block, Time) {
-        let addr = self.resolve(addr);
         self.drain_completed(now);
         self.stats.reads += 1;
         let data = self.store.read(addr);
@@ -285,17 +251,6 @@ impl MemoryController {
     /// domain). If the queue is full, acceptance stalls until an entry
     /// drains.
     pub fn write(&mut self, addr: BlockAddr, data: Block, now: Time) -> Time {
-        let addr = self.resolve(addr);
-        // Device-side gap movement: one extra copy every ψ writes.
-        if let Some(sg) = &mut self.leveler {
-            if let Some(mv) = sg.on_write() {
-                let bytes = self.store.read(mv.from);
-                self.store.write(mv.to, bytes);
-                self.store.write(mv.from, [0u8; 64]);
-                self.wear.record(mv.to);
-                self.timing.service(mv.to, true, now);
-            }
-        }
         self.drain_completed(now);
         // Coalesce into a pending entry: the queued drain will write
         // the updated bytes, so the new write is durable immediately.
@@ -497,6 +452,21 @@ mod tests {
         let w = m.wear();
         assert_eq!(w.hottest(1)[0].0, BlockAddr(5));
         assert!(w.imbalance() > 10.0, "imbalance = {}", w.imbalance());
+    }
+
+    #[test]
+    fn wear_of_a_hammered_block_stays_on_that_block() {
+        // Writes far apart in time never coalesce, and the controller
+        // does no wear levelling: every one lands on the same cell.
+        let mut m = mc();
+        let mut now = Time::ZERO;
+        for i in 0..2000u64 {
+            now += Duration::from_us(5);
+            m.write(BlockAddr(3), [i as u8; 64], now);
+        }
+        let w = m.wear();
+        assert_eq!(w.blocks_touched(), 1);
+        assert_eq!(w.max_writes(), 2000);
     }
 
     #[test]

@@ -32,9 +32,7 @@
 pub mod controller;
 pub mod store;
 pub mod timing;
-pub mod wearlevel;
 
 pub use controller::{MemStats, MemoryController, WearTracker};
 pub use store::SparseStore;
 pub use timing::PcmTiming;
-pub use wearlevel::StartGap;

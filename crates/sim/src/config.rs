@@ -115,9 +115,6 @@ pub struct CoreConfig {
     /// Base CPI for non-memory instructions (out-of-order cores hide
     /// most ILP; 0.5–1.0 is typical for SPEC on a 4-wide OOO core).
     pub base_cpi_ps: u64,
-    /// Maximum overlapped outstanding misses per core, approximating
-    /// the MLP an out-of-order window extracts.
-    pub max_outstanding_misses: usize,
 }
 
 /// The complete simulated system.
@@ -154,7 +151,6 @@ impl SystemConfig {
             cores: 8,
             core: CoreConfig {
                 base_cpi_ps: 500, // 0.5 CPI at 1 GHz
-                max_outstanding_misses: 8,
             },
             l1: CacheConfig::new(32 << 10, 2, 2),
             l2: CacheConfig::new(512 << 10, 8, 20),
@@ -188,10 +184,7 @@ impl SystemConfig {
     pub fn tiny() -> Self {
         SystemConfig {
             cores: 2,
-            core: CoreConfig {
-                base_cpi_ps: 500,
-                max_outstanding_misses: 4,
-            },
+            core: CoreConfig { base_cpi_ps: 500 },
             l1: CacheConfig::new(2 << 10, 2, 2),
             l2: CacheConfig::new(8 << 10, 4, 20),
             l3: CacheConfig::new(32 << 10, 8, 32),

@@ -166,17 +166,17 @@ impl EventSink {
 
 /// Canonical names of cross-layer trace events. Emitters and trace
 /// consumers share this vocabulary instead of scattering string
-/// literals; the KV layer (`triad-kv`) is the first client.
+/// literals; the KV layer (`triad-kv`) is the first client. Every KV
+/// mutation is a group commit (`put` and `delete` are groups of one),
+/// so each one that writes anything emits [`kind::KV_TXN_COMMIT`] and
+/// then [`kind::KV_GROUP_COMMIT`].
 pub mod kind {
-    /// A KV put became durable (fields: `key`, `vlen`, `seq`).
-    pub const KV_PUT: &str = "kv_put";
-    /// A KV delete became durable (fields: `key`, `found`, `seq`).
-    pub const KV_DELETE: &str = "kv_delete";
     /// A KV transaction's commit marker persisted (fields: `seq`,
     /// `writes`).
     pub const KV_TXN_COMMIT: &str = "kv_txn_commit";
     /// A group commit flushed: one commit marker covering a whole
-    /// batch of key mutations (fields: `seq`, `ops`, `writes`).
+    /// batch of key mutations, one for a single put or delete
+    /// (fields: `seq`, `ops`, `writes`).
     pub const KV_GROUP_COMMIT: &str = "kv_group_commit";
     /// A KV store replayed its write-ahead log at open (fields:
     /// `records_scanned`, `txns_applied`, `torn_tail`).

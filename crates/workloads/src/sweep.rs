@@ -20,21 +20,18 @@
 //!    schedule ([`Verdict::Redrive`]) and then judge the whole state it
 //!    converged to, every shard included.
 //!
-//! Two systems implement the trait: one `KvStore` on one engine
-//! ([`StoreSystem`], driven op by op through put/get/delete/scan) and
-//! [`KvService`], whose shard 0 is the victim ([`serial_service`]
-//! builds one). Three oracles cover the durability tiers of
+//! One system implements the trait: [`KvService`], whose shard 0 is
+//! the victim ([`serial_service`] builds one). A one-shard service at
+//! group window 1 sweeps a single `KvStore` op by op, every mutation
+//! its own group commit; the driver's tests wrap it in fakes. Three
+//! oracles cover the durability tiers of
 //! `docs/durability-contract.md`: [`PreOrPost`] (Strict),
 //! [`BufferedPrefix`] (Buffered) and [`BarrierFloor`] (InMemory).
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use triad_core::{
-    CrashHookKind, PersistScheme, RecoveryReport, SecureMemory, SecureMemoryBuilder,
-    SecureMemoryError,
-};
-use triad_kv::heap::PersistentHeap;
-use triad_kv::{KvConfig, KvError, KvStore};
+use triad_core::{CrashHookKind, RecoveryReport, SecureMemory, SecureMemoryError};
+use triad_kv::KvError;
 
 use crate::service::{DurabilityMode, KvService, Request, Response, ServiceSpec};
 
@@ -285,78 +282,6 @@ pub fn apply(
     Ok(muts)
 }
 
-/// One [`KvStore`] on one engine, which is the victim, driven op by op
-/// through put/get/delete/scan: the per-op path that
-/// [`KvStore::apply_group`] is checked against. Steps ignore the
-/// tenant, and a barrier is a no-op, since every mutation is durable
-/// when it returns.
-#[derive(Debug)]
-pub struct StoreSystem {
-    mem: SecureMemory,
-    store: KvStore,
-}
-
-impl StoreSystem {
-    /// Builds a fresh engine under `scheme` and formats one store on
-    /// it, published at the heap root.
-    ///
-    /// # Errors
-    ///
-    /// Engine build, heap or store errors.
-    pub fn create(scheme: PersistScheme, cfg: KvConfig, key_seed: u64) -> Result<Self, KvError> {
-        let mut mem = SecureMemoryBuilder::new()
-            .scheme(scheme)
-            .key_seed(key_seed)
-            .build()
-            .map_err(KvError::Memory)?;
-        let heap = PersistentHeap::format(&mut mem)?;
-        let store = KvStore::create(&mut mem, heap, cfg)?;
-        heap.set_root(&mut mem, store.superblock().0)?;
-        Ok(StoreSystem { mem, store })
-    }
-}
-
-impl SystemUnderTest for StoreSystem {
-    fn victim(&mut self) -> &mut SecureMemory {
-        &mut self.mem
-    }
-
-    fn owns(&self, _key: u64) -> bool {
-        true
-    }
-
-    fn step(&mut self, step: &Step) -> Result<Vec<Response>, KvError> {
-        let (mem, store) = (&mut self.mem, &mut self.store);
-        step.reqs
-            .iter()
-            .map(|req| {
-                Ok(match req {
-                    Request::Put { key, value } => {
-                        store.put(mem, *key, value)?;
-                        Response::Done
-                    }
-                    Request::Get { key } => Response::Value(store.get(mem, *key)?),
-                    Request::Delete { key } => {
-                        store.delete(mem, *key)?;
-                        Response::Done
-                    }
-                    Request::Scan => Response::Scanned(store.scan(mem)?),
-                })
-            })
-            .collect()
-    }
-
-    fn recover(&mut self) -> Result<RecoveryReport, KvError> {
-        let (store, report) = triad_kv::recover_store(&mut self.mem)?;
-        self.store = store;
-        Ok(report)
-    }
-
-    fn state(&mut self) -> Result<State, KvError> {
-        Ok(self.store.scan(&mut self.mem)?.into_iter().collect())
-    }
-}
-
 /// A fresh service for a sweep, with each `(tenant, tier)` of `tiers`
 /// set. Its lanes run serially: threaded lanes give the same results
 /// (`service_threaded_and_serial_runs_are_identical`) but spawn
@@ -573,13 +498,17 @@ mod tests {
     use crate::kv::{generate_history, KvSpec};
     use crate::service::generate_requests;
 
-    const CFG: KvConfig = KvConfig {
-        buckets: 16,
-        log_blocks: 32,
-    };
-
-    fn store() -> Result<StoreSystem, KvError> {
-        StoreSystem::create(PersistScheme::triad_nvm(2), CFG, 42)
+    /// One `KvStore` served op by op: a one-shard service at group
+    /// window 1.
+    fn store() -> Result<KvService, KvError> {
+        let spec = ServiceSpec {
+            group_window: 1,
+            buckets: 16,
+            log_blocks: 32,
+            key_seed: 42,
+            ..ServiceSpec::new(1)
+        };
+        serial_service(&spec, &[])
     }
 
     fn puts(keys: impl IntoIterator<Item = u64>) -> Vec<Step> {
@@ -651,8 +580,8 @@ mod tests {
         let liar = || {
             Ok(Lying {
                 inner: store()?,
-                lie: |s: &mut StoreSystem| match s.state()?.pop_last() {
-                    Some((key, _)) => s.store.delete(&mut s.mem, key).map(drop),
+                lie: |svc: &mut KvService| match svc.state()?.pop_last() {
+                    Some((key, _)) => svc.submit(&[Request::Delete { key }]).map(drop),
                     None => Ok(()),
                 },
             })

@@ -32,9 +32,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     store.delete(&mut mem, 1)?;
     println!("before crash: {} live keys", store.scan(&mut mem)?.len());
 
-    // Crash *inside* the next transaction. The put logs two WAL
-    // records (the new entry block and the patched bucket block), so
-    // it crosses these durability points: heap cursor (0), record 1
+    // Crash *inside* the next transaction. The put — a group commit of
+    // one — logs two WAL records in address order (the patched bucket
+    // block, then the new entry block), so it crosses these
+    // durability points: heap cursor (0), record 1
     // meta/payload (1–2), record 2 meta/payload (3–4), commit marker
     // (5), then the index apply writes (6–7). Arming the crash at
     // boundary 6 leaves the commit marker durable but the apply torn:

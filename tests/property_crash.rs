@@ -15,13 +15,13 @@ mod common;
 
 use common::{run_history, Op};
 use triad_nvm::core::{CounterPersistence, PersistScheme};
-use triad_nvm::kv::{DurabilityMode, KvConfig};
+use triad_nvm::kv::DurabilityMode;
 use triad_nvm::sim::prop::{check, check_ops, Config};
 use triad_nvm::sim::rng::SplitMix64;
 use triad_nvm::workloads::kv::{generate_history, KvSpec};
 use triad_nvm::workloads::service::{generate_requests, KvService, Request, ServiceSpec};
 use triad_nvm::workloads::sweep::{
-    self, serial_service, BarrierFloor, BufferedPrefix, PreOrPost, Step, StoreSystem,
+    self, serial_service, BarrierFloor, BufferedPrefix, PreOrPost, Step,
 };
 
 /// Mirrors the old proptest weights — 4 Write : 3 Persist : 1 each for
@@ -77,10 +77,12 @@ fn crash_consistency_holds_for_arbitrary_histories() {
 
 /// The triad-kv acceptance property: a seeded KV history (Zipf or
 /// uniform keys, scans, values up to 100 B) served op by op by one
-/// `KvStore`, crashed at *every* persist boundary, must recover
-/// (engine recovery + redo-log replay) to exactly the model's state
-/// before or after the interrupted operation under every recoverable
-/// scheme, and re-driving the history must converge on the model.
+/// `KvStore` — a one-shard service at group window 1, so every
+/// mutation is its own group commit — crashed at *every* persist
+/// boundary, must recover (engine recovery + redo-log replay) to
+/// exactly the model's state before or after the interrupted
+/// operation under every recoverable scheme, and re-driving the
+/// history must converge on the model.
 ///
 /// Each case draws one history shape (op count, Zipf or uniform keys)
 /// and one seed, then sweeps it under all four schemes, so
@@ -95,10 +97,6 @@ fn kv_crash_equivalence_holds_for_seeded_histories() {
         PersistScheme::triad_nvm(3),
         PersistScheme::Strict,
     ];
-    let cfg = KvConfig {
-        buckets: 16,
-        log_blocks: 32,
-    };
     check(
         "kv_crash_equivalence_holds_for_seeded_histories",
         Config::cases(3),
@@ -115,14 +113,18 @@ fn kv_crash_equivalence_holds_for_seeded_histories() {
                 .map(|req| Step::batch(vec![req]))
                 .collect();
             for scheme in schemes {
+                let spec = ServiceSpec {
+                    scheme,
+                    group_window: 1,
+                    buckets: 16,
+                    log_blocks: 32,
+                    key_seed: seed,
+                    ..ServiceSpec::new(1)
+                };
                 // Zero boundaries is legitimate (a short history may be
                 // all reads or misses); the clean run still checked
                 // every response against the model.
-                sweep::run(
-                    || StoreSystem::create(scheme, cfg, seed),
-                    &schedule,
-                    &PreOrPost,
-                )?;
+                sweep::run(|| serial_service(&spec, &[]), &schedule, &PreOrPost)?;
             }
             Ok(())
         },
