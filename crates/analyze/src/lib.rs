@@ -9,7 +9,7 @@
 //!
 //! | rule | checks |
 //! |---|---|
-//! | `determinism/hash-order` | no default-hasher maps in sim/core/mem/meta |
+//! | `determinism/hash-order` | no default-hasher maps in the simulation crates |
 //! | `determinism/wall-clock` | no `Instant`/`SystemTime` outside `crates/bench` |
 //! | `panic-policy` | no `unwrap`/`expect`/`panic!` in core/mem/meta non-test code |
 //! | `persist-order` | every public engine op drains the eviction queue on Ok paths |

@@ -17,6 +17,8 @@ const SCOPES: &[&str] = &[
     "crates/meta/",
     "crates/kv/",
     "crates/recov/",
+    "crates/cache/",
+    "crates/workloads/",
 ];
 
 impl Rule for HashOrder {
@@ -29,7 +31,7 @@ impl Rule for HashOrder {
     }
 
     fn description(&self) -> &'static str {
-        "default-hasher HashMap/HashSet in sim/core/mem/meta leaks nondeterministic iteration order"
+        "default-hasher HashMap/HashSet in a simulation crate leaks nondeterministic iteration order"
     }
 
     fn check(&self, file: &FileAnalysis, out: &mut Vec<Finding>) {
@@ -59,7 +61,7 @@ impl Rule for HashOrder {
                 line: span.line,
                 col: span.col,
                 message: format!(
-                    "`{name}` iterates in nondeterministic order; use `{ordered}` or a seeded hasher"
+                    "`{name}` iterates in nondeterministic order; use `{ordered}`, or `AddrMap`/`AddrSet` for a map that is never walked in order"
                 ),
             });
         });

@@ -21,10 +21,10 @@
 //! [`Cache::probe`]: crate::Cache::probe
 
 use triad_sim::stats::{Scope, StatRegister};
-use triad_sim::BlockAddr;
+use triad_sim::{AddrSet, BlockAddr};
 
 /// Which metadata structure a prefetch request targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PrefetchClass {
     /// A split-counter block (counter-cache resident).
     Counter,
@@ -98,6 +98,9 @@ impl StatRegister for PrefetchStats {
 #[derive(Debug, Default)]
 pub struct BatchPrefetcher {
     stats: PrefetchStats,
+    /// The dedup set of the plan being built; emptied per plan and kept
+    /// so planning allocates no table. Never iterated.
+    seen: AddrSet<(PrefetchClass, BlockAddr)>,
 }
 
 impl BatchPrefetcher {
@@ -127,9 +130,9 @@ impl BatchPrefetcher {
         probe: impl Fn(PrefetchClass, BlockAddr) -> bool,
     ) -> PrefetchPlan {
         let mut plan = PrefetchPlan::default();
-        let mut seen = std::collections::BTreeSet::new();
+        self.seen.clear();
         for &(class, addr) in requests {
-            if !seen.insert((class, addr)) {
+            if !self.seen.insert((class, addr)) {
                 plan.dedup_saved += 1;
                 continue;
             }

@@ -36,9 +36,12 @@
 //! keeping armed-crash drivers scheme-agnostic. The registers hold the
 //! only copy of the merged writes, so staging one write costs one
 //! index lookup, not a rebuild of the whole set.
+//!
+//! The engine keeps one set of batch bookkeeping tables for its whole
+//! life: a commit clears them and the next batch (a scalar persist is
+//! a batch of one) reuses them, so opening a batch allocates no map.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
 
 use triad_cache::PrefetchClass;
 use triad_crypto::counter::AnyCounterBlock;
@@ -48,7 +51,7 @@ use triad_meta::bmt::coalesce_dirty_paths;
 use triad_meta::layout::RegionKind;
 use triad_sim::events::emit;
 use triad_sim::time::Time;
-use triad_sim::BlockAddr;
+use triad_sim::{AddrMap, BlockAddr};
 
 use crate::engine::{EngineState, EvictItem, Result, SecureMemory};
 use crate::error::{CrashHookKind, SecureMemoryError};
@@ -122,26 +125,29 @@ pub(crate) enum WriteClass {
 /// The open batch's bookkeeping. The merged writes themselves live in
 /// the persistent registers' staged update; this records where each
 /// address sits in it, each position's class, and the precomputed pads.
-#[derive(Debug)]
+/// No map here is ever iterated.
+#[derive(Debug, Default)]
 pub(crate) struct PendingBatch {
     /// addr → position in the staged update's write list.
-    index: BTreeMap<u64, usize>,
+    index: AddrMap<u64, usize>,
     /// Class of each staged position (first-staging order).
     classes: Vec<WriteClass>,
     /// Precomputed one-time pads keyed by (data block, major, minor).
-    pads: BTreeMap<(u64, u64, u8), Block>,
+    pads: AddrMap<(u64, u64, u8), Block>,
+    /// The pad precompute's simulated counter blocks, by address.
+    ctr_sim: AddrMap<u64, AnyCounterBlock>,
     /// Writes a scalar walk would have performed (before merging).
     pub(crate) naive_writes: u64,
 }
 
 impl PendingBatch {
-    pub(crate) fn new(pads: BTreeMap<(u64, u64, u8), Block>) -> Self {
-        PendingBatch {
-            index: BTreeMap::new(),
-            classes: Vec::new(),
-            pads,
-            naive_writes: 0,
-        }
+    /// Empties every table, keeping its allocation for the next batch.
+    fn clear(&mut self) {
+        self.index.clear();
+        self.classes.clear();
+        self.pads.clear();
+        self.ctr_sim.clear();
+        self.naive_writes = 0;
     }
 
     /// Stages one write into `regs`, merging last-wins on address. The
@@ -215,7 +221,7 @@ impl SecureMemory {
             }
             return Ok(t);
         }
-        let pads = self.precompute_batch_pads(batch.members());
+        self.open_batch(batch.members());
         let planned = self.plan_batch_prefetch(batch.members());
         emit(
             &self.events,
@@ -228,7 +234,6 @@ impl SecureMemory {
         );
         self.stats.batches += 1;
         self.stats.batch_members += batch.len() as u64;
-        self.batch = Some(PendingBatch::new(pads));
         // The prefetch plan lets every member's metadata fetches be in
         // flight together, so members issue from the batch's start time
         // rather than serialising end-to-end; the merged WPQ drain in
@@ -284,6 +289,14 @@ impl SecureMemory {
     }
 
     // ----- crate-internal batch plumbing ------------------------------------
+
+    /// Opens a batch on the engine's reused bookkeeping, with the pads
+    /// of `members` precomputed (none for a scalar persist).
+    pub(crate) fn open_batch(&mut self, members: &[(BlockAddr, Block)]) {
+        let mut pending = std::mem::take(&mut self.idle_batch);
+        self.precompute_batch_pads(members, &mut pending);
+        self.batch = Some(pending);
+    }
 
     /// Staged bytes of `addr` in the open batch, if any. Metadata and
     /// data fetches must prefer these over the (stale-until-commit)
@@ -354,11 +367,19 @@ impl SecureMemory {
     /// WPQ-crash hook), counts per-class persist writes, and clears the
     /// READY_BIT. This is the engine's one §3.3.5 commit: a scalar
     /// atomic persist commits here as a batch of one. A no-op when no
-    /// batch is open or nothing was staged.
+    /// batch is open or nothing was staged. The batch's bookkeeping is
+    /// cleared and kept for the next batch.
     pub(crate) fn commit_batch(&mut self, now: Time) -> Result<Time> {
-        let Some(pending) = self.batch.take() else {
+        let Some(mut pending) = self.batch.take() else {
             return Ok(now);
         };
+        let done = self.commit_pending(&pending, now);
+        pending.clear();
+        self.idle_batch = pending;
+        done
+    }
+
+    fn commit_pending(&mut self, pending: &PendingBatch, now: Time) -> Result<Time> {
         let staged = pending.classes.len();
         if staged == 0 {
             return Ok(now);
@@ -402,18 +423,16 @@ impl SecureMemory {
     }
 
     /// Simulates the counter increments the batch members will perform
-    /// and precomputes their one-time pads in one batched AES pass.
+    /// and precomputes their one-time pads in one batched AES pass,
+    /// into `pending`'s pad map.
     ///
     /// The simulation peeks counters exactly where the write path will
     /// find them (counter cache, pending eviction, NVM image) *without*
     /// touching any engine state; a misprediction merely misses the pad
     /// map and the member falls back to the scalar AES path.
-    pub(crate) fn precompute_batch_pads(
-        &self,
-        members: &[(BlockAddr, Block)],
-    ) -> BTreeMap<(u64, u64, u8), Block> {
+    fn precompute_batch_pads(&self, members: &[(BlockAddr, Block)], pending: &mut PendingBatch) {
         let split = self.split_counters();
-        let mut sim: BTreeMap<u64, AnyCounterBlock> = BTreeMap::new();
+        let PendingBatch { pads, ctr_sim, .. } = pending;
         let mut keys: Vec<(u64, u64, u8)> = Vec::new();
         let mut ivs: Vec<Iv> = Vec::new();
         for (block, _) in members {
@@ -429,7 +448,7 @@ impl SecureMemory {
             let leaf = data_index / coverage;
             let slot = (data_index % coverage) as usize;
             let addr = layout.counter_start + leaf;
-            let cb = sim.entry(addr.0).or_insert_with(|| {
+            let cb = ctr_sim.entry(addr.0).or_insert_with(|| {
                 if let Some(cb) = self.ctr_cache.get(addr) {
                     *cb
                 } else if let Some(EvictItem::Counter { value, .. }) = self
@@ -449,8 +468,8 @@ impl SecureMemory {
             keys.push((block.0, pair.major, pair.minor));
             ivs.push(self.data_iv(kind, *block, pair.major, pair.minor));
         }
-        let pads = pad_batch(self.aes_for(RegionKind::Persistent), &ivs);
-        keys.into_iter().zip(pads).collect()
+        let batch_pads = pad_batch(self.aes_for(RegionKind::Persistent), &ivs);
+        pads.extend(keys.into_iter().zip(batch_pads));
     }
 
     /// Plans the metadata prefetches of a queued batch: per-member

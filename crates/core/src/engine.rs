@@ -46,7 +46,7 @@ use triad_sim::config::SystemConfig;
 use triad_sim::events::{emit, SharedEventSink, Value};
 use triad_sim::stats::{Histogram, Scope, StatRegister, StatRegistry};
 use triad_sim::time::{Duration, Time};
-use triad_sim::{BlockAddr, PhysAddr, BLOCK_BYTES};
+use triad_sim::{AddrSet, BlockAddr, PhysAddr, BLOCK_BYTES};
 
 use crate::batch::PendingBatch;
 use crate::error::{CrashHookKind, IntegrityKind, SecureMemoryError};
@@ -437,7 +437,7 @@ pub struct SecureMemory {
     osiris_since: BTreeMap<u64, u8>,
     /// Non-persistent data blocks written this boot session (fresh
     /// anonymous pages read as zeros, like an OS zero page).
-    np_written: BTreeSet<u64>,
+    np_written: AddrSet<u64>,
     boot_count: u64,
     pub(crate) stats: SecureStats,
     pub(crate) hists: SecureHists,
@@ -454,6 +454,9 @@ pub struct SecureMemory {
     /// `Some` stage into the pending set instead of running the scalar
     /// register/WPQ protocol per write (see [`crate::batch`]).
     pub(crate) batch: Option<PendingBatch>,
+    /// The last committed batch's bookkeeping, cleared; the next batch
+    /// reuses its tables (see [`SecureMemory::open_batch`]).
+    pub(crate) idle_batch: PendingBatch,
     /// Prefetch planner fed by queued write batches.
     pub(crate) prefetcher: BatchPrefetcher,
     /// Test hook: the armed crash and how many more of its trigger
@@ -483,7 +486,7 @@ impl SecureMemory {
             state: EngineState::Running,
             counter_persistence,
             osiris_since: BTreeMap::new(),
-            np_written: BTreeSet::new(),
+            np_written: AddrSet::default(),
             boot_count: 1,
             stats: SecureStats::default(),
             hists: SecureHists::default(),
@@ -492,6 +495,7 @@ impl SecureMemory {
             evict_queue: Vec::new(),
             epoch: None,
             batch: None,
+            idle_batch: PendingBatch::default(),
             prefetcher: BatchPrefetcher::new(),
             crash_hook: None,
             config,
@@ -1318,7 +1322,7 @@ impl SecureMemory {
             // persist is a batch of one, committed right here.
             let scalar = self.batch.is_none();
             if scalar {
-                self.batch = Some(PendingBatch::new(BTreeMap::new()));
+                self.open_batch(&[]);
             }
             self.stage_into_batch(kind, &writes, persist_counter, new_root);
             self.set_root(kind, new_root);
@@ -1757,11 +1761,10 @@ impl SecureMemory {
             .iter()
             .map(|b| (*b, self.l3.get(*b).copied().unwrap_or([0; BLOCK_BYTES])))
             .collect();
-        let pads = self.precompute_batch_pads(&flushes);
+        self.open_batch(&flushes);
         self.plan_batch_prefetch(&flushes);
         self.stats.batches += 1;
         self.stats.batch_members += flushes.len() as u64;
-        self.batch = Some(PendingBatch::new(pads));
         let mut t = now;
         for (block, plaintext) in flushes {
             if self.persist_boundary_crash(now) {

@@ -96,3 +96,69 @@ fn scalar_overflow_persists_the_retagged_mac_block() {
         overflow_on_last_write(scheme, false);
     }
 }
+
+/// An overflow inside a batch re-tags the MAC block an earlier member
+/// already staged; if the Merkle-tree cache evicts that block before
+/// the re-encryption persists its touched MAC blocks, the eviction's
+/// direct NVM write is the only copy of the new tags, and the open
+/// batch must take it over (`batch_refresh`) or its commit writes the
+/// stale staged copy back over it.
+#[test]
+fn batched_overflow_keeps_an_evicted_retagged_mac_block() {
+    let mut config = triad_sim::SystemConfig::tiny();
+    // Two lines, one set: re-tagging a page's eight MAC blocks in
+    // order evicts the first one long before the page is done.
+    config.security.mt_cache = triad_sim::config::CacheConfig::new(2 * BLOCK_BYTES, 2, 3);
+    let mut mem: SecureMemory = SecureMemoryBuilder::new()
+        .config(config)
+        .scheme(PersistScheme::TriadNvm { n: 2 })
+        .counter_persistence(CounterPersistence::Strict)
+        .key_seed(7)
+        .build()
+        .unwrap();
+    // The persistent region's third page: b1 in MAC group 0, b2 in
+    // group 7, both under one counter block.
+    let first = BlockAddr(mem.persistent_region().start().block().0 + 2 * 64);
+    let page: Vec<BlockAddr> = (0..64).map(|i| BlockAddr(first.0 + i)).collect();
+    let (b1, b2) = (page[3], page[60]);
+    let mut t = mem.now();
+    for &b in &page {
+        t = mem.persist_block(b, payload(b, 0), t).unwrap();
+    }
+    // b2's minor counter ends at its last value.
+    for w in 1..u64::from(MINOR_MAX) {
+        t = mem.persist_block(b2, payload(b2, w), t).unwrap();
+    }
+    assert_eq!(mem.stats().page_reencryptions, 0);
+    let evictions_before = mem.stats().mac_writes_evict;
+
+    let mut batch = WriteBatch::new();
+    batch.push(b1, payload(b1, 1));
+    batch.push(b2, payload(b2, u64::from(MINOR_MAX)));
+    mem.persist_batch(&batch, t).unwrap();
+    assert_eq!(mem.stats().page_reencryptions, 1, "b2 must overflow");
+    assert!(
+        mem.stats().mac_writes_evict > evictions_before,
+        "the re-encryption must evict re-tagged MAC blocks"
+    );
+
+    let expect = |b: BlockAddr| match b {
+        _ if b == b1 => payload(b1, 1),
+        _ if b == b2 => payload(b2, u64::from(MINOR_MAX)),
+        _ => payload(b, 0),
+    };
+    for &b in &page {
+        let got = mem
+            .read(b.base())
+            .unwrap_or_else(|e| panic!("block {b} after the batch: {e:?}"));
+        assert_eq!(got, expect(b), "block {b} after the batch");
+    }
+    mem.crash();
+    mem.recover().unwrap();
+    for &b in &page {
+        let got = mem
+            .read(b.base())
+            .unwrap_or_else(|e| panic!("block {b} after recovery: {e:?}"));
+        assert_eq!(got, expect(b), "block {b} after recovery");
+    }
+}

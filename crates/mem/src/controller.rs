@@ -10,13 +10,13 @@
 //! the mechanism by which metadata-persistence write amplification
 //! slows down execution (Figures 4 and 8).
 
-use crate::store::{Block, SparseStore};
+use crate::store::{Block, SparseStore, PAGE_BLOCKS};
 use crate::timing::{PcmTiming, RowOutcome};
 use triad_sim::config::MemConfig;
 use triad_sim::events::{emit, SharedEventSink};
 use triad_sim::stats::{Histogram, Scope, StatRegister};
 use triad_sim::time::{Duration, Time};
-use triad_sim::BlockAddr;
+use triad_sim::{AddrMap, BlockAddr};
 
 /// Memory-controller statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -74,33 +74,58 @@ impl StatRegister for MemHistograms {
 /// Per-block write-endurance accounting (PCM cells wear out after
 /// ~10⁷–10⁸ writes; reducing metadata writes is one of the paper's
 /// motivations for relaxed persistence).
+///
+/// One table entry holds the counts of an 8-block image page, so a
+/// write is one hash probe and a sparse image costs one entry per
+/// touched page.
+/// Each block's count is a `u32` that saturates at `u32::MAX` (about
+/// 4.3 × 10⁹ writes, far past any cell's endurance); writes to a
+/// saturated block are not counted anywhere. The summary figures are
+/// kept as running values, so every accessor but
+/// [`WearTracker::hottest`] is O(1).
 #[derive(Debug, Clone, Default)]
 pub struct WearTracker {
-    writes: std::collections::BTreeMap<u64, u64>,
+    pages: AddrMap<u64, [u32; PAGE_BLOCKS as usize]>,
+    touched: usize,
+    max: u64,
+    total: u64,
 }
 
 impl WearTracker {
     /// Records one physical write to `addr`.
     pub fn record(&mut self, addr: BlockAddr) {
-        *self.writes.entry(addr.0).or_insert(0) += 1;
+        let counts = self
+            .pages
+            .entry(addr.0 / PAGE_BLOCKS)
+            .or_insert([0; PAGE_BLOCKS as usize]);
+        let count = &mut counts[(addr.0 % PAGE_BLOCKS) as usize];
+        if *count == u32::MAX {
+            return;
+        }
+        if *count == 0 {
+            self.touched += 1;
+        }
+        *count += 1;
+        self.total += 1;
+        self.max = self.max.max(u64::from(*count));
     }
 
     /// Writes absorbed by the most-written block (the wear hot spot).
     pub fn max_writes(&self) -> u64 {
-        self.writes.values().copied().max().unwrap_or(0)
+        self.max
     }
 
     /// Mean writes over blocks that were written at all.
     pub fn mean_writes(&self) -> f64 {
-        if self.writes.is_empty() {
+        if self.touched == 0 {
             return 0.0;
         }
-        self.writes.values().sum::<u64>() as f64 / self.writes.len() as f64
+        self.total as f64 / self.touched as f64
     }
 
     /// Number of distinct blocks ever written.
     pub fn blocks_touched(&self) -> usize {
-        self.writes.len()
+        self.touched
     }
 
     /// Wear imbalance: max over mean (1.0 = perfectly even). High
@@ -115,14 +140,18 @@ impl WearTracker {
         }
     }
 
-    /// The `n` most-written blocks, descending.
+    /// The `n` most-written blocks, descending (ties by ascending
+    /// address).
     pub fn hottest(&self, n: usize) -> Vec<(BlockAddr, u64)> {
-        let mut v: Vec<(BlockAddr, u64)> = self
-            .writes
-            .iter()
-            .map(|(a, w)| (BlockAddr(*a), *w))
-            .collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
+        let mut v: Vec<(BlockAddr, u64)> = Vec::with_capacity(self.touched);
+        for (page, counts) in &self.pages {
+            for (slot, &w) in (0..).zip(counts) {
+                if w > 0 {
+                    v.push((BlockAddr(page * PAGE_BLOCKS + slot), u64::from(w)));
+                }
+            }
+        }
+        v.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
         v.truncate(n);
         v
     }

@@ -7,9 +7,8 @@
 //! threat model of §3.1 (an attacker who can read and modify NVM
 //! contents between and during boot episodes).
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
-use triad_sim::{BlockAddr, BLOCK_BYTES};
+use std::collections::hash_map::Entry;
+use triad_sim::{AddrMap, BlockAddr, BLOCK_BYTES};
 
 /// One 64-byte memory block.
 pub type Block = [u8; BLOCK_BYTES];
@@ -17,9 +16,9 @@ pub type Block = [u8; BLOCK_BYTES];
 const ZERO: Block = [0; BLOCK_BYTES];
 
 /// Blocks per page of the image: one MAC group (the eight data blocks
-/// whose 8-byte MACs share one MAC block). Larger pages save B-tree
-/// nodes on dense images but waste memory on sparsely touched ones.
-const PAGE_BLOCKS: u64 = 8;
+/// whose 8-byte MACs share one MAC block). Larger pages save table
+/// entries on dense images but waste memory on sparsely touched ones.
+pub(crate) const PAGE_BLOCKS: u64 = 8;
 
 /// Eight consecutive blocks; a block whose bit is clear in `resident`
 /// is zero.
@@ -29,15 +28,16 @@ struct Page {
     resident: u8,
 }
 
-/// A sparse, functional NVM image: a B-tree of 8-block pages holding
-/// only pages with at least one non-zero block.
+/// A sparse, functional NVM image: a hash table of 8-block pages,
+/// keyed by page number, holding only pages with at least one non-zero
+/// block. A read or write is one hash probe.
 ///
 /// Two stores compare equal exactly when every block reads the same:
 /// zero blocks are never resident and a page is freed with its last
 /// non-zero block, so equal contents mean equal representations.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SparseStore {
-    pages: BTreeMap<u64, Box<Page>>,
+    pages: AddrMap<u64, Box<Page>>,
     resident: usize,
 }
 
@@ -117,9 +117,12 @@ impl SparseStore {
     }
 
     /// Iterates over resident (non-zero) blocks in ascending address
-    /// order.
+    /// order (the page numbers are sorted first, so the order never
+    /// depends on the table's layout).
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &Block)> {
-        self.pages.iter().flat_map(|(page, p)| {
+        let mut pages: Vec<(u64, &Page)> = self.pages.iter().map(|(n, p)| (*n, &**p)).collect();
+        pages.sort_unstable_by_key(|(page, _)| *page);
+        pages.into_iter().flat_map(|(page, p)| {
             (0..PAGE_BLOCKS)
                 .filter(|slot| p.resident & (1 << slot) != 0)
                 .map(move |slot| {

@@ -1,7 +1,8 @@
 //! Property tests of the memory controller: durability of accepted
 //! writes (with coalescing), monotonic timing, crash behaviour, the
-//! bank-availability probe of the PCM timing model, and the paged NVM
-//! image against a flat block map.
+//! bank-availability probe of the PCM timing model, the paged NVM
+//! image against a flat block map, and the wear counts against a
+//! per-block recount.
 
 use std::collections::{BTreeMap, HashMap};
 use triad_mem::controller::MemoryController;
@@ -228,7 +229,8 @@ fn coalescing_never_loses_the_newest_value() {
 
 /// One step of the store model property. Block contents are uniform
 /// fills from a four-value alphabet, so XOR masks routinely zero a
-/// block and rewrites routinely repeat a value.
+/// block and rewrites routinely repeat a value. `Spread` writes one
+/// fill to hundreds of blocks, each in its own page.
 #[derive(Debug, Clone)]
 enum StoreOp {
     Write { addr: u64, fill: u8 },
@@ -237,11 +239,15 @@ enum StoreOp {
     Rollback { addr: u64, fill: u8 },
     Read { addr: u64 },
     Snapshot,
+    Spread { addrs: Vec<u64>, fill: u8 },
 }
 
 /// Draws a history over a few page-boundary anchors (page 0, the last
 /// page below `u64::MAX / 8`, and two random pages), each spread over
-/// the two pages around it.
+/// the two pages around it. Half the histories also hold one `Spread`
+/// of 512 to 1023 non-zero pages from an anchor, so the image's table
+/// grows and iteration order, equality and snapshots are checked
+/// across that growth.
 fn gen_store_ops(rng: &mut SplitMix64) -> Vec<StoreOp> {
     let top = u64::MAX / 8;
     let anchors = [
@@ -251,7 +257,7 @@ fn gen_store_ops(rng: &mut SplitMix64) -> Vec<StoreOp> {
         rng.gen_range(1..1 << 20) * 8,
     ];
     let len = rng.gen_range(1..200) as usize;
-    (0..len)
+    let mut ops: Vec<StoreOp> = (0..len)
         .map(|_| {
             let anchor = anchors[rng.gen_range(0..anchors.len() as u64) as usize];
             let addr = (anchor + rng.gen_range(0..16)).saturating_sub(8).min(top);
@@ -265,7 +271,20 @@ fn gen_store_ops(rng: &mut SplitMix64) -> Vec<StoreOp> {
                 _ => StoreOp::Snapshot,
             }
         })
-        .collect()
+        .collect();
+    if rng.gen_range(0..2) == 0 {
+        let anchor = anchors[rng.gen_range(0..anchors.len() as u64) as usize];
+        // At least 8 blocks apart, so each block lands in its own page.
+        let step = [8, 9, 64, 4096 * 8][rng.gen_range(0..4) as usize];
+        let pages = rng.gen_range(512..1024);
+        let start = anchor.min(top - step * pages);
+        let spread = StoreOp::Spread {
+            addrs: (0..pages).map(|i| start + i * step).collect(),
+            fill: rng.gen_range(1..4) as u8,
+        };
+        ops.insert(rng.gen_range(0..len as u64 + 1) as usize, spread);
+    }
+    ops
 }
 
 /// A store holding exactly `model`'s blocks, written once each in
@@ -303,43 +322,47 @@ fn sparse_store_matches_a_flat_block_map() {
             let mut store = SparseStore::new();
             let mut model: BTreeMap<u64, Block> = BTreeMap::new();
             let mut snapshot = (store.clone(), model.clone());
+            // The flat map keeps only non-zero blocks, like the image.
+            let model_write = |model: &mut BTreeMap<u64, Block>, addr: u64, block: Block| {
+                if block == [0; 64] {
+                    model.remove(&addr);
+                } else {
+                    model.insert(addr, block);
+                }
+            };
             for op in ops {
-                let (addr, new) = match *op {
+                match *op {
                     StoreOp::Write { addr, fill } => {
                         store.write(BlockAddr(addr), [fill; 64]);
-                        (addr, Some([fill; 64]))
+                        model_write(&mut model, addr, [fill; 64]);
                     }
                     StoreOp::Zero { addr } => {
                         store.write(BlockAddr(addr), [0; 64]);
-                        (addr, Some([0; 64]))
+                        model_write(&mut model, addr, [0; 64]);
                     }
                     StoreOp::Tamper { addr, mask } => {
                         store.tamper(BlockAddr(addr), [mask; 64]);
                         let old = model.get(&addr).copied().unwrap_or([0; 64]);
-                        (addr, Some(old.map(|b| b ^ mask)))
+                        model_write(&mut model, addr, old.map(|b| b ^ mask));
                     }
                     StoreOp::Rollback { addr, fill } => {
                         store.rollback_to(BlockAddr(addr), [fill; 64]);
-                        (addr, Some([fill; 64]))
+                        model_write(&mut model, addr, [fill; 64]);
                     }
                     StoreOp::Read { addr } => {
                         let want = model.get(&addr).copied().unwrap_or([0; 64]);
                         ensure!(store.read(BlockAddr(addr)) == want, "read {addr}: stale");
-                        (addr, None)
                     }
                     StoreOp::Snapshot => {
                         snapshot = (store.clone(), model.clone());
                         continue;
                     }
-                };
-                match new {
-                    Some(block) if block == [0; 64] => {
-                        model.remove(&addr);
+                    StoreOp::Spread { ref addrs, fill } => {
+                        for &addr in addrs {
+                            store.write(BlockAddr(addr), [fill; 64]);
+                            model_write(&mut model, addr, [fill; 64]);
+                        }
                     }
-                    Some(block) => {
-                        model.insert(addr, block);
-                    }
-                    None => {}
                 }
                 matches_model(&store, &model).map_err(|e| format!("after {op:?}: {e}"))?;
                 matches_model(&snapshot.0, &snapshot.1)
@@ -349,6 +372,102 @@ fn sparse_store_matches_a_flat_block_map() {
                     "after {op:?}: store != a store written with the same contents once"
                 );
             }
+            Ok(())
+        },
+    );
+}
+
+/// Recomputes every wear summary from a per-block count map and
+/// compares it with the tracker's running values.
+fn wear_matches(mc: &MemoryController, model: &BTreeMap<u64, u64>) -> Result<(), String> {
+    let wear = mc.wear();
+    let max = model.values().copied().max().unwrap_or(0);
+    let mean = if model.is_empty() {
+        0.0
+    } else {
+        model.values().sum::<u64>() as f64 / model.len() as f64
+    };
+    let imbalance = if mean == 0.0 { 0.0 } else { max as f64 / mean };
+    ensure!(
+        wear.max_writes() == max,
+        "max {} != {max}",
+        wear.max_writes()
+    );
+    ensure!(
+        wear.blocks_touched() == model.len(),
+        "touched {} != {}",
+        wear.blocks_touched(),
+        model.len()
+    );
+    ensure!(
+        wear.mean_writes().to_bits() == mean.to_bits(),
+        "mean {} != {mean}",
+        wear.mean_writes()
+    );
+    ensure!(
+        wear.imbalance().to_bits() == imbalance.to_bits(),
+        "imbalance {} != {imbalance}",
+        wear.imbalance()
+    );
+    let mut ranked: Vec<(BlockAddr, u64)> =
+        model.iter().map(|(a, w)| (BlockAddr(*a), *w)).collect();
+    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    for n in [0, 1, 3, model.len(), model.len() + 2] {
+        let want = &ranked[..n.min(ranked.len())];
+        ensure!(
+            wear.hottest(n) == want,
+            "hottest({n}) {:?} != {want:?}",
+            wear.hottest(n)
+        );
+    }
+    Ok(())
+}
+
+#[test]
+fn wear_summaries_match_a_per_block_recount() {
+    check_ops(
+        "wear_summaries_match_a_per_block_recount",
+        Config::cases(48),
+        |rng| {
+            // Three pages, one of them at a random far address. A
+            // quarter of the writes repeat the previous block at once,
+            // so they coalesce into its pending WPQ entry.
+            let pages = [0, rng.gen_range(1..64), rng.gen_range(64..1 << 40)];
+            let len = rng.gen_range(1..400) as usize;
+            let mut ops: Vec<(u64, u64)> = Vec::with_capacity(len);
+            for _ in 0..len {
+                let page = pages[rng.gen_range(0..3) as usize];
+                let op = match (ops.last(), rng.gen_range(0..4)) {
+                    (Some(&(prev, _)), 0) => (prev, 0),
+                    (_, 1) => (page * 8 + rng.gen_range(0..8), rng.gen_range(0..500)),
+                    _ => (page * 8 + rng.gen_range(0..8), rng.gen_range(0..50_000)),
+                };
+                ops.push(op);
+            }
+            ops
+        },
+        |ops, _| {
+            let mut mc = MemoryController::new(SystemConfig::tiny().mem);
+            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut now = Time::ZERO;
+            wear_matches(&mc, &model)?;
+            for &(addr, advance_ns) in ops {
+                now += triad_sim::Duration::from_ns(advance_ns);
+                // `writes` counts WPQ acceptances; a coalesced write
+                // leaves it (and the wear) unchanged.
+                let physical = mc.stats().writes;
+                now = mc.write(BlockAddr(addr), [1; 64], now);
+                if mc.stats().writes > physical {
+                    *model.entry(addr).or_insert(0) += 1;
+                }
+                wear_matches(&mc, &model).map_err(|e| format!("after write to {addr}: {e}"))?;
+            }
+            let repeats = ops.windows(2).filter(|w| w[1] == (w[0].0, 0)).count() as u64;
+            ensure!(
+                mc.stats().wpq_coalesced >= repeats,
+                "{repeats} back-to-back repeats, {} coalesced",
+                mc.stats().wpq_coalesced
+            );
             Ok(())
         },
     );

@@ -5,6 +5,8 @@
 //!
 //! * [`time`] — picosecond-resolution simulated time ([`Time`], [`Duration`]).
 //! * [`addr`] — physical / 64-byte-block address newtypes.
+//! * [`addrmap`] — [`AddrMap`]/[`AddrSet`]: hashed maps with a
+//!   stateless address hasher, for per-access lookups by address.
 //! * [`trace`] — the memory-operation trace interface that workload
 //!   generators produce and the multi-core driver consumes.
 //! * [`config`] — the full simulated-system configuration, with defaults
@@ -37,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod addr;
+pub mod addrmap;
 pub mod config;
 pub mod events;
 pub mod prop;
@@ -48,6 +51,7 @@ pub mod trace;
 pub mod trace_file;
 
 pub use addr::{BlockAddr, PhysAddr, BLOCK_BYTES, BLOCK_SHIFT};
+pub use addrmap::{AddrHasher, AddrMap, AddrSet};
 pub use config::SystemConfig;
 pub use events::{EventSink, SharedEventSink};
 pub use sched::{Interleaver, SchedError, SchedEvent};
