@@ -5,7 +5,7 @@
 
 use std::hint::black_box;
 use triad_bench::timing::{bench, header};
-use triad_core::{PersistScheme, SecureMemory, SecureMemoryBuilder, WriteBatch};
+use triad_core::{PersistScheme, SecureMemory, SecureMemoryBuilder};
 use triad_sim::{BlockAddr, PhysAddr};
 
 fn engine(scheme: PersistScheme) -> SecureMemory {
@@ -86,17 +86,13 @@ fn main() {
         let mut m = engine(PersistScheme::triad_nvm(2));
         let base = m.persistent_region().start().block();
         let block = |i: u64| BlockAddr(base.0 + i % 512);
-        let mut warm = WriteBatch::new();
-        for i in 0..512 {
-            warm.push(block(i), [1u8; 64]);
-        }
+        let warm: Vec<_> = (0..512).map(|i| (block(i), [1u8; 64])).collect();
         m.apply_batch(&warm).unwrap();
         let mut round = 0u64;
         bench("persist_batch_64", || {
-            let mut batch = WriteBatch::new();
-            for j in 0..64 {
-                batch.push(block(round * 64 + j), [(round % 255) as u8 + 1; 64]);
-            }
+            let batch: Vec<_> = (0..64)
+                .map(|j| (block(round * 64 + j), [(round % 255) as u8 + 1; 64]))
+                .collect();
             round += 1;
             m.apply_batch(black_box(&batch)).unwrap();
         });

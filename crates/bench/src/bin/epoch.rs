@@ -1,7 +1,10 @@
 //! Extension experiment: epoch persistency (Liu et al., HPCA'18) on
 //! top of Triad-NVM — the relaxation the paper's §3.3.1/§6 cite as
-//! orthogonal and compatible. Sweeps the epoch length on a
-//! transactional workload and reports throughput-equivalent latency
+//! orthogonal and compatible. An epoch is `epoch_len` plain stores,
+//! which return at cache latency, closed by one
+//! `SecureMemory::flush_batch` over the blocks they stored; epoch
+//! length 1 is a `persist_block` per store. Sweeps the epoch length on
+//! a transactional workload and reports throughput-equivalent latency
 //! and metadata-write savings.
 //!
 //! Usage: `cargo run -p triad-bench --release --bin epoch`
@@ -26,20 +29,24 @@ fn main() {
             .expect("valid config");
         let p = mem.persistent_region().start();
         let mut t = Time::ZERO;
+        let mut epoch = Vec::new();
         for i in 0..ops {
-            if epoch_len > 1 && i % epoch_len == 0 {
-                mem.begin_epoch().expect("no epoch open");
-            }
-            let a = PhysAddr(p.0 + (i % 8) * 4096);
+            let block = PhysAddr(p.0 + (i % 8) * 4096).block();
             let mut b = [0u8; 64];
             b[..8].copy_from_slice(&i.to_le_bytes());
-            t = mem.persist_block(a.block(), b, t).expect("persist");
-            if epoch_len > 1 && (i + 1) % epoch_len == 0 {
-                t = mem.end_epoch(t).expect("epoch");
+            if epoch_len == 1 {
+                t = mem.persist_block(block, b, t).expect("persist");
+                continue;
+            }
+            t = mem.store_block(block, b, t).expect("store");
+            epoch.push(block);
+            if (i + 1) % epoch_len == 0 {
+                t = mem.flush_batch(&epoch, t).expect("epoch");
+                epoch.clear();
             }
         }
-        if mem.epoch_open() {
-            t = mem.end_epoch(t).expect("final epoch");
+        if !epoch.is_empty() {
+            t = mem.flush_batch(&epoch, t).expect("final epoch");
         }
         let s = mem.stats();
         let label = if epoch_len == 1 {

@@ -1,9 +1,10 @@
 //! Batch-keyed metadata prefetch planning.
 //!
-//! When the secure engine queues a [`WriteBatch`], the full set of
-//! counter blocks, MAC blocks and BMT path nodes the batch will touch
-//! is known *before* the first member executes — exactly the situation
-//! a trie prefetcher exploits (cf. reth's `trie-prefetch`, which warms
+//! When the secure engine queues a write batch
+//! ([`SecureMemory::persist_batch`], or the `flush_batch` that closes
+//! an epoch), the full set of counter blocks, MAC blocks and BMT path
+//! nodes the batch will touch is known *before* the first member
+//! executes — exactly the situation a trie prefetcher exploits (cf. reth's `trie-prefetch`, which warms
 //! trie nodes for a queued block of transactions). The
 //! [`BatchPrefetcher`] turns that queued batch into a deduplicated
 //! [`PrefetchPlan`]: the distinct metadata lines the batch needs, split
@@ -17,7 +18,7 @@
 //! is *overlap*: all planned fetches can be in flight together instead
 //! of serialised one write at a time.
 //!
-//! [`WriteBatch`]: ../triad_core/batch/struct.WriteBatch.html
+//! [`SecureMemory::persist_batch`]: ../triad_core/engine/struct.SecureMemory.html#method.persist_batch
 //! [`Cache::probe`]: crate::Cache::probe
 
 use triad_sim::stats::{Scope, StatRegister};

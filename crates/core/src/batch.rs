@@ -1,10 +1,10 @@
 //! Batched write-path persistence.
 //!
-//! A [`WriteBatch`] carries a program-ordered set of persistent-region
-//! block writes whose durability is requested *together*. Compared to
-//! calling [`SecureMemory::persist_block`] once per block, the batched
-//! path ([`SecureMemory::persist_batch`]) exploits knowing the whole
-//! set up front three ways:
+//! [`SecureMemory::persist_batch`] takes a program-ordered slice of
+//! persistent-region block writes whose durability is requested
+//! *together*. Compared to calling [`SecureMemory::persist_block`]
+//! once per block, the batched path exploits knowing the whole set up
+//! front three ways:
 //!
 //! 1. **Batched crypto** — the one-time pads of every member are
 //!    precomputed in a single pass through the shared AES key schedule
@@ -37,6 +37,13 @@
 //! only copy of the merged writes, so staging one write costs one
 //! index lookup, not a rebuild of the whole set.
 //!
+//! [`SecureMemory::flush_batch`] runs the same machinery over blocks
+//! already stored on chip. It is the boundary of an epoch (Liu et
+//! al.'s *epoch persistency*, which the paper cites as orthogonal to
+//! Triad-NVM, §6): an epoch is plain [`SecureMemory::store_block`]s,
+//! which return at cache latency, followed by one `flush_batch` over
+//! the blocks they stored.
+//!
 //! The engine keeps one set of batch bookkeeping tables for its whole
 //! life: a commit clears them and the next batch (a scalar persist is
 //! a batch of one) reuses them, so opening a batch allocates no map.
@@ -51,66 +58,12 @@ use triad_meta::bmt::coalesce_dirty_paths;
 use triad_meta::layout::RegionKind;
 use triad_sim::events::emit;
 use triad_sim::time::Time;
-use triad_sim::{AddrMap, BlockAddr};
+use triad_sim::{AddrMap, AddrSet, BlockAddr, BLOCK_BYTES};
 
-use crate::engine::{EngineState, EvictItem, Result, SecureMemory};
+use crate::engine::{EvictItem, Result, SecureMemory};
 use crate::error::{CrashHookKind, SecureMemoryError};
 use crate::registers::{PersistentRegisters, StagedUpdate, StagedWrite};
 use crate::scheme::CounterPersistence;
-
-/// A program-ordered set of full-block writes to persist together.
-///
-/// # Example
-///
-/// ```rust
-/// use triad_core::{SecureMemoryBuilder, WriteBatch};
-///
-/// # fn main() -> Result<(), triad_core::SecureMemoryError> {
-/// let mut mem = SecureMemoryBuilder::new().build()?;
-/// let base = mem.persistent_region().start();
-/// let mut batch = WriteBatch::new();
-/// for i in 0..4u64 {
-///     let block = triad_sim::PhysAddr(base.0 + i * 64).block();
-///     batch.push(block, [i as u8; 64]);
-/// }
-/// mem.apply_batch(&batch)?;
-/// assert!(mem.stats().batches >= 1);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct WriteBatch {
-    members: Vec<(BlockAddr, Block)>,
-}
-
-impl WriteBatch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        WriteBatch::default()
-    }
-
-    /// Appends a full-block write. Later writes to the same block
-    /// supersede earlier ones at commit (last-wins), but each push is
-    /// still applied in order (and counts as one durability point).
-    pub fn push(&mut self, block: BlockAddr, data: Block) {
-        self.members.push((block, data));
-    }
-
-    /// Number of queued writes.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the batch holds no writes.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// The queued writes, in program order.
-    pub fn members(&self) -> &[(BlockAddr, Block)] {
-        &self.members
-    }
-}
 
 /// Which metadata structure a staged write belongs to (drives the
 /// per-class persist-write statistics at commit).
@@ -176,16 +129,15 @@ impl PendingBatch {
 }
 
 impl SecureMemory {
-    /// Persists every write of `batch` in order, sharing one batched
-    /// AES pass, one prefetch plan and one coalesced register/WPQ
-    /// commit across the members (the batched write path; see the
-    /// module docs). Returns the time the whole batch is inside the
-    /// persistence domain.
+    /// Persists every write of `members` in order (a repeated block
+    /// commits last-wins), sharing one batched AES pass, one prefetch
+    /// plan and one coalesced register/WPQ commit across them (the
+    /// batched write path; see the module docs). Returns the time the
+    /// whole batch is inside the persistence domain.
     ///
     /// Falls back to per-member [`SecureMemory::persist_block`] calls
-    /// when an epoch is open (members defer to the boundary like any
-    /// other persist) or under the Osiris counter relaxation (its skip
-    /// bookkeeping is inherently per-write).
+    /// under the Osiris counter relaxation (its skip bookkeeping is
+    /// inherently per-write).
     ///
     /// Each member consumes one durability point of the
     /// persist-boundary crash hook ([`SecureMemory::arm_crash`]); a
@@ -198,49 +150,38 @@ impl SecureMemory {
     /// before any state changes) if any member lies outside the
     /// persistent region, plus the classes of
     /// [`SecureMemory::persist_block`].
-    pub fn persist_batch(&mut self, batch: &WriteBatch, now: Time) -> Result<Time> {
-        self.check_running()?;
-        for (block, _) in batch.members() {
-            if self.map.data_region_of(*block) != Some(RegionKind::Persistent) {
-                return Err(SecureMemoryError::NotPersistent { addr: block.base() });
-            }
-        }
-        if self.state == EngineState::PersistentPoisoned {
-            return Err(SecureMemoryError::Unverifiable {
-                reason: "persistent region was not recovered".to_string(),
-            });
-        }
-        if batch.is_empty() {
+    pub fn persist_batch(&mut self, members: &[(BlockAddr, Block)], now: Time) -> Result<Time> {
+        self.check_persist_targets(members.iter().map(|(block, _)| *block))?;
+        if members.is_empty() {
             return Ok(now);
         }
-        let osiris = matches!(self.counter_persistence, CounterPersistence::Osiris { .. });
-        if self.epoch.is_some() || osiris {
+        if matches!(self.counter_persistence, CounterPersistence::Osiris { .. }) {
             let mut t = now;
-            for (block, data) in batch.members() {
+            for (block, data) in members {
                 t = self.persist_block(*block, *data, t)?;
             }
             return Ok(t);
         }
-        self.open_batch(batch.members());
-        let planned = self.plan_batch_prefetch(batch.members());
+        self.open_batch(members);
+        let planned = self.plan_batch_prefetch(members);
         emit(
             &self.events,
             now,
             "batch_queued",
             &[
-                ("members", batch.len().into()),
+                ("members", members.len().into()),
                 ("planned_lines", planned.into()),
             ],
         );
         self.stats.batches += 1;
-        self.stats.batch_members += batch.len() as u64;
+        self.stats.batch_members += members.len() as u64;
         // The prefetch plan lets every member's metadata fetches be in
         // flight together, so members issue from the batch's start time
         // rather than serialising end-to-end; the merged WPQ drain in
         // `commit_batch` then charges the serialised commit once.
         let t0 = now + self.l3.latency();
         let mut t = t0;
-        for (block, data) in batch.members() {
+        for (block, data) in members {
             self.stats.stores += 1;
             self.stats.persists += 1;
             if self.persist_boundary_crash(now) {
@@ -251,7 +192,7 @@ impl SecureMemory {
             }
             self.reclaim(*block);
             self.l3_fill(*block, true, *data);
-            let done = match self.writeback_data(*block, *data, t0, true) {
+            let done = match self.writeback_data(*block, *data, t0) {
                 Ok(done) => done,
                 Err(e) => {
                     // Commit the staged prefix so the on-chip roots and
@@ -276,16 +217,102 @@ impl SecureMemory {
         Ok(t)
     }
 
-    /// Applies `batch` through [`SecureMemory::persist_batch`] on the
+    /// Applies `members` through [`SecureMemory::persist_batch`] on the
     /// convenience (untimed) clock.
+    ///
+    /// # Example
+    ///
+    /// ```rust
+    /// use triad_core::SecureMemoryBuilder;
+    ///
+    /// # fn main() -> Result<(), triad_core::SecureMemoryError> {
+    /// let mut mem = SecureMemoryBuilder::new().build()?;
+    /// let base = mem.persistent_region().start();
+    /// let members: Vec<_> = (0..4u64)
+    ///     .map(|i| (triad_sim::PhysAddr(base.0 + i * 64).block(), [i as u8; 64]))
+    ///     .collect();
+    /// mem.apply_batch(&members)?;
+    /// assert_eq!(mem.stats().batches, 1);
+    /// # Ok(())
+    /// # }
+    /// ```
     ///
     /// # Errors
     ///
     /// Same classes as [`SecureMemory::persist_batch`].
-    pub fn apply_batch(&mut self, batch: &WriteBatch) -> Result<()> {
-        let t = self.persist_batch(batch, self.clock)?;
+    pub fn apply_batch(&mut self, members: &[(BlockAddr, Block)]) -> Result<()> {
+        let t = self.persist_batch(members, self.clock)?;
         self.clock = t;
         Ok(())
+    }
+
+    /// Makes every distinct block of `blocks` that is still dirty on
+    /// chip durable with its metadata: the boundary of an epoch (see
+    /// the module docs). Repeated blocks flush once (write combining);
+    /// a block already written back since its store is skipped.
+    /// Returns the time every flushed member is inside the persistence
+    /// domain.
+    ///
+    /// Members issue one after another. Under an atomic scheme with
+    /// strict counters they run as one batch (shared pads, prefetch
+    /// plan and register/WPQ commit); otherwise each writes back on
+    /// its own (Osiris skip bookkeeping is per-write, and `WriteBack`
+    /// persists no metadata to coalesce).
+    ///
+    /// Each flushed member counts one [`SecureStats::persists`] and
+    /// consumes one durability point of the persist-boundary crash hook
+    /// ([`SecureMemory::arm_crash`]); a crash between members makes
+    /// exactly the already-flushed members durable.
+    ///
+    /// [`SecureStats::persists`]: crate::SecureStats::persists
+    ///
+    /// # Errors
+    ///
+    /// [`SecureMemoryError::NotPersistent`] (checked for every block
+    /// before any state changes) if any block lies outside the
+    /// persistent region, plus the classes of
+    /// [`SecureMemory::persist_block`].
+    pub fn flush_batch(&mut self, blocks: &[BlockAddr], now: Time) -> Result<Time> {
+        self.check_persist_targets(blocks.iter().copied())?;
+        let mut seen = AddrSet::default();
+        let mut members = Vec::new();
+        for &block in blocks {
+            if seen.insert(block.0) && self.l3.probe_dirty(block) {
+                let plaintext = self.l3.get(block).copied().unwrap_or([0; BLOCK_BYTES]);
+                members.push((block, plaintext));
+            }
+        }
+        let osiris = matches!(self.counter_persistence, CounterPersistence::Osiris { .. });
+        if !members.is_empty() && !osiris && self.scheme.persists_metadata() {
+            self.open_batch(&members);
+            self.plan_batch_prefetch(&members);
+            self.stats.batches += 1;
+            self.stats.batch_members += members.len() as u64;
+        }
+        let mut t = now;
+        for (block, plaintext) in members {
+            self.stats.persists += 1;
+            if self.persist_boundary_crash(now) {
+                // Every member flushed before the crash is durable (a
+                // batch's staged prefix replays at recovery).
+                return Err(SecureMemoryError::NeedsRecovery);
+            }
+            let done = match self.writeback_data(block, plaintext, t) {
+                Ok(done) => done,
+                Err(e) => {
+                    // Commit the staged prefix so the on-chip roots and
+                    // the NVM image agree before surfacing the error.
+                    let _ = self.commit_batch(t);
+                    return Err(e);
+                }
+            };
+            self.l3.flush(block);
+            t = t.max(done);
+        }
+        // A no-op unless the members ran as one batch.
+        t = self.commit_batch(t)?;
+        self.drain_evictions(now)?;
+        Ok(t)
     }
 
     // ----- crate-internal batch plumbing ------------------------------------

@@ -107,8 +107,6 @@ pub struct SecureStats {
     pub page_reencryptions: u64,
     /// Atomic persist protocol executions.
     pub atomic_persists: u64,
-    /// Epoch boundaries committed (epoch-persistency extension).
-    pub epochs: u64,
     /// Counter persists skipped by the Osiris relaxation.
     pub osiris_counter_skips: u64,
     /// Counter blocks reconstructed by the Osiris search at access
@@ -158,7 +156,6 @@ impl StatRegister for SecureStats {
         scope.set("evict_metadata_writes", self.evict_metadata_writes());
         scope.set("page_reencryptions", self.page_reencryptions);
         scope.set("atomic_persists", self.atomic_persists);
-        scope.set("epochs", self.epochs);
         scope.set("osiris_counter_skips", self.osiris_counter_skips);
         scope.set("osiris_recoveries", self.osiris_recoveries);
         scope.set("batches", self.batches);
@@ -446,10 +443,6 @@ pub struct SecureMemory {
     pub(crate) clock: Time,
     /// Victims awaiting their downstream write-back (see [`EvictItem`]).
     pub(crate) evict_queue: Vec<EvictItem>,
-    /// Blocks whose persists are deferred to the next epoch boundary
-    /// (`None` = epoch persistency inactive; see
-    /// [`SecureMemory::begin_epoch`]).
-    pub(crate) epoch: Option<Vec<BlockAddr>>,
     /// An open write batch: atomic persists triggered while this is
     /// `Some` stage into the pending set instead of running the scalar
     /// register/WPQ protocol per write (see [`crate::batch`]).
@@ -493,7 +486,6 @@ impl SecureMemory {
             events: None,
             clock: Time::ZERO,
             evict_queue: Vec::new(),
-            epoch: None,
             batch: None,
             idle_batch: PendingBatch::default(),
             prefetcher: BatchPrefetcher::new(),
@@ -629,14 +621,14 @@ impl SecureMemory {
     ///
     /// * [`CrashHookKind::PersistBoundary`] crashes *instead of* the
     ///   `n`-th further durability point: a data write-back that
-    ///   would make a block durable — a non-epoch
-    ///   [`SecureMemory::persist_block`], a dirty
-    ///   [`SecureMemory::flush_block`], one deferred member flush
-    ///   inside [`SecureMemory::end_epoch`], or one member apply
-    ///   inside [`SecureMemory::persist_batch`] (a batch of *n*
-    ///   members spans *n* boundaries, exactly like the scalar walk it
-    ///   replaces). Sweeps that enumerate every boundary of a fixed
-    ///   history arm this one.
+    ///   would make a block durable — a [`SecureMemory::persist_block`],
+    ///   a dirty [`SecureMemory::flush_block`], one flushed member of
+    ///   [`SecureMemory::flush_batch`], or one member apply inside
+    ///   [`SecureMemory::persist_batch`] (a batch of *n* members spans
+    ///   *n* boundaries, exactly like the scalar walk it replaces).
+    ///   Each boundary counts one [`SecureStats::persists`], so a
+    ///   history's `persists` is its boundary count. Sweeps that
+    ///   enumerate every boundary of a fixed history arm this one.
     /// * [`CrashHookKind::WpqWrite`] crashes after `n` further WPQ
     ///   copies inside atomic persists, i.e. inside the §3.3.5
     ///   register protocol.
@@ -740,6 +732,27 @@ impl SecureMemory {
         }
     }
 
+    /// Rejects a persist before any state changes unless the engine
+    /// runs, every block lies in the persistent region, and that region
+    /// was recovered.
+    pub(crate) fn check_persist_targets(
+        &self,
+        blocks: impl IntoIterator<Item = BlockAddr>,
+    ) -> Result<()> {
+        self.check_running()?;
+        for block in blocks {
+            if self.map.data_region_of(block) != Some(RegionKind::Persistent) {
+                return Err(SecureMemoryError::NotPersistent { addr: block.base() });
+            }
+        }
+        if self.state == EngineState::PersistentPoisoned {
+            return Err(SecureMemoryError::Unverifiable {
+                reason: "persistent region was not recovered".to_string(),
+            });
+        }
+        Ok(())
+    }
+
     // ----- cache wrappers: victims are queued, never handled inline --------
 
     /// Queues an L3 victim's plaintext for write-back.
@@ -824,7 +837,7 @@ impl SecureMemory {
             match item {
                 EvictItem::Data { addr, plain, dirty } => {
                     if dirty {
-                        self.writeback_data(addr, plain, now, false)?;
+                        self.writeback_data(addr, plain, now)?;
                     }
                 }
                 EvictItem::Counter { addr, value, dirty } => {
@@ -1113,7 +1126,7 @@ impl SecureMemory {
             for _ in 0..=interval {
                 let pair = trial.pair(s);
                 let iv = self.data_iv(kind, block, pair.major, pair.minor);
-                if self.data_tag(kind, block, &ct, &iv) == tag {
+                if self.data_tag(block, &ct, &iv) == tag {
                     cb = trial;
                     found = true;
                     break;
@@ -1177,8 +1190,7 @@ impl SecureMemory {
         }
     }
 
-    fn data_tag(&self, kind: RegionKind, block: BlockAddr, ct: &Block, iv: &Iv) -> Mac64 {
-        let _ = kind;
+    fn data_tag(&self, block: BlockAddr, ct: &Block, iv: &Iv) -> Mac64 {
         let t = self.mac_engine.data_mac(block.0, ct, iv);
         // Zero is reserved as the "never written" marker.
         if t.is_zero() {
@@ -1191,15 +1203,12 @@ impl SecureMemory {
     // ----- write-back / persist path ----------------------------------------
 
     /// Encrypts and writes `block` to NVM, updating counter, MAC and
-    /// tree according to the region and scheme. `_clwb` marks
-    /// clwb-style persists (eviction callers pass the captured
-    /// plaintext of a line that is already gone from L3).
+    /// tree according to the region and scheme.
     pub(crate) fn writeback_data(
         &mut self,
         block: BlockAddr,
         plaintext: Block,
         now: Time,
-        _clwb: bool,
     ) -> Result<Time> {
         let kind = self
             .map
@@ -1235,7 +1244,7 @@ impl SecureMemory {
             }
             None => encrypt_block(self.aes_for(kind), &iv, &plaintext),
         };
-        let tag = self.data_tag(kind, block, &ct, &iv);
+        let tag = self.data_tag(block, &ct, &iv);
         let (mut mac_buf, t_mac) = self.ensure_mac_block(kind, data_index, now)?;
         mac_buf.set_slot((data_index % 8) as usize, tag);
         self.mt_fill(mac_addr, true, MtLine::Mac(mac_buf));
@@ -1407,7 +1416,7 @@ impl SecureMemory {
             let new_pair = new_cb.pair(s);
             let iv_new = self.data_iv(kind, block, new_pair.major, new_pair.minor);
             let ct_new = encrypt_block(self.aes_for(kind), &iv_new, &plaintext);
-            let new_tag = self.data_tag(kind, block, &ct_new, &iv_new);
+            let new_tag = self.data_tag(block, &ct_new, &iv_new);
             let (mut mac_buf, _) = self.ensure_mac_block(kind, data_index, now)?;
             mac_buf.set_slot((data_index % 8) as usize, new_tag);
             let mac_addr = mac_start + data_index / 8;
@@ -1601,7 +1610,7 @@ impl SecureMemory {
         } else {
             let iv = self.data_iv(kind, block, pair.major, pair.minor);
             let plaintext = decrypt_block(self.aes_for(kind), &iv, &ct);
-            if self.data_tag(kind, block, &ct, &iv) != tag {
+            if self.data_tag(block, &ct, &iv) != tag {
                 return Err(SecureMemoryError::MacMismatch { block });
             }
             plaintext
@@ -1654,145 +1663,12 @@ impl SecureMemory {
     /// persistent region, plus the classes of
     /// [`SecureMemory::load_block`].
     pub fn persist_block(&mut self, block: BlockAddr, data: Block, now: Time) -> Result<Time> {
-        self.check_running()?;
-        if self.map.data_region_of(block) != Some(RegionKind::Persistent) {
-            return Err(SecureMemoryError::NotPersistent { addr: block.base() });
-        }
-        if self.state == EngineState::PersistentPoisoned {
-            return Err(SecureMemoryError::Unverifiable {
-                reason: "persistent region was not recovered".to_string(),
-            });
-        }
+        self.check_persist_targets([block])?;
         self.stats.stores += 1;
         self.reclaim(block);
         self.l3_fill(block, true, data);
-        // Under epoch persistency (Liu et al., HPCA'18 — cited by the
-        // paper as an orthogonal relaxation) the persist is deferred to
-        // the epoch boundary: within an epoch only program order, not
-        // durability order, is guaranteed.
-        if let Some(pending) = &mut self.epoch {
-            pending.push(block);
-            self.stats.persists += 1;
-            self.drain_evictions(now)?;
-            let done = now + self.l3.latency();
-            self.hists
-                .persist_latency_ns
-                .record(done.since(now).as_ns());
-            return Ok(done);
-        }
         // The line is now dirty in L3, so the rest is a flush.
         self.flush_block(block, now)
-    }
-
-    /// Begins an epoch (§6 / Liu et al.'s *epoch persistency*):
-    /// subsequent [`SecureMemory::persist_block`] calls return at cache
-    /// latency and their durability is deferred — and write-combined —
-    /// until [`SecureMemory::end_epoch`].
-    ///
-    /// # Errors
-    ///
-    /// [`SecureMemoryError::EpochAlreadyOpen`] if an epoch is already
-    /// open (nested epochs are rejected), or
-    /// [`SecureMemoryError::NeedsRecovery`] after an unrecovered crash.
-    pub fn begin_epoch(&mut self) -> Result<()> {
-        self.check_running()?;
-        if self.epoch.is_some() {
-            return Err(SecureMemoryError::EpochAlreadyOpen);
-        }
-        self.epoch = Some(Vec::new());
-        Ok(())
-    }
-
-    /// Ends the current epoch: every deferred persist (latest value per
-    /// block) becomes durable with its metadata before the returned
-    /// time.
-    ///
-    /// Under the atomic schemes with strict counters the boundary runs
-    /// through the batched write path: members share one precomputed
-    /// pad set, one prefetch plan and one coalesced register/WPQ
-    /// commit. The Osiris relaxation keeps the scalar per-member walk
-    /// (its skip bookkeeping is inherently per-write).
-    ///
-    /// # Errors
-    ///
-    /// [`SecureMemoryError::EpochNotOpen`] if no epoch is open. This
-    /// used to be a silent no-op; it became a typed error when periodic
-    /// flush timers started issuing `end_epoch` on a schedule, where a
-    /// swallowed unbalanced close would mask a double-close bug.
-    /// Callers that legitimately may or may not hold an open epoch
-    /// should guard with [`SecureMemory::epoch_open`]. Otherwise the
-    /// same classes as [`SecureMemory::persist_block`].
-    pub fn end_epoch(&mut self, now: Time) -> Result<Time> {
-        self.check_running()?;
-        let Some(pending) = self.epoch.take() else {
-            return Err(SecureMemoryError::EpochNotOpen);
-        };
-        self.stats.epochs += 1;
-        // Deduplicate, keeping one flush per block (write combining —
-        // the core of the epoch-persistency win). Blocks that were
-        // cleanly evicted since their persist are already durable.
-        let mut seen = BTreeSet::new();
-        let mut members = Vec::new();
-        for block in pending {
-            if seen.insert(block.0) && self.l3.probe_dirty(block) {
-                members.push(block);
-            }
-        }
-        let osiris = matches!(self.counter_persistence, CounterPersistence::Osiris { .. });
-        if members.is_empty() || osiris || !self.scheme.persists_metadata() {
-            // Scalar boundary: per-member write-backs. (Osiris skip
-            // bookkeeping is per-write; WriteBack persists no metadata
-            // so there is nothing for a batch to coalesce.)
-            let mut t = now;
-            for block in members {
-                if self.persist_boundary_crash(now) {
-                    return Err(SecureMemoryError::NeedsRecovery);
-                }
-                let plaintext = self.l3.get(block).copied().unwrap_or([0; BLOCK_BYTES]);
-                let done = self.writeback_data(block, plaintext, t, true)?;
-                self.l3.flush(block);
-                t = t.max(done);
-            }
-            self.drain_evictions(now)?;
-            return Ok(t);
-        }
-        // Batched boundary.
-        let flushes: Vec<(BlockAddr, Block)> = members
-            .iter()
-            .map(|b| (*b, self.l3.get(*b).copied().unwrap_or([0; BLOCK_BYTES])))
-            .collect();
-        self.open_batch(&flushes);
-        self.plan_batch_prefetch(&flushes);
-        self.stats.batches += 1;
-        self.stats.batch_members += flushes.len() as u64;
-        let mut t = now;
-        for (block, plaintext) in flushes {
-            if self.persist_boundary_crash(now) {
-                // The crash cleared the open batch; the staged prefix
-                // (every fully processed member) replays at recovery —
-                // the same per-member durability the scalar walk gives.
-                return Err(SecureMemoryError::NeedsRecovery);
-            }
-            let done = match self.writeback_data(block, plaintext, t, true) {
-                Ok(done) => done,
-                Err(e) => {
-                    // Commit the staged prefix so the on-chip roots and
-                    // the NVM image agree before surfacing the error.
-                    let _ = self.commit_batch(t);
-                    return Err(e);
-                }
-            };
-            self.l3.flush(block);
-            t = t.max(done);
-        }
-        t = self.commit_batch(t)?;
-        self.drain_evictions(now)?;
-        Ok(t)
-    }
-
-    /// Whether an epoch is currently open.
-    pub fn epoch_open(&self) -> bool {
-        self.epoch.is_some()
     }
 
     /// Flushes an already-stored block (`clwb; sfence` without a new
@@ -1811,7 +1687,7 @@ impl SecureMemory {
             return Err(SecureMemoryError::NeedsRecovery);
         }
         let plaintext = self.l3.get(block).copied().unwrap_or([0; BLOCK_BYTES]);
-        let t = self.writeback_data(block, plaintext, now + self.l3.latency(), true)?;
+        let t = self.writeback_data(block, plaintext, now + self.l3.latency())?;
         self.l3.flush(block);
         self.drain_evictions(now)?;
         self.hists.persist_latency_ns.record(t.since(now).as_ns());
@@ -1883,7 +1759,6 @@ impl SecureMemory {
         self.mt_cache.lose_all();
         self.np_written.clear();
         self.evict_queue.clear();
-        self.epoch = None;
         self.batch = None;
         self.osiris_since.clear();
         self.mc.crash();

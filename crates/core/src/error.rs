@@ -96,20 +96,6 @@ pub enum SecureMemoryError {
         /// The hook the rejected call tried to arm.
         requested: CrashHookKind,
     },
-    /// `begin_epoch` was called while an epoch was already open.
-    /// Nested epochs have no defined ordering semantics, so reentrancy
-    /// is rejected instead of silently merging the two epochs.
-    EpochAlreadyOpen,
-    /// `end_epoch` was called with no epoch open. Closing a
-    /// never-opened epoch used to be a silent no-op, but that let
-    /// periodic flush timers (which call `end_epoch` on a schedule)
-    /// mask double-close bugs in the code they interleave with; the
-    /// typed error makes the unbalanced close visible. Callers with a
-    /// legitimately conditional epoch should guard on
-    /// [`SecureMemory::epoch_open`].
-    ///
-    /// [`SecureMemory::epoch_open`]: crate::engine::SecureMemory::epoch_open
-    EpochNotOpen,
     /// The configuration was rejected.
     Config(String),
     /// An internal engine invariant was violated — a bug in the model,
@@ -159,15 +145,6 @@ impl fmt::Display for SecureMemoryError {
                     f,
                     "cannot arm the {requested}: the {existing} is already armed \
                      (one hook at a time; disarm it first)"
-                )
-            }
-            SecureMemoryError::EpochAlreadyOpen => {
-                write!(f, "an epoch is already open; nested epochs are rejected")
-            }
-            SecureMemoryError::EpochNotOpen => {
-                write!(
-                    f,
-                    "no epoch is open; guard conditional closes with epoch_open()"
                 )
             }
             SecureMemoryError::Config(msg) => write!(f, "invalid configuration: {msg}"),

@@ -41,7 +41,6 @@ pub mod registers;
 pub mod scheme;
 pub mod system;
 
-pub use batch::WriteBatch;
 pub use engine::{
     RegionHandle, Result, SecureHists, SecureMemory, SecureMemoryBuilder, SecureStats,
 };

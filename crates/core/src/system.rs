@@ -16,7 +16,6 @@ use triad_sim::time::Time;
 use triad_sim::trace::{MemOp, OpKind, TraceSource};
 use triad_sim::{BlockAddr, BLOCK_BYTES};
 
-use crate::batch::WriteBatch;
 use crate::engine::{Result, SecureMemory};
 
 /// Per-core execution statistics.
@@ -150,7 +149,7 @@ impl System {
 
     /// Enables write-combining of persistent stores: up to `window`
     /// *consecutive* `PersistentStore` ops per core buffer on chip and
-    /// drain through one engine [`WriteBatch`] (shared pad pass,
+    /// drain through one [`SecureMemory::persist_batch`] (shared pad pass,
     /// prefetch plan and coalesced metadata commit). Any other memory
     /// operation acts as a barrier and drains the buffer first, as
     /// does the end of the core's trace.
@@ -171,20 +170,18 @@ impl System {
     /// Drains core `idx`'s persist write-combining buffer as one
     /// batch, advancing the core's clock to the drain's completion.
     fn flush_persist_buffer(&mut self, idx: usize) -> Result<()> {
-        if self.cores[idx].wc_buffer.is_empty() {
+        let core = &mut self.cores[idx];
+        if core.wc_buffer.is_empty() {
             return Ok(());
         }
-        let mut batch = WriteBatch::new();
-        for (block, data) in self.cores[idx].wc_buffer.drain(..) {
-            batch.push(block, data);
-        }
-        let done = self.secure.persist_batch(&batch, self.cores[idx].time)?;
+        let done = self.secure.persist_batch(&core.wc_buffer, core.time);
+        core.wc_buffer.clear();
+        let done = done?;
         // The burst just queued a batch worth of NVM writes; hold the
         // core until the WPQ is back under its high-water mark so the
         // next unrelated write-back doesn't absorb the stall.
         let headroom = self.secure.config.mem.wpq_entries / 2;
-        let settled = done.max(self.secure.mc.wpq_settle_time(headroom));
-        self.cores[idx].time = settled;
+        core.time = done.max(self.secure.mc.wpq_settle_time(headroom));
         Ok(())
     }
 
@@ -243,15 +240,8 @@ impl System {
                         t += core.l1.latency() + core.l2.latency();
                     } else {
                         // Shared L3 + security engine.
-                        let seq = core.ops;
                         let (_, done) = self.secure.load_block(block, t)?;
                         t = done;
-                        if write {
-                            // Write-allocate: the line is now dirty in
-                            // L1; the value reaches the engine when the
-                            // dirty line drains.
-                            let _ = seq;
-                        }
                     }
                 }
                 if write {

@@ -19,7 +19,6 @@ fn builder_accessors_round_trip() {
     assert_eq!(m.key_policy(), KeyPolicy::DualKey);
     assert_eq!(m.session(), 1);
     assert_eq!(m.now(), Time::ZERO);
-    assert!(!m.epoch_open());
     assert!(m.config().validate().is_ok());
 }
 

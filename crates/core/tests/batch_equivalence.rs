@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 
 use triad_core::{
     CounterPersistence, CrashHookKind, PersistScheme, SecureMemory, SecureMemoryBuilder,
-    SecureMemoryError, WriteBatch,
+    SecureMemoryError,
 };
 use triad_crypto::counter::MINOR_MAX;
 use triad_meta::layout::RegionKind;
@@ -103,12 +103,8 @@ fn check_equivalence(scheme: PersistScheme, rng: &mut SplitMix64) -> Result<(), 
                         touched.push(*block);
                     }
                 }
-                let mut batch = WriteBatch::new();
-                for (block, data) in members {
-                    batch.push(*block, *data);
-                }
                 tb = batched
-                    .persist_batch(&batch, tb)
+                    .persist_batch(members, tb)
                     .map_err(|e| format!("batched persist: {e}"))?;
             }
             Event::Crash => {
@@ -291,14 +287,6 @@ fn gen_mid_batch_case(rng: &mut SplitMix64) -> MidBatchCase {
     }
 }
 
-fn batch_of(members: &[(BlockAddr, [u8; BLOCK_BYTES])]) -> WriteBatch {
-    let mut batch = WriteBatch::new();
-    for (block, data) in members {
-        batch.push(*block, *data);
-    }
-    batch
-}
-
 /// Crashes the target batch before member `k` on both replicas,
 /// recovers both, and compares NVM images and persistent roots.
 fn check_crash_at(case: &MidBatchCase, k: usize) -> Result<(), String> {
@@ -312,7 +300,7 @@ fn check_crash_at(case: &MidBatchCase, k: usize) -> Result<(), String> {
                 .map_err(|e| format!("scalar prefix persist: {e}"))?;
         }
         tb = batched
-            .persist_batch(&batch_of(members), tb)
+            .persist_batch(members, tb)
             .map_err(|e| format!("batched prefix persist: {e}"))?;
     }
     for (block, data) in &case.dirty {
@@ -331,7 +319,7 @@ fn check_crash_at(case: &MidBatchCase, k: usize) -> Result<(), String> {
     batched
         .arm_crash(CrashHookKind::PersistBoundary, k as u64)
         .map_err(|e| format!("arm: {e}"))?;
-    match batched.persist_batch(&batch_of(&case.target), tb) {
+    match batched.persist_batch(&case.target, tb) {
         Err(SecureMemoryError::NeedsRecovery) => {}
         other => {
             return Err(format!(

@@ -9,9 +9,7 @@
 //! into NVM, and after a crash those siblings would fail their MAC
 //! check (or, with a stale zero tag, silently read back as zeros).
 
-use triad_core::{
-    CounterPersistence, PersistScheme, SecureMemory, SecureMemoryBuilder, WriteBatch,
-};
+use triad_core::{CounterPersistence, PersistScheme, SecureMemory, SecureMemoryBuilder};
 use triad_crypto::counter::MINOR_MAX;
 use triad_sim::{BlockAddr, BLOCK_BYTES};
 
@@ -49,9 +47,7 @@ fn overflow_on_last_write(scheme: PersistScheme, batched: bool) {
     assert_eq!(mem.stats().page_reencryptions, 0);
     let final_write = payload(last, u64::from(MINOR_MAX));
     if batched {
-        let mut batch = WriteBatch::new();
-        batch.push(last, final_write);
-        mem.persist_batch(&batch, t).unwrap();
+        mem.persist_batch(&[(last, final_write)], t).unwrap();
     } else {
         mem.persist_block(last, final_write, t).unwrap();
     }
@@ -132,9 +128,10 @@ fn batched_overflow_keeps_an_evicted_retagged_mac_block() {
     assert_eq!(mem.stats().page_reencryptions, 0);
     let evictions_before = mem.stats().mac_writes_evict;
 
-    let mut batch = WriteBatch::new();
-    batch.push(b1, payload(b1, 1));
-    batch.push(b2, payload(b2, u64::from(MINOR_MAX)));
+    let batch = [
+        (b1, payload(b1, 1)),
+        (b2, payload(b2, u64::from(MINOR_MAX))),
+    ];
     mem.persist_batch(&batch, t).unwrap();
     assert_eq!(mem.stats().page_reencryptions, 1, "b2 must overflow");
     assert!(

@@ -41,7 +41,7 @@
 //!
 //! kv.put(&mut mem, 7, b"hello")?;
 //! mem.crash();
-//! let (mut kv, report) = triad_kv::recover_store(&mut mem)?;
+//! let (mut kv, report) = triad_kv::recover_store(&mut mem, None)?;
 //! assert!(report.persistent_recovered);
 //! assert_eq!(kv.get(&mut mem, 7)?.as_deref(), Some(&b"hello"[..]));
 //! # Ok(())

@@ -6,8 +6,9 @@
 //! meta + payload) per block it will modify, then one single-block
 //! *commit marker*, then applies the writes in place and rewinds the
 //! in-memory cursor — the classical redo protocol. [`RedoLog::append_txn`]
-//! makes every record durable in log order through one engine
-//! [`WriteBatch`], so the engine's atomic-persist machinery orders it.
+//! makes every record durable in log order through one engine batch
+//! ([`SecureMemory::apply_batch`]), so the engine's atomic-persist
+//! machinery orders it.
 //!
 //! ## Record format (all integers little-endian)
 //!
@@ -38,7 +39,7 @@
 //! is in-memory and rewound after apply, which is correct precisely
 //! because replay re-derives everything from the records themselves.
 
-use triad_core::{LogReplayStats, SecureMemory, WriteBatch};
+use triad_core::{LogReplayStats, SecureMemory};
 use triad_crypto::SipHash24;
 use triad_sim::{PhysAddr, BLOCK_BYTES};
 
@@ -107,7 +108,8 @@ impl RedoLog {
     }
 
     /// Appends a whole transaction — every write record plus the
-    /// commit marker — through one engine [`WriteBatch`].
+    /// commit marker — through one engine batch
+    /// ([`SecureMemory::apply_batch`]).
     ///
     /// Members are pushed in log order and each member is its own
     /// durability point inside the batch, so a crash anywhere leaves a
@@ -130,7 +132,7 @@ impl RedoLog {
         if self.cursor + needed > self.blocks {
             return Err(KvError::LogFull);
         }
-        let mut batch = WriteBatch::new();
+        let mut batch = Vec::with_capacity(needed as usize);
         let mut cursor = self.cursor;
         for (target, payload) in writes {
             let mut meta = [0u8; BLOCK_BYTES];
@@ -139,8 +141,8 @@ impl RedoLog {
             meta[8..16].copy_from_slice(&seq.to_le_bytes());
             meta[16..24].copy_from_slice(&target.0.to_le_bytes());
             meta[24..32].copy_from_slice(&write_checksum(seq, target.0, payload).to_le_bytes());
-            batch.push(self.block_addr(cursor).block(), meta);
-            batch.push(self.block_addr(cursor + 1).block(), *payload);
+            batch.push((self.block_addr(cursor).block(), meta));
+            batch.push((self.block_addr(cursor + 1).block(), *payload));
             cursor += 2;
         }
         let mut marker = [0u8; BLOCK_BYTES];
@@ -149,7 +151,7 @@ impl RedoLog {
         marker[8..16].copy_from_slice(&seq.to_le_bytes());
         marker[16..24].copy_from_slice(&(writes.len() as u64).to_le_bytes());
         marker[24..32].copy_from_slice(&commit_checksum(seq, writes.len() as u64).to_le_bytes());
-        batch.push(self.block_addr(cursor).block(), marker);
+        batch.push((self.block_addr(cursor).block(), marker));
         mem.apply_batch(&batch)?;
         self.cursor = cursor + 1;
         Ok(())

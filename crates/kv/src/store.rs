@@ -24,7 +24,7 @@
 //! link or unlink them, one image per distinct block), then runs
 //! `log_txn → apply_writes → rewind` over the overlay in address
 //! order: `log_txn` batches the redo records and the checksummed
-//! commit marker into one `WriteBatch` in log order (per-member
+//! commit marker into one engine batch in log order (per-member
 //! durability makes the marker — the last member — the durability
 //! point), the in-place apply follows. The `persist-order` lint
 //! enforces that call order structurally. Old entry blocks are leaked
@@ -33,7 +33,7 @@
 
 use std::collections::BTreeMap;
 
-use triad_core::{LogReplayStats, RecoveryReport, SecureMemory, WriteBatch};
+use triad_core::{LogReplayStats, RecoveryReport, SecureMemory};
 use triad_crypto::SipHash24;
 use triad_sim::events::{emit, kind, SharedEventSink};
 use triad_sim::stats::{Scope, StatRegister};
@@ -225,27 +225,14 @@ impl KvStore {
 
     /// Opens an existing shard at `superblock`, replaying the
     /// write-ahead log (idempotent redo). Returns the replay stats so
-    /// recovery can account the work — see [`recover_store`].
+    /// recovery can account the work — see [`recover_store`]. `events`
+    /// is attached before replay, so the
+    /// [`triad_sim::events::kind::KV_REPLAY`] record lands in it.
     ///
     /// # Errors
     ///
     /// [`KvError::NotAStore`] when the superblock magic is absent.
     pub fn open(
-        mem: &mut SecureMemory,
-        heap: PersistentHeap,
-        superblock: PhysAddr,
-    ) -> Result<(KvStore, LogReplayStats)> {
-        Self::open_with_events(mem, heap, superblock, None)
-    }
-
-    /// [`KvStore::open`] with an event sink attached before replay, so
-    /// the [`triad_sim::events::kind::KV_REPLAY`] record lands in the
-    /// trace.
-    ///
-    /// # Errors
-    ///
-    /// Same classes as [`KvStore::open`].
-    pub fn open_with_events(
         mem: &mut SecureMemory,
         heap: PersistentHeap,
         superblock: PhysAddr,
@@ -308,6 +295,12 @@ impl KvStore {
     /// Attaches a structured-event sink (see [`triad_sim::events`]).
     pub fn set_event_sink(&mut self, sink: SharedEventSink) {
         self.events = Some(sink);
+    }
+
+    /// The attached event sink, if any (a reopened store takes it over
+    /// through [`recover_store`]).
+    pub fn event_sink(&self) -> Option<&SharedEventSink> {
+        self.events.as_ref()
     }
 
     /// The largest value length a single put can log, given the log
@@ -401,7 +394,7 @@ impl KvStore {
 
     /// Appends redo records for every write of the transaction.
     /// Batched log append + commit: appends the write records and the
-    /// commit marker as one [`WriteBatch`] log transaction (see
+    /// commit marker as one engine batch (see
     /// [`RedoLog::append_txn`]). The marker is the batch's last
     /// durability point, so it is durable only once every record is.
     ///
@@ -435,11 +428,11 @@ impl KvStore {
         mem: &mut SecureMemory,
         writes: &[(PhysAddr, [u8; BLOCK_BYTES])],
     ) -> Result<()> {
-        let mut batch = WriteBatch::new();
-        for (target, payload) in writes {
-            batch.push(target.block(), *payload);
-        }
-        mem.apply_batch(&batch)?;
+        let members: Vec<_> = writes
+            .iter()
+            .map(|(target, payload)| (target.block(), *payload))
+            .collect();
+        mem.apply_batch(&members)?;
         Ok(())
     }
 
@@ -671,9 +664,9 @@ impl KvStore {
 
 /// One-call crash recovery for a single-store heap: engine recovery,
 /// heap open (completing a torn slot allocation), store open (WAL
-/// replay), with the
-/// replay work merged into the returned [`RecoveryReport`] — the
-/// `log_replay` extension this crate adds to the report.
+/// replay, reported to `events`), with the replay work merged into the
+/// returned [`RecoveryReport`] — the `log_replay` extension this crate
+/// adds to the report.
 ///
 /// Expects the heap root to hold the store's superblock address, as
 /// `examples/kv_demo.rs` and every `KvService` shard set it up.
@@ -682,14 +675,17 @@ impl KvStore {
 ///
 /// [`KvError::NotAStore`] when the heap root is unset or points at
 /// something that is not a superblock; recovery/heap errors otherwise.
-pub fn recover_store(mem: &mut SecureMemory) -> Result<(KvStore, RecoveryReport)> {
+pub fn recover_store(
+    mem: &mut SecureMemory,
+    events: Option<SharedEventSink>,
+) -> Result<(KvStore, RecoveryReport)> {
     let mut report = mem.recover()?;
     let heap = PersistentHeap::open(mem)?;
     let root = heap.root(mem)?;
     if root == 0 {
         return Err(KvError::NotAStore);
     }
-    let (store, replay) = KvStore::open(mem, heap, PhysAddr(root))?;
+    let (store, replay) = KvStore::open(mem, heap, PhysAddr(root), events)?;
     report.log_replay = Some(replay);
     Ok((store, report))
 }
@@ -812,7 +808,7 @@ mod tests {
         kv.put(&mut m, 6, b"six").unwrap();
         kv.delete(&mut m, 5).unwrap();
         m.crash();
-        let (mut kv, report) = recover_store(&mut m).unwrap();
+        let (mut kv, report) = recover_store(&mut m, None).unwrap();
         assert!(report.persistent_recovered);
         let replay = report.log_replay.unwrap();
         // The last txn (the delete) is still in the log and re-applies
@@ -829,12 +825,12 @@ mod tests {
         let heap = PersistentHeap::format(&mut m).unwrap();
         let junk = heap.alloc_blocks(&mut m, 1).unwrap();
         assert_eq!(
-            KvStore::open(&mut m, heap, junk).unwrap_err(),
+            KvStore::open(&mut m, heap, junk, None).unwrap_err(),
             KvError::NotAStore
         );
         // recover_store with an unset root also refuses.
         m.crash();
-        assert_eq!(recover_store(&mut m).unwrap_err(), KvError::NotAStore);
+        assert_eq!(recover_store(&mut m, None).unwrap_err(), KvError::NotAStore);
     }
 
     #[test]
@@ -947,7 +943,7 @@ mod tests {
                 kv.apply_group(&mut m, &ops).unwrap_err(),
                 KvError::Memory(SecureMemoryError::NeedsRecovery)
             );
-            let (mut kv, report) = recover_store(&mut m).unwrap();
+            let (mut kv, report) = recover_store(&mut m, None).unwrap();
             assert_eq!(report.log_replay.unwrap().txns_applied, 0);
             assert_eq!(kv.get(&mut m, 1).unwrap().as_deref(), Some(&b"old"[..]));
             assert_eq!(kv.get(&mut m, 2).unwrap(), None);
@@ -980,7 +976,7 @@ mod tests {
                 kv.apply_group(&mut m, &ops).unwrap_err(),
                 KvError::Memory(SecureMemoryError::NeedsRecovery)
             );
-            let (mut kv, report) = recover_store(&mut m).unwrap();
+            let (mut kv, report) = recover_store(&mut m, None).unwrap();
             assert_eq!(
                 report.log_replay.unwrap().txns_applied,
                 1,

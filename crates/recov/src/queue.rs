@@ -80,11 +80,6 @@ impl MsQueue {
         }
     }
 
-    /// The head site's address (the queue's root).
-    pub fn root_addr(&self) -> PhysAddr {
-        self.head.addr()
-    }
-
     fn read_value(mem: &mut SecureMemory, node: u64) -> Result<u64> {
         let buf = mem.read(PhysAddr(node))?;
         Ok(read_u64(&buf, NODE_VALUE))

@@ -71,12 +71,6 @@ impl TreiberStack {
         }
     }
 
-    /// The `top` site's address (the stack's root, e.g. for
-    /// [`PersistentHeap::set_root`]).
-    pub fn top_addr(&self) -> PhysAddr {
-        self.top.addr()
-    }
-
     fn read_node(mem: &mut SecureMemory, node: u64) -> Result<(u64, u64)> {
         let buf = mem.read(PhysAddr(node))?;
         Ok((read_u64(&buf, NODE_VALUE), read_u64(&buf, NODE_NEXT)))

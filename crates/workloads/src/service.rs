@@ -878,7 +878,8 @@ impl KvService {
     /// via [`triad_kv::recover_store`]. Staged state of every tier
     /// (strict pending, buffered backlog, volatile overlay) is
     /// discarded — it was never durable. The shard's store counters
-    /// restart from zero, as after any reopen.
+    /// restart from zero, as after any reopen; its event sink carries
+    /// over and receives the replay's `kv_replay` record.
     ///
     /// The report's `durability` field states the weakest tier that
     /// acknowledged mutations since the last recovery, the measured
@@ -899,7 +900,8 @@ impl KvService {
         lane.shed_remaining = 0;
         lane.window = lane.base_window;
         lane.clean_streak = 0;
-        let (store, mut report) = triad_kv::recover_store(&mut lane.mem)?;
+        let events = lane.store.event_sink().cloned();
+        let (store, mut report) = triad_kv::recover_store(&mut lane.mem, events)?;
         lane.store = store;
         // Resolve the interrupted group: its marker persisted iff log
         // replay applied a transaction AND the recovered frontier is
@@ -1230,6 +1232,43 @@ mod tests {
         // The service keeps serving.
         svc.submit(&warm).unwrap();
         assert!(svc.dump().unwrap().len() >= durable.len());
+    }
+
+    #[test]
+    fn recovered_shard_keeps_its_event_sink() {
+        use std::io::Write;
+        use std::sync::{Arc, Mutex};
+        use triad_sim::events::{kind, EventSink};
+        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+        impl Write for SharedBuf {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut svc = KvService::create(&spec(1)).unwrap();
+        svc.set_threaded(false);
+        svc.submit(&puts(0..8)).unwrap();
+        let buf = Arc::new(Mutex::new(Vec::new()));
+        svc.shard_store_mut(0)
+            .unwrap()
+            .set_event_sink(EventSink::shared(Box::new(SharedBuf(buf.clone()))));
+        svc.shard_mem_mut(0).unwrap().crash();
+        svc.recover_shard(0).unwrap();
+        svc.submit(&puts(8..9)).unwrap();
+        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let events: Vec<&str> = text
+            .lines()
+            .filter_map(|line| line.split("\"event\":\"").nth(1)?.split('"').next())
+            .collect();
+        assert_eq!(
+            events,
+            [kind::KV_REPLAY, kind::KV_TXN_COMMIT, kind::KV_GROUP_COMMIT],
+            "{text}"
+        );
     }
 
     fn puts(range: std::ops::Range<u64>) -> Vec<Request> {

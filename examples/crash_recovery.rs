@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (key, new) =
             interrupted.ok_or(format!("round {round}: the armed crash never fired"))?;
 
-        let (recovered, report) = recover_store(&mut mem)?;
+        let (recovered, report) = recover_store(&mut mem, None)?;
         store = recovered;
         assert!(
             report.persistent_recovered,

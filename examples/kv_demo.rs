@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Recovery: rebuild/verify the engine's security metadata, reopen
     // the store, replay the log idempotently.
-    let (mut store, report) = recover_store(&mut mem)?;
+    let (mut store, report) = recover_store(&mut mem, None)?;
     let replay = report.log_replay.ok_or("recovery must report log replay")?;
     println!(
         "recovered: engine ok = {}, log records scanned = {}, txns redone = {}, \

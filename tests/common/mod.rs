@@ -16,7 +16,8 @@ use triad_nvm::sim::{PhysAddr, Time};
 pub enum Op {
     /// Write a fresh (monotonically numbered) value to page `page`.
     Write { page: u8 },
-    /// Persist page `page` (clwb + sfence).
+    /// Persist page `page` (clwb + sfence); inside an epoch, record
+    /// it for the epoch's flush instead.
     Persist { page: u8 },
     /// Touch many other pages to force evictions.
     Pressure { seed: u8 },
@@ -26,7 +27,7 @@ pub enum Op {
     ArmCrash { n: u8 },
     /// Open an epoch (deferred persists) if none is open.
     BeginEpoch,
-    /// Close the epoch, making its deferred persists durable.
+    /// Close the epoch: one `flush_batch` over its recorded pages.
     EndEpoch,
 }
 
@@ -53,9 +54,10 @@ pub fn run_history(
     // value guaranteed durable by an explicit persist).
     let mut written = [0u64; 16];
     let mut floor = [0u64; 16];
-    // Floors promised by persists inside a still-open epoch: they
-    // only take effect at the epoch boundary.
-    let mut epoch_floor: Option<[u64; 16]> = None;
+    // The open epoch: the pages its persists recorded (repeats kept,
+    // so the flush also sees duplicates) and the floors they promise,
+    // which take effect only when the epoch's flush returns `Ok`.
+    let mut epoch: Option<(Vec<u8>, [u64; 16])> = None;
     let mut next_value = 1u64;
     let mut crashed = false;
 
@@ -94,6 +96,10 @@ pub fn run_history(
 
     for op in ops {
         if crashed {
+            // Whatever crashed (an explicit crash, or an armed hook
+            // inside a write, a pressure op or a flush), the epoch's
+            // unflushed pages are gone with it.
+            epoch = None;
             recover_and_check(&mut mem, &mut written, &mut floor)?;
             crashed = false;
         }
@@ -111,49 +117,47 @@ pub fn run_history(
                     Err(e) => return Err(format!("{e}")),
                 }
             }
-            Op::Persist { page } => match mem.persist(page_addr(page)) {
-                Ok(()) => match &mut epoch_floor {
-                    // Deferred: durable only at end_epoch.
-                    Some(pending) => pending[page as usize] = written[page as usize],
-                    None => floor[page as usize] = written[page as usize],
-                },
-                Err(SecureMemoryError::NeedsRecovery) => {
-                    // Crash mid-protocol: the staged update is
-                    // replayed at recovery, so the persist is
-                    // still durable (never happens inside an
-                    // epoch, where persists defer instead).
-                    if epoch_floor.is_none() {
-                        floor[page as usize] = written[page as usize];
-                    }
-                    crashed = true;
-                    epoch_floor = None;
+            Op::Persist { page } => {
+                if let Some((pages, promised)) = &mut epoch {
+                    // Deferred: durable only at the epoch's flush.
+                    pages.push(page);
+                    promised[page as usize] = written[page as usize];
+                    continue;
                 }
-                Err(e) => return Err(format!("{e}")),
-            },
-            Op::BeginEpoch => {
-                if !mem.epoch_open() {
-                    mem.begin_epoch().map_err(|e| format!("{e}"))?;
-                    epoch_floor = Some(floor);
+                match mem.persist(page_addr(page)) {
+                    Ok(()) => floor[page as usize] = written[page as usize],
+                    Err(SecureMemoryError::NeedsRecovery) => {
+                        // Crash mid-protocol: the staged update is
+                        // replayed at recovery, so the persist is
+                        // still durable.
+                        floor[page as usize] = written[page as usize];
+                        crashed = true;
+                    }
+                    Err(e) => return Err(format!("{e}")),
                 }
             }
-            Op::EndEpoch => match mem.end_epoch(Time::ZERO) {
-                Ok(_) => {
-                    if let Some(pending) = epoch_floor.take() {
-                        floor = pending;
+            Op::BeginEpoch => {
+                if epoch.is_none() {
+                    epoch = Some((Vec::new(), floor));
+                }
+            }
+            Op::EndEpoch => {
+                // Random histories close epochs they never opened.
+                let Some((pages, promised)) = epoch.take() else {
+                    continue;
+                };
+                let blocks: Vec<_> = pages.iter().map(|&page| page_addr(page).block()).collect();
+                match mem.flush_batch(&blocks, Time::ZERO) {
+                    Ok(_) => floor = promised,
+                    Err(SecureMemoryError::NeedsRecovery) => {
+                        // Crash during the flush: each member either
+                        // persisted or not — floors cannot be
+                        // promised, keep the old ones.
+                        crashed = true;
                     }
+                    Err(e) => return Err(format!("{e}")),
                 }
-                Err(SecureMemoryError::NeedsRecovery) => {
-                    // Crash during the boundary flush: each
-                    // member either persisted or not — floors
-                    // cannot be promised, keep the old ones.
-                    crashed = true;
-                    epoch_floor = None;
-                }
-                // Random histories close epochs they never opened;
-                // the typed rejection leaves the engine untouched.
-                Err(SecureMemoryError::EpochNotOpen) => {}
-                Err(e) => return Err(format!("{e}")),
-            },
+            }
             Op::Pressure { seed } => {
                 let len = mem.persistent_region().len_bytes();
                 for i in 0..40u64 {
@@ -173,7 +177,6 @@ pub fn run_history(
             Op::Crash => {
                 mem.crash();
                 crashed = true;
-                epoch_floor = None; // deferred persists are lost
             }
             Op::ArmCrash { n } => {
                 // Re-arming replaces a hook that has not fired yet.
