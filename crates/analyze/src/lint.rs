@@ -258,6 +258,9 @@ pub fn render_json(findings: &[Finding], files_scanned: usize) -> String {
     s
 }
 
+/// `v` as a JSON string literal: the escaping of
+/// `triad_sim::events::write_json_str`, copied because this crate
+/// depends on no workspace crate.
 fn json_str(v: &str) -> String {
     let mut s = String::with_capacity(v.len() + 2);
     s.push('"');

@@ -1,13 +1,12 @@
 //! Micro-benchmarks of the cryptographic substrate: AES-128 block
-//! encryption, counter-mode pad generation for one 64 B memory block
-//! and for a batch of eight, SipHash-2-4 MACs and word hashing, and
-//! split-counter pack/unpack.
+//! encryption, counter-mode encryption of one 64 B memory block,
+//! SipHash-2-4 MACs and word hashing, and split-counter pack/unpack.
 
 use std::hint::black_box;
 use triad_bench::timing::{bench, header};
 use triad_crypto::aes::Aes128;
 use triad_crypto::counter::SplitCounterBlock;
-use triad_crypto::ctr::{encrypt_block, pad_batch, Iv};
+use triad_crypto::ctr::{encrypt_block, Iv};
 use triad_crypto::mac::MacEngine;
 use triad_crypto::siphash::SipHash24;
 
@@ -24,10 +23,6 @@ fn main() {
     });
     bench("ctr_encrypt_64B_block", || {
         encrypt_block(&cipher, black_box(&iv), black_box(&data))
-    });
-    let ivs: Vec<Iv> = (0..8u8).map(|i| Iv::new(10, i, 7, 2, 0)).collect();
-    bench("ctr_pad_batch_8x64B", || {
-        pad_batch(&cipher, black_box(&ivs))
     });
     bench("siphash24_64B", || sip.hash(black_box(&data)));
     bench("siphash_hash_words_1", || {

@@ -9,9 +9,9 @@
 //! does. Rows only in the baseline are reported but not fatal, so two
 //! reports compare on the rows they share.
 //!
-//! Usage:
+//! Usage (the checked-in baseline against a `triad-report --out` run):
 //!   cargo run -p triad-bench --release --bin bench-delta -- \
-//!       BENCH_pr4.json BENCH_pr6.json [--check]
+//!       BENCH_pr10.json /tmp/report.json [--check]
 //!
 //! The parser is hand-rolled for the report's own fixed-key-order
 //! output (the workspace builds with zero external crates); it is not

@@ -42,6 +42,7 @@ use std::fmt::Write as _;
 use triad_core::{PersistScheme, RecoveryReport, SecureMemoryBuilder, System};
 use triad_recov::{crash_equivalence_concurrent, OpSpec, RunSpec, StructureKind};
 use triad_sim::config::SystemConfig;
+use triad_sim::events::write_json_str;
 use triad_sim::rng::SplitMix64;
 use triad_sim::stats::Histogram;
 use triad_workloads::kv::{generate_history, KvSpec};
@@ -490,8 +491,11 @@ fn run_recov_cell(
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// `s` as a JSON string literal.
+fn json_str(s: &str) -> String {
+    let mut out = String::new();
+    write_json_str(&mut out, s);
+    out
 }
 
 /// Hand-rolled, key-order-fixed JSON: determinism is the whole point.
@@ -513,15 +517,15 @@ fn render_json(cells: &[Cell], ops: u64, seed: u64) -> String {
         let h = &c.latency;
         let _ = write!(
             out,
-            "    {{ \"workload\": \"{}\", \"scheme\": \"{}\", \"ops\": {}, \
+            "    {{ \"workload\": {}, \"scheme\": {}, \"ops\": {}, \
              \"throughput_ips\": {:.3}, \
              \"latency_ns\": {{ \"count\": {}, \"mean\": {:.3}, \"min\": {}, \"max\": {}, \
              \"p50\": {}, \"p95\": {}, \"p99\": {} }}, \
              \"nvm_writes\": {}, \"persist_metadata_writes\": {}, \
              \"evict_metadata_writes\": {}, \"wpq_full_events\": {}, \
              \"recovery\": {{ \"recovered\": {}, \"blocks_read\": {}, \"time_ns\": {} }}",
-            json_escape(c.workload),
-            json_escape(&c.scheme.to_string()),
+            json_str(c.workload),
+            json_str(&c.scheme.to_string()),
             c.ops,
             c.throughput,
             h.count(),
@@ -558,9 +562,9 @@ fn render_json(cells: &[Cell], ops: u64, seed: u64) -> String {
         if let Some(m) = &c.mode {
             let _ = write!(
                 out,
-                ", \"durability\": {{ \"tier\": \"{}\", \"barriers\": {}, \
+                ", \"durability\": {{ \"tier\": {}, \"barriers\": {}, \
                  \"mutations_lost\": {}, \"loss_bound\": {}, \"within_bound\": {} }}",
-                m.tier,
+                json_str(m.tier),
                 m.barriers,
                 m.mutations_lost,
                 m.loss_bound

@@ -4,23 +4,23 @@
 //! persistent-region block writes whose durability is requested
 //! *together*. Compared to calling [`SecureMemory::persist_block`]
 //! once per block, the batched path exploits knowing the whole set up
-//! front three ways:
+//! front two ways:
 //!
-//! 1. **Batched crypto** — the one-time pads of every member are
-//!    precomputed in a single pass through the shared AES key schedule
-//!    ([`triad_crypto::pad_batch`]), by simulating the counter
-//!    increments the members will perform.
-//! 2. **Coalesced BMT commit** — every member's atomic update set
+//! 1. **Coalesced BMT commit** — every member's atomic update set
 //!    (ciphertext, counter, MAC, persisted tree nodes) merges
 //!    last-wins into one pending staging buffer; ancestors shared by
 //!    multiple dirty leaves are written to NVM once per batch, and the
 //!    §3.3.5 register protocol (stage → READY_BIT → WPQ → commit) is
 //!    charged once instead of once per member.
-//! 3. **Prefetch planning** — the counter blocks, MAC blocks and
+//! 2. **Prefetch planning** — the counter blocks, MAC blocks and
 //!    coalesced tree-path nodes the batch will touch are planned
 //!    through [`triad_cache::BatchPrefetcher`] before the first member
 //!    executes, so their fetches can overlap (cf. trie prefetching for
 //!    queued transaction blocks).
+//!
+//! Each member encrypts and MACs its block at its own write-back,
+//! exactly as a scalar persist does; the commit counts each merged
+//! write by its block's role in the memory map.
 //!
 //! ## Crash safety
 //!
@@ -51,68 +51,41 @@
 use std::collections::hash_map::Entry;
 
 use triad_cache::PrefetchClass;
-use triad_crypto::counter::AnyCounterBlock;
-use triad_crypto::ctr::{pad_batch, Iv};
 use triad_mem::store::Block;
 use triad_meta::bmt::coalesce_dirty_paths;
-use triad_meta::layout::RegionKind;
+use triad_meta::layout::{BlockRole, RegionKind};
 use triad_sim::events::emit;
 use triad_sim::time::Time;
 use triad_sim::{AddrMap, AddrSet, BlockAddr, BLOCK_BYTES};
 
-use crate::engine::{EvictItem, Result, SecureMemory};
+use crate::engine::{Result, SecureMemory};
 use crate::error::{CrashHookKind, SecureMemoryError};
 use crate::registers::{PersistentRegisters, StagedUpdate, StagedWrite};
 use crate::scheme::CounterPersistence;
 
-/// Which metadata structure a staged write belongs to (drives the
-/// per-class persist-write statistics at commit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WriteClass {
-    Data,
-    Counter,
-    Mac,
-    Node,
-}
-
 /// The open batch's bookkeeping. The merged writes themselves live in
 /// the persistent registers' staged update; this records where each
-/// address sits in it, each position's class, and the precomputed pads.
-/// No map here is ever iterated.
+/// address sits in it. The index is never iterated.
 #[derive(Debug, Default)]
 pub(crate) struct PendingBatch {
     /// addr → position in the staged update's write list.
     index: AddrMap<u64, usize>,
-    /// Class of each staged position (first-staging order).
-    classes: Vec<WriteClass>,
-    /// Precomputed one-time pads keyed by (data block, major, minor).
-    pads: AddrMap<(u64, u64, u8), Block>,
-    /// The pad precompute's simulated counter blocks, by address.
-    ctr_sim: AddrMap<u64, AnyCounterBlock>,
     /// Writes a scalar walk would have performed (before merging).
     pub(crate) naive_writes: u64,
 }
 
 impl PendingBatch {
-    /// Empties every table, keeping its allocation for the next batch.
+    /// Empties the index, keeping its allocation for the next batch.
     fn clear(&mut self) {
         self.index.clear();
-        self.classes.clear();
-        self.pads.clear();
-        self.ctr_sim.clear();
         self.naive_writes = 0;
     }
 
     /// Stages one write into `regs`, merging last-wins on address. The
-    /// class and position of the first staging are kept.
-    fn stage(
-        &mut self,
-        regs: &mut PersistentRegisters,
-        class: WriteClass,
-        addr: BlockAddr,
-        data: Block,
-    ) {
-        if self.classes.is_empty() {
+    /// position of the first staging is kept.
+    fn stage(&mut self, regs: &mut PersistentRegisters, addr: BlockAddr, data: Block) {
+        self.naive_writes += 1;
+        if self.index.is_empty() {
             // The batch's first write replaces whatever was logged.
             regs.stage(StagedUpdate::default());
         }
@@ -122,7 +95,6 @@ impl PendingBatch {
             Entry::Vacant(slot) => {
                 slot.insert(writes.len());
                 writes.push(StagedWrite { addr, data });
-                self.classes.push(class);
             }
         }
     }
@@ -130,10 +102,10 @@ impl PendingBatch {
 
 impl SecureMemory {
     /// Persists every write of `members` in order (a repeated block
-    /// commits last-wins), sharing one batched AES pass, one prefetch
-    /// plan and one coalesced register/WPQ commit across them (the
-    /// batched write path; see the module docs). Returns the time the
-    /// whole batch is inside the persistence domain.
+    /// commits last-wins), sharing one prefetch plan and one coalesced
+    /// register/WPQ commit across them (the batched write path; see
+    /// the module docs). Returns the time the whole batch is inside the
+    /// persistence domain.
     ///
     /// Falls back to per-member [`SecureMemory::persist_block`] calls
     /// under the Osiris counter relaxation (its skip bookkeeping is
@@ -162,7 +134,7 @@ impl SecureMemory {
             }
             return Ok(t);
         }
-        self.open_batch(members);
+        self.open_batch();
         let planned = self.plan_batch_prefetch(members);
         emit(
             &self.events,
@@ -251,13 +223,14 @@ impl SecureMemory {
     /// the module docs). Repeated blocks flush once (write combining);
     /// a block already written back since its store is skipped.
     /// Returns the time every flushed member is inside the persistence
-    /// domain.
+    /// domain; a call that flushed any member records that latency in
+    /// [`SecureHists::persist_latency_ns`].
     ///
     /// Members issue one after another. Under an atomic scheme with
-    /// strict counters they run as one batch (shared pads, prefetch
-    /// plan and register/WPQ commit); otherwise each writes back on
-    /// its own (Osiris skip bookkeeping is per-write, and `WriteBack`
-    /// persists no metadata to coalesce).
+    /// strict counters they run as one batch (shared prefetch plan and
+    /// register/WPQ commit); otherwise each writes back on its own
+    /// (Osiris skip bookkeeping is per-write, and `WriteBack` persists
+    /// no metadata to coalesce).
     ///
     /// Each flushed member counts one [`SecureStats::persists`] and
     /// consumes one durability point of the persist-boundary crash hook
@@ -265,6 +238,7 @@ impl SecureMemory {
     /// exactly the already-flushed members durable.
     ///
     /// [`SecureStats::persists`]: crate::SecureStats::persists
+    /// [`SecureHists::persist_latency_ns`]: crate::SecureHists::persist_latency_ns
     ///
     /// # Errors
     ///
@@ -284,11 +258,12 @@ impl SecureMemory {
         }
         let osiris = matches!(self.counter_persistence, CounterPersistence::Osiris { .. });
         if !members.is_empty() && !osiris && self.scheme.persists_metadata() {
-            self.open_batch(&members);
+            self.open_batch();
             self.plan_batch_prefetch(&members);
             self.stats.batches += 1;
             self.stats.batch_members += members.len() as u64;
         }
+        let flushed = !members.is_empty();
         let mut t = now;
         for (block, plaintext) in members {
             self.stats.persists += 1;
@@ -312,17 +287,17 @@ impl SecureMemory {
         // A no-op unless the members ran as one batch.
         t = self.commit_batch(t)?;
         self.drain_evictions(now)?;
+        if flushed {
+            self.hists.persist_latency_ns.record(t.since(now).as_ns());
+        }
         Ok(t)
     }
 
     // ----- crate-internal batch plumbing ------------------------------------
 
-    /// Opens a batch on the engine's reused bookkeeping, with the pads
-    /// of `members` precomputed (none for a scalar persist).
-    pub(crate) fn open_batch(&mut self, members: &[(BlockAddr, Block)]) {
-        let mut pending = std::mem::take(&mut self.idle_batch);
-        self.precompute_batch_pads(members, &mut pending);
-        self.batch = Some(pending);
+    /// Opens a batch on the engine's reused bookkeeping.
+    pub(crate) fn open_batch(&mut self) {
+        self.batch = Some(std::mem::take(&mut self.idle_batch));
     }
 
     /// Staged bytes of `addr` in the open batch, if any. Metadata and
@@ -333,35 +308,18 @@ impl SecureMemory {
         self.regs.staged()?.writes.get(pos).map(|w| w.data)
     }
 
-    /// Precomputed pad for `(block, major, minor)` in the open batch.
-    pub(crate) fn batch_pad(&self, block: BlockAddr, major: u64, minor: u8) -> Option<Block> {
-        self.batch
-            .as_ref()
-            .and_then(|p| p.pads.get(&(block.0, major, minor)).copied())
-    }
-
     /// Merges one member's atomic update set into the open batch's
-    /// staged update and advances its logged root. `writes` is
-    /// positionally classed exactly as the scalar protocol builds it:
-    /// data, then (optionally) the counter, then the MAC, then nodes.
+    /// staged update and advances its logged root.
     pub(crate) fn stage_into_batch(
         &mut self,
         kind: RegionKind,
         writes: &[StagedWrite],
-        persist_counter: bool,
         new_root: triad_meta::NodeBuf,
     ) {
         let SecureMemory { batch, regs, .. } = self;
         let Some(pending) = batch else { return };
-        pending.naive_writes += writes.len() as u64;
-        for (i, w) in writes.iter().enumerate() {
-            let class = match (i, persist_counter) {
-                (0, _) => WriteClass::Data,
-                (1, true) => WriteClass::Counter,
-                (1, false) | (2, true) => WriteClass::Mac,
-                _ => WriteClass::Node,
-            };
-            pending.stage(regs, class, w.addr, w.data);
+        for w in writes {
+            pending.stage(regs, w.addr, w.data);
         }
         if kind == RegionKind::Persistent {
             regs.staged_mut().new_persistent_root = Some(new_root);
@@ -369,11 +327,10 @@ impl SecureMemory {
     }
 
     /// Stages a single write into the open batch (re-encryption path).
-    pub(crate) fn batch_stage_raw(&mut self, class: WriteClass, addr: BlockAddr, data: Block) {
+    pub(crate) fn batch_stage_raw(&mut self, addr: BlockAddr, data: Block) {
         let SecureMemory { batch, regs, .. } = self;
         if let Some(pending) = batch {
-            pending.naive_writes += 1;
-            pending.stage(regs, class, addr, data);
+            pending.stage(regs, addr, data);
         }
     }
 
@@ -391,7 +348,8 @@ impl SecureMemory {
 
     /// Commits the open batch: charges the register protocol once,
     /// drains the merged writes through the WPQ (honouring the armed
-    /// WPQ-crash hook), counts per-class persist writes, and clears the
+    /// WPQ-crash hook), counts each persist write by its block's role
+    /// (counter, MAC or tree node; data is not metadata), and clears the
     /// READY_BIT. This is the engine's one §3.3.5 commit: a scalar
     /// atomic persist commits here as a batch of one. A no-op when no
     /// batch is open or nothing was staged. The batch's bookkeeping is
@@ -407,7 +365,7 @@ impl SecureMemory {
     }
 
     fn commit_pending(&mut self, pending: &PendingBatch, now: Time) -> Result<Time> {
-        let staged = pending.classes.len();
+        let staged = pending.index.len();
         if staged == 0 {
             return Ok(now);
         }
@@ -427,7 +385,7 @@ impl SecureMemory {
                 ("merged_away", merged.into()),
             ],
         );
-        for (pos, class) in pending.classes.iter().enumerate() {
+        for pos in 0..staged {
             let Some(w) = self.regs.staged().and_then(|u| u.writes.get(pos)).copied() else {
                 break;
             };
@@ -436,67 +394,18 @@ impl SecureMemory {
                 return Err(SecureMemoryError::NeedsRecovery);
             }
             t = self.mc.write(w.addr, w.data, t);
-            match class {
-                WriteClass::Data => {}
-                WriteClass::Counter => self.stats.counter_writes_persist += 1,
-                WriteClass::Mac => self.stats.mac_writes_persist += 1,
-                WriteClass::Node => self.stats.node_writes_persist += 1,
+            let kind = self.map.region_of(w.addr.base());
+            match kind.map(|kind| self.layout(kind).role_of(w.addr)) {
+                Some(BlockRole::Counter) => self.stats.counter_writes_persist += 1,
+                Some(BlockRole::Mac) => self.stats.mac_writes_persist += 1,
+                Some(BlockRole::BmtNode(_)) => self.stats.node_writes_persist += 1,
+                _ => {}
             }
         }
         self.stats.atomic_persists += 1;
         self.stats.batch_writes_merged += merged;
         self.regs.commit();
         Ok(t)
-    }
-
-    /// Simulates the counter increments the batch members will perform
-    /// and precomputes their one-time pads in one batched AES pass,
-    /// into `pending`'s pad map.
-    ///
-    /// The simulation peeks counters exactly where the write path will
-    /// find them (counter cache, pending eviction, NVM image) *without*
-    /// touching any engine state; a misprediction merely misses the pad
-    /// map and the member falls back to the scalar AES path.
-    fn precompute_batch_pads(&self, members: &[(BlockAddr, Block)], pending: &mut PendingBatch) {
-        let split = self.split_counters();
-        let PendingBatch { pads, ctr_sim, .. } = pending;
-        let mut keys: Vec<(u64, u64, u8)> = Vec::new();
-        let mut ivs: Vec<Iv> = Vec::new();
-        for (block, _) in members {
-            let Some(kind) = self.map.data_region_of(*block) else {
-                continue;
-            };
-            if kind != RegionKind::Persistent {
-                continue;
-            }
-            let layout = self.layout(kind);
-            let data_index = layout.data_index(*block);
-            let coverage = layout.counter_coverage;
-            let leaf = data_index / coverage;
-            let slot = (data_index % coverage) as usize;
-            let addr = layout.counter_start + leaf;
-            let cb = ctr_sim.entry(addr.0).or_insert_with(|| {
-                if let Some(cb) = self.ctr_cache.get(addr) {
-                    *cb
-                } else if let Some(EvictItem::Counter { value, .. }) = self
-                    .evict_queue
-                    .iter()
-                    .find(|e| matches!(e, EvictItem::Counter { addr: a, .. } if *a == addr))
-                {
-                    *value
-                } else {
-                    AnyCounterBlock::from_bytes(split, &self.mc.store().read(addr))
-                }
-            });
-            // Overflow resets mirror the real increment, so the
-            // simulation stays in lock-step across re-encryptions.
-            let _ = cb.increment(slot);
-            let pair = cb.pair(slot);
-            keys.push((block.0, pair.major, pair.minor));
-            ivs.push(self.data_iv(kind, *block, pair.major, pair.minor));
-        }
-        let batch_pads = pad_batch(self.aes_for(RegionKind::Persistent), &ivs);
-        pads.extend(keys.into_iter().zip(batch_pads));
     }
 
     /// Plans the metadata prefetches of a queued batch: per-member

@@ -172,7 +172,8 @@ impl StatRegister for SecureStats {
 pub struct SecureHists {
     /// End-to-end latency of `load_block`/`store_block` (ns).
     pub op_latency_ns: Histogram,
-    /// End-to-end latency of `persist_block`/`flush_block` (ns).
+    /// End-to-end latency of each `persist_block`/`flush_block`, and of
+    /// each whole `persist_batch`/`flush_batch` (ns).
     pub persist_latency_ns: Histogram,
     /// NVM-fetch latency of counter blocks, including verification (ns).
     pub counter_fetch_ns: Histogram,
@@ -1229,21 +1230,10 @@ impl SecureMemory {
         let outcome = cb.increment(slot);
         self.ctr_fill(counter_addr, true, cb);
 
-        // 2. Encrypt and MAC the block. An open batch may have
-        //    precomputed this pad from the batched AES pass; a miss
-        //    (counter misprediction) falls back to the scalar engine.
+        // 2. Encrypt and MAC the block.
         let pair = cb.pair(slot);
         let iv = self.data_iv(kind, block, pair.major, pair.minor);
-        let ct = match self.batch_pad(block, pair.major, pair.minor) {
-            Some(pad) => {
-                let mut ct = [0u8; BLOCK_BYTES];
-                for (i, byte) in ct.iter_mut().enumerate() {
-                    *byte = plaintext[i] ^ pad[i];
-                }
-                ct
-            }
-            None => encrypt_block(self.aes_for(kind), &iv, &plaintext),
-        };
+        let ct = encrypt_block(self.aes_for(kind), &iv, &plaintext);
         let tag = self.data_tag(block, &ct, &iv);
         let (mut mac_buf, t_mac) = self.ensure_mac_block(kind, data_index, now)?;
         mac_buf.set_slot((data_index % 8) as usize, tag);
@@ -1321,7 +1311,7 @@ impl SecureMemory {
                 addr: mac_addr,
                 data: mac_buf.0,
             });
-            writes.extend(staged_nodes);
+            writes.extend_from_slice(&staged_nodes);
             // §3.3.5 protocol: stage → READY_BIT → WPQ copies → commit.
             // An open batch merges this member's update set last-wins
             // into the registers' staged update, which therefore always
@@ -1331,9 +1321,9 @@ impl SecureMemory {
             // persist is a batch of one, committed right here.
             let scalar = self.batch.is_none();
             if scalar {
-                self.open_batch(&[]);
+                self.open_batch();
             }
-            self.stage_into_batch(kind, &writes, persist_counter, new_root);
+            self.stage_into_batch(kind, &writes, new_root);
             self.set_root(kind, new_root);
             if scalar {
                 t = self.commit_batch(t)?;
@@ -1345,7 +1335,7 @@ impl SecureMemory {
                 self.ctr_cache.flush(counter_addr);
             }
             self.mt_cache.flush(mac_addr);
-            for w in writes.iter().skip(if persist_counter { 3 } else { 2 }) {
+            for w in &staged_nodes {
                 self.mt_cache.flush(w.addr);
             }
         } else {
@@ -1429,7 +1419,7 @@ impl SecureMemory {
             let atomic_here = self.scheme.persists_metadata()
                 && (kind == RegionKind::Persistent || self.scheme == PersistScheme::Strict);
             if self.batch.is_some() && atomic_here {
-                self.batch_stage_raw(crate::batch::WriteClass::Data, block, ct_new);
+                self.batch_stage_raw(block, ct_new);
             } else {
                 t = self.mc.write(block, ct_new, t);
             }
@@ -1443,11 +1433,7 @@ impl SecureMemory {
                 if let Some(line) = self.mt_cache.get(BlockAddr(mac_addr)) {
                     let data = line.buf().0;
                     if self.batch.is_some() {
-                        self.batch_stage_raw(
-                            crate::batch::WriteClass::Mac,
-                            BlockAddr(mac_addr),
-                            data,
-                        );
+                        self.batch_stage_raw(BlockAddr(mac_addr), data);
                     } else {
                         t = self.mc.write(BlockAddr(mac_addr), data, t);
                         self.stats.mac_writes_persist += 1;

@@ -149,7 +149,7 @@ impl System {
 
     /// Enables write-combining of persistent stores: up to `window`
     /// *consecutive* `PersistentStore` ops per core buffer on chip and
-    /// drain through one [`SecureMemory::persist_batch`] (shared pad pass,
+    /// drain through one [`SecureMemory::persist_batch`] (shared
     /// prefetch plan and coalesced metadata commit). Any other memory
     /// operation acts as a barrier and drains the buffer first, as
     /// does the end of the core's trace.

@@ -2,10 +2,11 @@
 //! implementations, handles, the stat registry.
 
 use triad_core::{
-    CounterPersistence, KeyPolicy, PersistScheme, RecoveryReport, SecureMemoryBuilder,
+    CounterPersistence, KeyPolicy, PersistScheme, RecoveryReport, SecureMemoryBuilder, SecureStats,
 };
+use triad_crypto::counter::MINOR_MAX;
 use triad_meta::layout::RegionKind;
-use triad_sim::{PhysAddr, Time};
+use triad_sim::{BlockAddr, PhysAddr, Time};
 
 #[test]
 fn builder_accessors_round_trip() {
@@ -95,6 +96,79 @@ fn stat_registry_carries_all_components() {
         reg.counter("secure.counter_writes_persist")
             + reg.counter("secure.mac_writes_persist")
             + reg.counter("secure.node_writes_persist")
+    );
+}
+
+/// The per-class persist counters, pinned exactly: a commit counts
+/// each staged write by its block's role, once however many members
+/// staged it.
+#[test]
+fn persist_writes_count_once_per_block_by_role() {
+    let classes = |s: SecureStats| {
+        (
+            s.counter_writes_persist,
+            s.mac_writes_persist,
+            s.node_writes_persist,
+        )
+    };
+    let build = |scheme, counters| {
+        SecureMemoryBuilder::new()
+            .scheme(scheme)
+            .counter_persistence(counters)
+            .build()
+            .unwrap()
+    };
+    let strict = CounterPersistence::Strict;
+    let strict_levels = build(PersistScheme::Strict, strict)
+        .memory_map()
+        .persistent()
+        .geometry
+        .root_level()
+        - 1;
+
+    // A scalar persist writes its counter (unless Osiris skips it), its
+    // MAC block and the persisted levels below the on-chip root.
+    for (scheme, counters, expect) in [
+        (PersistScheme::triad_nvm(1), strict, (1, 1, 0)),
+        (PersistScheme::triad_nvm(2), strict, (1, 1, 1)),
+        (PersistScheme::triad_nvm(3), strict, (1, 1, 2)),
+        (PersistScheme::Strict, strict, (1, 1, strict_levels.into())),
+        (
+            PersistScheme::triad_nvm(2),
+            CounterPersistence::Osiris { interval: 4 },
+            (0, 1, 1),
+        ),
+    ] {
+        let mut m = build(scheme, counters);
+        let p = m.persistent_region().start().block();
+        m.persist_block(p, [1; 64], Time::ZERO).unwrap();
+        assert_eq!(classes(m.stats()), expect, "{scheme} {counters:?}");
+    }
+
+    // Two members of one MAC group share their counter block, MAC
+    // block and tree path: each persists once.
+    let mut m = build(PersistScheme::triad_nvm(2), strict);
+    let p = m.persistent_region().start().block();
+    let members = [(p, [1; 64]), (BlockAddr(p.0 + 1), [2; 64])];
+    m.persist_batch(&members, Time::ZERO).unwrap();
+    assert_eq!(classes(m.stats()), (1, 1, 1));
+    assert_eq!(m.stats().batch_writes_merged, 3);
+
+    // A batched member whose minor counter overflows re-encrypts its
+    // page: the page's other 63 blocks retag all 8 of its MAC blocks,
+    // whose writes merge with the member's own MAC write.
+    let mut m = build(PersistScheme::triad_nvm(2), strict);
+    let mut t = Time::ZERO;
+    for _ in 0..MINOR_MAX {
+        t = m.persist_block(p, [3; 64], t).unwrap();
+    }
+    let before = classes(m.stats());
+    m.persist_batch(&[(p, [4; 64])], t).unwrap();
+    assert_eq!(m.stats().page_reencryptions, 1);
+    let after = classes(m.stats());
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1, after.2 - before.2),
+        (1, 8, 1)
     );
 }
 

@@ -3,8 +3,8 @@
 //! member-by-member `persist_block` loop must be observationally
 //! identical — byte-identical NVM image (data, counters, MACs and BMT
 //! nodes), identical persistent BMT root, and identical post-crash
-//! recovery — under every scheme. The batch pipeline (shared pad pass,
-//! prefetch planning, coalesced metadata commit) is a performance
+//! recovery — under every scheme. The batch pipeline (prefetch
+//! planning, coalesced metadata commit) is a performance
 //! transformation only.
 //!
 //! Four per-scheme tests × 250 default cases = 1000 seeded histories;

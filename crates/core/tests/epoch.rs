@@ -142,6 +142,45 @@ fn flush_batch_over_clean_or_duplicate_blocks_changes_no_stat() {
     assert_eq!(m.mem_stats().writes, writes);
 }
 
+/// An epoch boundary is a persist like any other in the latency
+/// record: each `flush_batch` that flushes a member adds one
+/// `persist_latency_ns` sample spanning the whole call, batched
+/// (strict counters) or walked member by member (Osiris); a call that
+/// flushes nothing adds none.
+#[test]
+fn flush_batch_records_one_persist_latency_sample() {
+    for counters in [
+        CounterPersistence::Strict,
+        CounterPersistence::Osiris { interval: 3 },
+    ] {
+        let mut m = SecureMemoryBuilder::new()
+            .scheme(PersistScheme::triad_nvm(2))
+            .counter_persistence(counters)
+            .build()
+            .unwrap();
+        let latency = |m: &SecureMemory| {
+            let reg = m.stat_registry();
+            let h = reg.histogram("secure.persist_latency_ns").unwrap();
+            (h.count(), h.sum())
+        };
+        let p = m.persistent_region().start();
+        let blocks = [p.block(), PhysAddr(p.0 + 4096).block()];
+        let start = Time::from_ns(1_000);
+        for (i, block) in (0u64..).zip(&blocks) {
+            m.store_block(*block, value(i), start).unwrap();
+        }
+        let done = m.flush_batch(&blocks, start).unwrap();
+        assert!(done > start, "{counters:?}");
+        assert_eq!(
+            latency(&m),
+            (1, u128::from(done.since(start).as_ns())),
+            "{counters:?}"
+        );
+        m.flush_batch(&blocks, done).unwrap();
+        assert_eq!(latency(&m).0, 1, "{counters:?}: nothing left to flush");
+    }
+}
+
 #[test]
 fn flush_batch_rejects_a_non_persistent_block_before_any_change() {
     let mut m = build();

@@ -70,17 +70,6 @@ pub fn pad(cipher: &Aes128, iv: &Iv) -> [u8; 64] {
     out
 }
 
-/// Generates the one-time pads for a whole batch of IVs under one
-/// shared key schedule.
-///
-/// The counter blocks stream back-to-back through one expanded key
-/// schedule, which is how a hardware write-batch pipeline would drive
-/// the AES unit, and each pad is written straight into the output. The
-/// output is bit-identical to mapping [`pad`] over `ivs`.
-pub fn pad_batch(cipher: &Aes128, ivs: &[Iv]) -> Vec<[u8; 64]> {
-    ivs.iter().map(|iv| pad(cipher, iv)).collect()
-}
-
 /// Encrypts a 64-byte block with the pad derived from `iv`.
 ///
 /// Counter-mode encryption is a XOR with the pad, so this function is
@@ -167,22 +156,6 @@ mod tests {
                 assert_ne!(words[i], words[j]);
             }
         }
-    }
-
-    #[test]
-    fn pad_batch_matches_scalar_pads() {
-        let c = cipher();
-        let ivs: Vec<Iv> = (0..17u64)
-            .map(|i| Iv::new(i / 3, (i % 64) as u8, i % 5, (i % 127) as u8, 0))
-            .collect();
-        let batched = pad_batch(&c, &ivs);
-        let scalar: Vec<[u8; 64]> = ivs.iter().map(|iv| pad(&c, iv)).collect();
-        assert_eq!(batched, scalar);
-    }
-
-    #[test]
-    fn pad_batch_of_nothing_is_empty() {
-        assert!(pad_batch(&cipher(), &[]).is_empty());
     }
 
     #[test]

@@ -45,6 +45,6 @@ pub use aes::Aes128;
 pub use counter::{
     AnyCounterBlock, CounterBlock, MonolithicCounter, MonolithicCounterBlock, SplitCounterBlock,
 };
-pub use ctr::{decrypt_block, encrypt_block, pad_batch, Iv};
+pub use ctr::{decrypt_block, encrypt_block, Iv};
 pub use mac::{Mac64, MacEngine};
 pub use siphash::SipHash24;

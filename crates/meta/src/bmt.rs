@@ -222,20 +222,9 @@ pub struct CoalescedPaths {
     /// at level `l + 1` (level 0 — the leaves themselves — is the input
     /// and is not repeated here). The last entry is the root level.
     pub levels: Vec<Vec<u64>>,
-    /// Path-node updates a scalar walk would perform: one full
-    /// leaf-to-root path per dirty leaf.
-    pub naive_updates: u64,
-    /// Path-node updates after coalescing: each shared ancestor is
-    /// updated once per batch.
-    pub coalesced_updates: u64,
 }
 
 impl CoalescedPaths {
-    /// Node updates saved by coalescing (`naive - coalesced`).
-    pub fn saved_updates(&self) -> u64 {
-        self.naive_updates - self.coalesced_updates
-    }
-
     /// The deduplicated node indices at tree `level` (1-based; the
     /// leaves are the caller's input). Empty when out of range.
     pub fn nodes_at_level(&self, level: u8) -> &[u64] {
@@ -255,28 +244,17 @@ impl CoalescedPaths {
 /// visited once per level, in ascending index order.
 ///
 /// `leaves` may contain duplicates (a batch that writes one page twice
-/// dirties its counter leaf twice); duplicates count toward the naive
-/// cost but collapse in the coalesced set.
+/// dirties its counter leaf twice); they collapse in the coalesced set.
 pub fn coalesce_dirty_paths(geom: &BmtGeometry, leaves: &[u64]) -> CoalescedPaths {
-    let root = geom.root_level();
-    let mut levels: Vec<Vec<u64>> = Vec::with_capacity(root as usize);
-    // A scalar walk climbs the full path once per dirty leaf.
-    let naive = leaves.len() as u64 * root as u64;
-    let mut coalesced = 0u64;
-    let mut current: Vec<u64> = leaves.to_vec();
-    for level in 0..root {
-        let mut parents: Vec<u64> = current.iter().map(|&i| geom.parent(level, i).1).collect();
+    let mut levels: Vec<Vec<u64>> = Vec::with_capacity(geom.root_level() as usize);
+    for level in 0..geom.root_level() {
+        let children = levels.last().map_or(leaves, Vec::as_slice);
+        let mut parents: Vec<u64> = children.iter().map(|&i| geom.parent(level, i).1).collect();
         parents.sort_unstable();
         parents.dedup();
-        coalesced += parents.len() as u64;
-        levels.push(parents.clone());
-        current = parents;
+        levels.push(parents);
     }
-    CoalescedPaths {
-        levels,
-        naive_updates: naive,
-        coalesced_updates: coalesced,
-    }
+    CoalescedPaths { levels }
 }
 
 /// Result of a tree rebuild.
@@ -455,20 +433,14 @@ mod tests {
         assert_eq!(c.nodes_at_level(1), &[0, 2]);
         assert_eq!(c.nodes_at_level(2), &[0]);
         assert_eq!(c.nodes_at_level(3), &[0]);
-        // Naive: 4 leaves × 3 levels; coalesced: 2 + 1 + 1.
-        assert_eq!(c.naive_updates, 12);
-        assert_eq!(c.coalesced_updates, 4);
-        assert_eq!(c.saved_updates(), 8);
     }
 
     #[test]
     fn coalescing_duplicate_leaves_collapse() {
         let g = BmtGeometry::new(100, 8);
         let c = coalesce_dirty_paths(&g, &[5, 5, 5]);
-        assert_eq!(c.nodes_at_level(1), &[0]);
-        assert_eq!(c.naive_updates, 3 * 3);
         // One node per level once the duplicates merge.
-        assert_eq!(c.coalesced_updates, 3);
+        assert_eq!(c.levels, vec![vec![0]; 3]);
     }
 
     #[test]
@@ -479,15 +451,12 @@ mod tests {
         assert_eq!(c.nodes_at_level(1), &[0, 8]);
         assert_eq!(c.nodes_at_level(2), &[0, 1]);
         assert_eq!(c.nodes_at_level(3), &[0]);
-        assert_eq!(c.saved_updates(), 1);
     }
 
     #[test]
     fn coalescing_empty_batch_is_empty() {
         let g = BmtGeometry::new(100, 8);
         let c = coalesce_dirty_paths(&g, &[]);
-        assert_eq!(c.naive_updates, 0);
-        assert_eq!(c.coalesced_updates, 0);
         assert!(c.levels.iter().all(Vec::is_empty));
         assert!(c.nodes_at_level(0).is_empty());
         assert!(c.nodes_at_level(9).is_empty());

@@ -61,7 +61,9 @@ impl From<String> for Value {
     }
 }
 
-fn write_json_str(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a JSON string literal: quoted, with `"`,
+/// `\` and every control character escaped.
+pub fn write_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -2,7 +2,7 @@
 
 use triad_nvm::crypto::aes::Aes128;
 use triad_nvm::crypto::counter::{SplitCounterBlock, MINOR_MAX};
-use triad_nvm::crypto::ctr::{decrypt_block, encrypt_block, pad, pad_batch, Iv};
+use triad_nvm::crypto::ctr::{decrypt_block, encrypt_block, Iv};
 use triad_nvm::crypto::mac::MacEngine;
 use triad_nvm::crypto::siphash::SipHash24;
 use triad_nvm::meta::bmt::{self, BmtGeometry, NodeBuf};
@@ -56,33 +56,6 @@ fn ctr_mode_is_an_involution() {
         ensure!(
             decrypt_block(&cipher, &iv, &ct) == data,
             "CTR not an involution for iv {iv:?}"
-        );
-        Ok(())
-    });
-}
-
-#[test]
-fn pad_batch_matches_scalar_pads() {
-    check("pad_batch_matches_scalar_pads", Config::default(), |rng| {
-        let mut key = [0u8; 16];
-        rng.fill_bytes(&mut key);
-        let cipher = Aes128::new(&key);
-        let n = rng.gen_range_inclusive(0..=33);
-        let ivs: Vec<Iv> = (0..n)
-            .map(|_| {
-                Iv::new(
-                    rng.gen_range(0..1 << 40),
-                    rng.gen_range(0..64) as u8,
-                    rng.next_u64(),
-                    rng.gen_range(0..128) as u8,
-                    rng.next_u32(),
-                )
-            })
-            .collect();
-        let scalar: Vec<[u8; 64]> = ivs.iter().map(|iv| pad(&cipher, iv)).collect();
-        ensure!(
-            pad_batch(&cipher, &ivs) == scalar,
-            "batched pads diverged from scalar pads for {n} IVs"
         );
         Ok(())
     });
