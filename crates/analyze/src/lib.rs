@@ -27,6 +27,8 @@
 //! fixtures drive [`analyze_source`] / [`analyze_sources`] with
 //! virtual paths.
 
+#![forbid(unsafe_code)]
+
 pub mod callgraph;
 pub mod effects;
 pub mod lexer;

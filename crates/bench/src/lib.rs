@@ -7,6 +7,8 @@
 //! paper (different substrate), but the orderings and rough factors
 //! are the point — see EXPERIMENTS.md for the side-by-side.
 
+#![forbid(unsafe_code)]
+
 use triad_core::{PersistScheme, SecureMemoryBuilder, System};
 use triad_sim::config::SystemConfig;
 use triad_workloads::{build_workload, WorkloadEnv};

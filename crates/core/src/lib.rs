@@ -32,6 +32,7 @@
 //! recovery-time model of Figure 10 in [`recovery`].
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod engine;

@@ -61,11 +61,13 @@ impl Iv {
     }
 }
 
-/// Generates the 64-byte one-time pad for `iv`.
+/// Generates the 64-byte one-time pad for `iv`: its four pad words,
+/// encrypted in one call.
 pub fn pad(cipher: &Aes128, iv: &Iv) -> [u8; 64] {
+    let words = cipher.encrypt_blocks([0, 1, 2, 3].map(|word| iv.to_block(word)));
     let mut out = [0u8; 64];
-    for (word, chunk) in (0..4u8).zip(out.chunks_exact_mut(16)) {
-        chunk.copy_from_slice(&cipher.encrypt_block(iv.to_block(word)));
+    for (chunk, word) in out.chunks_exact_mut(16).zip(words) {
+        chunk.copy_from_slice(&word);
     }
     out
 }
@@ -165,6 +167,24 @@ mod tests {
         let ct = encrypt_block(&cipher(), &iv, &data);
         let other = Aes128::new(&[0x43; 16]);
         assert_ne!(decrypt_block(&other, &iv, &ct), data);
+    }
+
+    #[test]
+    fn pad_is_four_single_block_encryptions_of_its_iv_words() {
+        let ivs = [
+            Iv::new(0, 0, 0, 0, 0),
+            Iv::new(10, 3, 7, 2, 0),
+            Iv::new(1 << 40, 63, u64::MAX, 127, u32::MAX),
+        ];
+        for cipher in [cipher(), Aes128::ttable_only(&[0x42; 16])] {
+            for iv in ivs {
+                let mut expected = [0u8; 64];
+                for (word, chunk) in (0..4).zip(expected.chunks_exact_mut(16)) {
+                    chunk.copy_from_slice(&cipher.encrypt_block(iv.to_block(word)));
+                }
+                assert_eq!(pad(&cipher, &iv), expected, "{iv:?}");
+            }
+        }
     }
 
     #[test]

@@ -34,6 +34,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// The AES-NI dispatch in `aes` holds the workspace's only `unsafe`.
+#![deny(unsafe_code)]
 
 pub mod aes;
 pub mod counter;

@@ -35,6 +35,7 @@
 //! (replayed op). See `docs/recoverability.md`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::error::Error;
 use std::fmt;

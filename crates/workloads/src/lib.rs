@@ -24,6 +24,7 @@
 //!   judged by a durability-tier oracle.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod kv;
 pub mod mixes;
