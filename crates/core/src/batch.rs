@@ -1,10 +1,12 @@
-//! Batched write-path persistence.
+//! The engine's one durability loop.
 //!
-//! [`SecureMemory::persist_batch`] takes a program-ordered slice of
-//! persistent-region block writes whose durability is requested
-//! *together*. Compared to calling [`SecureMemory::persist_block`]
-//! once per block, the batched path exploits knowing the whole set up
-//! front two ways:
+//! Every persist call runs the member loop of this module over the
+//! blocks whose durability it requests *together*:
+//! [`SecureMemory::persist_batch`] over a program-ordered slice of
+//! persistent-region block writes, [`SecureMemory::persist_block`] as
+//! a batch of one, and [`SecureMemory::flush_block`] and
+//! [`SecureMemory::flush_batch`] over blocks already stored on chip.
+//! Knowing the whole set up front pays two ways:
 //!
 //! 1. **Coalesced BMT commit** — every member's atomic update set
 //!    (ciphertext, counter, MAC, persisted tree nodes) merges
@@ -18,9 +20,13 @@
 //!    executes, so their fetches can overlap (cf. trie prefetching for
 //!    queued transaction blocks).
 //!
-//! Each member encrypts and MACs its block at its own write-back,
-//! exactly as a scalar persist does; the commit counts each merged
-//! write by its block's role in the memory map.
+//! Each member encrypts and MACs its block at its own write-back and,
+//! under Osiris, decides there whether its counter persists. A minor
+//! counter overflow stages the page's re-encryption with the member's
+//! update set, and a dirty L3 victim written back outside a persist
+//! call runs as a batch of one, so no atomic write-back reaches the WPQ
+//! outside the §3.3.5 registers. The commit counts each merged write
+//! by its block's role in the memory map.
 //!
 //! ## Crash safety
 //!
@@ -31,22 +37,21 @@
 //! At any point mid-batch the registers therefore hold the full
 //! replayable prefix (all fully processed members, merged last-wins,
 //! in first-staging order). A crash between members recovers exactly
-//! like the scalar walk — processed members durable, the rest lost —
-//! and each member consumes one persist-boundary durability point,
-//! keeping armed-crash drivers scheme-agnostic. The registers hold the
-//! only copy of the merged writes, so staging one write costs one
-//! index lookup, not a rebuild of the whole set.
+//! like a walk of one-member persists — processed members durable,
+//! the rest lost — and each member consumes one persist-boundary
+//! durability point, keeping armed-crash drivers scheme-agnostic. The
+//! registers hold the only copy of the merged writes, so staging one
+//! write costs one index lookup, not a rebuild of the whole set.
 //!
-//! [`SecureMemory::flush_batch`] runs the same machinery over blocks
-//! already stored on chip. It is the boundary of an epoch (Liu et
+//! [`SecureMemory::flush_batch`] is the boundary of an epoch (Liu et
 //! al.'s *epoch persistency*, which the paper cites as orthogonal to
 //! Triad-NVM, §6): an epoch is plain [`SecureMemory::store_block`]s,
 //! which return at cache latency, followed by one `flush_batch` over
 //! the blocks they stored.
 //!
 //! The engine keeps one set of batch bookkeeping tables for its whole
-//! life: a commit clears them and the next batch (a scalar persist is
-//! a batch of one) reuses them, so opening a batch allocates no map.
+//! life: a commit clears them and the next batch reuses them, so
+//! opening a batch allocates no map.
 
 use std::collections::hash_map::Entry;
 
@@ -61,7 +66,6 @@ use triad_sim::{AddrMap, AddrSet, BlockAddr, BLOCK_BYTES};
 use crate::engine::{Result, SecureMemory};
 use crate::error::{CrashHookKind, SecureMemoryError};
 use crate::registers::{PersistentRegisters, StagedUpdate, StagedWrite};
-use crate::scheme::CounterPersistence;
 
 /// The open batch's bookkeeping. The merged writes themselves live in
 /// the persistent registers' staged update; this records where each
@@ -70,7 +74,7 @@ use crate::scheme::CounterPersistence;
 pub(crate) struct PendingBatch {
     /// addr → position in the staged update's write list.
     index: AddrMap<u64, usize>,
-    /// Writes a scalar walk would have performed (before merging).
+    /// Writes staged so far, before merging.
     pub(crate) naive_writes: u64,
 }
 
@@ -103,13 +107,8 @@ impl PendingBatch {
 impl SecureMemory {
     /// Persists every write of `members` in order (a repeated block
     /// commits last-wins), sharing one prefetch plan and one coalesced
-    /// register/WPQ commit across them (the batched write path; see
-    /// the module docs). Returns the time the whole batch is inside the
-    /// persistence domain.
-    ///
-    /// Falls back to per-member [`SecureMemory::persist_block`] calls
-    /// under the Osiris counter relaxation (its skip bookkeeping is
-    /// inherently per-write).
+    /// register/WPQ commit across them (see the module docs). Returns
+    /// the time the whole batch is inside the persistence domain.
     ///
     /// Each member consumes one durability point of the
     /// persist-boundary crash hook ([`SecureMemory::arm_crash`]); a
@@ -121,72 +120,11 @@ impl SecureMemory {
     /// [`SecureMemoryError::NotPersistent`] (checked for every member
     /// before any state changes) if any member lies outside the
     /// persistent region, plus the classes of
-    /// [`SecureMemory::persist_block`].
+    /// [`SecureMemory::load_block`]. A member that fails commits the
+    /// members processed before it.
     pub fn persist_batch(&mut self, members: &[(BlockAddr, Block)], now: Time) -> Result<Time> {
         self.check_persist_targets(members.iter().map(|(block, _)| *block))?;
-        if members.is_empty() {
-            return Ok(now);
-        }
-        if matches!(self.counter_persistence, CounterPersistence::Osiris { .. }) {
-            let mut t = now;
-            for (block, data) in members {
-                t = self.persist_block(*block, *data, t)?;
-            }
-            return Ok(t);
-        }
-        self.open_batch();
-        let planned = self.plan_batch_prefetch(members);
-        emit(
-            &self.events,
-            now,
-            "batch_queued",
-            &[
-                ("members", members.len().into()),
-                ("planned_lines", planned.into()),
-            ],
-        );
-        self.stats.batches += 1;
-        self.stats.batch_members += members.len() as u64;
-        // The prefetch plan lets every member's metadata fetches be in
-        // flight together, so members issue from the batch's start time
-        // rather than serialising end-to-end; the merged WPQ drain in
-        // `commit_batch` then charges the serialised commit once.
-        let t0 = now + self.l3.latency();
-        let mut t = t0;
-        for (block, data) in members {
-            self.stats.stores += 1;
-            self.stats.persists += 1;
-            if self.persist_boundary_crash(now) {
-                // The crash cleared the open batch; the staged prefix
-                // (every fully processed member, merged) replays at
-                // recovery — the scalar walk's per-member durability.
-                return Err(SecureMemoryError::NeedsRecovery);
-            }
-            self.reclaim(*block);
-            self.l3_fill(*block, true, *data);
-            let done = match self.writeback_data(*block, *data, t0) {
-                Ok(done) => done,
-                Err(e) => {
-                    // Commit the staged prefix so the on-chip roots and
-                    // the NVM image agree before surfacing the error.
-                    let _ = self.commit_batch(t);
-                    return Err(e);
-                }
-            };
-            self.l3.flush(*block);
-            match self.drain_evictions(now) {
-                Ok(()) => {}
-                Err(e) => {
-                    let _ = self.commit_batch(t);
-                    return Err(e);
-                }
-            }
-            t = t.max(done);
-        }
-        t = self.commit_batch(t)?;
-        self.drain_evictions(now)?;
-        self.hists.persist_latency_ns.record(t.since(now).as_ns());
-        Ok(t)
+        self.persist_members(members, true, now)
     }
 
     /// Applies `members` through [`SecureMemory::persist_batch`] on the
@@ -226,16 +164,13 @@ impl SecureMemory {
     /// domain; a call that flushed any member records that latency in
     /// [`SecureHists::persist_latency_ns`].
     ///
-    /// Members issue one after another. Under an atomic scheme with
-    /// strict counters they run as one batch (shared prefetch plan and
-    /// register/WPQ commit); otherwise each writes back on its own
-    /// (Osiris skip bookkeeping is per-write, and `WriteBack` persists
-    /// no metadata to coalesce).
-    ///
-    /// Each flushed member counts one [`SecureStats::persists`] and
-    /// consumes one durability point of the persist-boundary crash hook
-    /// ([`SecureMemory::arm_crash`]); a crash between members makes
-    /// exactly the already-flushed members durable.
+    /// The flushed members run the durability loop of
+    /// [`SecureMemory::persist_batch`] without a new store: they issue
+    /// together from the call's start under one prefetch plan and
+    /// commit as one batch. Each counts one [`SecureStats::persists`]
+    /// and consumes one durability point of the persist-boundary crash
+    /// hook ([`SecureMemory::arm_crash`]); a crash between members
+    /// makes exactly the already-flushed members durable.
     ///
     /// [`SecureStats::persists`]: crate::SecureStats::persists
     /// [`SecureHists::persist_latency_ns`]: crate::SecureHists::persist_latency_ns
@@ -245,58 +180,117 @@ impl SecureMemory {
     /// [`SecureMemoryError::NotPersistent`] (checked for every block
     /// before any state changes) if any block lies outside the
     /// persistent region, plus the classes of
-    /// [`SecureMemory::persist_block`].
+    /// [`SecureMemory::persist_batch`].
     pub fn flush_batch(&mut self, blocks: &[BlockAddr], now: Time) -> Result<Time> {
         self.check_persist_targets(blocks.iter().copied())?;
         let mut seen = AddrSet::default();
-        let mut members = Vec::new();
-        for &block in blocks {
-            if seen.insert(block.0) && self.l3.probe_dirty(block) {
-                let plaintext = self.l3.get(block).copied().unwrap_or([0; BLOCK_BYTES]);
-                members.push((block, plaintext));
-            }
-        }
-        let osiris = matches!(self.counter_persistence, CounterPersistence::Osiris { .. });
-        if !members.is_empty() && !osiris && self.scheme.persists_metadata() {
-            self.open_batch();
-            self.plan_batch_prefetch(&members);
-            self.stats.batches += 1;
-            self.stats.batch_members += members.len() as u64;
-        }
-        let flushed = !members.is_empty();
-        let mut t = now;
-        for (block, plaintext) in members {
-            self.stats.persists += 1;
-            if self.persist_boundary_crash(now) {
-                // Every member flushed before the crash is durable (a
-                // batch's staged prefix replays at recovery).
-                return Err(SecureMemoryError::NeedsRecovery);
-            }
-            let done = match self.writeback_data(block, plaintext, t) {
-                Ok(done) => done,
-                Err(e) => {
-                    // Commit the staged prefix so the on-chip roots and
-                    // the NVM image agree before surfacing the error.
-                    let _ = self.commit_batch(t);
-                    return Err(e);
-                }
-            };
-            self.l3.flush(block);
-            t = t.max(done);
-        }
-        // A no-op unless the members ran as one batch.
-        t = self.commit_batch(t)?;
-        self.drain_evictions(now)?;
-        if flushed {
-            self.hists.persist_latency_ns.record(t.since(now).as_ns());
-        }
-        Ok(t)
+        let members: Vec<_> = blocks
+            .iter()
+            .filter(|block| seen.insert(block.0))
+            .filter_map(|&block| self.dirty_member(block))
+            .collect();
+        self.persist_members(&members, false, now)
     }
 
     // ----- crate-internal batch plumbing ------------------------------------
 
+    /// `block` with its plaintext, if it is dirty on chip: a member
+    /// for the durability loop's flush form.
+    pub(crate) fn dirty_member(&self, block: BlockAddr) -> Option<(BlockAddr, Block)> {
+        let plaintext = self.l3.get(block).copied().unwrap_or([0; BLOCK_BYTES]);
+        self.l3.probe_dirty(block).then_some((block, plaintext))
+    }
+
+    /// The durability loop every persist call runs (see the module
+    /// docs); an empty `members` is a no-op. With `store` set each
+    /// member is first stored into the L3; otherwise it names a line
+    /// already dirty there.
+    pub(crate) fn persist_members(
+        &mut self,
+        members: &[(BlockAddr, Block)],
+        store: bool,
+        now: Time,
+    ) -> Result<Time> {
+        if members.is_empty() {
+            return Ok(now);
+        }
+        self.open_batch();
+        let planned = self.plan_batch_prefetch(members);
+        emit(
+            &self.events,
+            now,
+            "batch_queued",
+            &[
+                ("members", members.len().into()),
+                ("planned_lines", planned.into()),
+            ],
+        );
+        self.stats.batches += 1;
+        self.stats.batch_members += members.len() as u64;
+        // The prefetch plan lets every member's metadata fetches be in
+        // flight together, so members issue from the call's start time
+        // rather than serialising end-to-end; the merged WPQ drain in
+        // `commit_batch` then charges the serialised commit once.
+        let t0 = now + self.l3.latency();
+        let mut t = t0;
+        for &(block, data) in members {
+            if store {
+                self.stats.stores += 1;
+                self.reclaim(block);
+                self.l3_fill(block, true, data);
+            }
+            self.stats.persists += 1;
+            if self.persist_boundary_crash(now) {
+                // The crash cleared the open batch; the staged prefix
+                // (every fully processed member) replays at recovery.
+                return Err(SecureMemoryError::NeedsRecovery);
+            }
+            let written = self.writeback_data(block, data, t0).and_then(|done| {
+                self.l3.flush(block);
+                self.drain_evictions(now)?;
+                Ok(done)
+            });
+            match written {
+                Ok(done) => t = t.max(done),
+                Err(e) => return self.abandon_batch(e, t),
+            }
+        }
+        t = self.commit_batch(t)?;
+        self.drain_evictions(now)?;
+        self.hists.persist_latency_ns.record(t.since(now).as_ns());
+        Ok(t)
+    }
+
+    /// Writes back a dirty L3 victim. Inside a persist call it joins
+    /// the open batch; otherwise it runs as a batch of one, opened
+    /// before its counter advances, so a page re-encryption stages
+    /// with its update set.
+    pub(crate) fn writeback_victim(
+        &mut self,
+        block: BlockAddr,
+        data: Block,
+        now: Time,
+    ) -> Result<()> {
+        if self.batch.is_some() {
+            return self.writeback_data(block, data, now).map(|_| ());
+        }
+        self.open_batch();
+        match self.writeback_data(block, data, now) {
+            Ok(done) => self.commit_batch(done).map(|_| ()),
+            Err(e) => self.abandon_batch(e, now),
+        }
+    }
+
+    /// The one error path of an open batch: commits the staged prefix,
+    /// so the on-chip roots and the NVM image agree, which closes the
+    /// batch, and returns `e`.
+    fn abandon_batch<T>(&mut self, e: SecureMemoryError, now: Time) -> Result<T> {
+        let _ = self.commit_batch(now);
+        Err(e)
+    }
+
     /// Opens a batch on the engine's reused bookkeeping.
-    pub(crate) fn open_batch(&mut self) {
+    fn open_batch(&mut self) {
         self.batch = Some(std::mem::take(&mut self.idle_batch));
     }
 
@@ -308,30 +302,16 @@ impl SecureMemory {
         self.regs.staged()?.writes.get(pos).map(|w| w.data)
     }
 
-    /// Merges one member's atomic update set into the open batch's
-    /// staged update and advances its logged root.
-    pub(crate) fn stage_into_batch(
-        &mut self,
-        kind: RegionKind,
-        writes: &[StagedWrite],
-        new_root: triad_meta::NodeBuf,
-    ) {
+    /// Stages one write of an atomic update set into the open batch,
+    /// merging last-wins on address (`Internal` error when none is
+    /// open: no atomic write may reach the WPQ outside one).
+    pub(crate) fn batch_stage(&mut self, addr: BlockAddr, data: Block) -> Result<()> {
         let SecureMemory { batch, regs, .. } = self;
-        let Some(pending) = batch else { return };
-        for w in writes {
-            pending.stage(regs, w.addr, w.data);
-        }
-        if kind == RegionKind::Persistent {
-            regs.staged_mut().new_persistent_root = Some(new_root);
-        }
-    }
-
-    /// Stages a single write into the open batch (re-encryption path).
-    pub(crate) fn batch_stage_raw(&mut self, addr: BlockAddr, data: Block) {
-        let SecureMemory { batch, regs, .. } = self;
-        if let Some(pending) = batch {
-            pending.stage(regs, addr, data);
-        }
+        let pending = batch.as_mut().ok_or_else(|| {
+            SecureMemoryError::internal(format!("atomic write of {addr} staged with no open batch"))
+        })?;
+        pending.stage(regs, addr, data);
+        Ok(())
     }
 
     /// Refreshes a pending write's bytes after a direct NVM write of
@@ -350,11 +330,11 @@ impl SecureMemory {
     /// drains the merged writes through the WPQ (honouring the armed
     /// WPQ-crash hook), counts each persist write by its block's role
     /// (counter, MAC or tree node; data is not metadata), and clears the
-    /// READY_BIT. This is the engine's one §3.3.5 commit: a scalar
-    /// atomic persist commits here as a batch of one. A no-op when no
-    /// batch is open or nothing was staged. The batch's bookkeeping is
-    /// cleared and kept for the next batch.
-    pub(crate) fn commit_batch(&mut self, now: Time) -> Result<Time> {
+    /// READY_BIT. This is the engine's one §3.3.5 commit: every persist
+    /// call, and every write-back of an L3 victim outside one, commits
+    /// here. A no-op when no batch is open or nothing was staged. The
+    /// batch's bookkeeping is cleared and kept for the next batch.
+    fn commit_batch(&mut self, now: Time) -> Result<Time> {
         let Some(mut pending) = self.batch.take() else {
             return Ok(now);
         };
@@ -412,7 +392,7 @@ impl SecureMemory {
     /// counter and MAC lines plus the coalesced BMT path nodes, probed
     /// non-perturbingly against on-chip state. Returns the number of
     /// distinct lines planned.
-    pub(crate) fn plan_batch_prefetch(&mut self, members: &[(BlockAddr, Block)]) -> u64 {
+    fn plan_batch_prefetch(&mut self, members: &[(BlockAddr, Block)]) -> u64 {
         let kind = RegionKind::Persistent;
         let layout = self.layout(kind);
         if layout.is_empty() {

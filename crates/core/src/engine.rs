@@ -30,6 +30,11 @@
 //!   update set {data, counter, MAC, persisted tree levels, new root}
 //!   is staged in persistent registers (READY_BIT), copied into the
 //!   WPQ, and committed; a crash mid-copy is replayed at recovery.
+//!
+//! Every persist call runs the one durability loop of
+//! [`crate::batch`], so every atomic write-back, a page re-encryption
+//! included, stages into an open batch whose commit is the engine's
+//! one §3.3.5 register protocol.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -112,12 +117,12 @@ pub struct SecureStats {
     /// Counter blocks reconstructed by the Osiris search at access
     /// time after a crash.
     pub osiris_recoveries: u64,
-    /// Write batches committed through the batched persist path.
+    /// Persist calls that wrote a block back (each runs one batch).
     pub batches: u64,
-    /// Members across all committed write batches.
+    /// Members across all those batches.
     pub batch_members: u64,
-    /// NVM writes merged away by batching: what a scalar walk would
-    /// have written minus what the coalesced commit actually wrote.
+    /// NVM writes merged away by batching: writes staged minus writes
+    /// the coalesced commits performed.
     pub batch_writes_merged: u64,
 }
 
@@ -444,12 +449,12 @@ pub struct SecureMemory {
     pub(crate) clock: Time,
     /// Victims awaiting their downstream write-back (see [`EvictItem`]).
     pub(crate) evict_queue: Vec<EvictItem>,
-    /// An open write batch: atomic persists triggered while this is
-    /// `Some` stage into the pending set instead of running the scalar
-    /// register/WPQ protocol per write (see [`crate::batch`]).
+    /// The open write batch: every atomic write-back stages its update
+    /// set into it, and its commit runs the register/WPQ protocol once
+    /// for all of them (see [`crate::batch`]).
     pub(crate) batch: Option<PendingBatch>,
     /// The last committed batch's bookkeeping, cleared; the next batch
-    /// reuses its tables (see [`SecureMemory::open_batch`]).
+    /// reuses its tables.
     pub(crate) idle_batch: PendingBatch,
     /// Prefetch planner fed by queued write batches.
     pub(crate) prefetcher: BatchPrefetcher,
@@ -621,12 +626,13 @@ impl SecureMemory {
     /// very next one).
     ///
     /// * [`CrashHookKind::PersistBoundary`] crashes *instead of* the
-    ///   `n`-th further durability point: a data write-back that
-    ///   would make a block durable — a [`SecureMemory::persist_block`],
-    ///   a dirty [`SecureMemory::flush_block`], one flushed member of
-    ///   [`SecureMemory::flush_batch`], or one member apply inside
+    ///   `n`-th further durability point: one member of the durability
+    ///   loop every persist call runs — the block of a
+    ///   [`SecureMemory::persist_block`] or of a dirty
+    ///   [`SecureMemory::flush_block`], one flushed member of
+    ///   [`SecureMemory::flush_batch`], or one member of
     ///   [`SecureMemory::persist_batch`] (a batch of *n* members spans
-    ///   *n* boundaries, exactly like the scalar walk it replaces).
+    ///   *n* boundaries, exactly like *n* `persist_block` calls).
     ///   Each boundary counts one [`SecureStats::persists`], so a
     ///   history's `persists` is its boundary count. Sweeps that
     ///   enumerate every boundary of a fixed history arm this one.
@@ -838,7 +844,7 @@ impl SecureMemory {
             match item {
                 EvictItem::Data { addr, plain, dirty } => {
                     if dirty {
-                        self.writeback_data(addr, plain, now)?;
+                        self.writeback_victim(addr, plain, now)?;
                     }
                 }
                 EvictItem::Counter { addr, value, dirty } => {
@@ -1204,7 +1210,8 @@ impl SecureMemory {
     // ----- write-back / persist path ----------------------------------------
 
     /// Encrypts and writes `block` to NVM, updating counter, MAC and
-    /// tree according to the region and scheme.
+    /// tree according to the region and scheme; an atomic write-back
+    /// stages into the open batch, which the caller commits.
     pub(crate) fn writeback_data(
         &mut self,
         block: BlockAddr,
@@ -1223,6 +1230,14 @@ impl SecureMemory {
         let counter_addr = layout.counter_start + leaf;
         let mac_addr = layout.mac_start + data_index / 8;
         let root_level = layout.geometry.root_level();
+        // Region awareness is Triad-NVM's contribution: `TriadNvm`
+        // applies atomic metadata persistence only to the persistent
+        // region, while `Strict` (prior work) is region-oblivious and
+        // pays it for *every* NVM write — the §5.1 observation that
+        // write-intensive non-persistent workloads (e.g. libquantum)
+        // gain an order of magnitude from region-aware relaxation.
+        let atomic = self.scheme.persists_metadata()
+            && (kind == RegionKind::Persistent || self.scheme == PersistScheme::Strict);
 
         // 1. Advance the counter.
         let (mut cb, mut t) = self.ensure_counter(kind, leaf, now)?;
@@ -1244,9 +1259,8 @@ impl SecureMemory {
         //    major counter (§2.1.2).
         if outcome == IncrementOutcome::MajorOverflow {
             self.stats.page_reencryptions += 1;
-            let persist_macs = kind == RegionKind::Persistent && self.scheme.persists_metadata();
             t = self
-                .reencrypt_page(kind, leaf, slot, &old_cb, &cb, persist_macs, now)?
+                .reencrypt_page(kind, leaf, slot, &old_cb, &cb, atomic, now)?
                 .max(t);
             // The re-encryption retagged the other blocks of this MAC
             // block on chip: persist that copy, not the one captured
@@ -1262,14 +1276,6 @@ impl SecureMemory {
         let leaf_h = bmt::leaf_hash(&self.mac_engine, kind, leaf, &counter_bytes);
         self.stats.nvm_data_writes += 1;
 
-        // Region awareness is Triad-NVM's contribution: `TriadNvm`
-        // applies atomic metadata persistence only to the persistent
-        // region, while `Strict` (prior work) is region-oblivious and
-        // pays it for *every* NVM write — the §5.1 observation that
-        // write-intensive non-persistent workloads (e.g. libquantum)
-        // gain an order of magnitude from region-aware relaxation.
-        let atomic = self.scheme.persists_metadata()
-            && (kind == RegionKind::Persistent || self.scheme == PersistScheme::Strict);
         if atomic {
             // Update the full path to the root in on-chip state and
             // collect the strictly persisted levels.
@@ -1297,37 +1303,24 @@ impl SecureMemory {
                     }
                 }
             };
-            let mut writes = vec![StagedWrite {
-                addr: block,
-                data: ct,
-            }];
-            if persist_counter {
-                writes.push(StagedWrite {
-                    addr: counter_addr,
-                    data: counter_bytes,
-                });
-            }
-            writes.push(StagedWrite {
-                addr: mac_addr,
-                data: mac_buf.0,
-            });
-            writes.extend_from_slice(&staged_nodes);
             // §3.3.5 protocol: stage → READY_BIT → WPQ copies → commit.
-            // An open batch merges this member's update set last-wins
-            // into the registers' staged update, which therefore always
-            // holds the whole replayable prefix, so the per-member root
-            // advance stays crash-safe; the coalesced WPQ drain and
-            // register commit happen once in `commit_batch`. A scalar
-            // persist is a batch of one, committed right here.
-            let scalar = self.batch.is_none();
-            if scalar {
-                self.open_batch();
+            // The open batch merges this update set last-wins into the
+            // registers' staged update, which therefore always holds
+            // the whole replayable prefix, so the per-write root advance
+            // stays crash-safe; the coalesced WPQ drain and register
+            // commit happen once when the batch commits.
+            self.batch_stage(block, ct)?;
+            if persist_counter {
+                self.batch_stage(counter_addr, counter_bytes)?;
             }
-            self.stage_into_batch(kind, &writes, new_root);
+            self.batch_stage(mac_addr, mac_buf.0)?;
+            for w in &staged_nodes {
+                self.batch_stage(w.addr, w.data)?;
+            }
+            if kind == RegionKind::Persistent {
+                self.regs.staged_mut().new_persistent_root = Some(new_root);
+            }
             self.set_root(kind, new_root);
-            if scalar {
-                t = self.commit_batch(t)?;
-            }
             // Persisted metadata is now clean on chip (under Osiris the
             // skipped counter stays dirty until its forced persist or
             // natural eviction).
@@ -1347,7 +1340,9 @@ impl SecureMemory {
     }
 
     /// Re-encrypts all other blocks of a page after a minor-counter
-    /// overflow reset the page to a new major counter.
+    /// overflow reset the page to a new major counter. An `atomic`
+    /// region stages the new ciphertexts (and, if persistent, the
+    /// page's MAC blocks) into the open batch.
     #[allow(clippy::too_many_arguments)] // mirrors the hardware datapath's operands
     fn reencrypt_page(
         &mut self,
@@ -1356,7 +1351,7 @@ impl SecureMemory {
         written_slot: usize,
         old_cb: &AnyCounterBlock,
         new_cb: &AnyCounterBlock,
-        persist_macs: bool,
+        atomic: bool,
         now: Time,
     ) -> Result<Time> {
         let layout = self.layout(kind);
@@ -1412,32 +1407,24 @@ impl SecureMemory {
             let mac_addr = mac_start + data_index / 8;
             self.mt_fill(mac_addr, true, MtLine::Mac(mac_buf));
             touched_macs.insert(mac_addr.0);
-            // Under an open batch the re-encrypted ciphertext of an
-            // atomically-persisted region must stage (a direct write
-            // would be clobbered by the batch commit or its recovery
-            // replay); lazy-path regions keep the direct write.
-            let atomic_here = self.scheme.persists_metadata()
-                && (kind == RegionKind::Persistent || self.scheme == PersistScheme::Strict);
-            if self.batch.is_some() && atomic_here {
-                self.batch_stage_raw(block, ct_new);
+            // An atomic region's re-encrypted ciphertext stages (a
+            // direct write would be clobbered by the batch commit or
+            // its recovery replay); lazy-path regions write directly.
+            if atomic {
+                self.batch_stage(block, ct_new)?;
             } else {
                 t = self.mc.write(block, ct_new, t);
             }
             self.stats.nvm_data_writes += 1;
         }
-        if persist_macs {
-            // In atomic schemes the whole page's tags must reach the
-            // persistence domain with the re-encrypted data, or a crash
-            // would leave new ciphertext under stale NVM tags.
+        if kind == RegionKind::Persistent && atomic {
+            // The whole page's tags must reach the persistence domain
+            // with the re-encrypted data, or a crash would leave new
+            // ciphertext under stale NVM tags.
             for mac_addr in touched_macs {
                 if let Some(line) = self.mt_cache.get(BlockAddr(mac_addr)) {
                     let data = line.buf().0;
-                    if self.batch.is_some() {
-                        self.batch_stage_raw(BlockAddr(mac_addr), data);
-                    } else {
-                        t = self.mc.write(BlockAddr(mac_addr), data, t);
-                        self.stats.mac_writes_persist += 1;
-                    }
+                    self.batch_stage(BlockAddr(mac_addr), data)?;
                     self.mt_cache.flush(BlockAddr(mac_addr));
                 }
             }
@@ -1649,35 +1636,24 @@ impl SecureMemory {
     /// persistent region, plus the classes of
     /// [`SecureMemory::load_block`].
     pub fn persist_block(&mut self, block: BlockAddr, data: Block, now: Time) -> Result<Time> {
-        self.check_persist_targets([block])?;
-        self.stats.stores += 1;
-        self.reclaim(block);
-        self.l3_fill(block, true, data);
-        // The line is now dirty in L3, so the rest is a flush.
-        self.flush_block(block, now)
+        self.persist_batch(&[(block, data)], now)
     }
 
     /// Flushes an already-stored block (`clwb; sfence` without a new
-    /// store). No-op if the block is not dirty on chip.
+    /// store): a dirty block runs the durability loop as a batch of
+    /// one, and a clean block returns after the L3 lookup.
     ///
     /// # Errors
     ///
-    /// Same classes as [`SecureMemory::persist_block`].
+    /// The classes of [`SecureMemory::load_block`]. Unlike
+    /// [`SecureMemory::persist_block`], a dirty block outside the
+    /// persistent region is written back, not rejected.
     pub fn flush_block(&mut self, block: BlockAddr, now: Time) -> Result<Time> {
         self.check_running()?;
-        if !self.l3.probe_dirty(block) {
-            return Ok(now + self.l3.latency());
+        match self.dirty_member(block) {
+            Some(member) => self.persist_members(&[member], false, now),
+            None => Ok(now + self.l3.latency()),
         }
-        self.stats.persists += 1;
-        if self.persist_boundary_crash(now) {
-            return Err(SecureMemoryError::NeedsRecovery);
-        }
-        let plaintext = self.l3.get(block).copied().unwrap_or([0; BLOCK_BYTES]);
-        let t = self.writeback_data(block, plaintext, now + self.l3.latency())?;
-        self.l3.flush(block);
-        self.drain_evictions(now)?;
-        self.hists.persist_latency_ns.record(t.since(now).as_ns());
-        Ok(t)
     }
 
     // ----- convenience byte API ---------------------------------------------
@@ -1725,7 +1701,7 @@ impl SecureMemory {
     ///
     /// # Errors
     ///
-    /// Same classes as [`SecureMemory::persist_block`].
+    /// Same classes as [`SecureMemory::flush_block`].
     pub fn persist(&mut self, addr: PhysAddr) -> Result<()> {
         let t = self.flush_block(addr.block(), self.clock)?;
         self.clock = t;

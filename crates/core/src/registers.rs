@@ -9,10 +9,9 @@
 //! * a **staging log + READY_BIT**: before a write's updates are copied
 //!   into the WPQ they are logged here, so a crash mid-copy can be
 //!   replayed at recovery instead of leaving data and metadata torn.
-//!   A scalar persist logs its update set whole with
-//!   [`PersistentRegisters::stage`]; an open batch grows one logged set
-//!   in place, write by write (`crate::batch`), so the registers hold
-//!   the only copy of the batch's merged writes.
+//!   Every atomic write-back stages into an open batch, which grows
+//!   one logged set in place, write by write (`crate::batch`), so the
+//!   registers hold the only copy of the batch's merged writes.
 
 use triad_mem::store::Block;
 use triad_meta::bmt::NodeBuf;

@@ -126,7 +126,7 @@ fn persist_writes_count_once_per_block_by_role() {
         .root_level()
         - 1;
 
-    // A scalar persist writes its counter (unless Osiris skips it), its
+    // A one-block persist writes its counter (unless Osiris skips it), its
     // MAC block and the persisted levels below the on-chip root.
     for (scheme, counters, expect) in [
         (PersistScheme::triad_nvm(1), strict, (1, 1, 0)),
@@ -154,22 +154,30 @@ fn persist_writes_count_once_per_block_by_role() {
     assert_eq!(classes(m.stats()), (1, 1, 1));
     assert_eq!(m.stats().batch_writes_merged, 3);
 
-    // A batched member whose minor counter overflows re-encrypts its
-    // page: the page's other 63 blocks retag all 8 of its MAC blocks,
-    // whose writes merge with the member's own MAC write.
-    let mut m = build(PersistScheme::triad_nvm(2), strict);
-    let mut t = Time::ZERO;
-    for _ in 0..MINOR_MAX {
-        t = m.persist_block(p, [3; 64], t).unwrap();
+    // A member whose minor counter overflows re-encrypts its page: the
+    // page's other 63 blocks retag all 8 of its MAC blocks, whose
+    // writes stage with the member's update set and merge with its own
+    // MAC write, whether it persists alone or in a batch.
+    for batched in [false, true] {
+        let mut m = build(PersistScheme::triad_nvm(2), strict);
+        let mut t = Time::ZERO;
+        for _ in 0..MINOR_MAX {
+            t = m.persist_block(p, [3; 64], t).unwrap();
+        }
+        let before = classes(m.stats());
+        if batched {
+            m.persist_batch(&[(p, [4; 64])], t).unwrap();
+        } else {
+            m.persist_block(p, [4; 64], t).unwrap();
+        }
+        assert_eq!(m.stats().page_reencryptions, 1);
+        let after = classes(m.stats());
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1, after.2 - before.2),
+            (1, 8, 1),
+            "batched: {batched}"
+        );
     }
-    let before = classes(m.stats());
-    m.persist_batch(&[(p, [4; 64])], t).unwrap();
-    assert_eq!(m.stats().page_reencryptions, 1);
-    let after = classes(m.stats());
-    assert_eq!(
-        (after.0 - before.0, after.1 - before.1, after.2 - before.2),
-        (1, 8, 1)
-    );
 }
 
 #[test]

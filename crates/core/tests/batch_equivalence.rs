@@ -3,14 +3,14 @@
 //! member-by-member `persist_block` loop must be observationally
 //! identical — byte-identical NVM image (data, counters, MACs and BMT
 //! nodes), identical persistent BMT root, and identical post-crash
-//! recovery — under every scheme. The batch pipeline (prefetch
-//! planning, coalesced metadata commit) is a performance
-//! transformation only.
+//! recovery — under every scheme, and under TriadNVM-2 with the Osiris
+//! counter relaxation too. The batch pipeline (prefetch planning,
+//! coalesced metadata commit) is a performance transformation only.
 //!
-//! Four per-scheme tests × 250 default cases = 1000 seeded histories;
+//! Six per-scheme tests × 250 default cases = 1500 seeded histories;
 //! `TRIAD_PROP_CASES` rescales each test as usual.
 //!
-//! Those histories crash only *between* batches. A fifth property
+//! Those histories crash only *between* batches. A seventh property
 //! crashes *inside* one: at every member boundary of a batch, the
 //! batched replica's persist-boundary hook against a scalar replica
 //! stopped after the same number of `persist_block`s. That exercises
@@ -65,10 +65,10 @@ fn gen_history(rng: &mut SplitMix64, base: PhysAddr, allow_crash: bool) -> Vec<E
         .collect()
 }
 
-fn build(scheme: PersistScheme, key_seed: u64) -> SecureMemory {
+fn build(scheme: PersistScheme, counters: CounterPersistence, key_seed: u64) -> SecureMemory {
     SecureMemoryBuilder::new()
         .scheme(scheme)
-        .counter_persistence(CounterPersistence::Strict)
+        .counter_persistence(counters)
         .key_seed(key_seed)
         .build()
         .unwrap()
@@ -78,10 +78,14 @@ fn image(mem: &SecureMemory) -> BTreeMap<u64, [u8; BLOCK_BYTES]> {
     mem.nvm_image().iter().map(|(a, b)| (a.0, *b)).collect()
 }
 
-fn check_equivalence(scheme: PersistScheme, rng: &mut SplitMix64) -> Result<(), String> {
+fn check_equivalence(
+    scheme: PersistScheme,
+    counters: CounterPersistence,
+    rng: &mut SplitMix64,
+) -> Result<(), String> {
     let key_seed = rng.next_u64();
-    let mut scalar = build(scheme, key_seed);
-    let mut batched = build(scheme, key_seed);
+    let mut scalar = build(scheme, counters, key_seed);
+    let mut batched = build(scheme, counters, key_seed);
     let base = scalar.persistent_region().start();
     // WriteBack deliberately cannot recover the persistent region, so a
     // mid-history crash poisons every later persist on both sides;
@@ -165,9 +169,11 @@ fn check_equivalence(scheme: PersistScheme, rng: &mut SplitMix64) -> Result<(), 
     Ok(())
 }
 
+const STRICT: CounterPersistence = CounterPersistence::Strict;
+
 fn run(name: &'static str, scheme: PersistScheme) {
     check(name, Config::cases(250), |rng| {
-        check_equivalence(scheme, rng)
+        check_equivalence(scheme, STRICT, rng)
     });
 }
 
@@ -179,6 +185,23 @@ fn batched_equals_scalar_write_back() {
 #[test]
 fn batched_equals_scalar_triad1() {
     run("batched_equals_scalar_triad1", PersistScheme::triad_nvm(1));
+}
+
+#[test]
+fn batched_equals_scalar_triad2() {
+    run("batched_equals_scalar_triad2", PersistScheme::triad_nvm(2));
+}
+
+/// Osiris members share a batch, each deciding at its own write-back
+/// whether its counter persists.
+#[test]
+fn batched_equals_scalar_triad2_osiris() {
+    let osiris = CounterPersistence::Osiris { interval: 3 };
+    check(
+        "batched_equals_scalar_triad2_osiris",
+        Config::cases(250),
+        |rng| check_equivalence(PersistScheme::triad_nvm(2), osiris, rng),
+    );
 }
 
 #[test]
@@ -235,7 +258,7 @@ fn gen_mid_batch_case(rng: &mut SplitMix64) -> MidBatchCase {
     ];
     let scheme = schemes[rng.gen_range(0..schemes.len() as u64) as usize];
     let key_seed = rng.next_u64();
-    let region = build(scheme, key_seed).persistent_region();
+    let region = build(scheme, STRICT, key_seed).persistent_region();
     let base = region.start();
     let wide = rng.gen_bool(0.5);
     let pages = if wide {
@@ -290,8 +313,8 @@ fn gen_mid_batch_case(rng: &mut SplitMix64) -> MidBatchCase {
 /// Crashes the target batch before member `k` on both replicas,
 /// recovers both, and compares NVM images and persistent roots.
 fn check_crash_at(case: &MidBatchCase, k: usize) -> Result<(), String> {
-    let mut scalar = build(case.scheme, case.key_seed);
-    let mut batched = build(case.scheme, case.key_seed);
+    let mut scalar = build(case.scheme, STRICT, case.key_seed);
+    let mut batched = build(case.scheme, STRICT, case.key_seed);
     let (mut ts, mut tb) = (Time::ZERO, Time::ZERO);
     for members in &case.prefix {
         for (block, data) in members {

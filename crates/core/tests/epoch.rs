@@ -144,9 +144,9 @@ fn flush_batch_over_clean_or_duplicate_blocks_changes_no_stat() {
 
 /// An epoch boundary is a persist like any other in the latency
 /// record: each `flush_batch` that flushes a member adds one
-/// `persist_latency_ns` sample spanning the whole call, batched
-/// (strict counters) or walked member by member (Osiris); a call that
-/// flushes nothing adds none.
+/// `persist_latency_ns` sample spanning the whole call, under strict
+/// counters and under Osiris alike; a call that flushes nothing adds
+/// none.
 #[test]
 fn flush_batch_records_one_persist_latency_sample() {
     for counters in [
@@ -198,8 +198,8 @@ fn flush_batch_rejects_a_non_persistent_block_before_any_change() {
 /// Every persist a `flush_batch` counts is a persist boundary: arming
 /// the boundary hook at any `k` below the count crashes the flush with
 /// exactly the first `k` members durable, and arming it at the count
-/// lets the flush finish without firing. Covers the batched members
-/// (strict counters) and the per-member walk (Osiris).
+/// lets the flush finish without firing, under strict counters and
+/// under Osiris alike.
 #[test]
 fn each_counted_persist_of_a_flush_batch_is_a_crash_boundary() {
     for counters in [

@@ -291,6 +291,55 @@ fn a_failed_counter_check_fails_again_on_retry() {
 }
 
 #[test]
+fn a_persist_member_that_fails_verification_commits_the_members_before_it() {
+    // As in `tampered_counter_is_detected_at_access_under_triadnvm2`,
+    // the tampered counter is caught when a persist fetches it. The
+    // failing member takes the durability loop's one error path: the
+    // members staged before it commit, the batch closes, and the call
+    // returns the error, so the engine persists on and recovers.
+    for batched in [true, false] {
+        let mut m = build(PersistScheme::triad_nvm(2));
+        let p = m.persistent_region().start();
+        // Three pages under three different L1 nodes.
+        let page = |i: u64| PhysAddr(p.0 + i * 64 * 4096).block();
+        let (tampered, untouched, third) = (page(0), page(1), page(2));
+        m.write(tampered.base(), b"secret").unwrap();
+        m.persist(tampered.base()).unwrap();
+        let counter_block = m.memory_map().persistent().counter_block_of(tampered);
+        m.crash();
+        assert!(m.recover().unwrap().persistent_recovered);
+        let mut mask = [0u8; 64];
+        mask[8] = 1;
+        m.nvm_image_mut().tamper(counter_block, mask);
+
+        let start = m.now();
+        let result = if batched {
+            m.persist_batch(&[(untouched, [1; 64]), (tampered, [2; 64])], start)
+        } else {
+            m.persist_block(untouched, [1; 64], start)
+                .and_then(|t| m.persist_block(tampered, [2; 64], t))
+        };
+        assert_eq!(
+            result,
+            Err(SecureMemoryError::IntegrityViolation {
+                kind: IntegrityKind::Counter,
+                block: counter_block,
+            }),
+            "batched: {batched}"
+        );
+        m.persist_block(third, [3; 64], start).unwrap();
+        m.crash();
+        let report = m.recover().unwrap();
+        assert!(
+            report.persistent_recovered,
+            "batched: {batched}: {report:?}"
+        );
+        assert_eq!(m.read(untouched.base()).unwrap(), [1; 64]);
+        assert_eq!(m.read(third.base()).unwrap(), [3; 64]);
+    }
+}
+
+#[test]
 fn within_boot_counter_tamper_detected_on_fetch() {
     let mut m = build(PersistScheme::triad_nvm(1));
     let p = m.persistent_region().start();
