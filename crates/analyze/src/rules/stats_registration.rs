@@ -1,10 +1,9 @@
-//! `stats-registration`: every declared stat counter is reported. For
-//! each struct that implements a stat-reporting trait (`StatSink`, or
-//! the registry-era `StatRegister`) in the same file, every named field
-//! must be referenced somewhere in an `impl` block targeting that
-//! struct — a counter or histogram the engine updates but
-//! `report`/`register` never emits is a silently dead measurement, and
-//! figures built on the stat set quietly lose a column.
+//! `stats-registration`: every declared stat counter is registered.
+//! For each struct that implements `StatRegister` in the same file,
+//! every named field must be referenced somewhere in an `impl` block
+//! targeting that struct — a counter or histogram the engine updates
+//! but `register` never emits is a silently dead measurement, and
+//! figures built on the stat registry quietly lose a column.
 
 use std::collections::BTreeSet;
 
@@ -25,10 +24,9 @@ const SCOPES: &[&str] = &[
     "crates/recov/",
 ];
 
-/// The reporting traits a stats struct hangs its counters on: the
-/// legacy flat `StatSink` and the hierarchical `StatRegister` (which
-/// also carries `Histogram` fields).
-const SINK_TRAITS: &[&str] = &["StatSink", "StatRegister"];
+/// The registry trait a stats struct hangs its counters and
+/// `Histogram` fields on.
+const SINK_TRAIT: &str = "StatRegister";
 
 impl Rule for StatsRegistration {
     fn id(&self) -> &'static str {
@@ -40,7 +38,7 @@ impl Rule for StatsRegistration {
     }
 
     fn description(&self) -> &'static str {
-        "every field of a StatSink/StatRegister-implementing stats struct must be referenced by its impls"
+        "every field of a StatRegister-implementing stats struct must be referenced by its impls"
     }
 
     fn check(&self, file: &FileAnalysis, out: &mut Vec<Finding>) {
@@ -49,13 +47,9 @@ impl Rule for StatsRegistration {
         }
         let impls = impl_blocks(&file.toks);
         for def in struct_defs(&file.toks) {
-            let is_sink = impls.iter().any(|ib| {
-                ib.target == def.name
-                    && ib
-                        .trait_name
-                        .as_deref()
-                        .is_some_and(|t| SINK_TRAITS.contains(&t))
-            });
+            let is_sink = impls
+                .iter()
+                .any(|ib| ib.target == def.name && ib.trait_name.as_deref() == Some(SINK_TRAIT));
             if !is_sink {
                 continue;
             }

@@ -20,7 +20,7 @@ pub struct FnDef {
     /// (`SecureMemory`), `None` for free functions.
     pub owner: Option<String>,
     /// Whether the surrounding impl is a trait impl
-    /// (`impl StatSink for ...`).
+    /// (`impl StatRegister for ...`).
     pub trait_impl: bool,
     /// Whether the fn is plain `pub`. `pub(crate)`/`pub(super)` count
     /// as private: restricted helpers are vocabulary, not API surface.
@@ -293,7 +293,7 @@ mod tests {
                pub(crate) fn helper(&mut self) { }\n\
              }\n\
              fn free() { }\n\
-             impl StatSink for SecureMemory { fn report(&self) { } }\n",
+             impl StatRegister for SecureMemory { fn register(&self) { } }\n",
         )]);
         let names: Vec<(&str, Option<&str>, bool, bool, bool)> = t
             .fns
@@ -314,7 +314,7 @@ mod tests {
                 ("store", Some("SecureMemory"), true, true, false),
                 ("helper", Some("SecureMemory"), false, true, false),
                 ("free", None, false, false, false),
-                ("report", Some("SecureMemory"), false, false, true),
+                ("register", Some("SecureMemory"), false, false, true),
             ]
         );
         assert_eq!(t.fns[0].krate.as_deref(), Some("core"));

@@ -191,9 +191,9 @@ fn collect_test_ranges(toks: &[Tok], out: &mut Vec<(u32, u32)>) {
 pub struct ImplBlock<'a> {
     /// The implemented type's name (`SecureMemory` in
     /// `impl SecureMemory`, `SecureStats` in
-    /// `impl StatSink for SecureStats`).
+    /// `impl StatRegister for SecureStats`).
     pub target: String,
-    /// Trait name when this is a trait impl (`StatSink`), else `None`.
+    /// Trait name when this is a trait impl (`StatRegister`), else `None`.
     pub trait_name: Option<String>,
     /// The tokens of the impl body.
     pub body: &'a [Tok],
@@ -414,14 +414,15 @@ mod tests {
 
     #[test]
     fn impls_are_found_with_targets_and_traits() {
-        let src = "impl Foo { fn a(&self) {} }\nimpl StatSink for Bar { fn report(&self) {} }";
+        let src =
+            "impl Foo { fn a(&self) {} }\nimpl StatRegister for Bar { fn register(&self) {} }";
         let toks = tree(src);
         let impls = impl_blocks(&toks);
         assert_eq!(impls.len(), 2);
         assert_eq!(impls[0].target, "Foo");
         assert_eq!(impls[0].trait_name, None);
         assert_eq!(impls[1].target, "Bar");
-        assert_eq!(impls[1].trait_name.as_deref(), Some("StatSink"));
+        assert_eq!(impls[1].trait_name.as_deref(), Some("StatRegister"));
     }
 
     #[test]

@@ -4,8 +4,8 @@ pub struct DemoStats {
     pub misses: u64, // triad-lint: allow(stats-registration) -- fixture: reported by an external sink
 }
 
-impl StatSink for DemoStats {
-    fn report(&self, prefix: &str, out: &mut StatSet) {
-        out.add(prefix, "hits", self.hits);
+impl StatRegister for DemoStats {
+    fn register(&self, scope: &mut Scope<'_>) {
+        scope.set("hits", self.hits);
     }
 }

@@ -487,23 +487,23 @@ fn stats_registration_register_respects_suppression() {
 }
 
 #[test]
-fn stats_registration_covers_the_prefetcher() {
-    // The PR 6 batch prefetcher lives in crates/cache, which is in the
-    // rule's scope: a plan counter its sink never reports is dead.
+fn stats_registration_covers_the_cache_crate() {
+    // crates/cache is in the rule's scope: a cache counter its
+    // `register` never hands to the scope is dead.
     let hits = rule_hits(
-        "crates/cache/src/prefetch.rs",
-        "stats_registration_prefetch_fires.rs",
+        "crates/cache/src/lib.rs",
+        "stats_registration_cache_fires.rs",
         "stats-registration",
     );
     assert_eq!(hits.len(), 1, "{hits:?}");
-    assert_eq!(hits[0].0, 3, "dropped is unreported");
+    assert_eq!(hits[0].0, 3, "bypasses is unregistered");
 }
 
 #[test]
-fn stats_registration_prefetch_respects_suppression() {
+fn stats_registration_cache_respects_suppression() {
     let f = analyze_source(
-        "crates/cache/src/prefetch.rs",
-        &fixture("stats_registration_prefetch_suppressed.rs"),
+        "crates/cache/src/lib.rs",
+        &fixture("stats_registration_cache_suppressed.rs"),
     );
     assert!(f.is_empty(), "{f:?}");
 }

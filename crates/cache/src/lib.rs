@@ -36,10 +36,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod prefetch;
-
-pub use prefetch::{BatchPrefetcher, PrefetchClass, PrefetchPlan, PrefetchStats};
-
 use triad_sim::config::CacheConfig;
 use triad_sim::stats::{Scope, StatRegister};
 use triad_sim::time::Duration;

@@ -6,19 +6,19 @@
 //! persistent-region block writes, [`SecureMemory::persist_block`] as
 //! a batch of one, and [`SecureMemory::flush_block`] and
 //! [`SecureMemory::flush_batch`] over blocks already stored on chip.
-//! Knowing the whole set up front pays two ways:
+//! Knowing the whole set when the call starts pays two ways:
 //!
-//! 1. **Coalesced BMT commit** — every member's atomic update set
-//!    (ciphertext, counter, MAC, persisted tree nodes) merges
-//!    last-wins into one pending staging buffer; ancestors shared by
-//!    multiple dirty leaves are written to NVM once per batch, and the
-//!    §3.3.5 register protocol (stage → READY_BIT → WPQ → commit) is
-//!    charged once instead of once per member.
-//! 2. **Prefetch planning** — the counter blocks, MAC blocks and
-//!    coalesced tree-path nodes the batch will touch are planned
-//!    through [`triad_cache::BatchPrefetcher`] before the first member
-//!    executes, so their fetches can overlap (cf. trie prefetching for
-//!    queued transaction blocks).
+//! 1. **Merged commit** — every member's atomic update set
+//!    (ciphertext, counter, MAC, persisted tree nodes) stages into one
+//!    pending update through `PendingBatch::stage`'s last-wins address
+//!    index, so a block that several members write (a counter block, a
+//!    MAC block, or a tree node on the paths of several dirty leaves)
+//!    persists once per batch, and the §3.3.5 register protocol (stage
+//!    → READY_BIT → WPQ → commit) is charged once instead of once per
+//!    member.
+//! 2. **Overlapped issue** — every member issues from the call's start,
+//!    so the members' metadata fetches overlap instead of serialising
+//!    one member at a time.
 //!
 //! Each member encrypts and MACs its block at its own write-back and,
 //! under Osiris, decides there whether its counter persists. A minor
@@ -55,10 +55,8 @@
 
 use std::collections::hash_map::Entry;
 
-use triad_cache::PrefetchClass;
 use triad_mem::store::Block;
-use triad_meta::bmt::coalesce_dirty_paths;
-use triad_meta::layout::{BlockRole, RegionKind};
+use triad_meta::layout::BlockRole;
 use triad_sim::events::emit;
 use triad_sim::time::Time;
 use triad_sim::{AddrMap, AddrSet, BlockAddr, BLOCK_BYTES};
@@ -106,9 +104,9 @@ impl PendingBatch {
 
 impl SecureMemory {
     /// Persists every write of `members` in order (a repeated block
-    /// commits last-wins), sharing one prefetch plan and one coalesced
-    /// register/WPQ commit across them (see the module docs). Returns
-    /// the time the whole batch is inside the persistence domain.
+    /// commits last-wins): the members issue together and share one
+    /// merged register/WPQ commit (see the module docs). Returns the
+    /// time the whole batch is inside the persistence domain.
     ///
     /// Each member consumes one durability point of the
     /// persist-boundary crash hook ([`SecureMemory::arm_crash`]); a
@@ -121,7 +119,10 @@ impl SecureMemory {
     /// before any state changes) if any member lies outside the
     /// persistent region, plus the classes of
     /// [`SecureMemory::load_block`]. A member that fails commits the
-    /// members processed before it.
+    /// members processed before it; a crash inside that commit (an
+    /// armed [`CrashHookKind::WpqWrite`] hook) returns
+    /// [`SecureMemoryError::NeedsRecovery`] instead of the member's
+    /// error.
     pub fn persist_batch(&mut self, members: &[(BlockAddr, Block)], now: Time) -> Result<Time> {
         self.check_persist_targets(members.iter().map(|(block, _)| *block))?;
         self.persist_members(members, true, now)
@@ -166,11 +167,11 @@ impl SecureMemory {
     ///
     /// The flushed members run the durability loop of
     /// [`SecureMemory::persist_batch`] without a new store: they issue
-    /// together from the call's start under one prefetch plan and
-    /// commit as one batch. Each counts one [`SecureStats::persists`]
-    /// and consumes one durability point of the persist-boundary crash
-    /// hook ([`SecureMemory::arm_crash`]); a crash between members
-    /// makes exactly the already-flushed members durable.
+    /// together from the call's start and commit as one batch. Each
+    /// counts one [`SecureStats::persists`] and consumes one durability
+    /// point of the persist-boundary crash hook
+    /// ([`SecureMemory::arm_crash`]); a crash between members makes
+    /// exactly the already-flushed members durable.
     ///
     /// [`SecureStats::persists`]: crate::SecureStats::persists
     /// [`SecureHists::persist_latency_ns`]: crate::SecureHists::persist_latency_ns
@@ -215,22 +216,19 @@ impl SecureMemory {
             return Ok(now);
         }
         self.open_batch();
-        let planned = self.plan_batch_prefetch(members);
         emit(
             &self.events,
             now,
             "batch_queued",
-            &[
-                ("members", members.len().into()),
-                ("planned_lines", planned.into()),
-            ],
+            &[("members", members.len().into())],
         );
         self.stats.batches += 1;
         self.stats.batch_members += members.len() as u64;
-        // The prefetch plan lets every member's metadata fetches be in
-        // flight together, so members issue from the call's start time
-        // rather than serialising end-to-end; the merged WPQ drain in
-        // `commit_batch` then charges the serialised commit once.
+        // The whole member set is known when the call starts, so every
+        // member's metadata fetches can be in flight together: members
+        // issue from the call's start time rather than serialising
+        // end-to-end, and the merged WPQ drain in `commit_batch` then
+        // charges the serialised commit once.
         let t0 = now + self.l3.latency();
         let mut t = t0;
         for &(block, data) in members {
@@ -283,9 +281,10 @@ impl SecureMemory {
 
     /// The one error path of an open batch: commits the staged prefix,
     /// so the on-chip roots and the NVM image agree, which closes the
-    /// batch, and returns `e`.
+    /// batch, and returns `e`. A crash inside that commit returns the
+    /// commit's `NeedsRecovery` instead.
     fn abandon_batch<T>(&mut self, e: SecureMemoryError, now: Time) -> Result<T> {
-        let _ = self.commit_batch(now);
+        self.commit_batch(now)?;
         Err(e)
     }
 
@@ -386,62 +385,5 @@ impl SecureMemory {
         self.stats.batch_writes_merged += merged;
         self.regs.commit();
         Ok(t)
-    }
-
-    /// Plans the metadata prefetches of a queued batch: per-member
-    /// counter and MAC lines plus the coalesced BMT path nodes, probed
-    /// non-perturbingly against on-chip state. Returns the number of
-    /// distinct lines planned.
-    fn plan_batch_prefetch(&mut self, members: &[(BlockAddr, Block)]) -> u64 {
-        let kind = RegionKind::Persistent;
-        let layout = self.layout(kind);
-        if layout.is_empty() {
-            return 0;
-        }
-        let mut reqs: Vec<(PrefetchClass, BlockAddr)> = Vec::new();
-        let mut leaves: Vec<u64> = Vec::new();
-        for (block, _) in members {
-            if self.map.data_region_of(*block) != Some(kind) {
-                continue;
-            }
-            let data_index = layout.data_index(*block);
-            let leaf = data_index / layout.counter_coverage;
-            leaves.push(leaf);
-            reqs.push((PrefetchClass::Counter, layout.counter_start + leaf));
-            reqs.push((PrefetchClass::Mac, layout.mac_start + data_index / 8));
-        }
-        let coalesced = coalesce_dirty_paths(&layout.geometry, &leaves);
-        for level in 1..layout.geometry.root_level() {
-            for index in coalesced.nodes_at_level(level) {
-                if let Some(addr) = layout.bmt_node_addr(level, *index) {
-                    reqs.push((PrefetchClass::Node, addr));
-                }
-            }
-        }
-        let SecureMemory {
-            prefetcher,
-            ctr_cache,
-            mt_cache,
-            evict_queue,
-            ..
-        } = self;
-        let plan = prefetcher.plan(&reqs, |class, addr| {
-            evict_queue.iter().any(|e| e.addr() == addr)
-                || match class {
-                    PrefetchClass::Counter => ctr_cache.probe(addr),
-                    PrefetchClass::Mac | PrefetchClass::Node => mt_cache.probe(addr),
-                }
-        });
-        emit(
-            &self.events,
-            self.clock,
-            "batch_prefetch",
-            &[
-                ("lines", plan.lines.len().into()),
-                ("predicted_hits", plan.predicted_hits().into()),
-                ("dedup_saved", plan.dedup_saved.into()),
-            ],
-        );
-        plan.lines.len() as u64
     }
 }

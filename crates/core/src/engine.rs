@@ -38,7 +38,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use triad_cache::{AccessOutcome, BatchPrefetcher, Cache, Victim};
+use triad_cache::{AccessOutcome, Cache, Victim};
 use triad_crypto::aes::Aes128;
 use triad_crypto::counter::{AnyCounterBlock, IncrementOutcome};
 use triad_crypto::ctr::{decrypt_block, encrypt_block, Iv};
@@ -456,8 +456,6 @@ pub struct SecureMemory {
     /// The last committed batch's bookkeeping, cleared; the next batch
     /// reuses its tables.
     pub(crate) idle_batch: PendingBatch,
-    /// Prefetch planner fed by queued write batches.
-    pub(crate) prefetcher: BatchPrefetcher,
     /// Test hook: the armed crash and how many more of its trigger
     /// points pass before it fires (see [`SecureMemory::arm_crash`]).
     pub(crate) crash_hook: Option<(CrashHookKind, u64)>,
@@ -494,7 +492,6 @@ impl SecureMemory {
             evict_queue: Vec::new(),
             batch: None,
             idle_batch: PendingBatch::default(),
-            prefetcher: BatchPrefetcher::new(),
             crash_hook: None,
             config,
             map,
@@ -1977,7 +1974,6 @@ impl SecureMemory {
         let mut reg = StatRegistry::new();
         self.stats.register(&mut reg.scope("secure"));
         self.hists.register(&mut reg.scope("secure"));
-        self.prefetcher.stats().register(&mut reg.scope("prefetch"));
         self.l3.register(&mut reg.scope("l3"));
         self.ctr_cache.register(&mut reg.scope("ctr_cache"));
         self.mt_cache.register(&mut reg.scope("mt_cache"));

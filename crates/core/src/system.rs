@@ -149,8 +149,8 @@ impl System {
 
     /// Enables write-combining of persistent stores: up to `window`
     /// *consecutive* `PersistentStore` ops per core buffer on chip and
-    /// drain through one [`SecureMemory::persist_batch`] (shared
-    /// prefetch plan and coalesced metadata commit). Any other memory
+    /// drain through one [`SecureMemory::persist_batch`] (members
+    /// issued together, one merged metadata commit). Any other memory
     /// operation acts as a barrier and drains the buffer first, as
     /// does the end of the core's trace.
     ///

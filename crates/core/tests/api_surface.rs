@@ -145,14 +145,23 @@ fn persist_writes_count_once_per_block_by_role() {
         assert_eq!(classes(m.stats()), expect, "{scheme} {counters:?}");
     }
 
-    // Two members of one MAC group share their counter block, MAC
-    // block and tree path: each persists once.
-    let mut m = build(PersistScheme::triad_nvm(2), strict);
-    let p = m.persistent_region().start().block();
-    let members = [(p, [1; 64]), (BlockAddr(p.0 + 1), [2; 64])];
-    m.persist_batch(&members, Time::ZERO).unwrap();
-    assert_eq!(classes(m.stats()), (1, 1, 1));
-    assert_eq!(m.stats().batch_writes_merged, 3);
+    // Two members persist each block they share once, whatever pages
+    // they lie on: one MAC group shares its counter block, MAC block
+    // and tree path; pages one apart share their L1 node; pages eight
+    // apart share only their L2 node, which TriadNVM-3 persists.
+    for (scheme, apart, expect, merged) in [
+        (PersistScheme::triad_nvm(2), 1, (1, 1, 1), 3),
+        (PersistScheme::triad_nvm(2), 64, (2, 2, 1), 1),
+        (PersistScheme::triad_nvm(3), 8 * 64, (2, 2, 3), 1),
+    ] {
+        let mut m = build(scheme, strict);
+        let p = m.persistent_region().start().block();
+        let members = [(p, [1; 64]), (BlockAddr(p.0 + apart), [2; 64])];
+        m.persist_batch(&members, Time::ZERO).unwrap();
+        let case = format!("{scheme}, {apart} blocks apart");
+        assert_eq!(classes(m.stats()), expect, "{case}");
+        assert_eq!(m.stats().batch_writes_merged, merged, "{case}");
+    }
 
     // A member whose minor counter overflows re-encrypts its page: the
     // page's other 63 blocks retag all 8 of its MAC blocks, whose
@@ -160,6 +169,7 @@ fn persist_writes_count_once_per_block_by_role() {
     // MAC write, whether it persists alone or in a batch.
     for batched in [false, true] {
         let mut m = build(PersistScheme::triad_nvm(2), strict);
+        let p = m.persistent_region().start().block();
         let mut t = Time::ZERO;
         for _ in 0..MINOR_MAX {
             t = m.persist_block(p, [3; 64], t).unwrap();

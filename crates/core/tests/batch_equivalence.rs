@@ -4,8 +4,9 @@
 //! identical — byte-identical NVM image (data, counters, MACs and BMT
 //! nodes), identical persistent BMT root, and identical post-crash
 //! recovery — under every scheme, and under TriadNVM-2 with the Osiris
-//! counter relaxation too. The batch pipeline (prefetch planning,
-//! coalesced metadata commit) is a performance transformation only.
+//! counter relaxation too. The batch pipeline (members issued
+//! together, one merged metadata commit) is a performance
+//! transformation only.
 //!
 //! Six per-scheme tests × 250 default cases = 1500 seeded histories;
 //! `TRIAD_PROP_CASES` rescales each test as usual.

@@ -3,12 +3,13 @@
 //! non-persistent recovery, and the §3.3.5 READY_BIT protocol.
 
 use triad_core::{
-    CrashHookKind, IntegrityKind, KeyPolicy, PersistScheme, SecureMemoryBuilder, SecureMemoryError,
+    CrashHookKind, IntegrityKind, KeyPolicy, PersistScheme, SecureMemory, SecureMemoryBuilder,
+    SecureMemoryError,
 };
 use triad_meta::layout::RegionKind;
-use triad_sim::PhysAddr;
+use triad_sim::{BlockAddr, PhysAddr};
 
-fn build(scheme: PersistScheme) -> triad_core::SecureMemory {
+fn build(scheme: PersistScheme) -> SecureMemory {
     SecureMemoryBuilder::new().scheme(scheme).build().unwrap()
 }
 
@@ -290,6 +291,25 @@ fn a_failed_counter_check_fails_again_on_retry() {
     }
 }
 
+/// A TriadNVM-2 engine that persisted the first of three pages under
+/// three different L1 nodes, crashed and recovered, and then had one
+/// bit of that page's counter block flipped in NVM. Returns the engine,
+/// the tampered counter block and the first block of each page.
+fn with_a_tampered_counter() -> (SecureMemory, BlockAddr, [BlockAddr; 3]) {
+    let mut m = build(PersistScheme::triad_nvm(2));
+    let p = m.persistent_region().start();
+    let pages = [0, 1, 2].map(|i: u64| PhysAddr(p.0 + i * 64 * 4096).block());
+    m.write(pages[0].base(), b"secret").unwrap();
+    m.persist(pages[0].base()).unwrap();
+    let counter_block = m.memory_map().persistent().counter_block_of(pages[0]);
+    m.crash();
+    assert!(m.recover().unwrap().persistent_recovered);
+    let mut mask = [0u8; 64];
+    mask[8] = 1;
+    m.nvm_image_mut().tamper(counter_block, mask);
+    (m, counter_block, pages)
+}
+
 #[test]
 fn a_persist_member_that_fails_verification_commits_the_members_before_it() {
     // As in `tampered_counter_is_detected_at_access_under_triadnvm2`,
@@ -298,20 +318,7 @@ fn a_persist_member_that_fails_verification_commits_the_members_before_it() {
     // members staged before it commit, the batch closes, and the call
     // returns the error, so the engine persists on and recovers.
     for batched in [true, false] {
-        let mut m = build(PersistScheme::triad_nvm(2));
-        let p = m.persistent_region().start();
-        // Three pages under three different L1 nodes.
-        let page = |i: u64| PhysAddr(p.0 + i * 64 * 4096).block();
-        let (tampered, untouched, third) = (page(0), page(1), page(2));
-        m.write(tampered.base(), b"secret").unwrap();
-        m.persist(tampered.base()).unwrap();
-        let counter_block = m.memory_map().persistent().counter_block_of(tampered);
-        m.crash();
-        assert!(m.recover().unwrap().persistent_recovered);
-        let mut mask = [0u8; 64];
-        mask[8] = 1;
-        m.nvm_image_mut().tamper(counter_block, mask);
-
+        let (mut m, counter_block, [tampered, untouched, third]) = with_a_tampered_counter();
         let start = m.now();
         let result = if batched {
             m.persist_batch(&[(untouched, [1; 64]), (tampered, [2; 64])], start)
@@ -337,6 +344,21 @@ fn a_persist_member_that_fails_verification_commits_the_members_before_it() {
         assert_eq!(m.read(untouched.base()).unwrap(), [1; 64]);
         assert_eq!(m.read(third.base()).unwrap(), [3; 64]);
     }
+}
+
+#[test]
+fn a_crash_inside_the_prefix_commit_of_a_failed_persist_needs_recovery() {
+    // The error path commits the staged prefix through the WPQ; a crash
+    // there outranks the member's integrity error, and recovery replays
+    // the prefix from the registers.
+    let (mut m, _, [tampered, untouched, _]) = with_a_tampered_counter();
+    m.arm_crash(CrashHookKind::WpqWrite, 0).unwrap();
+    let start = m.now();
+    let result = m.persist_batch(&[(untouched, [1; 64]), (tampered, [2; 64])], start);
+    assert_eq!(result, Err(SecureMemoryError::NeedsRecovery));
+    let report = m.recover().unwrap();
+    assert!(report.persistent_recovered, "{report:?}");
+    assert_eq!(m.read(untouched.base()).unwrap(), [1; 64]);
 }
 
 #[test]
@@ -499,7 +521,7 @@ fn np_ciphertext_differs_across_sessions_for_same_plaintext_and_counter() {
             .unwrap();
         let np = m.non_persistent_region().start();
         let block = np.block();
-        let capture = |m: &mut triad_core::SecureMemory| {
+        let capture = |m: &mut SecureMemory| {
             // Write, then force the block to NVM through eviction
             // pressure, and capture the ciphertext from the image.
             let len = m.non_persistent_region().len_bytes();

@@ -114,10 +114,9 @@ impl RedoLog {
     /// Members are pushed in log order and each member is its own
     /// durability point inside the batch, so a crash anywhere leaves a
     /// durable *prefix* of the records: the commit marker is durable
-    /// only once every record before it is. The prefetch plan and the
-    /// coalesced metadata commit are shared across the transaction
-    /// (log blocks are consecutive, so their counters, MACs and BMT
-    /// ancestors merge almost perfectly).
+    /// only once every record before it is. The merged metadata commit
+    /// is shared across the transaction (log blocks are consecutive, so
+    /// their counters, MACs and BMT ancestors merge almost perfectly).
     ///
     /// # Errors
     ///

@@ -418,11 +418,10 @@ impl KvStore {
     }
 
     /// Applies the committed write set in place, through the engine's
-    /// batched write path: one queued batch shares the prefetch plan
-    /// and the coalesced metadata commit across the transaction's
-    /// blocks (each block still consumes one durability point, so
-    /// crash-boundary sweeps see the same granularity as the scalar
-    /// walk).
+    /// batched write path: one queued batch shares the merged metadata
+    /// commit across the transaction's blocks (each block still
+    /// consumes one durability point, so crash-boundary sweeps see the
+    /// same granularity as the scalar walk).
     fn apply_writes(
         &mut self,
         mem: &mut SecureMemory,

@@ -209,54 +209,6 @@ pub fn leaf_hash(engine: &MacEngine, region: RegionKind, index: u64, bytes: &Blo
     }
 }
 
-/// The coalesced ancestor set of a batch of dirty leaves.
-///
-/// Built by [`coalesce_dirty_paths`]: when several leaves of one batch
-/// share ancestors, each shared node appears **once** per level instead
-/// of once per leaf — the redundancy a write-batch pipeline eliminates
-/// (cf. *Streamlining Integrity Tree Updates for Secure Persistent
-/// NVM*).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoalescedPaths {
-    /// `levels[l]` holds the sorted, deduplicated node indices touched
-    /// at level `l + 1` (level 0 — the leaves themselves — is the input
-    /// and is not repeated here). The last entry is the root level.
-    pub levels: Vec<Vec<u64>>,
-}
-
-impl CoalescedPaths {
-    /// The deduplicated node indices at tree `level` (1-based; the
-    /// leaves are the caller's input). Empty when out of range.
-    pub fn nodes_at_level(&self, level: u8) -> &[u64] {
-        match level {
-            0 => &[],
-            l => self
-                .levels
-                .get(l as usize - 1)
-                .map(Vec::as_slice)
-                .unwrap_or(&[]),
-        }
-    }
-}
-
-/// Coalesces the update paths of a batch of dirty leaves: walks every
-/// leaf's path to the root and merges shared ancestors so each node is
-/// visited once per level, in ascending index order.
-///
-/// `leaves` may contain duplicates (a batch that writes one page twice
-/// dirties its counter leaf twice); they collapse in the coalesced set.
-pub fn coalesce_dirty_paths(geom: &BmtGeometry, leaves: &[u64]) -> CoalescedPaths {
-    let mut levels: Vec<Vec<u64>> = Vec::with_capacity(geom.root_level() as usize);
-    for level in 0..geom.root_level() {
-        let children = levels.last().map_or(leaves, Vec::as_slice);
-        let mut parents: Vec<u64> = children.iter().map(|&i| geom.parent(level, i).1).collect();
-        parents.sort_unstable();
-        parents.dedup();
-        levels.push(parents);
-    }
-    CoalescedPaths { levels }
-}
-
 /// Result of a tree rebuild.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RebuildOutcome {
@@ -422,44 +374,6 @@ mod tests {
         assert_eq!(g.parent(0, 17), (1, 2));
         assert_eq!(g.child_slot(17), 1);
         assert_eq!(g.arity(), 8);
-    }
-
-    #[test]
-    fn coalescing_merges_shared_ancestors() {
-        // 100 leaves, arity 8: leaves 0, 1 and 7 share the level-1
-        // parent 0; leaf 17 has parent 2. Everything merges by level 2.
-        let g = BmtGeometry::new(100, 8);
-        let c = coalesce_dirty_paths(&g, &[0, 1, 7, 17]);
-        assert_eq!(c.nodes_at_level(1), &[0, 2]);
-        assert_eq!(c.nodes_at_level(2), &[0]);
-        assert_eq!(c.nodes_at_level(3), &[0]);
-    }
-
-    #[test]
-    fn coalescing_duplicate_leaves_collapse() {
-        let g = BmtGeometry::new(100, 8);
-        let c = coalesce_dirty_paths(&g, &[5, 5, 5]);
-        // One node per level once the duplicates merge.
-        assert_eq!(c.levels, vec![vec![0]; 3]);
-    }
-
-    #[test]
-    fn coalescing_disjoint_paths_saves_only_at_the_top() {
-        let g = BmtGeometry::new(100, 8);
-        // Leaves 0 and 64 share no ancestor below the root node.
-        let c = coalesce_dirty_paths(&g, &[0, 64]);
-        assert_eq!(c.nodes_at_level(1), &[0, 8]);
-        assert_eq!(c.nodes_at_level(2), &[0, 1]);
-        assert_eq!(c.nodes_at_level(3), &[0]);
-    }
-
-    #[test]
-    fn coalescing_empty_batch_is_empty() {
-        let g = BmtGeometry::new(100, 8);
-        let c = coalesce_dirty_paths(&g, &[]);
-        assert!(c.levels.iter().all(Vec::is_empty));
-        assert!(c.nodes_at_level(0).is_empty());
-        assert!(c.nodes_at_level(9).is_empty());
     }
 
     #[test]

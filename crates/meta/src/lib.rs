@@ -32,5 +32,5 @@
 pub mod bmt;
 pub mod layout;
 
-pub use bmt::{coalesce_dirty_paths, BmtGeometry, CoalescedPaths, NodeBuf, NodeId};
+pub use bmt::{BmtGeometry, NodeBuf, NodeId};
 pub use layout::{MemoryMap, RegionKind, RegionLayout};
