@@ -11,11 +11,12 @@
 //! |---|---|
 //! | `determinism/hash-order` | no default-hasher maps in the simulation crates |
 //! | `determinism/wall-clock` | no `Instant`/`SystemTime` outside `crates/bench` |
-//! | `panic-policy` | no `unwrap`/`expect`/`panic!` in core/mem/meta non-test code |
+//! | `panic-policy` | no `unwrap`/`expect`/`panic!` in core/mem/meta/kv/recov non-test code |
 //! | `persist-order` | every public engine op drains the eviction queue on Ok paths |
 //! | `stats-registration` | every declared stat counter is reported |
 //! | `suppression-rationale` | every `allow(...)` carries a `-- reason` |
 //! | `shard-safety/*` | sharding-readiness: no shared mutable statics, ordered merges, forked RNG streams |
+//! | `durability-contract` | volatile-tier paths never persist; no commit marker without its WAL payload |
 //!
 //! Since v2 the crate also builds a whole-workspace model — a
 //! [`symbols::SymbolTable`], a [`callgraph::CallGraph`] and inferred

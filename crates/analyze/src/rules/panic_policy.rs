@@ -1,8 +1,9 @@
-//! `panic-policy`: non-test code of `crates/core`, `crates/mem` and
-//! `crates/meta` must not `unwrap()`, `expect(...)` or `panic!`. A
-//! crash-recovery engine that aborts mid-operation is indistinguishable
-//! from the crashes it models; fallible paths return
-//! `SecureMemoryError`, internal invariants use `debug_assert!`.
+//! `panic-policy`: non-test code of `crates/core`, `crates/mem`,
+//! `crates/meta`, `crates/kv` and `crates/recov` must not `unwrap()`,
+//! `expect(...)` or `panic!`. A crash-recovery engine that aborts
+//! mid-operation is indistinguishable from the crashes it models;
+//! fallible paths return `SecureMemoryError`, internal invariants use
+//! `debug_assert!`.
 //!
 //! Matched forms are the method calls `.unwrap()` / `.expect(...)` and
 //! the `panic!` macro; `unwrap_or*`, `assert!` and `unreachable!` are
@@ -33,7 +34,7 @@ impl Rule for PanicPolicy {
     }
 
     fn description(&self) -> &'static str {
-        "unwrap/expect/panic! in non-test code of core/mem/meta aborts the engine mid-operation"
+        "unwrap/expect/panic! in non-test code of core/mem/meta/kv/recov aborts the engine mid-operation"
     }
 
     fn check(&self, file: &FileAnalysis, out: &mut Vec<Finding>) {

@@ -1,7 +1,7 @@
-//! `shard-safety/*`: the sharding-readiness rule pack that de-risks
-//! ROADMAP item 1 (the multi-shard KV front-end). Once engine ops run
-//! on worker threads, three classes of today-harmless idiom become
-//! cross-shard hazards:
+//! `shard-safety/*`: the sharding-readiness rule pack for the
+//! multi-shard KV front-end. Once engine ops run on worker threads,
+//! three classes of otherwise harmless idiom become cross-shard
+//! hazards:
 //!
 //! * **`shard-safety/shared-mutable-static`** (error) — a `static`
 //!   with interior mutability (`Atomic*`, `Mutex`, `RefCell`, ...)

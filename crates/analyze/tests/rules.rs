@@ -78,16 +78,18 @@ fn wall_clock_allows_bench() {
 
 #[test]
 fn panic_policy_fires() {
-    let hits = rule_hits(
+    for path in [
         "crates/core/src/bad.rs",
-        "panic_policy_fires.rs",
-        "panic-policy",
-    );
-    // unwrap, expect, panic! — and NOT unwrap_or.
-    assert_eq!(hits.len(), 3, "{hits:?}");
-    assert_eq!(hits[0].0, 2);
-    assert_eq!(hits[1].0, 6);
-    assert_eq!(hits[2].0, 10);
+        "crates/kv/src/bad.rs",
+        "crates/recov/src/bad.rs",
+    ] {
+        let hits = rule_hits(path, "panic_policy_fires.rs", "panic-policy");
+        // unwrap, expect, panic! — and NOT unwrap_or.
+        assert_eq!(hits.len(), 3, "{path}: {hits:?}");
+        assert_eq!(hits[0].0, 2, "{path}");
+        assert_eq!(hits[1].0, 6, "{path}");
+        assert_eq!(hits[2].0, 10, "{path}");
+    }
 }
 
 #[test]
@@ -103,12 +105,12 @@ fn panic_policy_respects_suppression() {
 fn panic_policy_ignores_test_code_and_other_crates() {
     let src = "#[cfg(test)]\nmod tests {\n  fn t() { None::<u64>.unwrap(); }\n}\n";
     assert!(analyze_source("crates/core/src/x.rs", src).is_empty());
-    // Out-of-scope crate: the sim driver may unwrap.
-    let f = analyze_source(
-        "crates/sim/src/driver.rs",
-        &fixture("panic_policy_fires.rs"),
-    );
-    assert!(f.is_empty(), "{f:?}");
+    // Out-of-scope crates: the sim driver and the load generators may
+    // unwrap.
+    for path in ["crates/sim/src/driver.rs", "crates/workloads/src/bad.rs"] {
+        let f = analyze_source(path, &fixture("panic_policy_fires.rs"));
+        assert!(f.is_empty(), "{path}: {f:?}");
+    }
 }
 
 #[test]

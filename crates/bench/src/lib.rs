@@ -41,15 +41,38 @@ pub fn harness_config() -> SystemConfig {
     cfg
 }
 
-/// Number of memory operations per core in figure sweeps (override
-/// with the `TRIAD_OPS` environment variable).
+/// Number of memory operations per core in figure sweeps: the
+/// `TRIAD_OPS` environment variable, or 400 000 when it is unset.
+///
+/// # Panics
+///
+/// Panics if `TRIAD_OPS` is set to anything but a positive integer.
 pub fn default_ops() -> u64 {
-    std::env::var("TRIAD_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        // Must exceed the 8 MB L3's 131072 lines, or write-back
-        // traffic never reaches the NVM and every scheme looks equal.
-        .unwrap_or(400_000)
+    // Must exceed the 8 MB L3's 131072 lines, or write-back traffic
+    // never reaches the NVM and every scheme looks equal.
+    env_count("TRIAD_OPS", 400_000) as u64
+}
+
+/// Reads the environment variable `name` as a positive integer, or
+/// returns `default` when it is unset.
+///
+/// # Panics
+///
+/// Panics, naming the variable, on any other value: a run sized by a
+/// silent fallback would print numbers of a size nobody asked for.
+fn env_count(name: &str, default: usize) -> usize {
+    let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_count(name, value.as_deref(), default).unwrap_or_else(|e| panic!("{e}"))
+}
+
+fn parse_count(name: &str, value: Option<&str>, default: usize) -> Result<usize, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => match v.parse() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!("{name}={v:?} is not a positive integer")),
+        },
+    }
 }
 
 /// Runs one workload under one scheme and returns the outcome.
@@ -112,6 +135,18 @@ mod tests {
         assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
         assert_eq!(geomean(&[]), 0.0);
         assert_eq!(geomean(&[0.0, -1.0]), 0.0);
+    }
+
+    #[test]
+    fn counts_from_the_environment_are_positive_integers() {
+        assert_eq!(parse_count("TRIAD_OPS", None, 400_000), Ok(400_000));
+        assert_eq!(parse_count("TRIAD_OPS", Some("2000"), 400_000), Ok(2000));
+        for bad in ["2k", "2_000", "0", ""] {
+            assert_eq!(
+                parse_count("TRIAD_OPS", Some(bad), 400_000),
+                Err(format!("TRIAD_OPS={bad:?} is not a positive integer"))
+            );
+        }
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!
 //! Environment knobs:
 //!
-//! * `TRIAD_BENCH_SAMPLES` — sample count per benchmark (default 30).
-//! * `TRIAD_BENCH_QUICK` — when set, 5 samples and a 10× smaller batch
-//!   target, for CI smoke runs.
+//! * `TRIAD_BENCH_SAMPLES` — sample count per benchmark (default 30,
+//!   or 5 under `TRIAD_BENCH_QUICK`). Any value but a positive integer
+//!   stops the run with a panic that names the variable.
+//! * `TRIAD_BENCH_QUICK` — when set, 5 samples by default and a 10×
+//!   smaller batch target, for CI smoke runs.
 
 use std::time::{Duration, Instant};
 
@@ -34,12 +36,8 @@ pub struct Sampler {
 impl Default for Sampler {
     fn default() -> Self {
         let quick = std::env::var_os("TRIAD_BENCH_QUICK").is_some();
-        let samples = std::env::var("TRIAD_BENCH_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(if quick { 5 } else { 30 });
         Sampler {
-            samples: samples.max(1),
+            samples: crate::env_count("TRIAD_BENCH_SAMPLES", if quick { 5 } else { 30 }),
             batch_target: if quick {
                 TARGET_BATCH / 10
             } else {

@@ -177,8 +177,10 @@ impl StatRegister for SecureStats {
 pub struct SecureHists {
     /// End-to-end latency of `load_block`/`store_block` (ns).
     pub op_latency_ns: Histogram,
-    /// End-to-end latency of each `persist_block`/`flush_block`, and of
-    /// each whole `persist_batch`/`flush_batch` (ns).
+    /// End-to-end latency of each persist call that wrote a block back
+    /// (ns): every successful `persist_block`/`persist_batch`, and a
+    /// `flush_block`/`flush_batch` that found a dirty block. A clean
+    /// `flush_block` returns after the L3 lookup and records nothing.
     pub persist_latency_ns: Histogram,
     /// NVM-fetch latency of counter blocks, including verification (ns).
     pub counter_fetch_ns: Histogram,

@@ -49,7 +49,6 @@ pub mod sched;
 pub mod stats;
 pub mod time;
 pub mod trace;
-pub mod trace_file;
 
 pub use addr::{BlockAddr, PhysAddr, BLOCK_BYTES, BLOCK_SHIFT};
 pub use addrmap::{AddrHasher, AddrMap, AddrSet};
@@ -58,4 +57,4 @@ pub use events::{EventSink, SharedEventSink};
 pub use sched::{Interleaver, SchedError, SchedEvent};
 pub use stats::{Histogram, Scope, StatRegister, StatRegistry};
 pub use time::{Duration, Time};
-pub use trace::{InterleavedTrace, MemOp, OpKind, TakeTrace, TraceSource};
+pub use trace::{MemOp, OpKind, TraceSource};

@@ -100,8 +100,8 @@ pub trait TraceSource {
     fn name(&self) -> &str;
 }
 
-/// A trace source that replays a pre-materialised vector once: a test
-/// fixture, or a trace file parsed by [`crate::trace_file::read_trace`].
+/// A trace source that replays a pre-materialised vector once (a test
+/// fixture).
 #[derive(Debug, Clone)]
 pub struct VecTrace {
     name: String,
@@ -125,88 +125,6 @@ impl TraceSource for VecTrace {
 
     fn name(&self) -> &str {
         &self.name
-    }
-}
-
-/// Round-robin interleaving of several trace sources onto one stream
-/// (e.g. to co-schedule a mix's programs on a single core). Ends when
-/// every source is exhausted; exhausted sources are skipped.
-pub struct InterleavedTrace {
-    name: String,
-    sources: Vec<Box<dyn TraceSource>>,
-    next: usize,
-}
-
-impl std::fmt::Debug for InterleavedTrace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InterleavedTrace")
-            .field("name", &self.name)
-            .field("sources", &self.sources.len())
-            .finish()
-    }
-}
-
-impl InterleavedTrace {
-    /// Merges `sources` round-robin. The name joins the parts with `+`.
-    pub fn new(sources: Vec<Box<dyn TraceSource>>) -> Self {
-        let name = sources
-            .iter()
-            .map(|s| s.name())
-            .collect::<Vec<_>>()
-            .join("+");
-        InterleavedTrace {
-            name,
-            sources,
-            next: 0,
-        }
-    }
-}
-
-impl TraceSource for InterleavedTrace {
-    fn next_op(&mut self) -> Option<MemOp> {
-        for _ in 0..self.sources.len() {
-            let idx = self.next;
-            self.next = (self.next + 1) % self.sources.len().max(1);
-            if let Some(op) = self.sources[idx].next_op() {
-                return Some(op);
-            }
-        }
-        None
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-/// Caps another trace source at `limit` operations.
-#[derive(Debug)]
-pub struct TakeTrace<T> {
-    inner: T,
-    remaining: u64,
-}
-
-impl<T: TraceSource> TakeTrace<T> {
-    /// Wraps `inner`, ending the stream after `limit` operations.
-    pub fn new(inner: T, limit: u64) -> Self {
-        TakeTrace {
-            inner,
-            remaining: limit,
-        }
-    }
-}
-
-impl<T: TraceSource> TraceSource for TakeTrace<T> {
-    fn next_op(&mut self) -> Option<MemOp> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        self.inner.next_op()
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
     }
 }
 
@@ -235,33 +153,6 @@ mod tests {
             gap: 0,
         };
         assert_eq!(flush.instruction_count(), 2);
-    }
-
-    #[test]
-    fn interleave_round_robins_and_skips_exhausted() {
-        let a = VecTrace::new(
-            "a",
-            vec![MemOp::load(PhysAddr(0), 0), MemOp::load(PhysAddr(64), 0)],
-        );
-        let b = VecTrace::new("b", vec![MemOp::store(PhysAddr(128), 0)]);
-        let mut t = InterleavedTrace::new(vec![Box::new(a), Box::new(b)]);
-        assert_eq!(t.name(), "a+b");
-        let addrs: Vec<u64> = std::iter::from_fn(|| t.next_op())
-            .map(|o| o.addr.0)
-            .collect();
-        assert_eq!(addrs, [0, 128, 64]);
-        assert!(t.next_op().is_none());
-    }
-
-    #[test]
-    fn take_caps_the_stream() {
-        let inner = VecTrace::new(
-            "t",
-            (0..10).map(|i| MemOp::load(PhysAddr(i * 64), 0)).collect(),
-        );
-        let mut t = TakeTrace::new(inner, 3);
-        assert_eq!(t.name(), "t");
-        assert_eq!(std::iter::from_fn(|| t.next_op()).count(), 3);
     }
 
     #[test]
