@@ -266,16 +266,6 @@ impl System {
                     t = done;
                 }
             }
-            OpKind::Flush => {
-                let dirty_l1 = core.l1.flush(block);
-                let dirty_l2 = core.l2.flush(block);
-                if dirty_l1 || dirty_l2 {
-                    let data = synth_data(block, core.ops);
-                    self.secure.store_block(block, data, t)?;
-                }
-                let done = self.secure.flush_block(block, t)?;
-                t = done;
-            }
         }
 
         // Drain private-cache victims downstream (off the critical

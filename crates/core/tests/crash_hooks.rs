@@ -1,9 +1,9 @@
 //! Crash-hook arming pins.
 //!
 //! The engine holds one armed crash hook at a time — the
-//! persist-boundary hook or the WPQ-write hook — and `triad-recov`
-//! composes a scheduler-level per-thread hook on top (whichever fires
-//! first wins). Arming while a hook is armed is rejected; firing
+//! persist-boundary hook or the WPQ-write hook — and `triad-recov`'s
+//! harness composes a per-thread crash on top (whichever fires first
+//! wins). Arming while a hook is armed is rejected; firing
 //! disarms the hook, so it can never fire again after recovery.
 
 use triad_core::{

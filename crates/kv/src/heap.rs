@@ -31,7 +31,7 @@
 //! The heap has a **single-allocator discipline**: the cursor is one
 //! shared word with no CAS, so raw [`PersistentHeap::alloc_blocks`]
 //! is only sound when each call runs as one atomic step of a single
-//! driver (the `triad-recov` interleaver) or from a single thread.
+//! driver (the `triad-recov` harness) or from a single thread.
 //! Concurrent *recovering* callers additionally need to know whether
 //! an allocation they were making when they crashed took effect; raw
 //! `alloc_blocks` cannot tell them (the leak-on-crash hazard above).

@@ -10,15 +10,14 @@
 //! every invariant there is enforced by a crash-injection test or a
 //! triad-lint rule.
 
-use triad_core::PersistScheme;
-
 /// The durability contract a tenant's mutations are admitted under.
 ///
 /// Ordered weakest to strongest. The variants map onto the paper's
-/// persistence spectrum (see [`DurabilityMode::recommended_scheme`]):
-/// `InMemory` corresponds to running the engine as a write-back cache
-/// with no application log, `Buffered` to the TriadNVM relaxation
-/// (bounded loss, bounded recovery), `Strict` to strict persistence.
+/// persistence spectrum: `InMemory` corresponds to running the engine
+/// as a write-back cache with no application log, `Buffered` to the
+/// TriadNVM relaxation (bounded loss, bounded recovery), `Strict` to
+/// strict persistence. `docs/durability-contract.md` records the
+/// advisory tier→scheme pairing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DurabilityMode {
     /// No durability until an explicit barrier. Mutations live in a
@@ -88,22 +87,6 @@ impl DurabilityMode {
         }
     }
 
-    /// The engine persistence scheme this tier pairs with naturally —
-    /// the paper mapping, advisory only (shards in one service share
-    /// one engine scheme regardless of tenant mix):
-    ///
-    /// * `InMemory` → `WriteBack` (nothing to persist inline),
-    /// * `Buffered` → `TriadNVM-2` (bounded recovery work matches the
-    ///   bounded loss window),
-    /// * `Strict` → `Strict`.
-    pub fn recommended_scheme(self) -> PersistScheme {
-        match self {
-            DurabilityMode::InMemory => PersistScheme::WriteBack,
-            DurabilityMode::Buffered { .. } => PersistScheme::triad_nvm(2),
-            DurabilityMode::Strict => PersistScheme::Strict,
-        }
-    }
-
     /// `true` when `self` promises no more than `other` does — the
     /// partial order used to compute the *weakest* tier that admitted
     /// a mutation since the last recovery, which is what a
@@ -160,21 +143,5 @@ mod tests {
         assert!(i.weaker_or_equal(b) && i.weaker_or_equal(s));
         assert!(b.weaker_or_equal(s) && !b.weaker_or_equal(i));
         assert!(s.weaker_or_equal(s) && !s.weaker_or_equal(b));
-    }
-
-    #[test]
-    fn paper_scheme_mapping() {
-        assert_eq!(
-            DurabilityMode::Strict.recommended_scheme(),
-            PersistScheme::Strict
-        );
-        assert_eq!(
-            DurabilityMode::buffered_default().recommended_scheme(),
-            PersistScheme::triad_nvm(2)
-        );
-        assert_eq!(
-            DurabilityMode::InMemory.recommended_scheme(),
-            PersistScheme::WriteBack
-        );
     }
 }

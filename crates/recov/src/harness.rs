@@ -2,24 +2,27 @@
 //!
 //! The harness owns the only loop in the crate: it builds a secure
 //! memory + heap + mementos + structure, spawns one step machine per
-//! scheduled operation, and lets a seeded [`Interleaver`] decide which
-//! logical thread executes its next atomic step. Crashes come from
-//! two independent layers, and **whichever fires first wins**:
+//! scheduled operation, and draws from a seeded [`SplitMix64`] stream
+//! which logical thread executes its next atomic step — uniformly
+//! among the threads with work left, so every interleaving is
+//! reproducible from [`RunSpec::seed`]. Crashes come from two
+//! independent layers, and **whichever fires first wins**:
 //!
-//! * **per-thread** ([`RunSpec::thread_crash`], scheduler-level): the
-//!   victim's volatile state — machine and [`ThreadCtx`] — is dropped;
-//!   its next scheduled step is recovery (rebuild the context from
+//! * **per-thread** ([`RunSpec::thread_crash`] `(t, k)`): when thread
+//!   `t` is drawn with `k` steps behind it, the crash fires instead of
+//!   its step. Its volatile state — machine and [`ThreadCtx`] — is
+//!   dropped, and its next step is recovery (rebuild the context from
 //!   NVM, then replay the in-flight operation through the `Start`
 //!   resolution gate);
-//! * **whole-system** ([`RunSpec::engine_crash_after_persists`],
-//!   engine-level): the step in flight fails with `NeedsRecovery`,
-//!   caches and staged state are lost, and *every* thread restarts
-//!   through recovery. A still-armed per-thread crash is disarmed at
-//!   that point — the whole system already crashed, so the per-thread
-//!   hook lost the race and must never fire afterwards.
+//! * **whole-system** ([`RunSpec::engine_crash_after_persists`], the
+//!   engine's `arm_crash` hook): the step in flight fails with
+//!   `NeedsRecovery`, caches and staged state are lost, and *every*
+//!   thread restarts through recovery. A still-pending per-thread
+//!   crash is dropped at that point — the whole system already
+//!   crashed, so the per-thread crash lost the race and never fires.
 //!
 //! Every decisive step (a successful decisive CAS, or a fused empty
-//! observation) is appended to a **commit log** in scheduler order.
+//! observation) is appended to a **commit log** in schedule order.
 //! The oracle ([`check_run`]) replays that log against a sequential
 //! model and enforces:
 //!
@@ -37,7 +40,7 @@ use triad_core::{
     CrashHookKind, PersistScheme, SecureMemory, SecureMemoryBuilder, SecureMemoryError,
 };
 use triad_kv::PersistentHeap;
-use triad_sim::{Interleaver, SchedEvent};
+use triad_sim::rng::SplitMix64;
 
 use crate::memento::{Mementos, ThreadCtx};
 use crate::queue::{MsQueue, QueueMachine, QueueOp};
@@ -118,14 +121,15 @@ pub struct RunSpec {
     pub kind: StructureKind,
     /// Persist scheme of the secure memory.
     pub scheme: PersistScheme,
-    /// Scheduler seed (equal seeds ⇒ equal interleavings).
+    /// Schedule seed (equal seeds ⇒ equal interleavings).
     pub seed: u64,
     /// Per-thread operation scripts; `scripts.len()` is the thread
     /// count.
     pub scripts: Vec<Vec<OpSpec>>,
-    /// Crash thread `t` instead of its `k`-th step (0-based).
+    /// Crash thread `t` instead of its `k`-th step (0-based); a `k`
+    /// the thread never reaches never fires.
     pub thread_crash: Option<(usize, u64)>,
-    /// Whole-system crash at the n-th run-phase durability point
+    /// Whole-system crash at the n-th run-phase persist boundary
     /// (0-based; setup persists are excluded).
     pub engine_crash_after_persists: Option<u64>,
 }
@@ -147,7 +151,7 @@ pub struct CommitRec {
 /// Everything a finished run exposes to oracles and benchmarks.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
-    /// Decisive commits in scheduler (temporal) order.
+    /// Decisive commits in schedule (temporal) order.
     pub commits: Vec<CommitRec>,
     /// Final per-thread, per-operation results.
     pub results: Vec<Vec<Option<OpResult>>>,
@@ -156,7 +160,9 @@ pub struct RunOutcome {
     /// Machine steps each thread executed (recovery steps included) —
     /// the valid crash-point range for a sweep.
     pub per_thread_steps: Vec<u64>,
-    /// Run-phase durability points (atomic persists, setup excluded).
+    /// Run-phase persist boundaries (setup excluded): the points
+    /// [`RunSpec::engine_crash_after_persists`] counts, so each of
+    /// `0..persists` fires when armed on the same spec without one.
     pub persists: u64,
     /// Run-phase metadata blocks persisted by the scheme (the paper's
     /// cost axis; setup excluded).
@@ -209,6 +215,15 @@ struct ThreadRun {
     op_start_ns: Option<u64>,
 }
 
+impl ThreadRun {
+    /// Whether the thread has no step left to take: every scripted
+    /// operation completed and no recovery pending. Only threads with
+    /// steps left are drawn.
+    fn done(&self) -> bool {
+        !self.needs_recovery && self.machine.is_none() && self.op_idx >= self.script.len()
+    }
+}
+
 fn make_machine(kind: StructureKind, op: OpSpec, seq: u64) -> Machine {
     match kind {
         StructureKind::Stack => Machine::Stack(StackMachine::new(
@@ -234,8 +249,8 @@ fn make_machine(kind: StructureKind, op: OpSpec, seq: u64) -> Machine {
 /// # Errors
 ///
 /// [`RecovError::BadSpec`] for malformed specs; propagated engine /
-/// heap / scheduler errors otherwise. An injected crash is *handled*,
-/// not an error.
+/// heap errors otherwise. An injected crash is *handled*, not an
+/// error.
 pub fn run(spec: &RunSpec) -> Result<RunOutcome> {
     let n = spec.scripts.len();
     if n == 0 {
@@ -257,10 +272,8 @@ pub fn run(spec: &RunSpec) -> Result<RunOutcome> {
         StructureKind::Queue => Structure::Queue(MsQueue::create(&mut mem, &heap)?),
     };
 
-    let mut il = Interleaver::new(spec.seed, n);
-    if let Some((t, k)) = spec.thread_crash {
-        il.arm_thread_crash(t, k)?;
-    }
+    let mut schedule = SplitMix64::stream(spec.seed, 0x5C4E_D01E);
+    let mut thread_crash = spec.thread_crash;
     if let Some(p) = spec.engine_crash_after_persists {
         // Run-phase boundary count: armed after all setup persists.
         mem.arm_crash(CrashHookKind::PersistBoundary, p)?;
@@ -276,11 +289,6 @@ pub fn run(spec: &RunSpec) -> Result<RunOutcome> {
             op_start_ns: None,
         })
         .collect();
-    for (t, th) in threads.iter().enumerate() {
-        if th.script.is_empty() {
-            il.set_runnable(t, false)?;
-        }
-    }
 
     let mut commits: Vec<CommitRec> = Vec::new();
     let mut results: Vec<Vec<Option<OpResult>>> =
@@ -290,86 +298,78 @@ pub fn run(spec: &RunSpec) -> Result<RunOutcome> {
     let mut thread_crashes = 0u64;
     let mut engine_crashes = 0u64;
     let mut op_latency_ns: Vec<u64> = Vec::new();
-    let persists0 = mem.stats().atomic_persists;
+    let persists0 = mem.stats().persists;
     let pmw0 = mem.stats().persist_metadata_writes();
     let ns0 = mem.now().as_ns();
 
-    while let Some(ev) = il.next_event() {
-        match ev {
-            SchedEvent::CrashThread(t) => {
-                // Per-thread crash: all volatile state of t is lost.
-                thread_crashes += 1;
-                threads[t].machine = None;
-                threads[t].needs_recovery = true;
-                il.revive(t)?;
-            }
-            SchedEvent::Run(t) => {
-                steps += 1;
-                per_thread_steps[t] += 1;
-                let outcome = step_thread(&mut mem, &heap, &structure, spec.kind, &mut threads, t);
-                match outcome {
-                    Ok(None) => {
-                        // Recovery step or thread now finished.
-                        if threads[t].op_idx >= threads[t].script.len()
-                            && threads[t].machine.is_none()
-                            && !threads[t].needs_recovery
-                        {
-                            il.set_runnable(t, false)?;
-                        }
+    loop {
+        // One draw per event, uniform over the threads with steps left
+        // in ascending order.
+        let ready: Vec<usize> = (0..n).filter(|&t| !threads[t].done()).collect();
+        if ready.is_empty() {
+            break;
+        }
+        let t = ready[schedule.below(ready.len() as u64) as usize];
+        if thread_crash == Some((t, per_thread_steps[t])) {
+            // Per-thread crash instead of the step: all volatile state
+            // of t is lost, and its next step is recovery.
+            thread_crash = None;
+            thread_crashes += 1;
+            threads[t].machine = None;
+            threads[t].needs_recovery = true;
+            continue;
+        }
+        steps += 1;
+        per_thread_steps[t] += 1;
+        match step_thread(&mut mem, &heap, &structure, spec.kind, &mut threads, t) {
+            // A recovery step, or the thread had nothing left to do.
+            Ok(None) => {}
+            Ok(Some(step)) => {
+                let now_ns = mem.now().as_ns();
+                let th = &mut threads[t];
+                let mut finish = |th: &mut ThreadRun, r: OpResult| {
+                    results[t][th.op_idx] = Some(r);
+                    if let Some(start) = th.op_start_ns.take() {
+                        op_latency_ns.push(now_ns.saturating_sub(start));
                     }
-                    Ok(Some(step)) => {
-                        let now_ns = mem.now().as_ns();
-                        let th = &mut threads[t];
-                        let mut finish = |th: &mut ThreadRun, r: OpResult| {
-                            results[t][th.op_idx] = Some(r);
-                            if let Some(start) = th.op_start_ns.take() {
-                                op_latency_ns.push(now_ns.saturating_sub(start));
-                            }
-                            th.op_idx += 1;
-                            th.machine = None;
-                        };
-                        match step {
-                            StepOutcome::Continue => {}
-                            StepOutcome::Decided(r) => commits.push(CommitRec {
-                                thread: t,
-                                op_index: th.op_idx,
-                                op: th.script[th.op_idx],
-                                result: r,
-                            }),
-                            StepOutcome::DoneDecisive(r) => {
-                                commits.push(CommitRec {
-                                    thread: t,
-                                    op_index: th.op_idx,
-                                    op: th.script[th.op_idx],
-                                    result: r,
-                                });
-                                finish(th, r);
-                            }
-                            StepOutcome::Done(r) => finish(th, r),
-                        }
-                        if th.op_idx >= th.script.len() && th.machine.is_none() {
-                            il.set_runnable(t, false)?;
-                        }
+                    th.op_idx += 1;
+                    th.machine = None;
+                };
+                match step {
+                    StepOutcome::Continue => {}
+                    StepOutcome::Decided(r) => commits.push(CommitRec {
+                        thread: t,
+                        op_index: th.op_idx,
+                        op: th.script[th.op_idx],
+                        result: r,
+                    }),
+                    StepOutcome::DoneDecisive(r) => {
+                        commits.push(CommitRec {
+                            thread: t,
+                            op_index: th.op_idx,
+                            op: th.script[th.op_idx],
+                            result: r,
+                        });
+                        finish(th, r);
                     }
-                    Err(RecovError::Memory(SecureMemoryError::NeedsRecovery)) => {
-                        // Whole-system crash: recover the engine and
-                        // restart every thread through recovery. The
-                        // system-level crash fired first, so a pending
-                        // per-thread crash is disarmed — it must never
-                        // fire afterwards.
-                        engine_crashes += 1;
-                        mem.recover()?;
-                        PersistentHeap::open(&mut mem)?;
-                        for (u, th) in threads.iter_mut().enumerate() {
-                            il.disarm_thread_crash(u)?;
-                            th.machine = None;
-                            th.needs_recovery = true;
-                            il.revive(u)?;
-                        }
-                    }
-                    Err(e) => return Err(e),
+                    StepOutcome::Done(r) => finish(th, r),
                 }
             }
+            Err(RecovError::Memory(SecureMemoryError::NeedsRecovery)) => {
+                // Whole-system crash: recover the engine and restart
+                // every thread through recovery. The system-level
+                // crash fired first, so a pending per-thread crash is
+                // dropped — it must never fire afterwards.
+                engine_crashes += 1;
+                thread_crash = None;
+                mem.recover()?;
+                PersistentHeap::open(&mut mem)?;
+                for th in &mut threads {
+                    th.machine = None;
+                    th.needs_recovery = true;
+                }
+            }
+            Err(e) => return Err(e),
         }
     }
 
@@ -379,7 +379,7 @@ pub fn run(spec: &RunSpec) -> Result<RunOutcome> {
         results,
         steps,
         per_thread_steps,
-        persists: mem.stats().atomic_persists - persists0,
+        persists: mem.stats().persists - persists0,
         persist_metadata_writes: mem.stats().persist_metadata_writes() - pmw0,
         nvm_writes: mem.mem_stats().writes,
         thread_crashes,
@@ -593,6 +593,9 @@ mod tests {
             assert_eq!(out.engine_crashes, 0);
             assert!(out.steps > 0 && out.persists > 0);
             assert!(out.commits.len() == 18);
+            // Another seed draws another interleaving.
+            let other = crash_equivalence_concurrent(&RunSpec { seed: 12, ..spec }).unwrap();
+            assert_ne!(other.commits, out.commits, "{kind:?}");
         }
     }
 
@@ -628,6 +631,41 @@ mod tests {
                 let out = crash_equivalence_concurrent(&spec)
                     .unwrap_or_else(|e| panic!("{kind:?} crash@{k}: {e}"));
                 assert_eq!(out.thread_crashes, 1, "{kind:?} crash@{k} must fire");
+            }
+        }
+    }
+
+    #[test]
+    fn thread_crash_fires_at_the_last_step_and_never_past_it() {
+        for kind in [StructureKind::Stack, StructureKind::Queue] {
+            let spec = RunSpec {
+                kind,
+                scheme: scheme(),
+                seed: 13,
+                scripts: mixed_scripts(3, 4),
+                thread_crash: None,
+                engine_crash_after_persists: None,
+            };
+            let clean = crash_equivalence_concurrent(&spec).unwrap();
+            for (t, &taken) in clean.per_thread_steps.iter().enumerate() {
+                let last = RunSpec {
+                    thread_crash: Some((t, taken - 1)),
+                    ..spec.clone()
+                };
+                let out = crash_equivalence_concurrent(&last).unwrap();
+                assert_eq!(out.thread_crashes, 1, "{kind:?} thread {t} last step");
+                // The thread finishes with `taken` steps behind it and
+                // is never drawn again, so a crash armed at `taken`
+                // never fires and the run is the clean one.
+                let past = RunSpec {
+                    thread_crash: Some((t, taken)),
+                    ..spec.clone()
+                };
+                let out = crash_equivalence_concurrent(&past).unwrap();
+                assert_eq!(out.thread_crashes, 0, "{kind:?} thread {t} past the end");
+                assert_eq!(out.commits, clean.commits);
+                assert_eq!(out.steps, clean.steps);
+                assert_eq!(out.per_thread_steps, clean.per_thread_steps);
             }
         }
     }

@@ -23,11 +23,11 @@
 //!   [`triad_kv::PersistentHeap`], every persist flowing through the
 //!   secure engine (BMT/counter/MAC state stays consistent under
 //!   every Triad-NVM scheme).
-//! * [`harness`] — the deterministic multi-thread driver over
-//!   [`triad_sim::Interleaver`]: per-thread operation scripts, crash
-//!   injection at arbitrary step points, recovery replay, and the
-//!   concurrent crash-equivalence oracle (commit-log linearizability
-//!   + exactly-once detectability).
+//! * [`harness`] — the deterministic multi-thread driver: a seeded
+//!   schedule over per-thread operation scripts, crash injection at
+//!   arbitrary step points, recovery replay, and the concurrent
+//!   crash-equivalence oracle (commit-log linearizability +
+//!   exactly-once detectability).
 //!
 //! **Detectability** means: after thread *t* crashes at any step and
 //! re-executes its in-flight operation, the operation's effect is
@@ -42,7 +42,6 @@ use std::fmt;
 
 use triad_core::SecureMemoryError;
 use triad_kv::HeapError;
-use triad_sim::sched::SchedError;
 
 pub mod cas;
 pub mod harness;
@@ -66,9 +65,6 @@ pub enum RecovError {
     Memory(SecureMemoryError),
     /// The persistent heap failed (out of space, slot misuse, …).
     Heap(HeapError),
-    /// The interleaving scheduler rejected a request (bad thread,
-    /// conflicting crash re-arm, …).
-    Sched(SchedError),
     /// A checksummed protocol record failed validation where a torn
     /// write is not a legal explanation — corruption, not a crash.
     Corrupt {
@@ -90,7 +86,6 @@ impl fmt::Display for RecovError {
         match self {
             RecovError::Memory(e) => write!(f, "secure memory error: {e}"),
             RecovError::Heap(e) => write!(f, "persistent heap error: {e}"),
-            RecovError::Sched(e) => write!(f, "scheduler error: {e}"),
             RecovError::Corrupt { what, addr } => {
                 write!(f, "corrupt {what} record at {addr:#x}")
             }
@@ -104,7 +99,6 @@ impl Error for RecovError {
         match self {
             RecovError::Memory(e) => Some(e),
             RecovError::Heap(e) => Some(e),
-            RecovError::Sched(e) => Some(e),
             _ => None,
         }
     }
@@ -128,12 +122,6 @@ impl From<HeapError> for RecovError {
     }
 }
 
-impl From<SchedError> for RecovError {
-    fn from(e: SchedError) -> Self {
-        RecovError::Sched(e)
-    }
-}
-
 /// Shorthand for recov results.
 pub type Result<T> = std::result::Result<T, RecovError>;
 
@@ -151,12 +139,6 @@ mod error_surface {
         assert_eq!(lifted, RecovError::Memory(SecureMemoryError::NeedsRecovery));
         let h = RecovError::from(HeapError::OutOfSpace);
         assert_eq!(h, RecovError::Heap(HeapError::OutOfSpace));
-        let s = RecovError::from(SchedError::NoSuchThread {
-            thread: 3,
-            threads: 2,
-        });
-        assert!(s.to_string().contains("scheduler"));
-        assert!(s.source().is_some());
         let c = RecovError::Corrupt {
             what: "cas-site",
             addr: 0x40,

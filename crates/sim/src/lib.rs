@@ -21,9 +21,6 @@
 //!   splitting (no `rand` dependency anywhere).
 //! * [`prop`] — a minimal seeded property-testing harness (replaces
 //!   `proptest`; see DESIGN.md on the zero-dependency policy).
-//! * [`sched`] — the deterministic multi-thread interleaving scheduler
-//!   with per-thread crash injection that drives the `triad-recov`
-//!   concurrent-recovery suite.
 //!
 //! # Example
 //!
@@ -45,7 +42,6 @@ pub mod config;
 pub mod events;
 pub mod prop;
 pub mod rng;
-pub mod sched;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -54,7 +50,6 @@ pub use addr::{BlockAddr, PhysAddr, BLOCK_BYTES, BLOCK_SHIFT};
 pub use addrmap::{AddrHasher, AddrMap, AddrSet};
 pub use config::SystemConfig;
 pub use events::{EventSink, SharedEventSink};
-pub use sched::{Interleaver, SchedError, SchedEvent};
 pub use stats::{Histogram, Scope, StatRegister, StatRegistry};
 pub use time::{Duration, Time};
 pub use trace::{MemOp, OpKind, TraceSource};

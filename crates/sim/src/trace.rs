@@ -19,9 +19,6 @@ pub enum OpKind {
     /// persistence domain (the memory controller's WPQ) before the core
     /// proceeds. Only meaningful for persistent-region addresses.
     PersistentStore,
-    /// A `clwb + sfence` of an already-written block without a new
-    /// store (flush of an earlier `Store`).
-    Flush,
 }
 
 impl OpKind {
@@ -32,7 +29,7 @@ impl OpKind {
 
     /// Whether the operation orders against persistence (drains to WPQ).
     pub fn is_persist(self) -> bool {
-        matches!(self, OpKind::PersistentStore | OpKind::Flush)
+        self == OpKind::PersistentStore
     }
 }
 
@@ -82,7 +79,6 @@ impl MemOp {
         let mem_insts = match self.kind {
             OpKind::Load | OpKind::Store => 1,
             OpKind::PersistentStore => 3, // store + clwb + sfence
-            OpKind::Flush => 2,           // clwb + sfence
         };
         self.gap as u64 + mem_insts
     }
@@ -137,9 +133,7 @@ mod tests {
         assert!(OpKind::Store.is_write());
         assert!(OpKind::PersistentStore.is_write());
         assert!(!OpKind::Load.is_write());
-        assert!(!OpKind::Flush.is_write());
         assert!(OpKind::PersistentStore.is_persist());
-        assert!(OpKind::Flush.is_persist());
         assert!(!OpKind::Store.is_persist());
     }
 
@@ -147,12 +141,6 @@ mod tests {
     fn instruction_count_accounts_for_fences() {
         assert_eq!(MemOp::load(PhysAddr(0), 10).instruction_count(), 11);
         assert_eq!(MemOp::persist(PhysAddr(0), 10).instruction_count(), 13);
-        let flush = MemOp {
-            addr: PhysAddr(0),
-            kind: OpKind::Flush,
-            gap: 0,
-        };
-        assert_eq!(flush.instruction_count(), 2);
     }
 
     #[test]

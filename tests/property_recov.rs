@@ -58,7 +58,8 @@ fn split(ops: &[OpSpec], threads: usize) -> Vec<Vec<OpSpec>> {
 /// crash points (start / middle / near-end of each thread's clean
 /// step count) and engine persist-boundary crashes under all four
 /// recoverable schemes, for the structure the case picked. ~50
-/// harness runs per case, each oracle-checked.
+/// harness runs per case, each oracle-checked, and each swept crash
+/// must fire.
 #[test]
 fn recov_crash_equivalence_under_swept_crashes() {
     check_ops(
@@ -87,22 +88,40 @@ fn recov_crash_equivalence_under_swept_crashes() {
                 };
                 let clean = crash_equivalence_concurrent(&spec)
                     .map_err(|e| format!("{scheme} clean run: {e}"))?;
+                // Every point below the clean run's count must fire. A
+                // shrunk history can leave a thread without steps, or a
+                // run with fewer than two persists: those points are
+                // out of range and not swept.
                 for t in 0..threads {
                     let steps = clean.per_thread_steps[t];
                     let mut points = vec![0, steps / 2, steps.saturating_sub(1)];
                     points.dedup();
-                    for k in points {
+                    for k in points.into_iter().filter(|&k| k < steps) {
                         let mut s = spec.clone();
                         s.thread_crash = Some((t, k));
-                        crash_equivalence_concurrent(&s)
+                        let out = crash_equivalence_concurrent(&s)
                             .map_err(|e| format!("{scheme} thread {t} crashed at step {k}: {e}"))?;
+                        if out.thread_crashes != 1 {
+                            return Err(format!(
+                                "{scheme} thread {t} crash at step {k} never fired"
+                            ));
+                        }
                     }
                 }
-                for p in [1, clean.persists / 2, clean.persists.saturating_sub(1)] {
+                let persists = clean.persists;
+                for p in [1, persists / 2, persists.saturating_sub(1)]
+                    .into_iter()
+                    .filter(|&p| p < persists)
+                {
                     let mut s = spec.clone();
                     s.engine_crash_after_persists = Some(p);
-                    crash_equivalence_concurrent(&s)
+                    let out = crash_equivalence_concurrent(&s)
                         .map_err(|e| format!("{scheme} engine crash after {p} persists: {e}"))?;
+                    if out.engine_crashes != 1 {
+                        return Err(format!(
+                            "{scheme} engine crash after {p} persists never fired"
+                        ));
+                    }
                 }
             }
             Ok(())
@@ -161,9 +180,9 @@ fn detectability_crashed_op_applies_exactly_once_at_every_step() {
     );
 }
 
-/// Composition: a scheduler-armed thread crash and an engine crash in
-/// the same run. Whichever fires first wins; an engine crash disarms
-/// the pending thread crash (all threads restart from durable state
+/// Composition: a per-thread crash and an engine crash in the same
+/// run. Whichever fires first wins; an engine crash disarms the
+/// pending thread crash (all threads restart from durable state
 /// anyway), and the oracle must still hold.
 #[test]
 fn thread_and_engine_crashes_compose() {
