@@ -194,10 +194,9 @@ impl<V> Cache<V> {
         }
     }
 
-    /// Allocates an unfilled line for `block` (a miss), returning its
-    /// index and the block it displaced.
-    fn allocate(&mut self, block: BlockAddr, write: bool) -> (usize, Option<Victim<V>>) {
-        self.clock += 1;
+    /// Index of the line a miss on `block` allocates: a free way of its
+    /// set, else the least recently used one.
+    fn replacement_line(&self, block: BlockAddr) -> usize {
         let base = self.set_of(block) * self.ways;
         let set = &self.lines[base..base + self.ways];
         let way = match set.iter().position(|l| !l.valid) {
@@ -209,7 +208,14 @@ impl<V> Cache<V> {
                 .map(|(i, _)| i)
                 .expect("ways >= 1"),
         };
-        let i = base + way;
+        base + way
+    }
+
+    /// Allocates an unfilled line for `block` (a miss), returning its
+    /// index and the block it displaced.
+    fn allocate(&mut self, block: BlockAddr, write: bool) -> (usize, Option<Victim<V>>) {
+        self.clock += 1;
+        let i = self.replacement_line(block);
         let old = self.lines[i];
         let value = self.values[i].take();
         let victim = old.valid.then_some(Victim {
@@ -297,6 +303,17 @@ impl<V> Cache<V> {
             }
             None => false,
         }
+    }
+
+    /// The block that an access to `block` would displace, without
+    /// changing anything: `None` when `block` is resident or its set
+    /// has a free way.
+    pub fn peek_victim(&self, block: BlockAddr) -> Option<BlockAddr> {
+        if self.find(block).is_some() {
+            return None;
+        }
+        let line = &self.lines[self.replacement_line(block)];
+        line.valid.then_some(BlockAddr(line.tag))
     }
 
     /// Whether `block` is present, without disturbing replacement state
@@ -483,6 +500,26 @@ mod tests {
             })
         );
         assert_eq!(c.get(BlockAddr(4)), Some(&8));
+    }
+
+    #[test]
+    fn peek_victim_names_what_the_next_miss_displaces() {
+        let mut c: Cache<u8> = tiny(2);
+        assert_eq!(c.peek_victim(BlockAddr(0)), None, "free way");
+        c.fill(BlockAddr(0), true, 1);
+        c.fill(BlockAddr(4), false, 2);
+        assert_eq!(c.peek_victim(BlockAddr(4)), None, "resident");
+        assert_eq!(c.peek_victim(BlockAddr(8)), Some(BlockAddr(0)));
+        let before = c.stats();
+        c.hit(BlockAddr(0), false);
+        assert_eq!(c.peek_victim(BlockAddr(8)), Some(BlockAddr(4)), "LRU moved");
+        assert_eq!(
+            c.stats().accesses(),
+            before.accesses() + 1,
+            "peeks count nothing"
+        );
+        let out = c.fill(BlockAddr(8), false, 3);
+        assert_eq!(out.victim.map(|v| v.addr), Some(BlockAddr(4)));
     }
 
     #[test]

@@ -49,19 +49,40 @@
 //! which return at cache latency, followed by one `flush_batch` over
 //! the blocks they stored.
 //!
+//! ## Tree hashes, once per node
+//!
+//! Each member's tree walk (`update_path`) fetches, touches and stages
+//! its path exactly as a walk that hashed each level as it went (an
+//! *eager* walk) would, but it does not hash the nodes it touches: it
+//! records which parent slot (or root slot) each node owes its hash to.
+//! `SecureMemory::settle_path_hashes` then hashes each owed node once,
+//! bottom-up, so ancestors the members share are hashed once per batch
+//! instead of once per member (the shared-ancestor updates Freij et al.
+//! coalesce). The settle runs wherever an owed hash would become
+//! observable: at the commit (which covers `abandon_batch`), when an
+//! injected crash fires, before a Merkle-tree-cache fill displaces a
+//! node that is owed or whose parent a walk is fetching, and before an
+//! eviction refreshes a slot in an owed node or in a root. Every cache
+//! line, staged write and register then holds what the eager walk left,
+//! so no simulated number and no NVM byte depends on when the hashes
+//! run.
+//!
 //! The engine keeps one set of batch bookkeeping tables for its whole
 //! life: a commit clears them and the next batch reuses them, so
-//! opening a batch allocates no map.
+//! opening a batch allocates no map, and the registers' write list and
+//! the owed-hash lists keep their capacity from batch to batch.
 
 use std::collections::hash_map::Entry;
 
+use triad_crypto::mac::Mac64;
 use triad_mem::store::Block;
-use triad_meta::layout::BlockRole;
+use triad_meta::bmt::{self, NodeBuf, NodeId};
+use triad_meta::layout::{BlockRole, RegionKind};
 use triad_sim::events::emit;
 use triad_sim::time::Time;
 use triad_sim::{AddrMap, AddrSet, BlockAddr, BLOCK_BYTES};
 
-use crate::engine::{Result, SecureMemory};
+use crate::engine::{MtLine, Result, SecureMemory};
 use crate::error::{CrashHookKind, SecureMemoryError};
 use crate::registers::{PersistentRegisters, StagedUpdate, StagedWrite};
 
@@ -74,6 +95,11 @@ pub(crate) struct PendingBatch {
     index: AddrMap<u64, usize>,
     /// Writes staged so far, before merging.
     pub(crate) naive_writes: u64,
+    /// The last committed write list, emptied: the next batch logs into
+    /// it, so the list keeps its capacity.
+    spare: Vec<StagedWrite>,
+    /// Tree-node hashes the batch's walks owe their parents.
+    pub(crate) hashes: PathHashes,
 }
 
 impl PendingBatch {
@@ -89,7 +115,10 @@ impl PendingBatch {
         self.naive_writes += 1;
         if self.index.is_empty() {
             // The batch's first write replaces whatever was logged.
-            regs.stage(StagedUpdate::default());
+            regs.stage(StagedUpdate {
+                writes: std::mem::take(&mut self.spare),
+                new_persistent_root: None,
+            });
         }
         let writes = &mut regs.staged_mut().writes;
         match self.index.entry(addr.0) {
@@ -99,6 +128,91 @@ impl PendingBatch {
                 writes.push(StagedWrite { addr, data });
             }
         }
+    }
+}
+
+/// A BMT node a tree walk touched.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PathNode {
+    pub(crate) kind: RegionKind,
+    pub(crate) level: u8,
+    pub(crate) index: u64,
+    pub(crate) addr: BlockAddr,
+}
+
+/// The tree-node hashes the open batch's walks owe (see the module
+/// docs). Between settles every owed node stays resident in the
+/// Merkle-tree cache, and so does the node whose parent a walk is
+/// fetching.
+#[derive(Debug, Default)]
+pub(crate) struct PathHashes {
+    /// `owed[level - 1]`: the nodes at `level` whose parent slot (or
+    /// root slot) lacks their hash, in the order they were first owed.
+    owed: Vec<Vec<PathNode>>,
+    /// Addresses of every owed node.
+    owed_addrs: AddrSet<u64>,
+    /// The node whose parent the current walk is fetching.
+    in_flight: Option<PathNode>,
+    /// The in-flight node's hash, when a settle ran during that fetch:
+    /// the walk writes it into the parent itself.
+    carried: Option<Mac64>,
+    /// Whether a walk moved the persistent root since the last settle,
+    /// which then logs it in the registers.
+    log_root: bool,
+}
+
+impl PathHashes {
+    /// Records that `node`'s hash is owed to its parent slot.
+    pub(crate) fn owe(&mut self, node: PathNode) {
+        if !self.owed_addrs.insert(node.addr.0) {
+            return;
+        }
+        let level = usize::from(node.level);
+        if self.owed.len() < level {
+            self.owed.resize_with(level, Vec::new);
+        }
+        self.owed[level - 1].push(node);
+    }
+
+    /// Whether some node must not leave the Merkle-tree cache unsettled.
+    pub(crate) fn watches_any(&self) -> bool {
+        !self.owed_addrs.is_empty() || self.in_flight.is_some()
+    }
+
+    /// Whether `addr` must not leave the Merkle-tree cache unsettled.
+    pub(crate) fn watches(&self, addr: BlockAddr) -> bool {
+        self.owed_addrs.contains(&addr.0) || self.in_flight.is_some_and(|n| n.addr == addr)
+    }
+
+    /// Whether a settle would change nothing.
+    pub(crate) fn is_settled(&self) -> bool {
+        self.owed_addrs.is_empty() && self.in_flight.is_none() && !self.log_root
+    }
+
+    /// Marks `node` as the one whose parent the walk now fetches.
+    pub(crate) fn fetching_parent_of(&mut self, node: Option<PathNode>) {
+        self.in_flight = node;
+    }
+
+    /// Ends the fetch [`PathHashes::fetching_parent_of`] began,
+    /// returning that node's hash if a settle ran meanwhile.
+    pub(crate) fn parent_fetched(&mut self) -> Option<Mac64> {
+        self.in_flight = None;
+        self.carried.take()
+    }
+
+    /// Notes that a walk moved the persistent root.
+    pub(crate) fn log_root(&mut self) {
+        self.log_root = true;
+    }
+
+    /// Forgets every owed hash, keeping the lists' capacity.
+    fn clear(&mut self) {
+        for nodes in &mut self.owed {
+            nodes.clear();
+        }
+        self.owed_addrs.clear();
+        self.log_root = false;
     }
 }
 
@@ -238,7 +352,7 @@ impl SecureMemory {
                 self.l3_fill(block, true, data);
             }
             self.stats.persists += 1;
-            if self.persist_boundary_crash(now) {
+            if self.persist_boundary_crash(now)? {
                 // The crash cleared the open batch; the staged prefix
                 // (every fully processed member) replays at recovery.
                 return Err(SecureMemoryError::NeedsRecovery);
@@ -334,16 +448,17 @@ impl SecureMemory {
     /// here. A no-op when no batch is open or nothing was staged. The
     /// batch's bookkeeping is cleared and kept for the next batch.
     fn commit_batch(&mut self, now: Time) -> Result<Time> {
+        self.settle_path_hashes()?;
         let Some(mut pending) = self.batch.take() else {
             return Ok(now);
         };
-        let done = self.commit_pending(&pending, now);
+        let done = self.commit_pending(&mut pending, now);
         pending.clear();
         self.idle_batch = pending;
         done
     }
 
-    fn commit_pending(&mut self, pending: &PendingBatch, now: Time) -> Result<Time> {
+    fn commit_pending(&mut self, pending: &mut PendingBatch, now: Time) -> Result<Time> {
         let staged = pending.index.len();
         if staged == 0 {
             return Ok(now);
@@ -369,7 +484,7 @@ impl SecureMemory {
                 break;
             };
             let at = || ("block", w.addr.0.into());
-            if self.crash_hook_fires(CrashHookKind::WpqWrite, t, at) {
+            if self.crash_hook_fires(CrashHookKind::WpqWrite, t, at)? {
                 return Err(SecureMemoryError::NeedsRecovery);
             }
             t = self.mc.write(w.addr, w.data, t);
@@ -383,7 +498,221 @@ impl SecureMemory {
         }
         self.stats.atomic_persists += 1;
         self.stats.batch_writes_merged += merged;
-        self.regs.commit();
+        // Clearing READY_BIT hands the write list back for the next batch.
+        if let Some(mut update) = self.regs.take_staged() {
+            update.writes.clear();
+            pending.spare = update.writes;
+        }
         Ok(t)
+    }
+
+    /// Hashes every tree node the open batch's walks owe, once each,
+    /// bottom-up (see the module docs). Each hash goes into its
+    /// parent's cache line through the non-touching `Cache::get` and
+    /// `Cache::set`, so recency, dirty bits and cache statistics do not
+    /// move, or into the root. An owed node's staged bytes are refreshed
+    /// in place, and a moved persistent root is logged in the
+    /// registers. A no-op when nothing is owed or no batch is open.
+    pub(crate) fn settle_path_hashes(&mut self) -> Result<()> {
+        let Some(pending) = self.batch.as_mut() else {
+            return Ok(());
+        };
+        if pending.hashes.is_settled() {
+            return Ok(());
+        }
+        let mut hashes = std::mem::take(&mut pending.hashes);
+        let settled = self.settle(&mut hashes);
+        hashes.clear();
+        if let Some(pending) = self.batch.as_mut() {
+            pending.hashes = hashes;
+        }
+        settled
+    }
+
+    fn settle(&mut self, hashes: &mut PathHashes) -> Result<()> {
+        let staged_levels = self.scheme.persisted_bmt_levels();
+        for nodes in &hashes.owed {
+            for &node in nodes {
+                let buf = self.resident_node(node.addr)?;
+                if node.level <= staged_levels {
+                    self.batch_refresh(node.addr, buf.0);
+                }
+                let hash = self.path_node_hash(node, &buf);
+                self.feed_parent(node, hash)?;
+            }
+        }
+        if let Some(node) = hashes.in_flight.take() {
+            let buf = self.resident_node(node.addr)?;
+            hashes.carried = Some(self.path_node_hash(node, &buf));
+        }
+        // A walk in progress has not staged its path yet: its copies
+        // take the settled values.
+        for i in 0..self.path_writes.len() {
+            let addr = self.path_writes[i].addr;
+            if let Some(MtLine::Node(buf)) = self.mt_cache.get(addr) {
+                self.path_writes[i].data = buf.0;
+            }
+        }
+        if hashes.log_root {
+            self.regs.staged_mut().new_persistent_root = Some(self.regs.persistent_root);
+        }
+        Ok(())
+    }
+
+    /// The value of BMT node `addr`, which a settle reads or writes on
+    /// chip.
+    fn resident_node(&self, addr: BlockAddr) -> Result<NodeBuf> {
+        match self.mt_cache.get(addr) {
+            Some(MtLine::Node(buf)) => Ok(*buf),
+            _ => Err(SecureMemoryError::internal(format!(
+                "BMT node {addr} left the Merkle-tree cache with a hash owed"
+            ))),
+        }
+    }
+
+    /// Hashes a node for its parent slot (counted in
+    /// [`SecureStats::node_hashes`](crate::SecureStats::node_hashes)).
+    fn path_node_hash(&mut self, node: PathNode, buf: &NodeBuf) -> Mac64 {
+        self.stats.node_hashes += 1;
+        let id = NodeId {
+            region: node.kind,
+            level: node.level,
+            index: node.index,
+        };
+        bmt::node_hash(&self.mac_engine, id, &buf.0)
+    }
+
+    /// Writes `hash` into `node`'s slot of its parent: the root, or a
+    /// resident node's line, untouched.
+    fn feed_parent(&mut self, node: PathNode, hash: Mac64) -> Result<()> {
+        let layout = self.layout(node.kind);
+        let geom = &layout.geometry;
+        let (p_level, p_index) = geom.parent(node.level, node.index);
+        let slot = geom.child_slot(node.index);
+        if p_level == geom.root_level() {
+            let mut root = self.root(node.kind);
+            root.set_slot(slot, hash);
+            self.set_root(node.kind, root);
+            return Ok(());
+        }
+        let parent = layout.bmt_node_addr(p_level, p_index).ok_or_else(|| {
+            SecureMemoryError::internal(format!(
+                "BMT parent ({p_level}, {p_index}) has no in-memory address"
+            ))
+        })?;
+        let mut buf = self.resident_node(parent)?;
+        buf.set_slot(slot, hash);
+        self.mt_cache.set(parent, MtLine::Node(buf));
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use triad_sim::config::{CacheConfig, SystemConfig};
+
+    use super::*;
+    use crate::{PersistScheme, SecureMemoryBuilder, SecureMemoryError};
+
+    /// A walk's node can leave the Merkle-tree cache while the walk
+    /// fetches its parent: the fetch settles the batch first, and the
+    /// walk writes the node's hash into the parent itself. A
+    /// direct-mapped cache in which a level-1 node and its parent share
+    /// a set forces that on the first persist, and the resulting root
+    /// is the one a cache that holds both computes.
+    #[test]
+    fn a_node_displaced_by_its_parents_fetch_still_feeds_the_parent() {
+        let probe = SecureMemoryBuilder::new().build().unwrap();
+        let layout = probe.memory_map().persistent();
+        let (node, parent) = (
+            layout.bmt_node_addr(1, 0).unwrap(),
+            layout.bmt_node_addr(2, 0).unwrap(),
+        );
+        let sets = usize::try_from(parent.0 - node.0).unwrap();
+        let mut config = SystemConfig::tiny();
+        config.security.mt_cache = CacheConfig::new(64 * sets, 1, 3);
+        let block = layout.data_start;
+        let mut roots = Vec::new();
+        for config in [SystemConfig::tiny(), config] {
+            let mut m = SecureMemoryBuilder::new()
+                .config(config)
+                .scheme(PersistScheme::triad_nvm(2))
+                .build()
+                .unwrap();
+            m.persist_block(block, [9; 64], Time::ZERO).unwrap();
+            roots.push(m.root(RegionKind::Persistent));
+            m.crash();
+            assert!(m.recover().unwrap().persistent_recovered);
+            assert_eq!(m.read(block.base()).unwrap(), [9; 64]);
+        }
+        assert_eq!(roots[0], roots[1]);
+    }
+
+    /// An eviction that refreshes a slot of an owed node lands after
+    /// the walk staged that node, so the batch commits the node as the
+    /// walk left it and the refresh waits for the node's own
+    /// write-back, exactly as when every walk hashes as it goes.
+    ///
+    /// Such a refresh changes a slot only after a walk failed between a
+    /// counter's advance and its level-1 node: page 0's walk fails on a
+    /// tampered node, the tamper is undone, and page 1's walk then owes
+    /// that node while page 0's dirty counter leaves the cache.
+    #[test]
+    fn an_eviction_refresh_of_an_owed_node_waits_for_its_write_back() {
+        let mut config = SystemConfig::tiny();
+        // Metadata lines stay resident, so no displacement settles the
+        // owed node before the counter's refresh lands.
+        config.security.mt_cache = CacheConfig::new(64 << 10, 8, 3);
+        let mut m = SecureMemoryBuilder::new()
+            .config(config)
+            .scheme(PersistScheme::triad_nvm(2))
+            .build()
+            .unwrap();
+        let layout = m.layout(RegionKind::Persistent).clone();
+        let node = layout.bmt_node_addr(1, 0).unwrap();
+        let counter = layout.counter_start;
+        let page = |p: u64| layout.data_start + p * layout.counter_coverage;
+        let t = m.persist_block(page(0), [1; 64], Time::ZERO).unwrap();
+
+        // Page 0's second walk fails on its tampered level-1 node after
+        // its counter advanced.
+        m.mt_cache.invalidate(node);
+        let mut mask = [0u8; 64];
+        mask[63] = 1;
+        m.nvm_image_mut().tamper(node, mask);
+        let failed = m.persist_block(page(0), [2; 64], t);
+        assert!(
+            matches!(failed, Err(SecureMemoryError::IntegrityViolation { .. })),
+            "{failed:?}"
+        );
+        m.nvm_image_mut().tamper(node, mask);
+        let slot0 = |buf: [u8; 64]| NodeBuf(buf).slot(0);
+        let committed_slot0 = slot0(m.nvm_image().read(node));
+
+        // Page 1 owes the node; pages 16, 32, 48 and 64 share page 0's
+        // counter-cache set and push its dirty counter out mid-batch.
+        let members: Vec<_> = [1, 16, 32, 48, 64].map(|p| (page(p), [3; 64])).to_vec();
+        let evicted = m.stats().counter_writes_evict;
+        m.persist_batch(&members, t).unwrap();
+        assert_eq!(m.stats().counter_writes_evict, evicted + 1);
+
+        let refreshed = bmt::leaf_hash(
+            &m.mac_engine,
+            RegionKind::Persistent,
+            0,
+            &m.nvm_image().read(counter),
+        );
+        let on_chip = match m.mt_cache.get(node) {
+            Some(MtLine::Node(buf)) => *buf,
+            other => panic!("node left the cache: {other:?}"),
+        };
+        assert_eq!(on_chip.slot(0), refreshed, "the refresh reached the cache");
+        assert!(m.mt_cache.probe_dirty(node), "and awaits a write-back");
+        assert_ne!(refreshed, committed_slot0);
+        assert_eq!(
+            slot0(m.nvm_image().read(node)),
+            committed_slot0,
+            "the commit wrote the node as page 1's walk left it"
+        );
     }
 }

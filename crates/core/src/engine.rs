@@ -53,7 +53,7 @@ use triad_sim::stats::{Histogram, Scope, StatRegister, StatRegistry};
 use triad_sim::time::{Duration, Time};
 use triad_sim::{AddrSet, BlockAddr, PhysAddr, BLOCK_BYTES};
 
-use crate::batch::PendingBatch;
+use crate::batch::{PathHashes, PathNode, PendingBatch};
 use crate::error::{CrashHookKind, IntegrityKind, SecureMemoryError};
 use crate::recovery::{CorruptRange, RecoveryReport};
 use crate::registers::{PersistentRegisters, StagedWrite};
@@ -124,6 +124,13 @@ pub struct SecureStats {
     /// NVM writes merged away by batching: writes staged minus writes
     /// the coalesced commits performed.
     pub batch_writes_merged: u64,
+    /// BMT node hashes the durability loop computed to update the tree
+    /// (root and counter-block hashes, verification and eviction-path
+    /// hashes excluded). A batch hashes each node its walks touch once
+    /// per settle of its owed hashes: at its commit, and earlier only
+    /// where one must land sooner (an injected crash, or an owed node
+    /// leaving the Merkle-tree cache or taking an eviction's refresh).
+    pub node_hashes: u64,
 }
 
 impl SecureStats {
@@ -166,6 +173,7 @@ impl StatRegister for SecureStats {
         scope.set("batches", self.batches);
         scope.set("batch_members", self.batch_members);
         scope.set("batch_writes_merged", self.batch_writes_merged);
+        scope.set("node_hashes", self.node_hashes);
     }
 }
 
@@ -427,7 +435,7 @@ pub struct SecureMemory {
     key_seed: u64,
     aes_persistent: Aes128,
     aes_volatile: Aes128,
-    mac_engine: MacEngine,
+    pub(crate) mac_engine: MacEngine,
     pub(crate) mc: MemoryController,
     /// Shared L3; its lines hold the blocks' plaintext.
     pub(crate) l3: Cache<Block>,
@@ -458,6 +466,9 @@ pub struct SecureMemory {
     /// The last committed batch's bookkeeping, cleared; the next batch
     /// reuses its tables.
     pub(crate) idle_batch: PendingBatch,
+    /// The persisted-level node writes of the tree walk in progress,
+    /// staged after the member's data, counter and MAC writes.
+    pub(crate) path_writes: Vec<StagedWrite>,
     /// Test hook: the armed crash and how many more of its trigger
     /// points pass before it fires (see [`SecureMemory::arm_crash`]).
     pub(crate) crash_hook: Option<(CrashHookKind, u64)>,
@@ -494,6 +505,7 @@ impl SecureMemory {
             evict_queue: Vec::new(),
             batch: None,
             idle_batch: PendingBatch::default(),
+            path_writes: Vec::new(),
             crash_hook: None,
             config,
             map,
@@ -589,7 +601,7 @@ impl SecureMemory {
         }
     }
 
-    fn set_root(&mut self, kind: RegionKind, root: NodeBuf) {
+    pub(crate) fn set_root(&mut self, kind: RegionKind, root: NodeBuf) {
         match kind {
             RegionKind::Persistent => self.regs.persistent_root = root,
             RegionKind::NonPersistent => self.regs.non_persistent_root = root,
@@ -668,13 +680,15 @@ impl SecureMemory {
     /// Returns `true` when the hook fires: it is disarmed and the
     /// engine has crashed (`at` tags the `crash` event), so the caller
     /// must abandon the operation and surface
-    /// [`SecureMemoryError::NeedsRecovery`].
+    /// [`SecureMemoryError::NeedsRecovery`]. The open batch's owed tree
+    /// hashes settle first, so the registers keep the replayable
+    /// prefix.
     pub(crate) fn crash_hook_fires(
         &mut self,
         kind: CrashHookKind,
         now: Time,
         at: impl FnOnce() -> (&'static str, Value),
-    ) -> bool {
+    ) -> Result<bool> {
         match &mut self.crash_hook {
             Some((armed, left)) if *armed == kind && *left > 0 => *left -= 1,
             Some((armed, _)) if *armed == kind => {
@@ -685,16 +699,17 @@ impl SecureMemory {
                     "crash",
                     &[("injected", true.into()), at()],
                 );
+                let settled = self.settle_path_hashes();
                 self.crash();
-                return true;
+                return settled.map(|()| true);
             }
             _ => {}
         }
-        false
+        Ok(false)
     }
 
     /// [`SecureMemory::crash_hook_fires`] at a durability point.
-    pub(crate) fn persist_boundary_crash(&mut self, now: Time) -> bool {
+    pub(crate) fn persist_boundary_crash(&mut self, now: Time) -> Result<bool> {
         let at = || ("at", "persist_boundary".into());
         self.crash_hook_fires(CrashHookKind::PersistBoundary, now, at)
     }
@@ -792,7 +807,21 @@ impl SecureMemory {
         }
     }
 
-    fn mt_fill(&mut self, block: BlockAddr, write: bool, value: MtLine) {
+    /// Fills a Merkle-tree-cache line; a fill that would displace a
+    /// node whose hash the open batch still owes, or whose parent a
+    /// walk is fetching, settles the batch first.
+    fn mt_fill(&mut self, block: BlockAddr, write: bool, value: MtLine) -> Result<()> {
+        let displaces_owed = self.batch.as_ref().is_some_and(|pending| {
+            let owed = &pending.hashes;
+            owed.watches_any()
+                && self
+                    .mt_cache
+                    .peek_victim(block)
+                    .is_some_and(|victim| owed.watches(victim))
+        });
+        if displaces_owed {
+            self.settle_path_hashes()?;
+        }
         let out = self.mt_cache.fill(block, write, value);
         if let Some(Victim {
             addr,
@@ -805,6 +834,7 @@ impl SecureMemory {
                 MtLine::Mac(value) => EvictItem::Mac { addr, value, dirty },
             });
         }
+        Ok(())
     }
 
     /// Pulls a still-queued victim back on chip (a fetch racing its own
@@ -913,24 +943,39 @@ impl SecureMemory {
         hash: Mac64,
         now: Time,
     ) -> Result<()> {
-        let geom = &self.layout(kind).geometry;
+        let layout = self.layout(kind);
+        let geom = &layout.geometry;
         let (p_level, p_index) = geom.parent(level, index);
         let slot = geom.child_slot(index);
-        if p_level == geom.root_level() {
+        let parent = if p_level == geom.root_level() {
+            None
+        } else {
+            Some(layout.bmt_node_addr(p_level, p_index).ok_or_else(|| {
+                SecureMemoryError::internal(format!(
+                    "BMT parent ({p_level}, {p_index}) has no in-memory address"
+                ))
+            })?)
+        };
+        // The staged copy of an owed node, and the logged root, hold
+        // what the eager walk left, which never includes this refresh:
+        // settle them before it lands.
+        if let Some(pending) = &self.batch {
+            let owed = &pending.hashes;
+            let settle = match parent {
+                None => !owed.is_settled(),
+                Some(addr) => owed.watches(addr),
+            };
+            if settle {
+                self.settle_path_hashes()?;
+            }
+        }
+        let Some(addr) = parent else {
             let mut root = self.root(kind);
             root.set_slot(slot, hash);
             self.set_root(kind, root);
             return Ok(());
-        }
+        };
         self.ensure_node(kind, p_level, p_index, now)?;
-        let addr = self
-            .layout(kind)
-            .bmt_node_addr(p_level, p_index)
-            .ok_or_else(|| {
-                SecureMemoryError::internal(format!(
-                    "BMT parent ({p_level}, {p_index}) has no in-memory address"
-                ))
-            })?;
         let Some(MtLine::Node(entry)) = self.mt_cache.hit(addr, true) else {
             return Err(SecureMemoryError::internal(format!(
                 "ensure_node left no resident node at {addr}"
@@ -969,7 +1014,7 @@ impl SecureMemory {
         }
         // A pending write-back holds the newest value.
         if let Some(EvictItem::Node { value, dirty, .. }) = self.reclaim(addr) {
-            self.mt_fill(addr, dirty, MtLine::Node(value));
+            self.mt_fill(addr, dirty, MtLine::Node(value))?;
             return Ok((value, now + self.mt_cache.latency()));
         }
         // Fetch from NVM and verify against the parent. A block staged
@@ -1000,34 +1045,10 @@ impl SecureMemory {
             });
         }
         let buf = NodeBuf(bytes);
-        self.mt_fill(addr, false, MtLine::Node(buf));
+        self.mt_fill(addr, false, MtLine::Node(buf))?;
         let done = t.max(tp) + self.config.security.hash_latency;
         self.hists.node_fetch_ns.record(done.since(now).as_ns());
         Ok((buf, done))
-    }
-
-    fn put_node(
-        &mut self,
-        kind: RegionKind,
-        level: u8,
-        index: u64,
-        buf: NodeBuf,
-        dirty: bool,
-    ) -> Result<()> {
-        if level == self.layout(kind).geometry.root_level() {
-            self.set_root(kind, buf);
-            return Ok(());
-        }
-        let addr = self
-            .layout(kind)
-            .bmt_node_addr(level, index)
-            .ok_or_else(|| {
-                SecureMemoryError::internal(format!(
-                    "BMT node ({level}, {index}) below root has no in-memory address"
-                ))
-            })?;
-        self.mt_fill(addr, dirty, MtLine::Node(buf));
-        Ok(())
     }
 
     /// Returns the current counter block for leaf `leaf`, fetching and
@@ -1172,7 +1193,7 @@ impl SecureMemory {
             return Ok((buf, now + self.mt_cache.latency()));
         }
         if let Some(EvictItem::Mac { value, dirty, .. }) = self.reclaim(addr) {
-            self.mt_fill(addr, dirty, MtLine::Mac(value));
+            self.mt_fill(addr, dirty, MtLine::Mac(value))?;
             return Ok((value, now + self.mt_cache.latency()));
         }
         let (bytes, t) = match self.batch_forward(addr) {
@@ -1181,7 +1202,7 @@ impl SecureMemory {
         };
         self.stats.mac_reads += 1;
         let buf = NodeBuf(bytes);
-        self.mt_fill(addr, false, MtLine::Mac(buf));
+        self.mt_fill(addr, false, MtLine::Mac(buf))?;
         self.hists.mac_fetch_ns.record(t.since(now).as_ns());
         Ok((buf, t))
     }
@@ -1251,7 +1272,7 @@ impl SecureMemory {
         let tag = self.data_tag(block, &ct, &iv);
         let (mut mac_buf, t_mac) = self.ensure_mac_block(kind, data_index, now)?;
         mac_buf.set_slot((data_index % 8) as usize, tag);
-        self.mt_fill(mac_addr, true, MtLine::Mac(mac_buf));
+        self.mt_fill(mac_addr, true, MtLine::Mac(mac_buf))?;
         t = t.max(t_mac) + self.config.security.hash_latency;
 
         // 3. Minor overflow: the whole page re-encrypts under the new
@@ -1282,9 +1303,7 @@ impl SecureMemory {
                 .scheme
                 .persisted_bmt_levels()
                 .min(root_level.saturating_sub(1));
-            let (staged_nodes, new_root, t_path) =
-                self.update_path(kind, leaf, leaf_h, persist_levels, now)?;
-            t = t.max(t_path);
+            t = t.max(self.update_path(kind, leaf, leaf_h, persist_levels, now)?);
             // Osiris relaxation: skip the counter copy unless the
             // interval expired (recovery reconstructs skipped updates
             // from the MACs, §6 / Ye et al.).
@@ -1305,21 +1324,19 @@ impl SecureMemory {
             // §3.3.5 protocol: stage → READY_BIT → WPQ copies → commit.
             // The open batch merges this update set last-wins into the
             // registers' staged update, which therefore always holds
-            // the whole replayable prefix, so the per-write root advance
-            // stays crash-safe; the coalesced WPQ drain and register
-            // commit happen once when the batch commits.
+            // the whole replayable prefix once the batch's owed tree
+            // hashes settle (with the logged root), so the per-write
+            // root advance stays crash-safe; the coalesced WPQ drain and
+            // register commit happen once when the batch commits.
             self.batch_stage(block, ct)?;
             if persist_counter {
                 self.batch_stage(counter_addr, counter_bytes)?;
             }
             self.batch_stage(mac_addr, mac_buf.0)?;
-            for w in &staged_nodes {
+            for i in 0..self.path_writes.len() {
+                let w = self.path_writes[i];
                 self.batch_stage(w.addr, w.data)?;
             }
-            if kind == RegionKind::Persistent {
-                self.regs.staged_mut().new_persistent_root = Some(new_root);
-            }
-            self.set_root(kind, new_root);
             // Persisted metadata is now clean on chip (under Osiris the
             // skipped counter stays dirty until its forced persist or
             // natural eviction).
@@ -1327,9 +1344,10 @@ impl SecureMemory {
                 self.ctr_cache.flush(counter_addr);
             }
             self.mt_cache.flush(mac_addr);
-            for w in &staged_nodes {
+            for w in &self.path_writes {
                 self.mt_cache.flush(w.addr);
             }
+            self.path_writes.clear();
         } else {
             // Lazy path: only the ciphertext goes to NVM now; counter,
             // MAC and tree propagate on eviction.
@@ -1404,7 +1422,7 @@ impl SecureMemory {
             let (mut mac_buf, _) = self.ensure_mac_block(kind, data_index, now)?;
             mac_buf.set_slot((data_index % 8) as usize, new_tag);
             let mac_addr = mac_start + data_index / 8;
-            self.mt_fill(mac_addr, true, MtLine::Mac(mac_buf));
+            self.mt_fill(mac_addr, true, MtLine::Mac(mac_buf))?;
             touched_macs.insert(mac_addr.0);
             // An atomic region's re-encrypted ciphertext stages (a
             // direct write would be clobbered by the batch commit or
@@ -1431,8 +1449,15 @@ impl SecureMemory {
         Ok(t)
     }
 
-    /// Updates the tree path above `leaf` on chip, returning the node
-    /// writes to persist (levels `1..=persist_levels`) and the new root.
+    /// Updates the tree path above `leaf` on chip and returns the time
+    /// its hashes are done. Every level's node is fetched, touched and,
+    /// up to `persist_levels`, appended to `path_writes`, and the
+    /// counter's hash enters its level-1 slot. Each node's own hash is
+    /// owed to its parent's slot, or the root's, until the open batch
+    /// settles it (see [`crate::batch`]), so a node several members
+    /// touch is hashed once. An edge is owed only once the parent's
+    /// fetch has succeeded, so a walk that fails part-way leaves the
+    /// slots a walk that hashed each level as it went would leave.
     fn update_path(
         &mut self,
         kind: RegionKind,
@@ -1440,50 +1465,75 @@ impl SecureMemory {
         leaf_hash: Mac64,
         persist_levels: u8,
         now: Time,
-    ) -> Result<(Vec<StagedWrite>, NodeBuf, Time)> {
+    ) -> Result<Time> {
         let geom = &self.layout(kind).geometry;
         let (root_level, arity) = (geom.root_level(), geom.arity());
-        let mut staged = Vec::new();
-        let mut h = leaf_hash;
+        let hash_latency = self.config.security.hash_latency;
+        self.path_writes.clear();
+        // The node below the current level; `None` is the counter leaf,
+        // whose hash is already known.
+        let mut child: Option<PathNode> = None;
         let mut child_index = leaf;
         let mut t = now;
         for level in 1..=root_level {
             let slot = (child_index % arity) as usize;
             let index = child_index / arity;
             if level == root_level {
-                let mut root = self.root(kind);
-                root.set_slot(slot, h);
-                t += self.config.security.hash_latency;
-                return Ok((staged, root, t));
+                match child {
+                    Some(node) => self.path_hashes()?.owe(node),
+                    None => {
+                        let mut root = self.root(kind);
+                        root.set_slot(slot, leaf_hash);
+                        self.set_root(kind, root);
+                    }
+                }
+                if kind == RegionKind::Persistent {
+                    self.path_hashes()?.log_root();
+                }
+                return Ok(t + hash_latency);
             }
-            let (mut buf, tn) = self.ensure_node(kind, level, index, now)?;
-            buf.set_slot(slot, h);
+            self.path_hashes()?.fetching_parent_of(child);
+            let fetched = self.ensure_node(kind, level, index, now);
+            let carried = self.path_hashes()?.parent_fetched();
+            let (mut buf, tn) = fetched?;
+            match (child, carried) {
+                (None, _) => buf.set_slot(slot, leaf_hash),
+                // A settle ran during the fetch and hashed the child.
+                (Some(_), Some(hash)) => buf.set_slot(slot, hash),
+                (Some(node), None) => self.path_hashes()?.owe(node),
+            }
+            let addr = self
+                .layout(kind)
+                .bmt_node_addr(level, index)
+                .ok_or_else(|| {
+                    SecureMemoryError::internal(format!(
+                        "BMT node ({level}, {index}) below root has no in-memory address"
+                    ))
+                })?;
             let persist_this = level <= persist_levels;
-            self.put_node(kind, level, index, buf, !persist_this)?;
+            self.mt_fill(addr, !persist_this, MtLine::Node(buf))?;
             if persist_this {
-                let addr = self
-                    .layout(kind)
-                    .bmt_node_addr(level, index)
-                    .ok_or_else(|| {
-                        SecureMemoryError::internal(format!(
-                            "persisted BMT node ({level}, {index}) has no in-memory address"
-                        ))
-                    })?;
-                staged.push(StagedWrite { addr, data: buf.0 });
+                self.path_writes.push(StagedWrite { addr, data: buf.0 });
             }
-            h = bmt::node_hash(
-                &self.mac_engine,
-                NodeId {
-                    region: kind,
-                    level,
-                    index,
-                },
-                &buf.0,
-            );
-            t = t.max(tn) + self.config.security.hash_latency;
+            t = t.max(tn) + hash_latency;
+            child = Some(PathNode {
+                kind,
+                level,
+                index,
+                addr,
+            });
             child_index = index;
         }
         unreachable!("loop returns at root level");
+    }
+
+    /// The open batch's owed tree hashes: every tree walk runs inside a
+    /// batch.
+    fn path_hashes(&mut self) -> Result<&mut PathHashes> {
+        self.batch
+            .as_mut()
+            .map(|pending| &mut pending.hashes)
+            .ok_or_else(|| SecureMemoryError::internal("tree walk with no open batch".to_string()))
     }
 
     // ----- public timed block API -------------------------------------------

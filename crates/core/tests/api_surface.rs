@@ -73,6 +73,7 @@ fn stat_registry_carries_all_components() {
         "secure.mac_writes_evict",
         "secure.node_writes_persist",
         "secure.node_writes_evict",
+        "secure.node_hashes",
         "l3.write_hits",
         "ctr_cache.read_misses",
         "mt_cache.read_hits",
@@ -188,6 +189,64 @@ fn persist_writes_count_once_per_block_by_role() {
             "batched: {batched}"
         );
     }
+}
+
+/// The durability loop hashes each tree node a batch touches once,
+/// however many members share it: a tree walk owes its nodes' hashes
+/// to their parents and the batch settles them once.
+#[test]
+fn a_batch_hashes_each_touched_node_once() {
+    let mut m = SecureMemoryBuilder::new()
+        .scheme(PersistScheme::triad_nvm(2))
+        .build()
+        .unwrap();
+    let layout = m.memory_map().persistent().clone();
+    let geom = &layout.geometry;
+    let root_level = geom.root_level();
+    assert!(root_level > 2, "the tiny region must have a tree to share");
+    let base = m.persistent_region().start().block();
+    // The distinct non-root nodes on the members' paths.
+    let distinct = |members: &[(BlockAddr, [u8; 64])]| {
+        let mut nodes = std::collections::BTreeSet::new();
+        for (block, _) in members {
+            let mut index = layout.data_index(*block) / layout.counter_coverage;
+            for level in 1..root_level {
+                index /= geom.arity();
+                nodes.insert((level, index));
+            }
+        }
+        nodes.len() as u64
+    };
+    let mut t = Time::ZERO;
+    let mut batch = |m: &mut triad_core::SecureMemory, members: &[(BlockAddr, [u8; 64])]| {
+        let before = m.stats().node_hashes;
+        t = m.persist_batch(members, t).unwrap();
+        m.stats().node_hashes - before
+    };
+
+    // 64 members on one page share one path: root_level - 1 hashes,
+    // where a walk that hashes as it goes costs 64 times that.
+    let page: Vec<_> = (0..64)
+        .map(|i| (BlockAddr(base.0 + i), [i as u8 + 1; 64]))
+        .collect();
+    assert_eq!(batch(&mut m, &page), u64::from(root_level - 1));
+    assert_eq!(distinct(&page), u64::from(root_level - 1));
+
+    // Two pages under one level-1 node share the whole path; two
+    // pages under different level-1 nodes share the rest.
+    for apart in [64, 8 * 64] {
+        let members = [(base, [7; 64]), (BlockAddr(base.0 + apart), [8; 64])];
+        let expect = distinct(&members);
+        assert_eq!(batch(&mut m, &members), expect, "{apart} blocks apart");
+        assert_eq!(
+            expect,
+            u64::from(root_level - 1) + u64::from(apart == 8 * 64)
+        );
+    }
+    assert_eq!(
+        m.stat_registry().counter("secure.node_hashes"),
+        m.stats().node_hashes
+    );
 }
 
 #[test]

@@ -30,21 +30,29 @@ pub enum IncrementOutcome {
 }
 
 /// A 64-byte split-counter block: 64-bit major + 64 × 7-bit minors.
+///
+/// The block is held in its 64-byte memory layout: the major counter in
+/// the first 8 bytes (little-endian), then minor `i` in bits
+/// `7i..7i + 7` of the remaining 56 bytes, least significant bit first.
+/// Every accessor reads and writes those fields in place, so
+/// serialising is a copy. The layout is a bijection between blocks and
+/// 64-byte images, so equality and hashing compare the counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SplitCounterBlock {
-    major: u64,
-    /// Each entry is `0..=127`; stored unpacked for speed, packed to
-    /// 7 bits in the serialised form.
-    minors: [u8; MINORS_PER_BLOCK],
+    bytes: [u8; 64],
 }
 
 impl Default for SplitCounterBlock {
     fn default() -> Self {
-        SplitCounterBlock {
-            major: 0,
-            minors: [0; MINORS_PER_BLOCK],
-        }
+        SplitCounterBlock { bytes: [0; 64] }
     }
+}
+
+/// Byte offset and bit shift of minor `index` in the memory layout.
+fn minor_field(index: usize) -> (usize, u32) {
+    assert!(index < MINORS_PER_BLOCK, "minor index {index} out of range");
+    let bit = 7 * index;
+    (8 + bit / 8, (bit % 8) as u32)
 }
 
 impl SplitCounterBlock {
@@ -55,7 +63,13 @@ impl SplitCounterBlock {
 
     /// The shared major counter.
     pub fn major(&self) -> u64 {
-        self.major
+        let mut word = [0u8; 8];
+        word.copy_from_slice(&self.bytes[..8]);
+        u64::from_le_bytes(word)
+    }
+
+    fn set_major(&mut self, major: u64) {
+        self.bytes[..8].copy_from_slice(&major.to_le_bytes());
     }
 
     /// The minor counter for data block `index` of the page.
@@ -64,7 +78,26 @@ impl SplitCounterBlock {
     ///
     /// Panics if `index >= 64`.
     pub fn minor(&self, index: usize) -> u8 {
-        self.minors[index]
+        let (byte, shift) = minor_field(index);
+        let mut field = u16::from(self.bytes[byte]);
+        if shift > 1 {
+            // 7 bits spill into the next byte when the shift is above 1.
+            field |= u16::from(self.bytes[byte + 1]) << 8;
+        }
+        ((field >> shift) & 0x7f) as u8
+    }
+
+    /// Stores `value` (`0..=127`) in minor `index`'s 7-bit field.
+    fn set_minor(&mut self, index: usize, value: u8) {
+        debug_assert!(value <= MINOR_MAX);
+        let (byte, shift) = minor_field(index);
+        let mask = 0x7f_u16 << shift;
+        let bits = u16::from(value) << shift;
+        self.bytes[byte] = (self.bytes[byte] & !(mask as u8)) | bits as u8;
+        if shift > 1 {
+            let (mask, bits) = ((mask >> 8) as u8, (bits >> 8) as u8);
+            self.bytes[byte + 1] = (self.bytes[byte + 1] & !mask) | bits;
+        }
     }
 
     /// Increments the counter for data block `index`, returning whether
@@ -74,66 +107,40 @@ impl SplitCounterBlock {
     ///
     /// Panics if `index >= 64`.
     pub fn increment(&mut self, index: usize) -> IncrementOutcome {
-        if self.minors[index] == MINOR_MAX {
-            self.major += 1;
-            self.minors = [0; MINORS_PER_BLOCK];
+        let minor = self.minor(index);
+        if minor == MINOR_MAX {
+            self.set_major(self.major() + 1);
+            self.bytes[8..].fill(0);
             // The written block consumes the first value of the new
             // epoch so two consecutive writes never share (major, minor).
-            self.minors[index] = 1;
+            self.set_minor(index, 1);
             IncrementOutcome::MajorOverflow
         } else {
-            self.minors[index] += 1;
+            self.set_minor(index, minor + 1);
             IncrementOutcome::Minor
         }
     }
 
-    /// Serialises into the 64-byte memory layout: major counter in the
-    /// first 8 bytes (little-endian), then the 64 minors packed 7 bits
-    /// each into the remaining 56 bytes.
+    /// The 64-byte memory layout (see the type's docs).
     pub fn to_bytes(&self) -> [u8; 64] {
-        let mut out = [0u8; 64];
-        out[..8].copy_from_slice(&self.major.to_le_bytes());
-        let mut bit = 0usize;
-        for &m in &self.minors {
-            let byte = 8 + bit / 8;
-            let off = bit % 8;
-            out[byte] |= m << off;
-            if off > 1 {
-                // 7 bits spill into the next byte when offset > 1.
-                out[byte + 1] |= m >> (8 - off);
-            }
-            bit += 7;
-        }
-        out
+        self.bytes
     }
 
-    /// Deserialises from the 64-byte memory layout.
+    /// The block whose memory layout is `bytes`; every 64-byte image is
+    /// one.
     pub fn from_bytes(bytes: &[u8; 64]) -> Self {
-        let major = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
-        let mut minors = [0u8; MINORS_PER_BLOCK];
-        let mut bit = 0usize;
-        for m in &mut minors {
-            let byte = 8 + bit / 8;
-            let off = bit % 8;
-            let mut v = (bytes[byte] >> off) as u16;
-            if off > 1 {
-                v |= (bytes[byte + 1] as u16) << (8 - off);
-            }
-            *m = (v & 0x7f) as u8;
-            bit += 7;
-        }
-        SplitCounterBlock { major, minors }
+        SplitCounterBlock { bytes: *bytes }
     }
 }
 
 impl fmt::Display for SplitCounterBlock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "split(major={}, minors=[", self.major)?;
-        for (i, m) in self.minors.iter().enumerate().take(4) {
+        write!(f, "split(major={}, minors=[", self.major())?;
+        for i in 0..4 {
             if i > 0 {
                 write!(f, ",")?;
             }
-            write!(f, "{m}")?;
+            write!(f, "{}", self.minor(i))?;
         }
         write!(f, ",…])")
     }
@@ -426,16 +433,20 @@ mod tests {
                 b.increment(i);
             }
         }
-        b.major = 0xDEAD_BEEF_CAFE_F00D;
+        b.set_major(0xDEAD_BEEF_CAFE_F00D);
         let bytes = b.to_bytes();
         assert_eq!(SplitCounterBlock::from_bytes(&bytes), b);
+        assert_eq!(b.major(), 0xDEAD_BEEF_CAFE_F00D);
+        assert!((0..64).all(|i| b.minor(i) == (i % 11) as u8));
     }
 
     #[test]
     fn packed_layout_is_exactly_64_bytes_and_dense() {
         let mut b = SplitCounterBlock::new();
-        b.minors = [MINOR_MAX; 64];
-        b.major = u64::MAX;
+        for i in 0..64 {
+            b.set_minor(i, MINOR_MAX);
+        }
+        b.set_major(u64::MAX);
         let bytes = b.to_bytes();
         // All 8 + 56 bytes carry payload when everything is maxed.
         assert!(bytes.iter().all(|&x| x == 0xFF), "{bytes:?}");

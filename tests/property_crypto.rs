@@ -81,22 +81,124 @@ fn siphash_hash_words_matches_hash_of_their_bytes() {
     );
 }
 
+/// The split-counter codec's reference: a major counter plus 64
+/// unpacked minors, with the overflow rule, and the bit-serial pack and
+/// unpack of the 64-byte memory layout (major little-endian in bytes
+/// 0..8, minor `i` in bits `7i..7i + 7` of bytes 8..64).
+#[derive(Clone, Copy)]
+struct UnpackedCounters {
+    major: u64,
+    minors: [u8; 64],
+}
+
+impl UnpackedCounters {
+    fn increment(&mut self, index: usize) {
+        if self.minors[index] == MINOR_MAX {
+            self.major += 1;
+            self.minors = [0; 64];
+            self.minors[index] = 1;
+        } else {
+            self.minors[index] += 1;
+        }
+    }
+
+    fn pack(&self) -> [u8; 64] {
+        let mut out = [0u8; 64];
+        out[..8].copy_from_slice(&self.major.to_le_bytes());
+        let mut bit = 0usize;
+        for &m in &self.minors {
+            let byte = 8 + bit / 8;
+            let off = bit % 8;
+            out[byte] |= m << off;
+            if off > 1 {
+                out[byte + 1] |= m >> (8 - off);
+            }
+            bit += 7;
+        }
+        out
+    }
+
+    fn unpack(bytes: &[u8; 64]) -> Self {
+        let major = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
+        let mut minors = [0u8; 64];
+        let mut bit = 0usize;
+        for m in &mut minors {
+            let byte = 8 + bit / 8;
+            let off = bit % 8;
+            let mut v = (bytes[byte] >> off) as u16;
+            if off > 1 {
+                v |= (bytes[byte + 1] as u16) << (8 - off);
+            }
+            *m = (v & 0x7f) as u8;
+            bit += 7;
+        }
+        UnpackedCounters { major, minors }
+    }
+
+    /// Compares `cb` field by field with the model.
+    fn check(&self, cb: &SplitCounterBlock, what: &str) -> Result<(), String> {
+        ensure!(
+            cb.major() == self.major,
+            "{what}: major {} != model {}",
+            cb.major(),
+            self.major
+        );
+        for i in 0..64 {
+            ensure!(
+                cb.minor(i) == self.minors[i],
+                "{what}: minor {i} is {} != model {}",
+                cb.minor(i),
+                self.minors[i]
+            );
+        }
+        Ok(())
+    }
+}
+
 #[test]
 fn split_counter_pack_unpack_round_trips() {
     check(
         "split_counter_pack_unpack_round_trips",
         Config::default(),
         |rng| {
-            let n = rng.gen_range(0..300);
+            // Increments: the in-place fields track the unpacked model,
+            // overflow included, and the block's bytes are its packing.
+            // A few hot slots reach MINOR_MAX and overflow the page.
+            let n = rng.gen_range(0..600);
+            let hot = rng.gen_range(0..64) as usize;
             let mut cb = SplitCounterBlock::new();
-            for _ in 0..n {
-                cb.increment(rng.gen_range(0..64) as usize);
+            let mut model = UnpackedCounters {
+                major: 0,
+                minors: [0; 64],
+            };
+            for step in 0..n {
+                let slot = if rng.gen_bool(0.5) {
+                    hot
+                } else {
+                    rng.gen_range(0..64) as usize
+                };
+                cb.increment(slot);
+                model.increment(slot);
+                model.check(&cb, &format!("after {} increments", step + 1))?;
             }
-            let bytes = cb.to_bytes();
             ensure!(
-                SplitCounterBlock::from_bytes(&bytes) == cb,
-                "pack/unpack diverged after {n} increments"
+                cb.to_bytes() == model.pack(),
+                "to_bytes diverged from the reference packing after {n} increments"
             );
+            ensure!(
+                SplitCounterBlock::from_bytes(&model.pack()) == cb,
+                "from_bytes of the reference packing diverged after {n} increments"
+            );
+
+            // Arbitrary images: every 64-byte image is a block, it
+            // round-trips, and each field is the reference unpack.
+            let mut image = [0u8; 64];
+            rng.fill_bytes(&mut image);
+            let cb = SplitCounterBlock::from_bytes(&image);
+            ensure!(cb.to_bytes() == image, "image {image:?} did not round-trip");
+            let model = UnpackedCounters::unpack(&image);
+            model.check(&cb, &format!("image {image:?}"))?;
+            ensure!(model.pack() == image, "reference pack/unpack disagree");
             Ok(())
         },
     );
