@@ -45,7 +45,7 @@ use triad_crypto::ctr::{decrypt_block, encrypt_block, Iv};
 use triad_crypto::mac::{Mac64, MacEngine};
 use triad_mem::controller::MemoryController;
 use triad_mem::store::{Block, SparseStore};
-use triad_meta::bmt::{self, NodeBuf, NodeId};
+use triad_meta::bmt::{self, FreshTree, NodeBuf, NodeId};
 use triad_meta::layout::{BlockRole, MemoryMap, RegionKind, RegionLayout};
 use triad_sim::config::SystemConfig;
 use triad_sim::events::{emit, SharedEventSink, Value};
@@ -436,6 +436,11 @@ pub struct SecureMemory {
     aes_persistent: Aes128,
     aes_volatile: Aes128,
     pub(crate) mac_engine: MacEngine,
+    /// Each region's tree over an all-zero image, indexed by
+    /// `RegionKind as usize` (the [`RegionKind::ALL`] order): the build
+    /// writes it, the non-persistent region returns to it at every
+    /// recovery, and rebuilds read the hashes of nodes still in it.
+    fresh: [FreshTree; 2],
     pub(crate) mc: MemoryController,
     /// Shared L3; its lines hold the blocks' plaintext.
     pub(crate) l3: Cache<Block>,
@@ -484,10 +489,13 @@ impl SecureMemory {
     ) -> Result<Self> {
         config.validate().map_err(SecureMemoryError::Config)?;
         let map = MemoryMap::new(&config);
+        let mac_engine = MacEngine::new(derive_key(key_seed, 2));
+        let fresh = RegionKind::ALL.map(|kind| FreshTree::new(map.region(kind), &mac_engine));
         let mut engine = SecureMemory {
             aes_persistent: Aes128::new(&derive_key(key_seed, 0)),
             aes_volatile: Aes128::new(&derive_key(key_seed, 1)),
-            mac_engine: MacEngine::new(derive_key(key_seed, 2)),
+            mac_engine,
+            fresh,
             mc: MemoryController::new(config.mem),
             l3: Cache::new("l3", config.l3),
             ctr_cache: Cache::new("ctr", config.security.counter_cache),
@@ -513,17 +521,13 @@ impl SecureMemory {
             key_policy,
             key_seed,
         };
-        // Initial tree build over the all-zero image: with the §3.3.4
-        // zero sentinel this touches no counter bytes and stores only
-        // the (few) non-zero upper levels.
+        // The image is all zero, so each region's tree is its fresh
+        // tree: level 1 stays zero (the §3.3.4 sentinel) and only the
+        // few levels above it are stored.
         for kind in RegionKind::ALL {
-            let layout = engine.map.region(kind).clone();
-            if layout.is_empty() {
-                continue;
-            }
-            let out =
-                bmt::rebuild_from_level(engine.mc.store_mut(), &layout, &engine.mac_engine, 0);
-            engine.set_root(kind, out.root);
+            let root =
+                engine.fresh[kind as usize].reset(engine.mc.store_mut(), engine.map.region(kind));
+            engine.set_root(kind, root);
         }
         Ok(engine)
     }
@@ -1831,7 +1835,8 @@ impl SecureMemory {
                 }
                 Some(level) => {
                     let from = level.min(p_layout.geometry.root_level().saturating_sub(1));
-                    let out = bmt::rebuild_from_level(
+                    let fresh = &self.fresh[RegionKind::Persistent as usize];
+                    let out = fresh.rebuild_from_level(
                         self.mc.store_mut(),
                         &p_layout,
                         &self.mac_engine,
@@ -1845,6 +1850,7 @@ impl SecureMemory {
                             self.mc.store(),
                             &p_layout,
                             &self.mac_engine,
+                            fresh,
                             from,
                             &self.regs.persistent_root,
                         );
@@ -1854,7 +1860,7 @@ impl SecureMemory {
                         if pin.recoverable {
                             // Stored upper levels were corrupt but the
                             // rebuild from below already rewrote them.
-                            let out = bmt::rebuild_from_level(
+                            let out = fresh.rebuild_from_level(
                                 self.mc.store_mut(),
                                 &p_layout,
                                 &self.mac_engine,
@@ -1872,29 +1878,18 @@ impl SecureMemory {
             report.persistent_recovered = true;
         }
         // 3. Non-persistent region: zero L1, rebuild above (§3.3.4).
-        let np_layout = self.map.non_persistent().clone();
-        if !np_layout.is_empty() {
+        // Above a zeroed L1 the rebuild writes the fresh tree, so the
+        // region takes it back without a hash; the report still
+        // charges the modeled rebuild, which reads every L1 node. (A
+        // degenerate tree's root holds the leaf sentinels: zero.)
+        let np_layout = self.map.non_persistent();
+        if np_layout.geometry.root_level() > 1 {
             let l1_count = np_layout.geometry.nodes_at_level(1);
-            if np_layout.geometry.root_level() > 1 {
-                for i in 0..l1_count {
-                    let addr = np_layout.bmt_node_addr(1, i).ok_or_else(|| {
-                        SecureMemoryError::internal(format!(
-                            "non-persistent BMT L1 node {i} has no in-memory address"
-                        ))
-                    })?;
-                    self.mc.store_mut().write(addr, [0u8; BLOCK_BYTES]);
-                }
-                report.non_persistent_blocks_written = l1_count;
-                let out =
-                    bmt::rebuild_from_level(self.mc.store_mut(), &np_layout, &self.mac_engine, 1);
-                report.non_persistent_blocks_read = out.blocks_read;
-                self.regs.non_persistent_root = out.root;
-            } else {
-                // Degenerate tree: the root's slots are the leaf
-                // sentinels; reset it directly.
-                self.regs.non_persistent_root = NodeBuf::zeroed();
-            }
+            report.non_persistent_blocks_written = l1_count;
+            report.non_persistent_blocks_read = l1_count;
         }
+        self.regs.non_persistent_root =
+            self.fresh[RegionKind::NonPersistent as usize].reset(self.mc.store_mut(), np_layout);
         // 4. New boot session (§3.3.2).
         self.boot_count += 1;
         self.regs.session += 1;
@@ -1929,13 +1924,11 @@ impl SecureMemory {
     /// (the `WriteBack` scheme, or unverifiable corruption): all data,
     /// counters, MACs and tree levels reset to the fresh state.
     pub fn format_persistent(&mut self) {
-        let layout = self.map.persistent().clone();
+        let layout = self.map.persistent();
         let store = self.mc.store_mut();
-        for b in 0..layout.region_blocks {
-            store.write(layout.region_start + b, [0u8; BLOCK_BYTES]);
-        }
-        let out = bmt::rebuild_from_level(store, &layout, &self.mac_engine, 0);
-        self.regs.persistent_root = out.root;
+        store.zero_blocks(layout.region_start, layout.region_blocks);
+        self.regs.persistent_root =
+            self.fresh[RegionKind::Persistent as usize].reset(store, layout);
         if self.state == EngineState::PersistentPoisoned {
             self.state = EngineState::Running;
         }

@@ -4,7 +4,7 @@
 
 use triad_crypto::mac::MacEngine;
 use triad_mem::store::SparseStore;
-use triad_meta::bmt::{self, NodeBuf, NodeId};
+use triad_meta::bmt::{FreshTree, NodeBuf};
 use triad_meta::layout::RegionLayout;
 use triad_sim::time::Duration;
 use triad_sim::PhysAddr;
@@ -197,23 +197,20 @@ fn range_of_leaves(layout: &RegionLayout, first_leaf: u64, leaves: u64) -> Corru
     }
 }
 
-/// Computes the hashes of all nodes at `level` from the stored image.
+/// Computes the hashes of all nodes at `level` from the stored image,
+/// hashing only the nodes that left their fresh image.
 fn stored_level_hashes(
     store: &SparseStore,
     layout: &RegionLayout,
     engine: &MacEngine,
+    fresh: &FreshTree,
     level: u8,
 ) -> Vec<triad_crypto::Mac64> {
     let geom = &layout.geometry;
     (0..geom.nodes_at_level(level))
         .map(|i| {
-            if level == 0 {
-                bmt::leaf_hash(
-                    engine,
-                    layout.kind,
-                    i,
-                    &store.read(layout.counter_start + i),
-                )
+            let addr = if level == 0 {
+                layout.counter_start + i
             } else {
                 // Every level below the root has stored addresses by
                 // construction; a miss is a geometry bug, not data
@@ -222,16 +219,9 @@ fn stored_level_hashes(
                     debug_assert!(false, "level {level} node {i} has no stored address");
                     return triad_crypto::Mac64::ZERO;
                 };
-                bmt::node_hash(
-                    engine,
-                    NodeId {
-                        region: layout.kind,
-                        level,
-                        index: i,
-                    },
-                    &store.read(addr),
-                )
-            }
+                addr
+            };
+            fresh.node_hash(layout, engine, level, i, &store.read(addr))
         })
         .collect()
 }
@@ -243,10 +233,14 @@ fn stored_level_hashes(
 /// contents. If even the counter blocks cannot reproduce the root,
 /// the mismatching root slots (or L1 slots, when `persist_level ≥ 1`)
 /// bound the unverifiable data ranges.
+///
+/// `fresh` is the region's tree over an all-zero image under `engine`;
+/// every hash of a node still in its fresh image is read from it.
 pub fn pinpoint(
     store: &SparseStore,
     layout: &RegionLayout,
     engine: &MacEngine,
+    fresh: &FreshTree,
     persist_level: u8,
     expected_root: &NodeBuf,
 ) -> PinpointReport {
@@ -255,14 +249,14 @@ pub fn pinpoint(
     // Find the lowest stored level that reproduces the expected root.
     for k in (0..=persist_level.min(root_level - 1)).rev() {
         let mut scratch = store.clone();
-        let out = bmt::rebuild_from_level(&mut scratch, layout, engine, k);
+        let out = fresh.rebuild_from_level(&mut scratch, layout, engine, k);
         if out.root == *expected_root {
             // Levels above k were corrupt in storage. Identify which
             // nodes at level k+1 disagree with their children.
-            let child_hashes = stored_level_hashes(store, layout, engine, k);
+            let child_hashes = stored_level_hashes(store, layout, engine, fresh, k);
             let mut corrupt = Vec::new();
             if (k + 1) < root_level {
-                let stored = stored_level_hashes(store, layout, engine, k + 1);
+                let stored = stored_level_hashes(store, layout, engine, fresh, k + 1);
                 // Recompute level k+1 node *contents* from children.
                 let parents = geom.nodes_at_level(k + 1);
                 let mut recomputed = vec![NodeBuf::zeroed(); parents as usize];
@@ -271,15 +265,7 @@ pub fn pinpoint(
                     recomputed[pi as usize].set_slot(geom.child_slot(i as u64), *h);
                 }
                 for (i, buf) in recomputed.iter().enumerate() {
-                    let h = bmt::node_hash(
-                        engine,
-                        NodeId {
-                            region: layout.kind,
-                            level: k + 1,
-                            index: i as u64,
-                        },
-                        &buf.0,
-                    );
+                    let h = fresh.node_hash(layout, engine, k + 1, i as u64, &buf.0);
                     if h != stored[i] {
                         corrupt.push((k + 1, i as u64));
                     }
@@ -296,7 +282,7 @@ pub fn pinpoint(
     // them) are corrupt. Use the lowest trusted stored level to narrow
     // the damage: stored L1 when it was strictly persisted, otherwise
     // the root node's slots.
-    let leaf_hashes = stored_level_hashes(store, layout, engine, 0);
+    let leaf_hashes = stored_level_hashes(store, layout, engine, fresh, 0);
     let mut unverifiable = Vec::new();
     let mut corrupt_nodes = Vec::new();
     if persist_level >= 1 && root_level > 1 {
@@ -320,7 +306,9 @@ pub fn pinpoint(
         // Only the root's slots are trustworthy: each slot covers the
         // leaves of one child subtree.
         let mut scratch = store.clone();
-        let computed = bmt::rebuild_from_level(&mut scratch, layout, engine, 0).root;
+        let computed = fresh
+            .rebuild_from_level(&mut scratch, layout, engine, 0)
+            .root;
         // Each root slot roots one child subtree covering
         // arity^(root_level - 1) leaves.
         let leaves_per_slot = geom
@@ -435,5 +423,169 @@ mod tests {
         assert_eq!(lv[0], 1 << 28);
         assert_eq!(lv[1], 1 << 25);
         assert_eq!(*lv.last().unwrap(), 1);
+    }
+}
+
+/// `recover()` against the procedure it replaced, replayed on a copy
+/// of the crashed image: the non-persistent level 1 zeroed block by
+/// block, and every tree rebuilt by the reference
+/// `bmt::rebuild_from_level`, which hashes every node it reads.
+#[cfg(test)]
+mod fresh_tree_equivalence {
+    use triad_meta::bmt;
+    use triad_meta::layout::RegionKind;
+    use triad_sim::config::{CacheConfig, SystemConfig};
+
+    use super::*;
+    use crate::engine::SecureMemory;
+    use crate::SecureMemoryBuilder;
+
+    const SCHEMES: [PersistScheme; 4] = [
+        PersistScheme::TriadNvm { n: 1 },
+        PersistScheme::TriadNvm { n: 2 },
+        PersistScheme::TriadNvm { n: 3 },
+        PersistScheme::Strict,
+    ];
+
+    /// Whether every stored node of `level` still holds its fresh image.
+    fn level_is_fresh(m: &SecureMemory, kind: RegionKind, level: u8) -> bool {
+        let layout = m.memory_map().region(kind);
+        let fresh = FreshTree::new(layout, &m.mac_engine);
+        (0..layout.geometry.nodes_at_level(level)).all(|i| {
+            let addr = layout.bmt_node_addr(level, i).unwrap();
+            m.nvm_image().read(addr) == fresh.node(level, i).0
+        })
+    }
+
+    /// An engine whose image holds non-persistent level-1 and level-2
+    /// nodes written back by metadata evictions, and persisted pages of
+    /// the persistent region.
+    fn used_engine(scheme: PersistScheme) -> SecureMemory {
+        let mut config = SystemConfig::tiny();
+        config.l3 = CacheConfig::new(4 << 10, 4, 32);
+        config.security.counter_cache = CacheConfig::new(1 << 10, 2, 3);
+        config.security.mt_cache = CacheConfig::new(1 << 10, 2, 3);
+        let mut m = SecureMemoryBuilder::new()
+            .config(config)
+            .scheme(scheme)
+            .build()
+            .unwrap();
+        let np = m.memory_map().non_persistent().clone();
+        let pages = np.data_blocks / 64;
+        let mut stores = 0;
+        while level_is_fresh(&m, RegionKind::NonPersistent, 1)
+            || level_is_fresh(&m, RegionKind::NonPersistent, 2)
+        {
+            assert!(stores < 8 * pages, "no non-persistent node reached NVM");
+            // Pages three apart, so consecutive stores share no
+            // level-1 node.
+            let page = stores * 3 % pages;
+            let addr = (np.data_start + page * 64).base();
+            m.write(addr, &stores.to_le_bytes()).unwrap();
+            stores += 1;
+        }
+        let p = m.memory_map().persistent().clone();
+        for page in 0..12 {
+            let addr = (p.data_start + page * 64 * 5).base();
+            m.write(addr, &[page as u8 + 1; 16]).unwrap();
+            m.persist(addr).unwrap();
+        }
+        m
+    }
+
+    /// The image, persistent and non-persistent roots and report the
+    /// reference procedure leaves after `m`'s crash. `corrupt` is what
+    /// pinpointing reports when the persistent rebuild misses the root.
+    fn reference_recover(
+        m: &SecureMemory,
+        corrupt: &[(u8, u64)],
+    ) -> (SparseStore, NodeBuf, NodeBuf, RecoveryReport) {
+        assert!(!m.regs.ready_bit(), "no staged update to replay");
+        let mut image = m.nvm_image().clone();
+        let mut report = RecoveryReport {
+            persistent_recovered: true,
+            session: m.session() + 1,
+            ..RecoveryReport::default()
+        };
+        let p = m.memory_map().persistent();
+        let level = m.scheme().recovery_start_level().unwrap();
+        let from = level.min(p.geometry.root_level() - 1);
+        let out = bmt::rebuild_from_level(&mut image, p, &m.mac_engine, from);
+        report.persistent_blocks_read = out.blocks_read;
+        if out.root != m.root(RegionKind::Persistent) {
+            report.corrupt_metadata = corrupt.to_vec();
+            let out = bmt::rebuild_from_level(&mut image, p, &m.mac_engine, 0);
+            report.persistent_blocks_read += out.blocks_read;
+            assert_eq!(out.root, m.root(RegionKind::Persistent));
+        }
+        let np = m.memory_map().non_persistent();
+        let l1 = np.geometry.nodes_at_level(1);
+        for i in 0..l1 {
+            image.write(np.bmt_node_addr(1, i).unwrap(), [0; 64]);
+        }
+        report.non_persistent_blocks_written = l1;
+        let np_out = bmt::rebuild_from_level(&mut image, np, &m.mac_engine, 1);
+        report.non_persistent_blocks_read = np_out.blocks_read;
+        report.estimated_duration = Duration::from_ns(100).saturating_mul(
+            report.persistent_blocks_read
+                + report.non_persistent_blocks_read
+                + report.non_persistent_blocks_written,
+        );
+        let p_root = m.root(RegionKind::Persistent);
+        (image, p_root, np_out.root, report)
+    }
+
+    /// Crashes `m`, recovers it, checks it against the reference, and
+    /// returns its report.
+    fn assert_recovers_like_the_reference(
+        mut m: SecureMemory,
+        corrupt: &[(u8, u64)],
+    ) -> RecoveryReport {
+        let scheme = m.scheme();
+        m.crash();
+        let (image, p_root, np_root, expected) = reference_recover(&m, corrupt);
+        let report = m.recover().unwrap();
+        assert_eq!(report, expected, "{scheme}: report");
+        assert!(m.nvm_image() == &image, "{scheme}: image");
+        assert_eq!(m.root(RegionKind::Persistent), p_root, "{scheme}");
+        assert_eq!(m.root(RegionKind::NonPersistent), np_root, "{scheme}");
+        report
+    }
+
+    #[test]
+    fn recovery_equals_the_reference_procedure_under_every_scheme() {
+        for scheme in SCHEMES {
+            let m = used_engine(scheme);
+            assert!(!level_is_fresh(&m, RegionKind::Persistent, 1));
+            assert_recovers_like_the_reference(m, &[]);
+        }
+    }
+
+    /// Under TriadNVM-2 the tampered node is the trusted level, so the
+    /// rebuild misses the root and pinpointing names the node.
+    #[test]
+    fn recovery_of_a_tampered_level_one_node_equals_the_reference() {
+        for scheme in SCHEMES {
+            // Bits flipped in a written node, and a written node put
+            // back to its all-zero fresh image.
+            for restore_fresh in [false, true] {
+                let mut m = used_engine(scheme);
+                let p = m.memory_map().persistent().clone();
+                let index = (0..p.geometry.nodes_at_level(1))
+                    .find(|&i| m.nvm_image().read(p.bmt_node_addr(1, i).unwrap()) != [0; 64])
+                    .unwrap();
+                let addr = p.bmt_node_addr(1, index).unwrap();
+                if restore_fresh {
+                    m.nvm_image_mut().rollback_to(addr, [0; 64]);
+                } else {
+                    m.nvm_image_mut().tamper(addr, [0x5A; 64]);
+                }
+                let report = assert_recovers_like_the_reference(m, &[(1, index)]);
+                if scheme == PersistScheme::triad_nvm(2) {
+                    assert!(report.persistent_recovered);
+                    assert_eq!(report.corrupt_metadata, vec![(1, index)]);
+                }
+            }
+        }
     }
 }

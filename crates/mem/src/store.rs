@@ -95,6 +95,40 @@ impl SparseStore {
         }
     }
 
+    /// Zeroes the `count` blocks from `start` one page at a time: a
+    /// page the range covers whole goes with one probe, and a page it
+    /// covers in part keeps its other blocks. The result equals
+    /// writing a zero block to each address in turn; a range past the
+    /// last address stops there.
+    pub fn zero_blocks(&mut self, start: BlockAddr, count: u64) {
+        if count == 0 {
+            return;
+        }
+        let (first_page, first_slot) = locate(start);
+        let (last_page, last_slot) = locate(BlockAddr(start.0.saturating_add(count - 1)));
+        for page in first_page..=last_page {
+            let lo = if page == first_page { first_slot } else { 0 };
+            let hi = if page == last_page {
+                last_slot
+            } else {
+                PAGE_BLOCKS as usize - 1
+            };
+            let Entry::Occupied(mut entry) = self.pages.entry(page) else {
+                continue;
+            };
+            // Bits `lo..=hi` of the page's resident mask.
+            let mask = ((1u16 << (hi + 1)) - (1u16 << lo)) as u8;
+            let p = entry.get_mut();
+            self.resident -= (p.resident & mask).count_ones() as usize;
+            p.resident &= !mask;
+            if p.resident == 0 {
+                entry.remove();
+            } else {
+                p.blocks[lo..=hi].fill(ZERO);
+            }
+        }
+    }
+
     /// Number of non-zero blocks resident.
     pub fn resident_blocks(&self) -> usize {
         self.resident
@@ -193,6 +227,79 @@ mod tests {
         s.write(BlockAddr(1), [2; 64]);
         assert_eq!(snap.read(BlockAddr(1)), [1; 64]);
         assert_eq!(s.read(BlockAddr(1)), [2; 64]);
+    }
+
+    /// A store with every block of `0..blocks` non-zero.
+    fn dense(blocks: u64) -> SparseStore {
+        let mut s = SparseStore::new();
+        for a in 0..blocks {
+            s.write(BlockAddr(a), [a as u8 + 1; 64]);
+        }
+        s
+    }
+
+    #[test]
+    fn zero_blocks_clears_partial_first_and_last_pages() {
+        // Pages 0..4; the range 5..27 covers page 0 from slot 5, pages
+        // 1 and 2 whole, and page 3 up to slot 2.
+        let mut s = dense(32);
+        s.zero_blocks(BlockAddr(5), 22);
+        for a in 0..32 {
+            let zeroed = (5..27).contains(&a);
+            assert_eq!(s.read(BlockAddr(a)) == ZERO, zeroed, "block {a}");
+        }
+        assert_eq!(s.resident_blocks(), 32 - 22);
+        assert_eq!(s.pages.len(), 2, "pages 1 and 2 are freed");
+        assert_eq!(s.read(BlockAddr(27)), [28; 64]);
+    }
+
+    #[test]
+    fn zero_blocks_inside_one_page_keeps_its_neighbours() {
+        let mut s = dense(8);
+        s.zero_blocks(BlockAddr(2), 3);
+        assert_eq!(s.resident_blocks(), 5);
+        assert_eq!(s.pages.len(), 1);
+        assert_eq!(s.read(BlockAddr(1)), [2; 64]);
+        assert_eq!(s.read(BlockAddr(5)), [6; 64]);
+        s.zero_blocks(BlockAddr(0), 8);
+        assert_eq!(s.resident_blocks(), 0);
+        assert!(s.pages.is_empty(), "the emptied page is freed");
+    }
+
+    #[test]
+    fn zero_blocks_skips_absent_pages_and_empty_ranges() {
+        let mut s = SparseStore::new();
+        s.write(BlockAddr(40), [1; 64]);
+        s.zero_blocks(BlockAddr(0), 40);
+        s.zero_blocks(BlockAddr(40), 0);
+        assert_eq!(s.resident_blocks(), 1);
+        s.zero_blocks(BlockAddr(u64::MAX - 3), 10);
+        s.write(BlockAddr(u64::MAX), [9; 64]);
+        s.zero_blocks(BlockAddr(u64::MAX - 1), 2);
+        assert_eq!(s.resident_blocks(), 1);
+        assert_eq!(s.read(BlockAddr(40)), [1; 64]);
+    }
+
+    #[test]
+    fn zero_blocks_equals_zero_writes_block_by_block() {
+        // Every range over a sparse three-page image with holes.
+        let mut image = SparseStore::new();
+        for a in [0u64, 3, 7, 8, 9, 15, 17, 22, 23] {
+            image.write(BlockAddr(a), [a as u8 + 1; 64]);
+        }
+        for start in 0..24 {
+            for count in 0..=24 - start {
+                let mut paged = image.clone();
+                paged.zero_blocks(BlockAddr(start), count);
+                let mut blockwise = image.clone();
+                for a in start..start + count {
+                    blockwise.write(BlockAddr(a), ZERO);
+                }
+                assert_eq!(paged, blockwise, "zero {count} blocks from {start}");
+                assert_eq!(paged.resident_blocks(), blockwise.resident_blocks());
+                assert_eq!(paged.pages.len(), blockwise.pages.len());
+            }
+        }
     }
 
     #[test]

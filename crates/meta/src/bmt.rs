@@ -217,7 +217,12 @@ pub struct RebuildOutcome {
     /// Blocks read from NVM during the rebuild (drives the
     /// recovery-time model: 100 ns per block in the paper's estimate).
     pub blocks_read: u64,
-    /// Hash computations performed.
+    /// Hashes the modeled rebuild computes: one per node read and one
+    /// per stored node rewritten. This is the modeled rebuild's work,
+    /// not the host's SipHash calls: leaves hash to the zero sentinel
+    /// without one, and [`FreshTree::rebuild_from_level`] reports the
+    /// same count while hashing only the nodes that left their fresh
+    /// image.
     pub hashes_computed: u64,
 }
 
@@ -327,6 +332,225 @@ pub fn rebuild_from_level(
             .collect();
         level = parent_level;
     }
+}
+
+/// A region's tree over an all-zero image: what a new engine builds,
+/// and what the non-persistent region returns to at every boot
+/// (§3.3.4). Every leaf hashes to the zero sentinel, so level 1 is all
+/// zero, and the tree keeps only its stored levels ≥ 2 and its root
+/// node.
+///
+/// A node's hash depends only on the key, the node's identity and its
+/// bytes. So a node whose bytes equal its fresh image hashes to the
+/// slot its fresh parent holds for it, and
+/// [`FreshTree::rebuild_from_level`] reads that slot instead of
+/// hashing. Every method takes the layout and MAC engine the tree was
+/// built from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FreshTree {
+    /// The stored levels 2‥root−1 back to back, lowest first.
+    nodes: Vec<NodeBuf>,
+    /// Where each of those levels starts in `nodes`.
+    starts: Vec<usize>,
+    root: NodeBuf,
+}
+
+impl FreshTree {
+    /// Hashes the fresh tree of `layout` under `engine`: one hash per
+    /// stored node, and no read of the image.
+    pub fn new(layout: &RegionLayout, engine: &MacEngine) -> Self {
+        let geom = &layout.geometry;
+        let root_level = if layout.is_empty() {
+            1
+        } else {
+            geom.root_level()
+        };
+        let mut starts = Vec::new();
+        let mut stored = 0;
+        for level in 2..root_level {
+            starts.push(stored);
+            stored += geom.nodes_at_level(level) as usize;
+        }
+        let mut tree = FreshTree {
+            nodes: vec![NodeBuf::zeroed(); stored],
+            starts,
+            root: NodeBuf::zeroed(),
+        };
+        // Bottom-up, each node's hash fills its parent's slot; level 1
+        // is all zero (and a level-1 root holds the leaves' zero
+        // sentinels).
+        for level in 1..root_level {
+            for index in 0..geom.nodes_at_level(level) {
+                let bytes = tree.node(level, index).0;
+                let hash = node_hash(engine, node_id(layout, level, index), &bytes);
+                let (parent_level, parent) = geom.parent(level, index);
+                let slot = geom.child_slot(index);
+                if parent_level == root_level {
+                    tree.root.set_slot(slot, hash);
+                } else {
+                    let at = tree.starts[usize::from(parent_level) - 2] + parent as usize;
+                    tree.nodes[at].set_slot(slot, hash);
+                }
+            }
+        }
+        tree
+    }
+
+    /// The fresh root node.
+    pub fn root(&self) -> NodeBuf {
+        self.root
+    }
+
+    /// The fresh bytes of node `(level, index)` below the root: all
+    /// zero at levels 0 and 1.
+    ///
+    /// `index` must be a node of `level`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` is 2 or above and not below the root level.
+    pub fn node(&self, level: u8, index: u64) -> NodeBuf {
+        match level.checked_sub(2) {
+            Some(l) => self.nodes[self.starts[usize::from(l)] + index as usize],
+            None => NodeBuf::zeroed(),
+        }
+    }
+
+    /// The hash of node `(level, index)` holding `bytes`: the slot its
+    /// fresh parent holds for it when `bytes` is its fresh image, a
+    /// computed hash otherwise. A leaf (level 0) hashes as
+    /// [`leaf_hash`], whose zero sentinel needs no hash.
+    pub fn node_hash(
+        &self,
+        layout: &RegionLayout,
+        engine: &MacEngine,
+        level: u8,
+        index: u64,
+        bytes: &Block,
+    ) -> Mac64 {
+        if level == 0 {
+            return leaf_hash(engine, layout.kind, index, bytes);
+        }
+        if *bytes != self.node(level, index).0 {
+            return node_hash(engine, node_id(layout, level, index), bytes);
+        }
+        let geom = &layout.geometry;
+        let (parent_level, parent) = geom.parent(level, index);
+        let parent = if parent_level == geom.root_level() {
+            self.root
+        } else {
+            self.node(parent_level, parent)
+        };
+        parent.slot(geom.child_slot(index))
+    }
+
+    /// Returns the region's stored tree to its fresh image: level 1 is
+    /// zeroed one image page at a time and the levels above take their
+    /// fresh bytes, without a hash. Returns the fresh root, which the
+    /// caller installs in its register.
+    pub fn reset(&self, store: &mut SparseStore, layout: &RegionLayout) -> NodeBuf {
+        for (level, &start) in (1..).zip(&layout.bmt_level_start) {
+            let count = layout.geometry.nodes_at_level(level);
+            if level == 1 {
+                store.zero_blocks(start, count);
+                continue;
+            }
+            for index in 0..count {
+                store.write(start + index, self.node(level, index).0);
+            }
+        }
+        self.root
+    }
+
+    /// [`rebuild_from_level`] with this tree's help: the same outcome
+    /// and the same image, but a node whose bytes equal its fresh image
+    /// takes its hash from its fresh parent (see
+    /// [`FreshTree::node_hash`]), so only the nodes that differ are
+    /// hashed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from_level` is at or above the root level on a
+    /// non-empty region, like [`rebuild_from_level`].
+    pub fn rebuild_from_level(
+        &self,
+        store: &mut SparseStore,
+        layout: &RegionLayout,
+        engine: &MacEngine,
+        from_level: u8,
+    ) -> RebuildOutcome {
+        let geom = &layout.geometry;
+        if layout.is_empty() {
+            return RebuildOutcome {
+                root: NodeBuf::zeroed(),
+                blocks_read: 0,
+                hashes_computed: 0,
+            };
+        }
+        assert!(
+            from_level < geom.root_level(),
+            "from_level {from_level} has nothing above it (root level {})",
+            geom.root_level()
+        );
+        let mut level = from_level;
+        let blocks_read = geom.nodes_at_level(level);
+        let mut hashes = blocks_read;
+        let mut current: Vec<Mac64> = (0..blocks_read)
+            .map(|i| {
+                let addr = if level == 0 {
+                    layout.counter_start + i
+                } else {
+                    layout
+                        .bmt_node_addr(level, i)
+                        // triad-lint: allow(panic-policy) -- rebuild iterates nodes_at_level, so every (level, i) is a stored node
+                        .expect("in-memory level node")
+                };
+                self.node_hash(layout, engine, level, i, &store.read(addr))
+            })
+            .collect();
+        loop {
+            let parents = parent_nodes(geom, level, &current);
+            level += 1;
+            if level == geom.root_level() {
+                return RebuildOutcome {
+                    root: parents[0],
+                    blocks_read,
+                    hashes_computed: hashes,
+                };
+            }
+            hashes += parents.len() as u64;
+            current = parents
+                .iter()
+                .enumerate()
+                .map(|(i, node)| {
+                    let addr = layout
+                        .bmt_node_addr(level, i as u64)
+                        // triad-lint: allow(panic-policy) -- the loop stops before the root, so the level is always stored
+                        .expect("in-memory level");
+                    store.write(addr, node.0);
+                    self.node_hash(layout, engine, level, i as u64, &node.0)
+                })
+                .collect();
+        }
+    }
+}
+
+fn node_id(layout: &RegionLayout, level: u8, index: u64) -> NodeId {
+    NodeId {
+        region: layout.kind,
+        level,
+        index,
+    }
+}
+
+/// The level-`level + 1` nodes holding the hashes of level `level`.
+fn parent_nodes(geom: &BmtGeometry, level: u8, hashes: &[Mac64]) -> Vec<NodeBuf> {
+    let mut parents = vec![NodeBuf::zeroed(); geom.nodes_at_level(level + 1) as usize];
+    for (i, mac) in hashes.iter().enumerate() {
+        let (_, parent) = geom.parent(level, i as u64);
+        parents[parent as usize].set_slot(geom.child_slot(i as u64), *mac);
+    }
+    parents
 }
 
 #[cfg(test)]

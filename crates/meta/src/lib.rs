@@ -12,7 +12,9 @@
 //! * [`bmt`] — tree geometry, node-buffer slot operations, and the
 //!   pure rebuild/verify routines that the recovery engine uses
 //!   (rebuild all levels above level *k* from the NVM image and check
-//!   the result against the on-chip root).
+//!   the result against the on-chip root), plus each region's
+//!   [`bmt::FreshTree`], the tree over an all-zero image that lets a
+//!   rebuild skip the nodes still in their fresh state.
 //!
 //! # Example
 //!
@@ -32,5 +34,5 @@
 pub mod bmt;
 pub mod layout;
 
-pub use bmt::{BmtGeometry, NodeBuf, NodeId};
+pub use bmt::{BmtGeometry, FreshTree, NodeBuf, NodeId};
 pub use layout::{MemoryMap, RegionKind, RegionLayout};

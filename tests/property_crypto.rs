@@ -5,8 +5,10 @@ use triad_nvm::crypto::counter::{SplitCounterBlock, MINOR_MAX};
 use triad_nvm::crypto::ctr::{decrypt_block, encrypt_block, Iv};
 use triad_nvm::crypto::mac::MacEngine;
 use triad_nvm::crypto::siphash::SipHash24;
-use triad_nvm::meta::bmt::{self, BmtGeometry, NodeBuf};
-use triad_nvm::meta::layout::{RegionKind, RegionLayout};
+use triad_nvm::mem::SparseStore;
+use triad_nvm::meta::bmt::{self, BmtGeometry, FreshTree, NodeBuf};
+use triad_nvm::meta::layout::{MemoryMap, RegionKind, RegionLayout};
+use triad_nvm::sim::config::SystemConfig;
 use triad_nvm::sim::prop::{check, Config};
 use triad_nvm::sim::BlockAddr;
 
@@ -361,6 +363,85 @@ fn rebuild_root_is_level_independent() {
             let full = bmt::rebuild_from_level(&mut store, layout, &engine, 0);
             let partial = bmt::rebuild_from_level(&mut store, layout, &engine, 1);
             ensure!(full.root == partial.root, "roots diverged across levels");
+            Ok(())
+        },
+    );
+}
+
+/// The fresh-tree rebuild against the reference rebuild it shortcuts:
+/// from every level of both regions, on images holding nodes left
+/// fresh, nodes written by a rebuild over written counters, nodes and
+/// counters tampered, and one written node of each stored level put
+/// back to its fresh image (all zero at level 1), it returns the same
+/// outcome and leaves the same image bytes. Over an all-zero region
+/// the fresh tree is what the reference rebuild from level 0 writes.
+#[test]
+fn fresh_tree_rebuild_matches_the_reference() {
+    check(
+        "fresh_tree_rebuild_matches_the_reference",
+        Config::default(),
+        |rng| {
+            let map = MemoryMap::new(&SystemConfig::tiny());
+            let mut key = [0u8; 16];
+            rng.fill_bytes(&mut key);
+            let engine = MacEngine::new(key);
+            for layout in [map.non_persistent(), map.persistent()] {
+                let kind = layout.kind;
+                let geom = &layout.geometry;
+                let fresh = FreshTree::new(layout, &engine);
+
+                let mut built = SparseStore::new();
+                let reference = bmt::rebuild_from_level(&mut built, layout, &engine, 0);
+                let mut installed = SparseStore::new();
+                ensure!(
+                    fresh.reset(&mut installed, layout) == reference.root,
+                    "{kind}: fresh root differs from the all-zero rebuild's"
+                );
+                ensure!(
+                    installed == built,
+                    "{kind}: fresh image differs from the all-zero rebuild's"
+                );
+
+                let mut image = SparseStore::new();
+                for _ in 0..rng.gen_range(0..24) {
+                    let leaf = rng.below(layout.counter_blocks);
+                    let mut block = [0u8; 64];
+                    block[rng.gen_range(0..64) as usize] = 1 + rng.below(255) as u8;
+                    image.write(layout.counter_start + leaf, block);
+                }
+                bmt::rebuild_from_level(&mut image, layout, &engine, 0);
+                let stored_addr = |level: u8, index: u64| {
+                    if level == 0 {
+                        layout.counter_start + index
+                    } else {
+                        layout.bmt_node_addr(level, index).expect("stored node")
+                    }
+                };
+                for _ in 0..rng.gen_range(0..4) {
+                    let level = rng.below(u64::from(geom.root_level())) as u8;
+                    let index = rng.below(geom.nodes_at_level(level));
+                    let mut mask = [0u8; 64];
+                    mask[rng.gen_range(0..64) as usize] = 1 + rng.below(255) as u8;
+                    image.tamper(stored_addr(level, index), mask);
+                }
+                for level in 1..geom.root_level() {
+                    let written: Vec<u64> = (0..geom.nodes_at_level(level))
+                        .filter(|&i| image.read(stored_addr(level, i)) != fresh.node(level, i).0)
+                        .collect();
+                    if !written.is_empty() && rng.below(2) == 0 {
+                        let index = written[rng.below(written.len() as u64) as usize];
+                        image.write(stored_addr(level, index), fresh.node(level, index).0);
+                    }
+                }
+
+                for from in 0..geom.root_level() {
+                    let (mut a, mut b) = (image.clone(), image.clone());
+                    let expected = bmt::rebuild_from_level(&mut a, layout, &engine, from);
+                    let got = fresh.rebuild_from_level(&mut b, layout, &engine, from);
+                    ensure!(got == expected, "{kind} from level {from}: outcome differs");
+                    ensure!(a == b, "{kind} from level {from}: image differs");
+                }
+            }
             Ok(())
         },
     );
