@@ -2,6 +2,9 @@
 //! image reads and writes and wear recording, each one lookup by
 //! address in a 32 768-page image visited in a seeded shuffled order
 //! (so neither the table nor the host caches see a sequential walk).
+//! That image holds one block per page; the `_full` cases read and
+//! write every block of a 4 096-page image instead, so both page shapes
+//! of `SparseStore` are timed.
 
 use std::hint::black_box;
 use triad_bench::timing::{bench, header};
@@ -12,9 +15,22 @@ use triad_sim::BlockAddr;
 /// Image pages touched (8 blocks each): 16 MiB of simulated NVM.
 const PAGES: u64 = 32_768;
 
+/// Pages of the image whose every block is written: 2 MiB of simulated
+/// NVM, and as many blocks as `PAGES` one-block pages hold.
+const FULL_PAGES: u64 = 4_096;
+
 /// One block address in every page, in a seeded Fisher–Yates order.
 fn shuffled_blocks() -> Vec<BlockAddr> {
-    let mut addrs: Vec<BlockAddr> = (0..PAGES).map(|p| BlockAddr(p * 8 + p % 8)).collect();
+    shuffled((0..PAGES).map(|p| BlockAddr(p * 8 + p % 8)).collect())
+}
+
+/// Every block of the first `FULL_PAGES` pages, in the same order.
+fn shuffled_full_pages() -> Vec<BlockAddr> {
+    shuffled((0..FULL_PAGES * 8).map(BlockAddr).collect())
+}
+
+/// `addrs` in a seeded Fisher–Yates order.
+fn shuffled(mut addrs: Vec<BlockAddr>) -> Vec<BlockAddr> {
     let mut rng = SplitMix64::new(0x3E3_B3C4);
     for i in (1..addrs.len()).rev() {
         let j = rng.below(i as u64 + 1) as usize;
@@ -47,6 +63,25 @@ fn main() {
         let a = *next.next().expect("cycle never ends");
         fill = fill.wrapping_add(1) | 1;
         store.write(black_box(a), [fill; 64]);
+    });
+
+    let full = shuffled_full_pages();
+    let mut dense = SparseStore::new();
+    for a in &full {
+        dense.write(*a, [1; 64]);
+    }
+
+    let mut next = full.iter().cycle();
+    bench("sparse_store_read_full", || {
+        let a = *next.next().expect("cycle never ends");
+        dense.read(black_box(a))[0]
+    });
+
+    let mut next = full.iter().cycle();
+    bench("sparse_store_write_full", || {
+        let a = *next.next().expect("cycle never ends");
+        fill = fill.wrapping_add(1) | 1;
+        dense.write(black_box(a), [fill; 64]);
     });
 
     let mut next = addrs.iter().cycle();

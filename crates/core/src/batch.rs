@@ -648,20 +648,14 @@ mod tests {
         assert_eq!(roots[0], roots[1]);
     }
 
-    /// An eviction that refreshes a slot of an owed node lands after
-    /// the walk staged that node, so the batch commits the node as the
-    /// walk left it and the refresh waits for the node's own
-    /// write-back, exactly as when every walk hashes as it goes.
-    ///
-    /// Such a refresh changes a slot only after a walk failed between a
-    /// counter's advance and its level-1 node: page 0's walk fails on a
-    /// tampered node, the tamper is undone, and page 1's walk then owes
-    /// that node while page 0's dirty counter leaves the cache.
+    /// A persist whose tree walk fails on a tampered level-1 node puts
+    /// back the counter and MAC lines it changed before the walk, so
+    /// the counter the tree holds stays on chip. Once the tamper is
+    /// undone, the counter can leave the cache and the engine crash and
+    /// recover with every committed value readable.
     #[test]
-    fn an_eviction_refresh_of_an_owed_node_waits_for_its_write_back() {
+    fn a_walk_that_fails_at_level_1_leaves_the_counter_the_tree_holds() {
         let mut config = SystemConfig::tiny();
-        // Metadata lines stay resident, so no displacement settles the
-        // owed node before the counter's refresh lands.
         config.security.mt_cache = CacheConfig::new(64 << 10, 8, 3);
         let mut m = SecureMemoryBuilder::new()
             .config(config)
@@ -673,9 +667,11 @@ mod tests {
         let counter = layout.counter_start;
         let page = |p: u64| layout.data_start + p * layout.counter_coverage;
         let t = m.persist_block(page(0), [1; 64], Time::ZERO).unwrap();
+        let before = (
+            *m.ctr_cache.get(counter).unwrap(),
+            m.ctr_cache.probe_dirty(counter),
+        );
 
-        // Page 0's second walk fails on its tampered level-1 node after
-        // its counter advanced.
         m.mt_cache.invalidate(node);
         let mut mask = [0u8; 64];
         mask[63] = 1;
@@ -686,33 +682,198 @@ mod tests {
             "{failed:?}"
         );
         m.nvm_image_mut().tamper(node, mask);
-        let slot0 = |buf: [u8; 64]| NodeBuf(buf).slot(0);
-        let committed_slot0 = slot0(m.nvm_image().read(node));
-
-        // Page 1 owes the node; pages 16, 32, 48 and 64 share page 0's
-        // counter-cache set and push its dirty counter out mid-batch.
-        let members: Vec<_> = [1, 16, 32, 48, 64].map(|p| (page(p), [3; 64])).to_vec();
-        let evicted = m.stats().counter_writes_evict;
-        m.persist_batch(&members, t).unwrap();
-        assert_eq!(m.stats().counter_writes_evict, evicted + 1);
-
-        let refreshed = bmt::leaf_hash(
-            &m.mac_engine,
-            RegionKind::Persistent,
-            0,
-            &m.nvm_image().read(counter),
+        let after = (
+            *m.ctr_cache.get(counter).unwrap(),
+            m.ctr_cache.probe_dirty(counter),
         );
-        let on_chip = match m.mt_cache.get(node) {
+        assert_eq!(after, before, "the counter line is back");
+
+        // Pages 16, 32, 48 and 64 share page 0's counter-cache set and
+        // push its counter out of the cache.
+        let members: Vec<_> = [1, 16, 32, 48, 64].map(|p| (page(p), [3; 64])).to_vec();
+        m.persist_batch(&members, t).unwrap();
+        assert!(m.ctr_cache.get(counter).is_none());
+        m.crash();
+        assert!(m.recover().unwrap().persistent_recovered);
+        assert_eq!(m.read(page(0).base()).unwrap(), [1; 64]);
+        assert_eq!(m.read(page(1).base()).unwrap(), [3; 64]);
+    }
+
+    /// The failed walk's fetch of the level-1 node verifies the
+    /// level-2 node first and fills it, which can push the MAC line the
+    /// write-back dirtied into the eviction queue: the queued copy is
+    /// put back, so the next drain writes no tag for a write that never
+    /// reached NVM. In the 32-set direct-mapped cache below, page 3's
+    /// block 32 has its MAC block in the level-2 node's set.
+    #[test]
+    fn a_walk_that_fails_at_level_1_puts_back_a_displaced_mac_line() {
+        let mut config = SystemConfig::tiny();
+        config.security.mt_cache = CacheConfig::new(32 * 64, 1, 3);
+        let mut m = SecureMemoryBuilder::new()
+            .config(config)
+            .scheme(PersistScheme::triad_nvm(2))
+            .build()
+            .unwrap();
+        let layout = m.layout(RegionKind::Persistent).clone();
+        let (level1, level2) = (
+            layout.bmt_node_addr(1, 0).unwrap(),
+            layout.bmt_node_addr(2, 0).unwrap(),
+        );
+        let block = layout.data_start + 3 * layout.counter_coverage + 32;
+        let mac = layout.mac_start + (block - layout.data_start) / 8;
+        assert_eq!(mac.0 % 32, level2.0 % 32);
+        m.persist_block(block, [1; 64], Time::ZERO).unwrap();
+        m.crash();
+        assert!(m.recover().unwrap().persistent_recovered);
+        assert_eq!(m.read(block.base()).unwrap(), [1; 64]);
+
+        m.mt_cache.invalidate(level1);
+        let mut mask = [0u8; 64];
+        mask[63] = 1;
+        m.nvm_image_mut().tamper(level1, mask);
+        let failed = m.persist_block(block, [2; 64], Time::ZERO);
+        assert!(
+            matches!(failed, Err(SecureMemoryError::IntegrityViolation { .. })),
+            "{failed:?}"
+        );
+        m.nvm_image_mut().tamper(level1, mask);
+        assert!(m.mt_cache.get(mac).is_none(), "the MAC line was displaced");
+        let mac_before = m.nvm_image().read(mac);
+        // A load drains the eviction queue.
+        m.read(block.base()).unwrap();
+        assert_eq!(m.nvm_image().read(mac), mac_before);
+        m.crash();
+        assert!(m.recover().unwrap().persistent_recovered);
+        assert_eq!(m.read(block.base()).unwrap(), [1; 64]);
+    }
+
+    /// A walk that fails above a level-1 node it already updated keeps
+    /// the advanced counter: that node holds the counter's hash, so
+    /// putting the old counter back would fail the counter's next
+    /// fetch once it left the cache.
+    #[test]
+    fn a_walk_that_fails_above_level_1_keeps_the_counter_its_node_holds() {
+        let mut config = SystemConfig::tiny();
+        config.security.mt_cache = CacheConfig::new(64 << 10, 8, 3);
+        let mut m = SecureMemoryBuilder::new()
+            .config(config)
+            .scheme(PersistScheme::triad_nvm(1))
+            .build()
+            .unwrap();
+        let layout = m.layout(RegionKind::Persistent).clone();
+        let level2 = layout.bmt_node_addr(2, 0).unwrap();
+        let counter = layout.counter_start;
+        let page = |p: u64| layout.data_start + p * layout.counter_coverage;
+        m.persist_block(page(0), [1; 64], Time::ZERO).unwrap();
+        m.crash();
+        assert!(m.recover().unwrap().persistent_recovered);
+        assert_eq!(m.read(page(0).base()).unwrap(), [1; 64]);
+
+        m.mt_cache.invalidate(level2);
+        let mut mask = [0u8; 64];
+        mask[63] = 1;
+        m.nvm_image_mut().tamper(level2, mask);
+        let failed = m.persist_block(page(0), [2; 64], Time::ZERO);
+        assert!(
+            matches!(failed, Err(SecureMemoryError::IntegrityViolation { .. })),
+            "{failed:?}"
+        );
+        m.nvm_image_mut().tamper(level2, mask);
+        assert!(
+            m.ctr_cache.probe_dirty(counter),
+            "the advanced counter stays"
+        );
+
+        // Pages 16, 32, 48 and 64 share page 0's counter-cache set.
+        for p in [16, 32, 48, 64] {
+            m.read(page(p).base()).unwrap();
+        }
+        assert!(m.ctr_cache.get(counter).is_none());
+        assert_eq!(m.read((page(0) + 1).base()).unwrap(), [0; 64]);
+    }
+
+    /// An eviction that refreshes a slot of an owed node lands after
+    /// the walk that owes the node, so the batch logs the root that
+    /// walk left and the refresh waits for the node's own write-back,
+    /// exactly as when every walk hashes as it goes.
+    ///
+    /// Such a refresh changes a slot only after a walk failed above a
+    /// level-1 node it had already updated. Under TriadNVM-1 no tree
+    /// level persists: page 0's walk updates its resident level-1 node
+    /// and fails on the tampered level-2 node above it, the tamper is
+    /// undone, and page 8's walk then owes that level-2 node while page
+    /// 0's level-1 node leaves the (direct-mapped) cache. The crash
+    /// after the batch recovers only if the logged root left the
+    /// refresh out, because page 0's advanced counter never reached NVM.
+    #[test]
+    fn an_eviction_refresh_of_an_owed_node_waits_for_its_write_back() {
+        let mut config = SystemConfig::tiny();
+        config.security.mt_cache = CacheConfig::new(32 * 64, 1, 3);
+        let mut m = SecureMemoryBuilder::new()
+            .config(config)
+            .scheme(PersistScheme::triad_nvm(1))
+            .build()
+            .unwrap();
+        let layout = m.layout(RegionKind::Persistent).clone();
+        let (level1, level2) = (
+            layout.bmt_node_addr(1, 0).unwrap(),
+            layout.bmt_node_addr(2, 0).unwrap(),
+        );
+        // Page 0's block 16 keeps its MAC block out of the level-1
+        // node's set; page 8's block 0 is the first of its set.
+        let page0 = layout.data_start + 16;
+        let page8 = layout.data_start + 8 * layout.counter_coverage;
+        assert_eq!((layout.mac_start.0 + 8 * 8) % 32, level1.0 % 32);
+        m.persist_block(page0, [1; 64], Time::ZERO).unwrap();
+        m.crash();
+        assert!(m.recover().unwrap().persistent_recovered);
+        assert_eq!(m.read(page0.base()).unwrap(), [1; 64]);
+
+        // Page 0's walk updates its resident level-1 node, then fails
+        // on the level-2 node.
+        m.mt_cache.invalidate(level2);
+        let mut mask = [0u8; 64];
+        mask[63] = 1;
+        m.nvm_image_mut().tamper(level2, mask);
+        let failed = m.persist_block(page0, [2; 64], Time::ZERO);
+        assert!(
+            matches!(failed, Err(SecureMemoryError::IntegrityViolation { .. })),
+            "{failed:?}"
+        );
+        m.nvm_image_mut().tamper(level2, mask);
+        let hash = |m: &SecureMemory, level, buf: &NodeBuf| {
+            let id = NodeId {
+                region: RegionKind::Persistent,
+                level,
+                index: 0,
+            };
+            bmt::node_hash(&m.mac_engine, id, &buf.0)
+        };
+        let level1_before = hash(&m, 1, &NodeBuf(m.nvm_image().read(level1)));
+
+        // Page 8's MAC block displaces the level-1 node mid-batch.
+        let evicted = m.stats().node_writes_evict;
+        m.persist_block(page8, [3; 64], Time::ZERO).unwrap();
+        assert_eq!(m.stats().node_writes_evict, evicted + 1);
+
+        let on_chip = match m.mt_cache.get(level2) {
             Some(MtLine::Node(buf)) => *buf,
             other => panic!("node left the cache: {other:?}"),
         };
+        let refreshed = hash(&m, 1, &NodeBuf(m.nvm_image().read(level1)));
+        assert_ne!(refreshed, level1_before);
         assert_eq!(on_chip.slot(0), refreshed, "the refresh reached the cache");
-        assert!(m.mt_cache.probe_dirty(node), "and awaits a write-back");
-        assert_ne!(refreshed, committed_slot0);
+        assert!(m.mt_cache.probe_dirty(level2), "and awaits a write-back");
+        let mut walked = on_chip;
+        walked.set_slot(0, level1_before);
         assert_eq!(
-            slot0(m.nvm_image().read(node)),
-            committed_slot0,
-            "the commit wrote the node as page 1's walk left it"
+            m.root(RegionKind::Persistent).slot(0),
+            hash(&m, 2, &walked),
+            "the root holds the level-2 node as page 8's walk left it"
         );
+        m.crash();
+        assert!(m.recover().unwrap().persistent_recovered);
+        assert_eq!(m.read(page0.base()).unwrap(), [1; 64]);
+        assert_eq!(m.read(page8.base()).unwrap(), [3; 64]);
     }
 }

@@ -398,6 +398,14 @@ pub(crate) enum EvictItem {
     },
 }
 
+/// The counter and MAC lines a data write-back changes before its tree
+/// walk, as they were: address, value and dirty bit.
+#[derive(Debug, Clone, Copy)]
+struct LeafUndo {
+    counter: (BlockAddr, AnyCounterBlock, bool),
+    mac: (BlockAddr, NodeBuf, bool),
+}
+
 /// The value of a Merkle-tree-cache line: the cache holds BMT nodes
 /// and MAC blocks side by side (their addresses never overlap).
 #[derive(Debug, Clone, Copy)]
@@ -1266,6 +1274,7 @@ impl SecureMemory {
         // 1. Advance the counter.
         let (mut cb, mut t) = self.ensure_counter(kind, leaf, now)?;
         let old_cb = cb;
+        let counter_was_dirty = self.ctr_cache.probe_dirty(counter_addr);
         let outcome = cb.increment(slot);
         self.ctr_fill(counter_addr, true, cb);
 
@@ -1275,6 +1284,10 @@ impl SecureMemory {
         let ct = encrypt_block(self.aes_for(kind), &iv, &plaintext);
         let tag = self.data_tag(block, &ct, &iv);
         let (mut mac_buf, t_mac) = self.ensure_mac_block(kind, data_index, now)?;
+        let undo = LeafUndo {
+            counter: (counter_addr, old_cb, counter_was_dirty),
+            mac: (mac_addr, mac_buf, self.mt_cache.probe_dirty(mac_addr)),
+        };
         mac_buf.set_slot((data_index % 8) as usize, tag);
         self.mt_fill(mac_addr, true, MtLine::Mac(mac_buf))?;
         t = t.max(t_mac) + self.config.security.hash_latency;
@@ -1307,7 +1320,10 @@ impl SecureMemory {
                 .scheme
                 .persisted_bmt_levels()
                 .min(root_level.saturating_sub(1));
-            t = t.max(self.update_path(kind, leaf, leaf_h, persist_levels, now)?);
+            // A page re-encryption has staged ciphertexts under the new
+            // counter, so a failed walk keeps it on chip.
+            let undo = (outcome != IncrementOutcome::MajorOverflow).then_some(undo);
+            t = t.max(self.update_path(kind, leaf, leaf_h, persist_levels, undo, now)?);
             // Osiris relaxation: skip the counter copy unless the
             // interval expired (recovery reconstructs skipped updates
             // from the MACs, §6 / Ye et al.).
@@ -1462,12 +1478,18 @@ impl SecureMemory {
     /// touch is hashed once. An edge is owed only once the parent's
     /// fetch has succeeded, so a walk that fails part-way leaves the
     /// slots a walk that hashed each level as it went would leave.
+    ///
+    /// A walk that fails fetching the counter's own level-1 node has
+    /// put the counter's hash nowhere, so it puts back the lines in
+    /// `undo`: the counter then stays the one the tree holds, and no
+    /// later eviction writes a counter that no tree node covers.
     fn update_path(
         &mut self,
         kind: RegionKind,
         leaf: u64,
         leaf_hash: Mac64,
         persist_levels: u8,
+        undo: Option<LeafUndo>,
         now: Time,
     ) -> Result<Time> {
         let geom = &self.layout(kind).geometry;
@@ -1499,7 +1521,15 @@ impl SecureMemory {
             self.path_hashes()?.fetching_parent_of(child);
             let fetched = self.ensure_node(kind, level, index, now);
             let carried = self.path_hashes()?.parent_fetched();
-            let (mut buf, tn) = fetched?;
+            let (mut buf, tn) = match fetched {
+                Ok(fetched) => fetched,
+                Err(e) => {
+                    if let (None, Some(undo)) = (child, undo) {
+                        self.put_back(undo);
+                    }
+                    return Err(e);
+                }
+            };
             match (child, carried) {
                 (None, _) => buf.set_slot(slot, leaf_hash),
                 // A settle ran during the fetch and hashed the child.
@@ -1529,6 +1559,31 @@ impl SecureMemory {
             child_index = index;
         }
         unreachable!("loop returns at root level");
+    }
+
+    /// Puts back the counter and MAC lines of `undo`, values and dirty
+    /// bits, without an access. The walk touches only the Merkle-tree
+    /// cache, so the counter line is still resident; the MAC line may
+    /// have been displaced into the eviction queue.
+    fn put_back(&mut self, undo: LeafUndo) {
+        let (addr, value, dirty) = undo.counter;
+        self.ctr_cache.restore(addr, value, dirty);
+        let (addr, value, dirty) = undo.mac;
+        if self.mt_cache.restore(addr, MtLine::Mac(value), dirty) {
+            return;
+        }
+        for item in &mut self.evict_queue {
+            if let EvictItem::Mac {
+                addr: queued,
+                value: v,
+                dirty: d,
+            } = item
+            {
+                if *queued == addr {
+                    (*v, *d) = (value, dirty);
+                }
+            }
+        }
     }
 
     /// The open batch's owed tree hashes: every tree walk runs inside a

@@ -7,7 +7,7 @@
 //! threat model of §3.1 (an attacker who can read and modify NVM
 //! contents between and during boot episodes).
 
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, OccupiedEntry};
 use triad_sim::{AddrMap, BlockAddr, BLOCK_BYTES};
 
 /// One 64-byte memory block.
@@ -20,24 +20,117 @@ const ZERO: Block = [0; BLOCK_BYTES];
 /// entries on dense images but waste memory on sparsely touched ones.
 pub(crate) const PAGE_BLOCKS: u64 = 8;
 
-/// Eight consecutive blocks; a block whose bit is clear in `resident`
-/// is zero.
+/// The non-zero blocks of one image page, in one of two shapes. A page
+/// with exactly one block keeps only that block, so a sparsely touched
+/// page costs 64 B on the heap instead of 520 B; a page with two or
+/// more keeps all eight slots. A page never holds zero blocks: it is
+/// freed with its last one.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Page {
+enum Page {
+    One { slot: u8, block: Box<Block> },
+    Many(Box<FullPage>),
+}
+
+/// Eight consecutive blocks; a block whose bit is clear in `resident`
+/// is zero. At least two bits are set.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct FullPage {
     blocks: [Block; PAGE_BLOCKS as usize],
     resident: u8,
 }
 
+impl Page {
+    /// The slots holding a non-zero block, one bit each.
+    fn resident(&self) -> u8 {
+        match self {
+            Page::One { slot, .. } => 1 << slot,
+            Page::Many(p) => p.resident,
+        }
+    }
+
+    /// The block in `slot`, if it is non-zero.
+    fn get(&self, slot: usize) -> Option<&Block> {
+        match self {
+            Page::One { slot: s, block } => (usize::from(*s) == slot).then_some(&**block),
+            Page::Many(p) => (p.resident & (1 << slot) != 0).then_some(&p.blocks[slot]),
+        }
+    }
+
+    /// Stores non-zero `data` in `slot`, promoting a one-block page
+    /// whose block sits elsewhere. Returns whether the slot was zero.
+    fn set(&mut self, slot: usize, data: Block) -> bool {
+        match self {
+            Page::One { slot: s, block } if usize::from(*s) == slot => {
+                **block = data;
+                false
+            }
+            Page::One { slot: s, block } => {
+                let mut full = Box::new(FullPage {
+                    blocks: [ZERO; PAGE_BLOCKS as usize],
+                    resident: (1 << *s) | (1 << slot),
+                });
+                full.blocks[usize::from(*s)] = **block;
+                full.blocks[slot] = data;
+                *self = Page::Many(full);
+                true
+            }
+            Page::Many(p) => {
+                let bit = 1 << slot;
+                let was_zero = p.resident & bit == 0;
+                p.resident |= bit;
+                p.blocks[slot] = data;
+                was_zero
+            }
+        }
+    }
+}
+
+/// Zeroes the slots of `mask` in an occupied page, demoting a page left
+/// with one block and freeing one left with none. Returns how many
+/// non-zero blocks were cleared.
+fn zero_slots(mut entry: OccupiedEntry<'_, u64, Page>, mask: u8) -> usize {
+    let held = entry.get().resident();
+    let cleared = held & mask;
+    if cleared == 0 {
+        return 0;
+    }
+    let left = held & !mask;
+    if left == 0 {
+        entry.remove();
+    } else if let Page::Many(p) = entry.get_mut() {
+        if left.count_ones() == 1 {
+            let slot = left.trailing_zeros() as usize;
+            let block = Box::new(p.blocks[slot]);
+            *entry.get_mut() = Page::One {
+                slot: slot as u8,
+                block,
+            };
+        } else {
+            p.resident = left;
+            let mut bits = cleared;
+            while bits != 0 {
+                p.blocks[bits.trailing_zeros() as usize] = ZERO;
+                bits &= bits - 1;
+            }
+        }
+    }
+    cleared.count_ones() as usize
+}
+
 /// A sparse, functional NVM image: a hash table of 8-block pages,
 /// keyed by page number, holding only pages with at least one non-zero
-/// block. A read or write is one hash probe.
+/// block. A page with one non-zero block keeps that block alone; a
+/// write to a second slot promotes it to all eight slots, and zeroing
+/// all but one block demotes it again. A read or write is one hash
+/// probe and one load from the page.
 ///
 /// Two stores compare equal exactly when every block reads the same:
-/// zero blocks are never resident and a page is freed with its last
-/// non-zero block, so equal contents mean equal representations.
+/// zero blocks are never resident, a page's shape follows from its
+/// block count, and a page is freed with its last non-zero block, so
+/// equal contents mean equal representations.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SparseStore {
-    pages: AddrMap<u64, Box<Page>>,
+    pages: AddrMap<u64, Page>,
     resident: usize,
 }
 
@@ -56,42 +149,33 @@ impl SparseStore {
     pub fn read(&self, addr: BlockAddr) -> Block {
         let (page, slot) = locate(addr);
         match self.pages.get(&page) {
-            Some(p) => p.blocks[slot],
-            None => ZERO,
+            Some(Page::One { slot: s, block }) if usize::from(*s) == slot => **block,
+            Some(Page::Many(p)) => p.blocks[slot],
+            _ => ZERO,
         }
     }
 
     /// Writes a block.
     pub fn write(&mut self, addr: BlockAddr, data: Block) {
         let (page, slot) = locate(addr);
-        let bit = 1u8 << slot;
-        if data == ZERO {
+        match self.pages.entry(page) {
             // Keep the store sparse: zero blocks are the default.
-            let Entry::Occupied(mut entry) = self.pages.entry(page) else {
-                return;
-            };
-            let p = entry.get_mut();
-            if p.resident & bit == 0 {
-                return;
+            Entry::Occupied(entry) if data == ZERO => {
+                self.resident -= zero_slots(entry, 1 << slot);
             }
-            p.resident &= !bit;
-            p.blocks[slot] = ZERO;
-            self.resident -= 1;
-            if p.resident == 0 {
-                entry.remove();
+            Entry::Vacant(_) if data == ZERO => {}
+            Entry::Occupied(mut entry) => {
+                if entry.get_mut().set(slot, data) {
+                    self.resident += 1;
+                }
             }
-        } else {
-            let p = self.pages.entry(page).or_insert_with(|| {
-                Box::new(Page {
-                    blocks: [ZERO; PAGE_BLOCKS as usize],
-                    resident: 0,
-                })
-            });
-            if p.resident & bit == 0 {
-                p.resident |= bit;
+            Entry::Vacant(entry) => {
+                entry.insert(Page::One {
+                    slot: slot as u8,
+                    block: Box::new(data),
+                });
                 self.resident += 1;
             }
-            p.blocks[slot] = data;
         }
     }
 
@@ -113,19 +197,12 @@ impl SparseStore {
             } else {
                 PAGE_BLOCKS as usize - 1
             };
-            let Entry::Occupied(mut entry) = self.pages.entry(page) else {
+            let Entry::Occupied(entry) = self.pages.entry(page) else {
                 continue;
             };
             // Bits `lo..=hi` of the page's resident mask.
             let mask = ((1u16 << (hi + 1)) - (1u16 << lo)) as u8;
-            let p = entry.get_mut();
-            self.resident -= (p.resident & mask).count_ones() as usize;
-            p.resident &= !mask;
-            if p.resident == 0 {
-                entry.remove();
-            } else {
-                p.blocks[lo..=hi].fill(ZERO);
-            }
+            self.resident -= zero_slots(entry, mask);
         }
     }
 
@@ -154,17 +231,13 @@ impl SparseStore {
     /// order (the page numbers are sorted first, so the order never
     /// depends on the table's layout).
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &Block)> {
-        let mut pages: Vec<(u64, &Page)> = self.pages.iter().map(|(n, p)| (*n, &**p)).collect();
+        let mut pages: Vec<(u64, &Page)> = self.pages.iter().map(|(n, p)| (*n, p)).collect();
         pages.sort_unstable_by_key(|(page, _)| *page);
         pages.into_iter().flat_map(|(page, p)| {
-            (0..PAGE_BLOCKS)
-                .filter(|slot| p.resident & (1 << slot) != 0)
-                .map(move |slot| {
-                    (
-                        BlockAddr(page * PAGE_BLOCKS + slot),
-                        &p.blocks[slot as usize],
-                    )
-                })
+            (0..PAGE_BLOCKS).filter_map(move |slot| {
+                p.get(slot as usize)
+                    .map(|block| (BlockAddr(page * PAGE_BLOCKS + slot), block))
+            })
         })
     }
 }
@@ -300,6 +373,71 @@ mod tests {
                 assert_eq!(paged.pages.len(), blockwise.pages.len());
             }
         }
+    }
+
+    /// The slot of page `page` when it has the one-block shape, or
+    /// `None` when it has all eight.
+    fn one_block_slot(s: &SparseStore, page: u64) -> Option<u8> {
+        match &s.pages[&page] {
+            Page::One { slot, .. } => Some(*slot),
+            Page::Many(_) => None,
+        }
+    }
+
+    #[test]
+    fn a_page_promotes_on_its_second_block_and_demotes_on_its_last_but_one() {
+        let mut s = SparseStore::new();
+        s.write(BlockAddr(10), [1; 64]);
+        assert_eq!(
+            one_block_slot(&s, 1),
+            Some(2),
+            "one block keeps the small shape"
+        );
+        s.write(BlockAddr(10), [2; 64]);
+        assert_eq!(one_block_slot(&s, 1), Some(2), "a rewrite keeps it");
+        s.write(BlockAddr(13), [3; 64]);
+        assert_eq!(one_block_slot(&s, 1), None, "a second slot promotes");
+        assert_eq!(s.resident_blocks(), 2);
+        assert_eq!(s.read(BlockAddr(10)), [2; 64]);
+        assert_eq!(s.read(BlockAddr(11)), ZERO);
+        assert_eq!(s.read(BlockAddr(13)), [3; 64]);
+        s.write(BlockAddr(11), ZERO);
+        assert_eq!(
+            one_block_slot(&s, 1),
+            None,
+            "zeroing a zero block changes nothing"
+        );
+        s.write(BlockAddr(10), ZERO);
+        assert_eq!(
+            one_block_slot(&s, 1),
+            Some(5),
+            "the last block but one demotes"
+        );
+        assert_eq!(s.read(BlockAddr(10)), ZERO);
+        assert_eq!(s.read(BlockAddr(13)), [3; 64]);
+        s.write(BlockAddr(12), ZERO);
+        assert_eq!(one_block_slot(&s, 1), Some(5));
+        s.write(BlockAddr(13), ZERO);
+        assert!(s.pages.is_empty(), "the last block frees the page");
+        assert_eq!(s.resident_blocks(), 0);
+    }
+
+    #[test]
+    fn zero_blocks_demotes_a_page_it_leaves_with_one_block() {
+        let mut s = dense(24);
+        s.zero_blocks(BlockAddr(1), 14);
+        assert_eq!(one_block_slot(&s, 0), Some(0));
+        assert_eq!(one_block_slot(&s, 1), Some(7));
+        assert_eq!(one_block_slot(&s, 2), None, "an untouched page stays full");
+        assert_eq!(s.resident_blocks(), 10);
+        assert_eq!(s.read(BlockAddr(0)), [1; 64]);
+        assert_eq!(s.read(BlockAddr(15)), [16; 64]);
+        s.zero_blocks(BlockAddr(15), 2);
+        assert!(!s.pages.contains_key(&1), "its last block frees the page");
+        assert_eq!(one_block_slot(&s, 2), None);
+        s.zero_blocks(BlockAddr(16), 7);
+        assert_eq!(one_block_slot(&s, 2), Some(7));
+        assert_eq!(s.resident_blocks(), 2);
     }
 
     #[test]

@@ -229,12 +229,14 @@ fn coalescing_never_loses_the_newest_value() {
 
 /// One step of the store model property. Block contents are uniform
 /// fills from a four-value alphabet, so XOR masks routinely zero a
-/// block and rewrites routinely repeat a value. `Spread` writes one
-/// fill to hundreds of blocks, each in its own page.
+/// block and rewrites routinely repeat a value. `ZeroRange` zeroes up
+/// to three pages' worth of blocks with `zero_blocks`. `Spread` writes
+/// one fill to hundreds of blocks, each in its own page.
 #[derive(Debug, Clone)]
 enum StoreOp {
     Write { addr: u64, fill: u8 },
     Zero { addr: u64 },
+    ZeroRange { start: u64, count: u64 },
     Tamper { addr: u64, mask: u8 },
     Rollback { addr: u64, fill: u8 },
     Read { addr: u64 },
@@ -244,7 +246,9 @@ enum StoreOp {
 
 /// Draws a history over a few page-boundary anchors (page 0, the last
 /// page below `u64::MAX / 8`, and two random pages), each spread over
-/// the two pages around it. Half the histories also hold one `Spread`
+/// the two pages around it, so writes take a page from one block to
+/// several and zero writes and ranges take it back to one and to none.
+/// Half the histories also hold one `Spread`
 /// of 512 to 1023 non-zero pages from an anchor, so the image's table
 /// grows and iteration order, equality and snapshots are checked
 /// across that growth.
@@ -262,12 +266,16 @@ fn gen_store_ops(rng: &mut SplitMix64) -> Vec<StoreOp> {
             let anchor = anchors[rng.gen_range(0..anchors.len() as u64) as usize];
             let addr = (anchor + rng.gen_range(0..16)).saturating_sub(8).min(top);
             let fill = rng.gen_range(0..4) as u8;
-            match rng.gen_range(0..12) {
+            match rng.gen_range(0..13) {
                 0..=3 => StoreOp::Write { addr, fill },
                 4..=5 => StoreOp::Zero { addr },
                 6..=7 => StoreOp::Tamper { addr, mask: fill },
                 8 => StoreOp::Rollback { addr, fill },
                 9..=10 => StoreOp::Read { addr },
+                11 => StoreOp::ZeroRange {
+                    start: addr,
+                    count: rng.gen_range(0..25),
+                },
                 _ => StoreOp::Snapshot,
             }
         })
@@ -339,6 +347,12 @@ fn sparse_store_matches_a_flat_block_map() {
                     StoreOp::Zero { addr } => {
                         store.write(BlockAddr(addr), [0; 64]);
                         model_write(&mut model, addr, [0; 64]);
+                    }
+                    StoreOp::ZeroRange { start, count } => {
+                        store.zero_blocks(BlockAddr(start), count);
+                        for addr in start..start + count {
+                            model_write(&mut model, addr, [0; 64]);
+                        }
                     }
                     StoreOp::Tamper { addr, mask } => {
                         store.tamper(BlockAddr(addr), [mask; 64]);
