@@ -305,21 +305,6 @@ impl<V> Cache<V> {
         }
     }
 
-    /// Puts `block`'s line back to `value` and `dirty` without counting
-    /// an access or moving its recency: the undo of a write whose
-    /// operation failed. Returns `false` (dropping `value`) when the
-    /// block is not resident.
-    pub fn restore(&mut self, block: BlockAddr, value: V, dirty: bool) -> bool {
-        match self.find(block) {
-            Some(i) => {
-                self.lines[i].dirty = dirty;
-                self.values[i] = Some(value);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// The block that an access to `block` would displace, without
     /// changing anything: `None` when `block` is resident or its set
     /// has a free way.

@@ -60,9 +60,8 @@
 //! instead of once per member (the shared-ancestor updates Freij et al.
 //! coalesce). The settle runs wherever an owed hash would become
 //! observable: at the commit (which covers `abandon_batch`), when an
-//! injected crash fires, before a Merkle-tree-cache fill displaces a
-//! node that is owed or whose parent a walk is fetching, and before an
-//! eviction refreshes a slot in an owed node or in a root. Every cache
+//! injected crash fires, and before a Merkle-tree-cache fill displaces
+//! a node that is owed or whose parent a walk is fetching. Every cache
 //! line, staged write and register then holds what the eager walk left,
 //! so no simulated number and no NVM byte depends on when the hashes
 //! run.
@@ -232,11 +231,14 @@ impl SecureMemory {
     /// [`SecureMemoryError::NotPersistent`] (checked for every member
     /// before any state changes) if any member lies outside the
     /// persistent region, plus the classes of
-    /// [`SecureMemory::load_block`]. A member that fails commits the
-    /// members processed before it; a crash inside that commit (an
-    /// armed [`CrashHookKind::WpqWrite`] hook) returns
+    /// [`SecureMemory::load_block`]. A member whose write-back fails
+    /// verification stages nothing, so the call commits exactly the
+    /// members before it; a crash inside that commit (an armed
+    /// [`CrashHookKind::WpqWrite`] hook) returns
     /// [`SecureMemoryError::NeedsRecovery`] instead of the member's
-    /// error.
+    /// error. A dirty L3 victim whose write-back fails stays queued,
+    /// and every later drain retries it first (see
+    /// [`SecureMemory::load_block`]).
     pub fn persist_batch(&mut self, members: &[(BlockAddr, Block)], now: Time) -> Result<Time> {
         self.check_persist_targets(members.iter().map(|(block, _)| *block))?;
         self.persist_members(members, true, now)
@@ -295,9 +297,12 @@ impl SecureMemory {
     /// [`SecureMemoryError::NotPersistent`] (checked for every block
     /// before any state changes) if any block lies outside the
     /// persistent region, plus the classes of
-    /// [`SecureMemory::persist_batch`].
+    /// [`SecureMemory::persist_batch`]. The flush first drains any
+    /// write-backs a failed call left queued, and returns their error
+    /// if one fails again.
     pub fn flush_batch(&mut self, blocks: &[BlockAddr], now: Time) -> Result<Time> {
         self.check_persist_targets(blocks.iter().copied())?;
+        self.drain_pending(now)?;
         let mut seen = AddrSet::default();
         let members: Vec<_> = blocks
             .iter()
@@ -308,6 +313,16 @@ impl SecureMemory {
     }
 
     // ----- crate-internal batch plumbing ------------------------------------
+
+    /// Drains whatever write-backs a failed call left queued, so a flush
+    /// finds every dirty block in the L3; a no-op on the empty queue
+    /// every call that succeeded leaves.
+    pub(crate) fn drain_pending(&mut self, now: Time) -> Result<()> {
+        if self.evict_queue.is_empty() {
+            return Ok(());
+        }
+        self.drain_evictions(now)
+    }
 
     /// `block` with its plaintext, if it is dirty on chip: a member
     /// for the durability loop's flush form.
@@ -595,11 +610,7 @@ impl SecureMemory {
             self.set_root(node.kind, root);
             return Ok(());
         }
-        let parent = layout.bmt_node_addr(p_level, p_index).ok_or_else(|| {
-            SecureMemoryError::internal(format!(
-                "BMT parent ({p_level}, {p_index}) has no in-memory address"
-            ))
-        })?;
+        let parent = self.node_addr(node.kind, p_level, p_index)?;
         let mut buf = self.resident_node(parent)?;
         buf.set_slot(slot, hash);
         self.mt_cache.set(parent, MtLine::Node(buf));
@@ -612,7 +623,8 @@ mod tests {
     use triad_sim::config::{CacheConfig, SystemConfig};
 
     use super::*;
-    use crate::{PersistScheme, SecureMemoryBuilder, SecureMemoryError};
+    use crate::engine::EvictItem;
+    use crate::{IntegrityKind, PersistScheme, SecureMemoryBuilder, SecureMemoryError};
 
     /// A walk's node can leave the Merkle-tree cache while the walk
     /// fetches its parent: the fetch settles the batch first, and the
@@ -648,232 +660,245 @@ mod tests {
         assert_eq!(roots[0], roots[1]);
     }
 
-    /// A persist whose tree walk fails on a tampered level-1 node puts
-    /// back the counter and MAC lines it changed before the walk, so
-    /// the counter the tree holds stays on chip. Once the tamper is
-    /// undone, the counter can leave the cache and the engine crash and
-    /// recover with every committed value readable.
-    #[test]
-    fn a_walk_that_fails_at_level_1_leaves_the_counter_the_tree_holds() {
-        let mut config = SystemConfig::tiny();
-        config.security.mt_cache = CacheConfig::new(64 << 10, 8, 3);
-        let mut m = SecureMemoryBuilder::new()
-            .config(config)
-            .scheme(PersistScheme::triad_nvm(2))
-            .build()
-            .unwrap();
-        let layout = m.layout(RegionKind::Persistent).clone();
-        let node = layout.bmt_node_addr(1, 0).unwrap();
-        let counter = layout.counter_start;
-        let page = |p: u64| layout.data_start + p * layout.counter_coverage;
-        let t = m.persist_block(page(0), [1; 64], Time::ZERO).unwrap();
-        let before = (
-            *m.ctr_cache.get(counter).unwrap(),
-            m.ctr_cache.probe_dirty(counter),
-        );
-
-        m.mt_cache.invalidate(node);
-        let mut mask = [0u8; 64];
-        mask[63] = 1;
-        m.nvm_image_mut().tamper(node, mask);
-        let failed = m.persist_block(page(0), [2; 64], t);
-        assert!(
-            matches!(failed, Err(SecureMemoryError::IntegrityViolation { .. })),
-            "{failed:?}"
-        );
-        m.nvm_image_mut().tamper(node, mask);
-        let after = (
-            *m.ctr_cache.get(counter).unwrap(),
-            m.ctr_cache.probe_dirty(counter),
-        );
-        assert_eq!(after, before, "the counter line is back");
-
-        // Pages 16, 32, 48 and 64 share page 0's counter-cache set and
-        // push its counter out of the cache.
-        let members: Vec<_> = [1, 16, 32, 48, 64].map(|p| (page(p), [3; 64])).to_vec();
-        m.persist_batch(&members, t).unwrap();
-        assert!(m.ctr_cache.get(counter).is_none());
-        m.crash();
-        assert!(m.recover().unwrap().persistent_recovered);
-        assert_eq!(m.read(page(0).base()).unwrap(), [1; 64]);
-        assert_eq!(m.read(page(1).base()).unwrap(), [3; 64]);
+    /// One step of a failed-write-back history; a byte `v` stands for
+    /// the block `[v; 64]`.
+    #[derive(Clone, Copy)]
+    enum Step {
+        Persist(BlockAddr, u8),
+        Store(BlockAddr, u8),
+        Flush(BlockAddr),
+        /// A read that must return the value.
+        Read(BlockAddr, u8),
+        /// A crash, then a recovery that must verify.
+        Crash,
+        /// Drops the level-`.0` tree node above the block from the
+        /// Merkle-tree cache and flips a bit of its NVM copy. Each of
+        /// the next `.2` steps must fail on that node and change
+        /// nothing on chip; the bit then flips back.
+        Tamper(u8, BlockAddr, usize),
+        /// A store whose first WPQ write crashes, then a recovery that
+        /// must verify.
+        CrashingStore(BlockAddr, u8),
+        /// Writes every dirty counter and Merkle-tree-cache line back
+        /// the way an eviction does, until no line is dirty.
+        PushOut,
     }
 
-    /// The failed walk's fetch of the level-1 node verifies the
-    /// level-2 node first and fills it, which can push the MAC line the
-    /// write-back dirtied into the eviction queue: the queued copy is
-    /// put back, so the next drain writes no tag for a write that never
-    /// reached NVM. In the 32-set direct-mapped cache below, page 3's
-    /// block 32 has its MAC block in the level-2 node's set.
-    #[test]
-    fn a_walk_that_fails_at_level_1_puts_back_a_displaced_mac_line() {
-        let mut config = SystemConfig::tiny();
-        config.security.mt_cache = CacheConfig::new(32 * 64, 1, 3);
-        let mut m = SecureMemoryBuilder::new()
-            .config(config)
-            .scheme(PersistScheme::triad_nvm(2))
-            .build()
-            .unwrap();
-        let layout = m.layout(RegionKind::Persistent).clone();
-        let (level1, level2) = (
-            layout.bmt_node_addr(1, 0).unwrap(),
-            layout.bmt_node_addr(2, 0).unwrap(),
-        );
-        let block = layout.data_start + 3 * layout.counter_coverage + 32;
-        let mac = layout.mac_start + (block - layout.data_start) / 8;
-        assert_eq!(mac.0 % 32, level2.0 % 32);
-        m.persist_block(block, [1; 64], Time::ZERO).unwrap();
-        m.crash();
-        assert!(m.recover().unwrap().persistent_recovered);
-        assert_eq!(m.read(block.base()).unwrap(), [1; 64]);
-
-        m.mt_cache.invalidate(level1);
-        let mut mask = [0u8; 64];
-        mask[63] = 1;
-        m.nvm_image_mut().tamper(level1, mask);
-        let failed = m.persist_block(block, [2; 64], Time::ZERO);
-        assert!(
-            matches!(failed, Err(SecureMemoryError::IntegrityViolation { .. })),
-            "{failed:?}"
-        );
-        m.nvm_image_mut().tamper(level1, mask);
-        assert!(m.mt_cache.get(mac).is_none(), "the MAC line was displaced");
-        let mac_before = m.nvm_image().read(mac);
-        // A load drains the eviction queue.
-        m.read(block.base()).unwrap();
-        assert_eq!(m.nvm_image().read(mac), mac_before);
-        m.crash();
-        assert!(m.recover().unwrap().persistent_recovered);
-        assert_eq!(m.read(block.base()).unwrap(), [1; 64]);
-    }
-
-    /// A walk that fails above a level-1 node it already updated keeps
-    /// the advanced counter: that node holds the counter's hash, so
-    /// putting the old counter back would fail the counter's next
-    /// fetch once it left the cache.
-    #[test]
-    fn a_walk_that_fails_above_level_1_keeps_the_counter_its_node_holds() {
-        let mut config = SystemConfig::tiny();
-        config.security.mt_cache = CacheConfig::new(64 << 10, 8, 3);
-        let mut m = SecureMemoryBuilder::new()
-            .config(config)
-            .scheme(PersistScheme::triad_nvm(1))
-            .build()
-            .unwrap();
-        let layout = m.layout(RegionKind::Persistent).clone();
-        let level2 = layout.bmt_node_addr(2, 0).unwrap();
-        let counter = layout.counter_start;
-        let page = |p: u64| layout.data_start + p * layout.counter_coverage;
-        m.persist_block(page(0), [1; 64], Time::ZERO).unwrap();
-        m.crash();
-        assert!(m.recover().unwrap().persistent_recovered);
-        assert_eq!(m.read(page(0).base()).unwrap(), [1; 64]);
-
-        m.mt_cache.invalidate(level2);
-        let mut mask = [0u8; 64];
-        mask[63] = 1;
-        m.nvm_image_mut().tamper(level2, mask);
-        let failed = m.persist_block(page(0), [2; 64], Time::ZERO);
-        assert!(
-            matches!(failed, Err(SecureMemoryError::IntegrityViolation { .. })),
-            "{failed:?}"
-        );
-        m.nvm_image_mut().tamper(level2, mask);
-        assert!(
-            m.ctr_cache.probe_dirty(counter),
-            "the advanced counter stays"
-        );
-
-        // Pages 16, 32, 48 and 64 share page 0's counter-cache set.
-        for p in [16, 32, 48, 64] {
-            m.read(page(p).base()).unwrap();
+    fn run(m: &mut SecureMemory, step: Step) -> Result<()> {
+        match step {
+            Step::Persist(block, v) => m.persist_block(block, [v; 64], Time::ZERO).map(drop),
+            Step::Store(block, v) => m.store_block(block, [v; 64], Time::ZERO).map(drop),
+            Step::Flush(block) => m.flush_block(block, Time::ZERO).map(drop),
+            Step::Read(block, v) => {
+                assert_eq!(m.read(block.base())?, [v; 64], "read of {block}");
+                Ok(())
+            }
+            Step::Crash => {
+                m.crash();
+                assert!(m.recover()?.persistent_recovered);
+                Ok(())
+            }
+            Step::CrashingStore(block, v) => {
+                m.arm_crash(CrashHookKind::WpqWrite, 0)?;
+                let crashed = m.store_block(block, [v; 64], Time::ZERO);
+                assert_eq!(crashed, Err(SecureMemoryError::NeedsRecovery));
+                assert!(m.recover()?.persistent_recovered);
+                Ok(())
+            }
+            Step::Tamper(..) => unreachable!("the test loop tampers"),
+            Step::PushOut => loop {
+                let (counters, lines) = (m.ctr_cache.dirty_blocks(), m.mt_cache.dirty_blocks());
+                if counters.is_empty() && lines.is_empty() {
+                    return Ok(());
+                }
+                let dirty = true;
+                for addr in counters {
+                    let value = *m.ctr_cache.get(addr).unwrap();
+                    m.ctr_cache.invalidate(addr);
+                    m.evict_queue
+                        .push(EvictItem::Counter { addr, value, dirty });
+                }
+                for addr in lines {
+                    let line = *m.mt_cache.get(addr).unwrap();
+                    m.mt_cache.invalidate(addr);
+                    m.evict_queue.push(match line {
+                        MtLine::Node(value) => EvictItem::Node { addr, value, dirty },
+                        MtLine::Mac(value) => EvictItem::Mac { addr, value, dirty },
+                    });
+                }
+                m.drain_evictions(Time::ZERO)?;
+            },
         }
-        assert!(m.ctr_cache.get(counter).is_none());
-        assert_eq!(m.read((page(0) + 1).base()).unwrap(), [0; 64]);
     }
 
-    /// An eviction that refreshes a slot of an owed node lands after
-    /// the walk that owes the node, so the batch logs the root that
-    /// walk left and the refresh waits for the node's own write-back,
-    /// exactly as when every walk hashes as it goes.
-    ///
-    /// Such a refresh changes a slot only after a walk failed above a
-    /// level-1 node it had already updated. Under TriadNVM-1 no tree
-    /// level persists: page 0's walk updates its resident level-1 node
-    /// and fails on the tampered level-2 node above it, the tamper is
-    /// undone, and page 8's walk then owes that level-2 node while page
-    /// 0's level-1 node leaves the (direct-mapped) cache. The crash
-    /// after the batch recovers only if the logged root left the
-    /// refresh out, because page 0's advanced counter never reached NVM.
+    /// A resident counter or Merkle-tree-cache line's value and dirty
+    /// bit.
+    fn line(m: &SecureMemory, addr: BlockAddr) -> Option<(Block, bool)> {
+        let value = match m.mt_cache.get(addr) {
+            Some(line) => line.buf().0,
+            None => m.ctr_cache.get(addr)?.to_bytes(),
+        };
+        let dirty = m.ctr_cache.probe_dirty(addr) || m.mt_cache.probe_dirty(addr);
+        Some((value, dirty))
+    }
+
+    /// A write-back whose tree path fails verification changes nothing
+    /// on chip: the error names the tampered node; the counter line,
+    /// the MAC line and the path's resident nodes keep their value and
+    /// dirty bit; no page re-encrypts. A failed L3 victim stays queued
+    /// and fails every later drain while the tamper stays, and a crash
+    /// in its own commit drops it with the rest of the chip. With the
+    /// tamper undone and the dirty lines pushed out, a crash recovers
+    /// every committed value.
     #[test]
-    fn an_eviction_refresh_of_an_owed_node_waits_for_its_write_back() {
-        let mut config = SystemConfig::tiny();
-        config.security.mt_cache = CacheConfig::new(32 * 64, 1, 3);
-        let mut m = SecureMemoryBuilder::new()
-            .config(config)
-            .scheme(PersistScheme::triad_nvm(1))
-            .build()
-            .unwrap();
-        let layout = m.layout(RegionKind::Persistent).clone();
-        let (level1, level2) = (
-            layout.bmt_node_addr(1, 0).unwrap(),
-            layout.bmt_node_addr(2, 0).unwrap(),
-        );
-        // Page 0's block 16 keeps its MAC block out of the level-1
-        // node's set; page 8's block 0 is the first of its set.
-        let page0 = layout.data_start + 16;
-        let page8 = layout.data_start + 8 * layout.counter_coverage;
-        assert_eq!((layout.mac_start.0 + 8 * 8) % 32, level1.0 % 32);
-        m.persist_block(page0, [1; 64], Time::ZERO).unwrap();
-        m.crash();
-        assert!(m.recover().unwrap().persistent_recovered);
-        assert_eq!(m.read(page0.base()).unwrap(), [1; 64]);
-
-        // Page 0's walk updates its resident level-1 node, then fails
-        // on the level-2 node.
-        m.mt_cache.invalidate(level2);
-        let mut mask = [0u8; 64];
-        mask[63] = 1;
-        m.nvm_image_mut().tamper(level2, mask);
-        let failed = m.persist_block(page0, [2; 64], Time::ZERO);
-        assert!(
-            matches!(failed, Err(SecureMemoryError::IntegrityViolation { .. })),
-            "{failed:?}"
-        );
-        m.nvm_image_mut().tamper(level2, mask);
-        let hash = |m: &SecureMemory, level, buf: &NodeBuf| {
-            let id = NodeId {
-                region: RegionKind::Persistent,
-                level,
-                index: 0,
-            };
-            bmt::node_hash(&m.mac_engine, id, &buf.0)
-        };
-        let level1_before = hash(&m, 1, &NodeBuf(m.nvm_image().read(level1)));
-
-        // Page 8's MAC block displaces the level-1 node mid-batch.
-        let evicted = m.stats().node_writes_evict;
-        m.persist_block(page8, [3; 64], Time::ZERO).unwrap();
-        assert_eq!(m.stats().node_writes_evict, evicted + 1);
-
-        let on_chip = match m.mt_cache.get(level2) {
-            Some(MtLine::Node(buf)) => *buf,
-            other => panic!("node left the cache: {other:?}"),
-        };
-        let refreshed = hash(&m, 1, &NodeBuf(m.nvm_image().read(level1)));
-        assert_ne!(refreshed, level1_before);
-        assert_eq!(on_chip.slot(0), refreshed, "the refresh reached the cache");
-        assert!(m.mt_cache.probe_dirty(level2), "and awaits a write-back");
-        let mut walked = on_chip;
-        walked.set_slot(0, level1_before);
-        assert_eq!(
-            m.root(RegionKind::Persistent).slot(0),
-            hash(&m, 2, &walked),
-            "the root holds the level-2 node as page 8's walk left it"
-        );
-        m.crash();
-        assert!(m.recover().unwrap().persistent_recovered);
-        assert_eq!(m.read(page0.base()).unwrap(), [1; 64]);
-        assert_eq!(m.read(page8.base()).unwrap(), [3; 64]);
+    fn a_write_back_that_fails_verification_changes_nothing() {
+        let probe = SecureMemoryBuilder::new().build().unwrap();
+        let map = probe.memory_map();
+        let (layout, np) = (map.persistent(), map.non_persistent());
+        let page = |p: u64| layout.data_start + p * layout.counter_coverage;
+        let (b0, b16, b32) = (page(0), page(0) + 16, page(3) + 32);
+        let wide = CacheConfig::new(64 << 10, 8, 3);
+        // 32 direct-mapped sets: `b32`'s MAC block shares the level-2
+        // node's set, and `b16`'s MAC block avoids the level-1 node's.
+        let direct = CacheConfig::new(32 * 64, 1, 3);
+        let tiny = SystemConfig::tiny();
+        let (triad1, triad2) = (PersistScheme::triad_nvm(1), PersistScheme::triad_nvm(2));
+        // Non-persistent blocks in `b0`'s 8-way L3 set: the eighth store
+        // into a full set evicts its oldest block.
+        let l3_sets = tiny.l3.sets() as u64;
+        let set: Vec<_> = (0..np.data_blocks)
+            .map(|i| np.data_start + i)
+            .filter(|b| b.0 % l3_sets == b0.0 % l3_sets)
+            .take(9)
+            .collect();
+        let stores = |blocks: &[BlockAddr]| blocks.iter().map(|&b| Store(b, 9)).collect::<Vec<_>>();
+        use Step::*;
+        // Each case then pushes the dirty lines out, crashes, and reads
+        // back every committed value.
+        let cases = [
+            (
+                "(a) level 1",
+                triad2,
+                wide,
+                vec![Persist(b0, 1), Tamper(1, b0, 1), Persist(b0, 2)],
+                vec![(b0, 1)],
+            ),
+            (
+                "(b) a MAC block in the level-2 node's set",
+                triad2,
+                direct,
+                vec![
+                    Persist(b32, 1),
+                    Crash,
+                    Read(b32, 1),
+                    Tamper(1, b32, 1),
+                    Persist(b32, 2),
+                ],
+                vec![(b32, 1)],
+            ),
+            // The read of `b16` makes its level-1 node resident, and
+            // the read of `b32` evicts the level-2 node `page(8)`'s
+            // walk dirtied.
+            (
+                "(c) level 2 above a resident level-1 node",
+                triad1,
+                direct,
+                vec![
+                    Persist(b16, 1),
+                    Crash,
+                    Read(b16, 1),
+                    Tamper(2, b16, 1),
+                    Persist(b16, 2),
+                    Persist(page(8), 3),
+                    Read(b32, 0),
+                ],
+                vec![(b16, 1), (page(8), 3)],
+            ),
+            (
+                "(d) a minor-counter overflow",
+                triad2,
+                wide,
+                [
+                    vec![Persist(b0 + 1, 7)],
+                    (1..=127).map(|v| Persist(b0, v)).collect(),
+                    vec![Tamper(1, b0, 1), Persist(b0, 128)],
+                ]
+                .concat(),
+                vec![(b0, 127), (b0 + 1, 7)],
+            ),
+            // The store into `set[7]` evicts `b0`, and the load of
+            // `set[6]` hits in the L3 but drains the queue first.
+            (
+                "(e) a dirty L3 victim",
+                triad2,
+                tiny.security.mt_cache,
+                [
+                    vec![Persist(b0, 1), Crash, Store(b0, 2)],
+                    stores(&set[..7]),
+                    vec![Tamper(1, b0, 2), Store(set[7], 9), Read(set[6], 9)],
+                    vec![Flush(b0), Read(b0, 2)],
+                ]
+                .concat(),
+                vec![(b0, 2)],
+            ),
+            // Strict commits a non-persistent victim atomically; after
+            // the crash its block reads as fresh.
+            (
+                "(f) a crash in an L3 victim's own commit",
+                PersistScheme::Strict,
+                tiny.security.mt_cache,
+                [
+                    vec![Store(set[0], 5)],
+                    stores(&set[1..8]),
+                    vec![CrashingStore(set[8], 9), Read(set[0], 0)],
+                ]
+                .concat(),
+                vec![],
+            ),
+        ];
+        for (name, scheme, mt_cache, steps, committed) in cases {
+            let mut config = tiny;
+            config.security.mt_cache = mt_cache;
+            let mut m = SecureMemoryBuilder::new()
+                .config(config)
+                .scheme(scheme)
+                .build()
+                .unwrap();
+            let tail = [PushOut, Crash].into_iter();
+            let reads = committed.into_iter().map(|(block, v)| Read(block, v));
+            let mut steps = steps.into_iter().chain(tail).chain(reads);
+            while let Some(step) = steps.next() {
+                let Tamper(level, block, n) = step else {
+                    run(&mut m, step).unwrap_or_else(|e| panic!("{name}: {e}"));
+                    continue;
+                };
+                let leaf = layout.leaf_index(layout.counter_block_of(block));
+                let geom = &layout.geometry;
+                let path = |l: u8| layout.bmt_node_addr(l, leaf / geom.arity().pow(l.into()));
+                let node = path(level).unwrap();
+                m.mt_cache.invalidate(node);
+                let mut mask = [0u8; 64];
+                mask[63] = 1;
+                m.nvm_image_mut().tamper(node, mask);
+                let lines: Vec<_> = (1..geom.root_level())
+                    .map(|l| path(l).unwrap())
+                    .chain([layout.counter_block_of(block), layout.mac_block_of(block)])
+                    .filter_map(|addr| line(&m, addr).map(|state| (addr, state)))
+                    .collect();
+                let reencryptions = m.stats().page_reencryptions;
+                let named = SecureMemoryError::IntegrityViolation {
+                    kind: IntegrityKind::BmtNode,
+                    block: node,
+                };
+                for step in steps.by_ref().take(n) {
+                    assert_eq!(run(&mut m, step), Err(named.clone()), "{name}");
+                    for &(addr, state) in &lines {
+                        assert_eq!(line(&m, addr), Some(state), "{name}: line {addr}");
+                    }
+                }
+                assert_eq!(m.stats().page_reencryptions, reencryptions, "{name}");
+                m.nvm_image_mut().tamper(node, mask);
+            }
+        }
     }
 }

@@ -129,7 +129,7 @@ pub struct SecureStats {
     /// hashes excluded). A batch hashes each node its walks touch once
     /// per settle of its owed hashes: at its commit, and earlier only
     /// where one must land sooner (an injected crash, or an owed node
-    /// leaving the Merkle-tree cache or taking an eviction's refresh).
+    /// leaving the Merkle-tree cache).
     pub node_hashes: u64,
 }
 
@@ -398,14 +398,6 @@ pub(crate) enum EvictItem {
     },
 }
 
-/// The counter and MAC lines a data write-back changes before its tree
-/// walk, as they were: address, value and dirty bit.
-#[derive(Debug, Clone, Copy)]
-struct LeafUndo {
-    counter: (BlockAddr, AnyCounterBlock, bool),
-    mac: (BlockAddr, NodeBuf, bool),
-}
-
 /// The value of a Merkle-tree-cache line: the cache holds BMT nodes
 /// and MAC blocks side by side (their addresses never overlap).
 #[derive(Debug, Clone, Copy)]
@@ -415,11 +407,20 @@ pub(crate) enum MtLine {
 }
 
 impl MtLine {
-    fn buf(&self) -> NodeBuf {
+    pub(crate) fn buf(&self) -> NodeBuf {
         match self {
             MtLine::Node(buf) | MtLine::Mac(buf) => *buf,
         }
     }
+}
+
+/// Where a fetch finds a BMT node's newest value: on chip (a
+/// Merkle-tree-cache line or a queued write-back, so trusted), staged in
+/// the open batch (whose NVM copy is stale until it commits), or in NVM.
+enum NodeSource {
+    OnChip(NodeBuf),
+    Staged(Block),
+    Nvm,
 }
 
 impl EvictItem {
@@ -859,7 +860,11 @@ impl SecureMemory {
     /// Drains the eviction queue: every dirty victim is written to NVM
     /// and its parent's hash slot refreshed (the §3.2 lazy-propagation
     /// discipline). Handlers may queue further victims; the loop runs
-    /// until quiescence.
+    /// until quiescence. A data victim whose write-back fails goes back
+    /// on top of the queue, readable through [`SecureMemory::reclaim`]:
+    /// every later drain retries it first, and fails on it while its
+    /// tree path stays tampered, until a load or store of its block
+    /// takes it back into the L3 or the engine crashes.
     pub(crate) fn drain_evictions(&mut self, now: Time) -> Result<()> {
         self.hists
             .evict_queue_depth
@@ -884,8 +889,15 @@ impl SecureMemory {
             }
             match item {
                 EvictItem::Data { addr, plain, dirty } => {
-                    if dirty {
-                        self.writeback_victim(addr, plain, now)?;
+                    if !dirty {
+                        continue;
+                    }
+                    if let Err(e) = self.writeback_victim(addr, plain, now) {
+                        // A crash in its own commit has cleared the queue.
+                        if self.state != EngineState::Crashed {
+                            self.evict_queue.push(item);
+                        }
+                        return Err(e);
                     }
                 }
                 EvictItem::Counter { addr, value, dirty } => {
@@ -959,34 +971,13 @@ impl SecureMemory {
         let geom = &layout.geometry;
         let (p_level, p_index) = geom.parent(level, index);
         let slot = geom.child_slot(index);
-        let parent = if p_level == geom.root_level() {
-            None
-        } else {
-            Some(layout.bmt_node_addr(p_level, p_index).ok_or_else(|| {
-                SecureMemoryError::internal(format!(
-                    "BMT parent ({p_level}, {p_index}) has no in-memory address"
-                ))
-            })?)
-        };
-        // The staged copy of an owed node, and the logged root, hold
-        // what the eager walk left, which never includes this refresh:
-        // settle them before it lands.
-        if let Some(pending) = &self.batch {
-            let owed = &pending.hashes;
-            let settle = match parent {
-                None => !owed.is_settled(),
-                Some(addr) => owed.watches(addr),
-            };
-            if settle {
-                self.settle_path_hashes()?;
-            }
-        }
-        let Some(addr) = parent else {
+        if p_level == geom.root_level() {
             let mut root = self.root(kind);
             root.set_slot(slot, hash);
             self.set_root(kind, root);
             return Ok(());
-        };
+        }
+        let addr = self.node_addr(kind, p_level, p_index)?;
         self.ensure_node(kind, p_level, p_index, now)?;
         let Some(MtLine::Node(entry)) = self.mt_cache.hit(addr, true) else {
             return Err(SecureMemoryError::internal(format!(
@@ -1000,7 +991,7 @@ impl SecureMemory {
     // ----- metadata fetch with verification ---------------------------------
 
     /// Returns the current value of BMT node `(level, index)`, fetching
-    /// and verifying it from NVM if it is not resident on chip.
+    /// and verifying it from NVM if it is not on chip.
     fn ensure_node(
         &mut self,
         kind: RegionKind,
@@ -1008,59 +999,110 @@ impl SecureMemory {
         index: u64,
         now: Time,
     ) -> Result<(NodeBuf, Time)> {
-        let geom_root = self.layout(kind).geometry.root_level();
-        if level == geom_root {
+        if level == self.layout(kind).geometry.root_level() {
             return Ok((self.root(kind), now));
         }
-        let addr = self
-            .layout(kind)
-            .bmt_node_addr(level, index)
-            .ok_or_else(|| {
-                SecureMemoryError::internal(format!(
-                    "BMT node ({level}, {index}) below root has no in-memory address"
-                ))
-            })?;
-        if let Some(line) = self.mt_cache.hit(addr, false) {
-            let buf = line.buf();
-            return Ok((buf, now + self.mt_cache.latency()));
-        }
-        // A pending write-back holds the newest value.
-        if let Some(EvictItem::Node { value, dirty, .. }) = self.reclaim(addr) {
-            self.mt_fill(addr, dirty, MtLine::Node(value))?;
-            return Ok((value, now + self.mt_cache.latency()));
-        }
-        // Fetch from NVM and verify against the parent. A block staged
-        // in an open batch is forwarded from the staging buffer: its
-        // NVM copy is stale until the batch commits.
-        let (bytes, t) = match self.batch_forward(addr) {
-            Some(fwd) => (fwd, now),
-            None => self.mc.read(addr, now),
+        let addr = self.node_addr(kind, level, index)?;
+        let (bytes, t) = match self.node_source(addr) {
+            NodeSource::OnChip(value) => {
+                // A hit, or a pending write-back pulled back on chip.
+                if self.mt_cache.hit(addr, false).is_none() {
+                    if let Some(EvictItem::Node { dirty, .. }) = self.reclaim(addr) {
+                        self.mt_fill(addr, dirty, MtLine::Node(value))?;
+                    }
+                }
+                return Ok((value, now + self.mt_cache.latency()));
+            }
+            NodeSource::Staged(bytes) => (bytes, now),
+            NodeSource::Nvm => self.mc.read(addr, now),
         };
         self.stats.node_reads += 1;
-        let h = bmt::node_hash(
-            &self.mac_engine,
-            NodeId {
-                region: kind,
-                level,
-                index,
-            },
-            &bytes,
-        );
-        let geom = &self.layout(kind).geometry;
-        let (p_level, p_index) = geom.parent(level, index);
-        let slot = geom.child_slot(index);
+        let (p_level, p_index) = self.layout(kind).geometry.parent(level, index);
         let (parent, tp) = self.ensure_node(kind, p_level, p_index, now)?;
-        if parent.slot(slot) != h {
-            return Err(SecureMemoryError::IntegrityViolation {
-                kind: IntegrityKind::BmtNode,
-                block: addr,
-            });
-        }
+        self.verify_node(kind, level, index, &bytes, &parent)?;
         let buf = NodeBuf(bytes);
         self.mt_fill(addr, false, MtLine::Node(buf))?;
         let done = t.max(tp) + self.config.security.hash_latency;
         self.hists.node_fetch_ns.record(done.since(now).as_ns());
         Ok((buf, done))
+    }
+
+    /// The address of BMT node `(level, index)` below the root.
+    pub(crate) fn node_addr(&self, kind: RegionKind, level: u8, index: u64) -> Result<BlockAddr> {
+        let addr = self.layout(kind).bmt_node_addr(level, index);
+        addr.ok_or_else(|| SecureMemoryError::internal(format!("no BMT node ({level}, {index})")))
+    }
+
+    /// Where [`SecureMemory::ensure_node`] and [`SecureMemory::check_path`]
+    /// find node `addr`'s newest value. They look at its cache line, its
+    /// queued write-back, the open batch's staged copy and NVM, in order.
+    fn node_source(&self, addr: BlockAddr) -> NodeSource {
+        let queued = || {
+            self.evict_queue.iter().find_map(|item| match item {
+                EvictItem::Node { addr: a, value, .. } if *a == addr => Some(*value),
+                _ => None,
+            })
+        };
+        if let Some(value) = self.mt_cache.get(addr).map(MtLine::buf).or_else(queued) {
+            return NodeSource::OnChip(value);
+        }
+        self.batch_forward(addr)
+            .map_or(NodeSource::Nvm, NodeSource::Staged)
+    }
+
+    /// Checks node `(level, index)`'s off-chip `bytes` against the
+    /// slot its verified `parent` holds for it.
+    fn verify_node(
+        &self,
+        kind: RegionKind,
+        level: u8,
+        index: u64,
+        bytes: &Block,
+        parent: &NodeBuf,
+    ) -> Result<()> {
+        let id = NodeId {
+            region: kind,
+            level,
+            index,
+        };
+        let slot = self.layout(kind).geometry.child_slot(index);
+        if parent.slot(slot) == bmt::node_hash(&self.mac_engine, id, bytes) {
+            return Ok(());
+        }
+        Err(SecureMemoryError::IntegrityViolation {
+            kind: IntegrityKind::BmtNode,
+            block: self.node_addr(kind, level, index)?,
+        })
+    }
+
+    /// Verifies the tree path above counter leaf `leaf` as
+    /// [`SecureMemory::update_path`]'s fetches would, changing nothing
+    /// and charging no time. The fetches verify each run of off-chip
+    /// nodes from its top, lowest run first, so the lowest failing
+    /// run's highest mismatch is named.
+    fn check_path(&self, kind: RegionKind, leaf: u64) -> Result<()> {
+        let geom = &self.layout(kind).geometry;
+        let mut parent = self.root(kind);
+        let (mut failed, mut run_failed) = (Ok(()), false);
+        for level in (1..geom.root_level()).rev() {
+            let index = leaf / geom.arity().pow(u32::from(level));
+            let addr = self.node_addr(kind, level, index)?;
+            let bytes = match self.node_source(addr) {
+                NodeSource::OnChip(value) => {
+                    (parent, run_failed) = (value, false);
+                    continue;
+                }
+                NodeSource::Staged(bytes) => bytes,
+                NodeSource::Nvm => self.mc.store().read(addr),
+            };
+            if !run_failed {
+                if let Err(e) = self.verify_node(kind, level, index, &bytes, &parent) {
+                    (failed, run_failed) = (Err(e), true);
+                }
+            }
+            parent = NodeBuf(bytes);
+        }
+        failed
     }
 
     /// Returns the current counter block for leaf `leaf`, fetching and
@@ -1271,10 +1313,14 @@ impl SecureMemory {
         let atomic = self.scheme.persists_metadata()
             && (kind == RegionKind::Persistent || self.scheme == PersistScheme::Strict);
 
-        // 1. Advance the counter.
+        // 1. Verify the tree path the atomic walk will update, then
+        //    advance the counter: a write-back that fails verification
+        //    changes nothing on chip.
         let (mut cb, mut t) = self.ensure_counter(kind, leaf, now)?;
+        if atomic {
+            self.check_path(kind, leaf)?;
+        }
         let old_cb = cb;
-        let counter_was_dirty = self.ctr_cache.probe_dirty(counter_addr);
         let outcome = cb.increment(slot);
         self.ctr_fill(counter_addr, true, cb);
 
@@ -1284,10 +1330,6 @@ impl SecureMemory {
         let ct = encrypt_block(self.aes_for(kind), &iv, &plaintext);
         let tag = self.data_tag(block, &ct, &iv);
         let (mut mac_buf, t_mac) = self.ensure_mac_block(kind, data_index, now)?;
-        let undo = LeafUndo {
-            counter: (counter_addr, old_cb, counter_was_dirty),
-            mac: (mac_addr, mac_buf, self.mt_cache.probe_dirty(mac_addr)),
-        };
         mac_buf.set_slot((data_index % 8) as usize, tag);
         self.mt_fill(mac_addr, true, MtLine::Mac(mac_buf))?;
         t = t.max(t_mac) + self.config.security.hash_latency;
@@ -1320,10 +1362,7 @@ impl SecureMemory {
                 .scheme
                 .persisted_bmt_levels()
                 .min(root_level.saturating_sub(1));
-            // A page re-encryption has staged ciphertexts under the new
-            // counter, so a failed walk keeps it on chip.
-            let undo = (outcome != IncrementOutcome::MajorOverflow).then_some(undo);
-            t = t.max(self.update_path(kind, leaf, leaf_h, persist_levels, undo, now)?);
+            t = t.max(self.update_path(kind, leaf, leaf_h, persist_levels, now)?);
             // Osiris relaxation: skip the counter copy unless the
             // interval expired (recovery reconstructs skipped updates
             // from the MACs, §6 / Ye et al.).
@@ -1475,21 +1514,14 @@ impl SecureMemory {
     /// counter's hash enters its level-1 slot. Each node's own hash is
     /// owed to its parent's slot, or the root's, until the open batch
     /// settles it (see [`crate::batch`]), so a node several members
-    /// touch is hashed once. An edge is owed only once the parent's
-    /// fetch has succeeded, so a walk that fails part-way leaves the
-    /// slots a walk that hashed each level as it went would leave.
-    ///
-    /// A walk that fails fetching the counter's own level-1 node has
-    /// put the counter's hash nowhere, so it puts back the lines in
-    /// `undo`: the counter then stays the one the tree holds, and no
-    /// later eviction writes a counter that no tree node covers.
+    /// touch is hashed once. The caller ran [`SecureMemory::check_path`]
+    /// first, so a fetch that fails is an `Internal` error.
     fn update_path(
         &mut self,
         kind: RegionKind,
         leaf: u64,
         leaf_hash: Mac64,
         persist_levels: u8,
-        undo: Option<LeafUndo>,
         now: Time,
     ) -> Result<Time> {
         let geom = &self.layout(kind).geometry;
@@ -1521,29 +1553,16 @@ impl SecureMemory {
             self.path_hashes()?.fetching_parent_of(child);
             let fetched = self.ensure_node(kind, level, index, now);
             let carried = self.path_hashes()?.parent_fetched();
-            let (mut buf, tn) = match fetched {
-                Ok(fetched) => fetched,
-                Err(e) => {
-                    if let (None, Some(undo)) = (child, undo) {
-                        self.put_back(undo);
-                    }
-                    return Err(e);
-                }
-            };
+            let (mut buf, tn) = fetched.map_err(|e| {
+                SecureMemoryError::internal(format!("a tree walk failed past its path check: {e}"))
+            })?;
             match (child, carried) {
                 (None, _) => buf.set_slot(slot, leaf_hash),
                 // A settle ran during the fetch and hashed the child.
                 (Some(_), Some(hash)) => buf.set_slot(slot, hash),
                 (Some(node), None) => self.path_hashes()?.owe(node),
             }
-            let addr = self
-                .layout(kind)
-                .bmt_node_addr(level, index)
-                .ok_or_else(|| {
-                    SecureMemoryError::internal(format!(
-                        "BMT node ({level}, {index}) below root has no in-memory address"
-                    ))
-                })?;
+            let addr = self.node_addr(kind, level, index)?;
             let persist_this = level <= persist_levels;
             self.mt_fill(addr, !persist_this, MtLine::Node(buf))?;
             if persist_this {
@@ -1559,31 +1578,6 @@ impl SecureMemory {
             child_index = index;
         }
         unreachable!("loop returns at root level");
-    }
-
-    /// Puts back the counter and MAC lines of `undo`, values and dirty
-    /// bits, without an access. The walk touches only the Merkle-tree
-    /// cache, so the counter line is still resident; the MAC line may
-    /// have been displaced into the eviction queue.
-    fn put_back(&mut self, undo: LeafUndo) {
-        let (addr, value, dirty) = undo.counter;
-        self.ctr_cache.restore(addr, value, dirty);
-        let (addr, value, dirty) = undo.mac;
-        if self.mt_cache.restore(addr, MtLine::Mac(value), dirty) {
-            return;
-        }
-        for item in &mut self.evict_queue {
-            if let EvictItem::Mac {
-                addr: queued,
-                value: v,
-                dirty: d,
-            } = item
-            {
-                if *queued == addr {
-                    (*v, *d) = (value, dirty);
-                }
-            }
-        }
     }
 
     /// The open batch's owed tree hashes: every tree walk runs inside a
@@ -1605,7 +1599,12 @@ impl SecureMemory {
     ///
     /// * [`SecureMemoryError::OutOfRange`] outside any data area.
     /// * [`SecureMemoryError::MacMismatch`] /
-    ///   [`SecureMemoryError::IntegrityViolation`] on tampering.
+    ///   [`SecureMemoryError::IntegrityViolation`] on tampering, also
+    ///   from the write-back of a dirty L3 victim, which any call may
+    ///   run. That victim stays queued and every later call retries it
+    ///   first, failing the same way while the tamper stays, until a
+    ///   load or store of its block takes it back into the L3 or the
+    ///   engine crashes.
     /// * [`SecureMemoryError::NeedsRecovery`] after an unrecovered
     ///   crash, [`SecureMemoryError::Unverifiable`] for a poisoned
     ///   persistent region.
@@ -1755,9 +1754,12 @@ impl SecureMemory {
     ///
     /// The classes of [`SecureMemory::load_block`]. Unlike
     /// [`SecureMemory::persist_block`], a dirty block outside the
-    /// persistent region is written back, not rejected.
+    /// persistent region is written back, not rejected. The flush first
+    /// drains any write-backs a failed call left queued, and returns
+    /// their error if one fails again.
     pub fn flush_block(&mut self, block: BlockAddr, now: Time) -> Result<Time> {
         self.check_running()?;
+        self.drain_pending(now)?;
         match self.dirty_member(block) {
             Some(member) => self.persist_members(&[member], false, now),
             None => Ok(now + self.l3.latency()),

@@ -4,7 +4,8 @@
 //! (`regression_triad2_persist_floor.rs`).
 
 use triad_nvm::core::{
-    CounterPersistence, CrashHookKind, PersistScheme, SecureMemoryBuilder, SecureMemoryError,
+    CounterPersistence, CrashHookKind, IntegrityKind, PersistScheme, SecureMemoryBuilder,
+    SecureMemoryError,
 };
 use triad_nvm::sim::{PhysAddr, Time};
 
@@ -29,6 +30,11 @@ pub enum Op {
     BeginEpoch,
     /// Close the epoch: one `flush_batch` over its recorded pages.
     EndEpoch,
+    /// Flip a bit of the NVM copy of the level-`level` tree node above
+    /// page `page`, write and persist the page, then flip the bit back
+    /// if NVM still holds the flipped bytes. Either call may fail with
+    /// an integrity violation that names the node.
+    TamperedPersist { page: u8, level: u8 },
 }
 
 /// Runs `ops` against a fresh [`SecureMemory`] under `scheme` /
@@ -177,6 +183,48 @@ pub fn run_history(
             Op::Crash => {
                 mem.crash();
                 crashed = true;
+            }
+            Op::TamperedPersist { page, level } => {
+                let layout = mem.memory_map().persistent();
+                let leaf = layout.leaf_index(layout.counter_block_of(page_addr(page).block()));
+                let index = leaf / layout.geometry.arity().pow(u32::from(level));
+                let Some(node) = layout.bmt_node_addr(level, index) else {
+                    continue;
+                };
+                let mut mask = [0u8; 64];
+                mask[0] = 1;
+                mem.nvm_image_mut().tamper(node, mask);
+                let flipped = mem.nvm_image().read(node);
+                let named = SecureMemoryError::IntegrityViolation {
+                    kind: IntegrityKind::BmtNode,
+                    block: node,
+                };
+                // A whole block stores before any write-back the call
+                // runs, so a write that fails has stored its value.
+                let v = next_value;
+                next_value += 1;
+                let mut block = [0u8; 64];
+                block[..8].copy_from_slice(&v.to_le_bytes());
+                match mem.write(page_addr(page), &block) {
+                    Ok(()) => written[page as usize] = v,
+                    Err(e) if e == named => written[page as usize] = v,
+                    Err(SecureMemoryError::NeedsRecovery) => crashed = true,
+                    Err(e) => return Err(format!("tampered write of page {page}: {e}")),
+                }
+                if !crashed {
+                    match mem.persist(page_addr(page)) {
+                        Ok(()) => floor[page as usize] = written[page as usize],
+                        Err(SecureMemoryError::NeedsRecovery) => {
+                            floor[page as usize] = written[page as usize];
+                            crashed = true;
+                        }
+                        Err(e) if e == named => {}
+                        Err(e) => return Err(format!("tampered persist of page {page}: {e}")),
+                    }
+                }
+                if mem.nvm_image().read(node) == flipped {
+                    mem.nvm_image_mut().tamper(node, mask);
+                }
             }
             Op::ArmCrash { n } => {
                 // Re-arming replaces a hook that has not fired yet.

@@ -25,9 +25,10 @@ use triad_nvm::workloads::sweep::{
 };
 
 /// Mirrors the old proptest weights — 4 Write : 3 Persist : 1 each for
-/// Pressure / Crash / ArmCrash / BeginEpoch / EndEpoch.
+/// Pressure / Crash / ArmCrash / BeginEpoch / EndEpoch — plus 1 for
+/// TamperedPersist on a level-1 or level-2 node.
 fn gen_op(rng: &mut SplitMix64) -> Op {
-    match rng.gen_range(0..12) {
+    match rng.gen_range(0..13) {
         0..=3 => Op::Write {
             page: rng.gen_range(0..16) as u8,
         },
@@ -42,7 +43,11 @@ fn gen_op(rng: &mut SplitMix64) -> Op {
             n: rng.gen_range(0..24) as u8,
         },
         10 => Op::BeginEpoch,
-        _ => Op::EndEpoch,
+        11 => Op::EndEpoch,
+        _ => Op::TamperedPersist {
+            page: rng.gen_range(0..16) as u8,
+            level: rng.gen_range(1..3) as u8,
+        },
     }
 }
 
