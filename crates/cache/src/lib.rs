@@ -14,6 +14,16 @@
 //! The same type models every array in Table 1: the per-core L1/L2, the
 //! shared L3, the 128 KB counter cache and the 128 KB Merkle-tree cache.
 //!
+//! A lookup scans one run of tags: each set's tags sit side by side, one
+//! `u64` per way, and the dirty bits, LRU stamps and values live in
+//! arrays of their own, index-parallel to the tags. An empty line holds
+//! the tag `u64::MAX`, which no block address reaches, so the scan needs
+//! no valid bit, and the LRU stamp 0, so a miss finds its set's first
+//! free way, or else its least recently used line, in one pass over the
+//! stamps of the set its lookup already found. A power-of-two set count,
+//! as in every geometry of `SystemConfig::tiny()` and `isca19()`, picks
+//! the set with a mask; any other count picks it with a remainder.
+//!
 //! # Example
 //!
 //! ```rust
@@ -41,13 +51,17 @@ use triad_sim::stats::{Scope, StatRegister};
 use triad_sim::time::Duration;
 use triad_sim::BlockAddr;
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU timestamp: the access order of the line's last touch.
-    stamp: u64,
+/// The tag of an empty line. It is no block's address: every method
+/// that takes one rejects it (see [`Cache`]'s panics).
+const EMPTY: u64 = u64::MAX;
+
+/// How a block address picks its set.
+#[derive(Debug, Clone, Copy)]
+enum SetIndex {
+    /// `block & mask`: the set count is a power of two, `mask + 1`.
+    Mask(u64),
+    /// `block % sets`: any other set count.
+    Modulo(u64),
 }
 
 /// A block evicted to make room for a fill.
@@ -118,21 +132,39 @@ impl CacheStats {
 /// and [`Cache::set`] store its value. The value leaves with the line:
 /// in the [`Victim`] of the miss that evicts it, or dropped by
 /// [`Cache::invalidate`] and [`Cache::lose_all`].
+///
+/// # Panics
+///
+/// Every method that takes a block address panics on
+/// `BlockAddr(u64::MAX)`, the tag of an empty line. No simulated block
+/// has that address: a block address is a byte address shifted right
+/// by six, so it stays below 2^58.
 #[derive(Debug, Clone)]
 pub struct Cache<V = ()> {
     name: String,
-    sets: usize,
+    index: SetIndex,
     ways: usize,
     latency: Duration,
-    lines: Vec<Line>,
-    /// Each line's value, index-parallel to `lines`.
+    /// Each line's tag (its block's address, [`EMPTY`] when invalid),
+    /// set by set: set `s` holds lines `s * ways .. (s + 1) * ways`.
+    tags: Vec<u64>,
+    /// Each line's dirty bit, index-parallel to `tags`. Read only for
+    /// valid lines.
+    dirty: Vec<bool>,
+    /// Each line's LRU timestamp, index-parallel to `tags`: the access
+    /// order of a valid line's last touch (at least 1), and 0 for an
+    /// empty line, so a set's first smallest stamp is its first free way
+    /// or else its least recently used line.
+    stamps: Vec<u64>,
+    /// Each line's value, index-parallel to `tags`.
     values: Vec<Option<V>>,
     clock: u64,
     stats: CacheStats,
 }
 
 impl<V> Cache<V> {
-    /// Creates an LRU cache with the given geometry.
+    /// Creates an LRU cache with the given geometry. A power-of-two set
+    /// count indexes its sets with a mask, any other with a remainder.
     ///
     /// # Panics
     ///
@@ -141,12 +173,19 @@ impl<V> Cache<V> {
     pub fn new(name: impl Into<String>, config: CacheConfig) -> Self {
         let sets = config.sets();
         let lines = sets * config.ways;
+        let index = if sets.is_power_of_two() {
+            SetIndex::Mask(sets as u64 - 1)
+        } else {
+            SetIndex::Modulo(sets as u64)
+        };
         Cache {
             name: name.into(),
-            sets,
+            index,
             ways: config.ways,
             latency: config.latency,
-            lines: vec![Line::default(); lines],
+            tags: vec![EMPTY; lines],
+            dirty: vec![false; lines],
+            stamps: vec![0; lines],
             values: (0..lines).map(|_| None).collect(),
             clock: 0,
             stats: CacheStats::default(),
@@ -168,25 +207,43 @@ impl<V> Cache<V> {
         self.stats
     }
 
-    fn set_of(&self, block: BlockAddr) -> usize {
-        (block.0 % self.sets as u64) as usize
+    /// Index of `block`'s set's first line.
+    fn set_base(&self, block: BlockAddr) -> usize {
+        let set = match self.index {
+            SetIndex::Mask(mask) => block.0 & mask,
+            SetIndex::Modulo(sets) => block.0 % sets,
+        };
+        set as usize * self.ways
+    }
+
+    /// Index of `block`'s line if it is resident (`Ok`), else of its
+    /// set's first line (`Err`). Every public method that takes a block
+    /// looks it up here first, so this is where the empty tag is refused.
+    fn locate(&self, block: BlockAddr) -> Result<usize, usize> {
+        assert!(
+            block.0 != EMPTY,
+            "block address u64::MAX is reserved for empty cache lines"
+        );
+        let base = self.set_base(block);
+        match self.tags[base..base + self.ways]
+            .iter()
+            .position(|&tag| tag == block.0)
+        {
+            Some(way) => Ok(base + way),
+            None => Err(base),
+        }
     }
 
     /// Index of `block`'s line, if it is resident.
     fn find(&self, block: BlockAddr) -> Option<usize> {
-        let base = self.set_of(block) * self.ways;
-        self.lines[base..base + self.ways]
-            .iter()
-            .position(|l| l.valid && l.tag == block.0)
-            .map(|way| base + way)
+        self.locate(block).ok()
     }
 
     /// Records a hit on line `i`.
     fn touch(&mut self, i: usize, write: bool) {
         self.clock += 1;
-        let line = &mut self.lines[i];
-        line.stamp = self.clock;
-        line.dirty |= write;
+        self.stamps[i] = self.clock;
+        self.dirty[i] |= write;
         if write {
             self.stats.write_hits += 1;
         } else {
@@ -194,41 +251,39 @@ impl<V> Cache<V> {
         }
     }
 
-    /// Index of the line a miss on `block` allocates: a free way of its
-    /// set, else the least recently used one.
-    fn replacement_line(&self, block: BlockAddr) -> usize {
-        let base = self.set_of(block) * self.ways;
-        let set = &self.lines[base..base + self.ways];
-        let way = match set.iter().position(|l| !l.valid) {
-            Some(free) => free,
-            None => set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.stamp)
-                .map(|(i, _)| i)
-                .expect("ways >= 1"),
-        };
+    /// Index of the line a miss allocates in the set whose first line is
+    /// `base`: its first free way, else its least recently used line
+    /// (the first smallest stamp either way).
+    fn replacement_line(&self, base: usize) -> usize {
+        let way = self.stamps[base..base + self.ways]
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &stamp)| stamp)
+            .map(|(way, _)| way)
+            .expect("ways >= 1");
         base + way
     }
 
-    /// Allocates an unfilled line for `block` (a miss), returning its
-    /// index and the block it displaced.
-    fn allocate(&mut self, block: BlockAddr, write: bool) -> (usize, Option<Victim<V>>) {
+    /// Allocates an unfilled line for `block` (a miss) in the set whose
+    /// first line is `base`, returning its index and the block it
+    /// displaced.
+    fn allocate(
+        &mut self,
+        base: usize,
+        block: BlockAddr,
+        write: bool,
+    ) -> (usize, Option<Victim<V>>) {
         self.clock += 1;
-        let i = self.replacement_line(block);
-        let old = self.lines[i];
+        let i = self.replacement_line(base);
+        let old = std::mem::replace(&mut self.tags[i], block.0);
         let value = self.values[i].take();
-        let victim = old.valid.then_some(Victim {
-            addr: BlockAddr(old.tag),
-            dirty: old.dirty,
+        let victim = (old != EMPTY).then_some(Victim {
+            addr: BlockAddr(old),
+            dirty: self.dirty[i],
             value,
         });
-        self.lines[i] = Line {
-            tag: block.0,
-            valid: true,
-            dirty: write,
-            stamp: self.clock,
-        };
+        self.dirty[i] = write;
+        self.stamps[i] = self.clock;
         if write {
             self.stats.write_misses += 1;
         } else {
@@ -244,8 +299,8 @@ impl<V> Cache<V> {
     }
 
     fn access_line(&mut self, block: BlockAddr, write: bool) -> (usize, AccessOutcome<V>) {
-        match self.find(block) {
-            Some(i) => {
+        match self.locate(block) {
+            Ok(i) => {
                 self.touch(i, write);
                 let out = AccessOutcome {
                     hit: true,
@@ -253,8 +308,8 @@ impl<V> Cache<V> {
                 };
                 (i, out)
             }
-            None => {
-                let (i, victim) = self.allocate(block, write);
+            Err(base) => {
+                let (i, victim) = self.allocate(base, block, write);
                 (i, AccessOutcome { hit: false, victim })
             }
         }
@@ -309,11 +364,9 @@ impl<V> Cache<V> {
     /// changing anything: `None` when `block` is resident or its set
     /// has a free way.
     pub fn peek_victim(&self, block: BlockAddr) -> Option<BlockAddr> {
-        if self.find(block).is_some() {
-            return None;
-        }
-        let line = &self.lines[self.replacement_line(block)];
-        line.valid.then_some(BlockAddr(line.tag))
+        let base = self.locate(block).err()?;
+        let tag = self.tags[self.replacement_line(base)];
+        (tag != EMPTY).then_some(BlockAddr(tag))
     }
 
     /// Whether `block` is present, without disturbing replacement state
@@ -324,7 +377,7 @@ impl<V> Cache<V> {
 
     /// Whether `block` is present *and dirty*.
     pub fn probe_dirty(&self, block: BlockAddr) -> bool {
-        self.find(block).is_some_and(|i| self.lines[i].dirty)
+        self.find(block).is_some_and(|i| self.dirty[i])
     }
 
     /// Writes back `block` if present and dirty (clwb semantics: the
@@ -332,8 +385,8 @@ impl<V> Cache<V> {
     /// whether a write-back was generated.
     pub fn flush(&mut self, block: BlockAddr) -> bool {
         match self.find(block) {
-            Some(i) if self.lines[i].dirty => {
-                self.lines[i].dirty = false;
+            Some(i) if self.dirty[i] => {
+                self.dirty[i] = false;
                 self.stats.flushes += 1;
                 true
             }
@@ -345,42 +398,44 @@ impl<V> Cache<V> {
     /// whether it was dirty.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<bool> {
         let i = self.find(block)?;
-        let dirty = self.lines[i].dirty;
-        self.lines[i] = Line::default();
+        self.tags[i] = EMPTY;
+        self.stamps[i] = 0;
         self.values[i] = None;
-        Some(dirty)
+        Some(self.dirty[i])
     }
 
     /// Drops every line and its value (a power loss: volatile contents
     /// vanish). Dirty lines are *lost*, not written back — that is the
     /// point of the paper's crash experiments.
     pub fn lose_all(&mut self) {
-        self.lines.fill(Line::default());
+        self.tags.fill(EMPTY);
+        self.stamps.fill(0);
         self.values.fill_with(|| None);
     }
 
     /// Returns all dirty blocks (used by orderly shutdown and by tests).
     pub fn dirty_blocks(&self) -> Vec<BlockAddr> {
-        self.lines
+        self.tags
             .iter()
-            .filter(|l| l.valid && l.dirty)
-            .map(|l| BlockAddr(l.tag))
+            .zip(&self.dirty)
+            .filter(|&(&tag, &dirty)| tag != EMPTY && dirty)
+            .map(|(&tag, _)| BlockAddr(tag))
             .collect()
     }
 
     /// Returns every resident block whose line holds no value.
     pub fn unfilled_blocks(&self) -> Vec<BlockAddr> {
-        self.lines
+        self.tags
             .iter()
             .zip(&self.values)
-            .filter(|(l, v)| l.valid && v.is_none())
-            .map(|(l, _)| BlockAddr(l.tag))
+            .filter(|&(&tag, value)| tag != EMPTY && value.is_none())
+            .map(|(&tag, _)| BlockAddr(tag))
             .collect()
     }
 
     /// Number of valid lines currently held.
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.tags.iter().filter(|&&tag| tag != EMPTY).count()
     }
 }
 
@@ -569,6 +624,52 @@ mod tests {
             c.access(BlockAddr(i), false);
         }
         assert_eq!(c.occupancy(), 8);
+    }
+
+    #[test]
+    fn the_highest_block_neither_hits_nor_aliases_an_empty_line() {
+        // Four sets take the mask, three the remainder.
+        for sets in [4, 3] {
+            let mut c: Cache<u8> = Cache::new("t", CacheConfig::new(sets * 2 * 64, 2, 1));
+            let top = BlockAddr(EMPTY - 1);
+            assert!(!c.probe(top) && c.get(top).is_none() && c.peek_victim(top).is_none());
+            assert!(!c.access(top, true).hit);
+            assert!(c.probe_dirty(top));
+            let low = BlockAddr(top.0 % sets as u64);
+            c.fill(low, false, 1);
+            let out = c.access(BlockAddr(low.0 + sets as u64), false);
+            assert_eq!(out.victim.map(|v| (v.addr, v.dirty)), Some((top, true)));
+            assert_eq!(c.occupancy(), 2);
+        }
+    }
+
+    #[test]
+    fn the_empty_tag_is_refused_by_every_method_that_takes_a_block() {
+        type Entry = fn(&mut Cache<u8>, BlockAddr) -> bool;
+        let entries: [(&str, Entry); 10] = [
+            ("access", |c, b| c.access(b, false).hit),
+            ("fill", |c, b| c.fill(b, false, 1).hit),
+            ("hit", |c, b| c.hit(b, false).is_some()),
+            ("get", |c, b| c.get(b).is_some()),
+            ("set", |c, b| c.set(b, 1)),
+            ("peek_victim", |c, b| c.peek_victim(b).is_some()),
+            ("probe", |c, b| c.probe(b)),
+            ("probe_dirty", |c, b| c.probe_dirty(b)),
+            ("flush", |c, b| c.flush(b)),
+            ("invalidate", |c, b| c.invalidate(b).is_some()),
+        ];
+        for (name, entry) in entries {
+            let mut c: Cache<u8> = tiny(2);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                entry(&mut c, BlockAddr(u64::MAX))
+            }));
+            let message = caught.expect_err(name).downcast::<&str>().ok().map(|m| *m);
+            assert_eq!(
+                message,
+                Some("block address u64::MAX is reserved for empty cache lines"),
+                "{name}"
+            );
+        }
     }
 
     #[test]

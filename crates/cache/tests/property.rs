@@ -1,6 +1,9 @@
 //! Model-based property tests: the set-associative cache against a
 //! simple per-set reference model, and the value-carrying cache against
-//! a map of last stored values plus a value-less twin.
+//! a map of last stored values plus a value-less twin. Both draw the set
+//! count, so the mask index (one, two or four sets) and the remainder
+//! index (three, five or six) are both checked, and both draw some
+//! addresses from just below the reserved `u64::MAX`.
 
 use std::collections::{BTreeMap, HashMap};
 use triad_cache::{AccessOutcome, Cache};
@@ -16,8 +19,20 @@ enum Op {
     Invalidate { addr: u64 },
 }
 
+/// A block address: one draw in eight from the `space` addresses just
+/// below `u64::MAX` (the empty-line tag, which no block may use), the
+/// rest from `0..space`.
+fn gen_addr(rng: &mut SplitMix64, space: u64) -> u64 {
+    let addr = rng.gen_range(0..space);
+    if rng.gen_range(0..8) == 0 {
+        u64::MAX - 1 - addr
+    } else {
+        addr
+    }
+}
+
 fn gen_op(rng: &mut SplitMix64, addr_space: u64) -> Op {
-    let addr = rng.gen_range(0..addr_space);
+    let addr = gen_addr(rng, addr_space);
     match rng.gen_range(0..8) {
         0..=5 => Op::Access {
             addr,
@@ -43,16 +58,16 @@ macro_rules! ensure {
     };
 }
 
-fn run_against_model(ops: &[Op], ways: usize) -> Result<(), String> {
-    let sets = 4usize;
-    let mut cache: Cache = Cache::new("m", CacheConfig::new(sets * ways * 64, ways, 1));
-    let mut model: HashMap<usize, ModelSet> = HashMap::new();
+fn run_against_model(ops: &[Op], sets: u64, ways: usize) -> Result<(), String> {
+    let config = CacheConfig::new(sets as usize * ways * 64, ways, 1);
+    let mut cache: Cache = Cache::new("m", config);
+    let mut model: HashMap<u64, ModelSet> = HashMap::new();
 
     for op in ops {
         match *op {
             Op::Access { addr, write } => {
                 let out = cache.access(BlockAddr(addr), write);
-                let set = model.entry(addr as usize % sets).or_default();
+                let set = model.entry(addr % sets).or_default();
                 let pos = set.lines.iter().position(|(t, _)| *t == addr);
                 // Hit/miss agreement.
                 ensure!(out.hit == pos.is_some(), "addr {addr}: hit disagreement");
@@ -77,7 +92,7 @@ fn run_against_model(ops: &[Op], ways: usize) -> Result<(), String> {
             }
             Op::Flush { addr } => {
                 let flushed = cache.flush(BlockAddr(addr));
-                let set = model.entry(addr as usize % sets).or_default();
+                let set = model.entry(addr % sets).or_default();
                 let model_flushed = set
                     .lines
                     .iter_mut()
@@ -90,7 +105,7 @@ fn run_against_model(ops: &[Op], ways: usize) -> Result<(), String> {
             }
             Op::Invalidate { addr } => {
                 let inv = cache.invalidate(BlockAddr(addr));
-                let set = model.entry(addr as usize % sets).or_default();
+                let set = model.entry(addr % sets).or_default();
                 let pos = set.lines.iter().position(|(t, _)| *t == addr);
                 match pos {
                     Some(i) => {
@@ -133,8 +148,9 @@ fn lru_cache_matches_reference_model() {
             (0..len).map(|_| gen_op(rng, 64)).collect::<Vec<Op>>()
         },
         |ops, params| {
+            let sets = params.gen_range(1..7);
             let ways = params.gen_range(1..4) as usize;
-            run_against_model(ops, ways)
+            run_against_model(ops, sets, ways).map_err(|e| format!("{sets} sets, {ways} ways: {e}"))
         },
     );
 }
@@ -187,41 +203,93 @@ enum ValueOp {
     Set { addr: u64, value: u64 },
     Flush { addr: u64 },
     Invalidate { addr: u64 },
+    Get { addr: u64 },
+    PeekVictim { addr: u64 },
+    ProbeDirty { addr: u64 },
     LoseAll,
 }
 
 fn gen_value_op(rng: &mut SplitMix64, addr_space: u64) -> ValueOp {
-    let addr = rng.gen_range(0..addr_space);
+    let addr = gen_addr(rng, addr_space);
     let write = rng.gen_bool(0.5);
     let value = rng.next_u64();
-    match rng.gen_range(0..32) {
+    match rng.gen_range(0..40) {
         0..=7 => ValueOp::Access { addr, write },
         8..=15 => ValueOp::Fill { addr, write, value },
         16..=21 => ValueOp::Hit { addr, write },
         22..=25 => ValueOp::Set { addr, value },
         26..=28 => ValueOp::Flush { addr },
         29..=30 => ValueOp::Invalidate { addr },
+        31..=33 => ValueOp::Get { addr },
+        34..=36 => ValueOp::PeekVictim { addr },
+        37..=38 => ValueOp::ProbeDirty { addr },
         _ => ValueOp::LoseAll,
     }
 }
 
 /// What the model knows of a resident block: its last stored value
-/// (`None` until filled) and whether it is dirty.
+/// (`None` until filled), whether it is dirty, and when it was last
+/// accessed.
 #[derive(Debug, Clone, Copy)]
 struct ModelLine {
     value: Option<u64>,
     dirty: bool,
+    last: u64,
+}
+
+/// The value model: every resident block's line, the geometry that
+/// decides which lines compete, and an access clock for LRU order.
+#[derive(Debug)]
+struct ValueModel {
+    sets: u64,
+    ways: usize,
+    clock: u64,
+    lines: BTreeMap<u64, ModelLine>,
+}
+
+impl ValueModel {
+    /// The block a miss on `addr` displaces: the least recently
+    /// accessed line of its set, when the set is full and `addr` is not
+    /// in it.
+    fn victim(&self, addr: u64) -> Option<u64> {
+        if self.lines.contains_key(&addr) {
+            return None;
+        }
+        let set: Vec<(u64, u64)> = self
+            .lines
+            .iter()
+            .filter(|(a, _)| *a % self.sets == addr % self.sets)
+            .map(|(a, l)| (*a, l.last))
+            .collect();
+        if set.len() < self.ways {
+            return None;
+        }
+        set.iter().min_by_key(|(_, last)| *last).map(|(a, _)| *a)
+    }
+
+    /// Records an access to `addr`, allocating an unfilled line on a
+    /// miss (the caller has removed the victim).
+    fn access(&mut self, addr: u64, write: bool) {
+        self.clock += 1;
+        let line = self.lines.entry(addr).or_insert(ModelLine {
+            value: None,
+            dirty: false,
+            last: 0,
+        });
+        line.dirty |= write;
+        line.last = self.clock;
+    }
 }
 
 /// Checks one access of the value-carrying cache against the same
 /// access of its value-less twin and against the model, then applies it
-/// to the model (a miss allocates an unfilled line).
+/// to the model.
 fn check_access(
     addr: u64,
     write: bool,
     out: AccessOutcome<u64>,
     twin: AccessOutcome,
-    model: &mut BTreeMap<u64, ModelLine>,
+    model: &mut ValueModel,
 ) -> Result<(), String> {
     ensure!(
         out.hit == twin.hit,
@@ -229,11 +297,17 @@ fn check_access(
         out.hit,
         twin.hit
     );
+    let resident = model.lines.contains_key(&addr);
     ensure!(
-        out.hit == model.contains_key(&addr),
-        "addr {addr}: hit {} but the model says resident = {}",
-        out.hit,
-        model.contains_key(&addr)
+        out.hit == resident,
+        "addr {addr}: hit {} but the model says resident = {resident}",
+        out.hit
+    );
+    let expected = model.victim(addr);
+    ensure!(
+        out.victim.map(|v| v.addr.0) == expected,
+        "addr {addr}: victim {:?}, the model's LRU line is {expected:?}",
+        out.victim.map(|v| v.addr.0)
     );
     match (out.victim, twin.victim) {
         (None, None) => {}
@@ -245,6 +319,7 @@ fn check_access(
                 (t.addr, t.dirty)
             );
             let line = model
+                .lines
                 .remove(&v.addr.0)
                 .ok_or(format!("victim {} was not resident", v.addr.0))?;
             ensure!(
@@ -270,19 +345,20 @@ fn check_access(
             ))
         }
     }
-    let line = model.entry(addr).or_insert(ModelLine {
-        value: None,
-        dirty: false,
-    });
-    line.dirty |= write;
+    model.access(addr, write);
     Ok(())
 }
 
-fn run_value_model(ops: &[ValueOp], ways: usize) -> Result<(), String> {
-    let config = CacheConfig::new(4 * ways * 64, ways, 1);
+fn run_value_model(ops: &[ValueOp], sets: u64, ways: usize) -> Result<(), String> {
+    let config = CacheConfig::new(sets as usize * ways * 64, ways, 1);
     let mut cache: Cache<u64> = Cache::new("v", config);
     let mut twin: Cache = Cache::new("v", config);
-    let mut model: BTreeMap<u64, ModelLine> = BTreeMap::new();
+    let mut model = ValueModel {
+        sets,
+        ways,
+        clock: 0,
+        lines: BTreeMap::new(),
+    };
     for op in ops {
         match *op {
             ValueOp::Access { addr, write } => {
@@ -294,12 +370,12 @@ fn run_value_model(ops: &[ValueOp], ways: usize) -> Result<(), String> {
                 let out = cache.fill(BlockAddr(addr), write, value);
                 let t = twin.access(BlockAddr(addr), write);
                 check_access(addr, write, out, t, &mut model)?;
-                if let Some(line) = model.get_mut(&addr) {
+                if let Some(line) = model.lines.get_mut(&addr) {
                     line.value = Some(value);
                 }
             }
             ValueOp::Hit { addr, write } => {
-                let last = model.get(&addr).and_then(|l| l.value);
+                let last = model.lines.get(&addr).and_then(|l| l.value);
                 let read = cache.hit(BlockAddr(addr), write).map(|v| {
                     let old = *v;
                     *v = old.wrapping_add(1);
@@ -309,18 +385,20 @@ fn run_value_model(ops: &[ValueOp], ways: usize) -> Result<(), String> {
                     read == last,
                     "hit {addr} read {read:?}, last stored {last:?}"
                 );
-                if let (Some(old), Some(line)) = (read, model.get_mut(&addr)) {
+                if let Some(old) = read {
                     ensure!(
                         twin.access(BlockAddr(addr), write).hit,
                         "twin missed {addr}"
                     );
-                    line.value = Some(old.wrapping_add(1));
-                    line.dirty |= write;
+                    model.access(addr, write);
+                    if let Some(line) = model.lines.get_mut(&addr) {
+                        line.value = Some(old.wrapping_add(1));
+                    }
                 }
             }
             ValueOp::Set { addr, value } => {
                 let stored = cache.set(BlockAddr(addr), value);
-                let line = model.get_mut(&addr);
+                let line = model.lines.get_mut(&addr);
                 ensure!(
                     stored == line.is_some(),
                     "set {addr} stored {stored} on a non-matching residency"
@@ -335,7 +413,7 @@ fn run_value_model(ops: &[ValueOp], ways: usize) -> Result<(), String> {
                     flushed == twin.flush(BlockAddr(addr)),
                     "flush {addr} disagrees with the unit cache"
                 );
-                let line = model.get_mut(&addr);
+                let line = model.lines.get_mut(&addr);
                 let expected = line.as_ref().is_some_and(|l| l.dirty);
                 ensure!(flushed == expected, "flush {addr}: {flushed} vs model");
                 if let Some(line) = line {
@@ -348,16 +426,34 @@ fn run_value_model(ops: &[ValueOp], ways: usize) -> Result<(), String> {
                     inv == twin.invalidate(BlockAddr(addr)),
                     "invalidate {addr} disagrees with the unit cache"
                 );
-                let expected = model.remove(&addr).map(|l| l.dirty);
+                let expected = model.lines.remove(&addr).map(|l| l.dirty);
                 ensure!(
                     inv == expected,
                     "invalidate {addr}: {inv:?} vs {expected:?}"
                 );
             }
+            ValueOp::Get { addr } => {
+                let held = cache.get(BlockAddr(addr)).copied();
+                let expected = model.lines.get(&addr).and_then(|l| l.value);
+                ensure!(held == expected, "get {addr}: {held:?} vs {expected:?}");
+            }
+            ValueOp::PeekVictim { addr } => {
+                let peeked = cache.peek_victim(BlockAddr(addr)).map(|b| b.0);
+                let expected = model.victim(addr);
+                ensure!(
+                    peeked == expected,
+                    "peek_victim {addr}: {peeked:?} vs the model's {expected:?}"
+                );
+            }
+            ValueOp::ProbeDirty { addr } => {
+                let dirty = cache.probe_dirty(BlockAddr(addr));
+                let expected = model.lines.get(&addr).is_some_and(|l| l.dirty);
+                ensure!(dirty == expected, "probe_dirty {addr}: {dirty} vs model");
+            }
             ValueOp::LoseAll => {
                 cache.lose_all();
                 twin.lose_all();
-                model.clear();
+                model.lines.clear();
             }
         }
         // Whole-state agreement after every step.
@@ -367,14 +463,14 @@ fn run_value_model(ops: &[ValueOp], ways: usize) -> Result<(), String> {
             cache.stats(),
             twin.stats()
         );
+        let resident = model.lines.len();
         ensure!(
-            cache.occupancy() == model.len() && twin.occupancy() == model.len(),
-            "occupancy {} / unit cache {} vs model {}",
+            cache.occupancy() == resident && twin.occupancy() == resident,
+            "occupancy {} / unit cache {} vs model {resident}",
             cache.occupancy(),
-            twin.occupancy(),
-            model.len()
+            twin.occupancy()
         );
-        for (&addr, line) in &model {
+        for (&addr, line) in &model.lines {
             let held = cache.get(BlockAddr(addr)).copied();
             ensure!(
                 held == line.value,
@@ -389,6 +485,7 @@ fn run_value_model(ops: &[ValueOp], ways: usize) -> Result<(), String> {
         let mut unfilled: Vec<u64> = cache.unfilled_blocks().iter().map(|b| b.0).collect();
         unfilled.sort_unstable();
         let model_unfilled: Vec<u64> = model
+            .lines
             .iter()
             .filter(|(_, l)| l.value.is_none())
             .map(|(a, _)| *a)
@@ -413,8 +510,9 @@ fn value_cache_matches_map_model_under_lru() {
                 .collect::<Vec<ValueOp>>()
         },
         |ops, params| {
+            let sets = params.gen_range(1..7);
             let ways = params.gen_range(1..5) as usize;
-            run_value_model(ops, ways).map_err(|e| format!("{ways} ways: {e}"))
+            run_value_model(ops, sets, ways).map_err(|e| format!("{sets} sets, {ways} ways: {e}"))
         },
     );
 }

@@ -41,9 +41,9 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
-        let bucket = 64 - value.leading_zeros().min(63) as usize;
-        // value 0 → bucket 0 handled by min above? map explicitly:
-        let bucket = if value == 0 { 0 } else { bucket.min(63) };
+        // The bit length: 0 for zero, i for [2^(i-1), 2^i); the top
+        // bucket also takes [2^63, 2^64).
+        let bucket = (64 - value.leading_zeros() as usize).min(63);
         self.buckets[bucket] += 1;
         self.count += 1;
         self.sum += value as u128;
@@ -311,6 +311,21 @@ mod tests {
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), u64::MAX);
         assert!(h.percentile(1.0) <= 1);
+        for (value, bucket) in [
+            (0, 0),
+            (1, 1),
+            (2, 2),
+            (3, 2),
+            (1 << 62, 63),
+            (1 << 63, 63),
+            (u64::MAX, 63),
+        ] {
+            let mut h = Histogram::new();
+            h.record(value);
+            let mut expected = [0; 64];
+            expected[bucket] = 1;
+            assert_eq!(h.buckets, expected, "value {value}");
+        }
     }
 
     #[test]
