@@ -360,15 +360,6 @@ impl<V> Cache<V> {
         }
     }
 
-    /// The block that an access to `block` would displace, without
-    /// changing anything: `None` when `block` is resident or its set
-    /// has a free way.
-    pub fn peek_victim(&self, block: BlockAddr) -> Option<BlockAddr> {
-        let base = self.locate(block).err()?;
-        let tag = self.tags[self.replacement_line(base)];
-        (tag != EMPTY).then_some(BlockAddr(tag))
-    }
-
     /// Whether `block` is present, without disturbing replacement state
     /// or statistics.
     pub fn probe(&self, block: BlockAddr) -> bool {
@@ -558,26 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_victim_names_what_the_next_miss_displaces() {
-        let mut c: Cache<u8> = tiny(2);
-        assert_eq!(c.peek_victim(BlockAddr(0)), None, "free way");
-        c.fill(BlockAddr(0), true, 1);
-        c.fill(BlockAddr(4), false, 2);
-        assert_eq!(c.peek_victim(BlockAddr(4)), None, "resident");
-        assert_eq!(c.peek_victim(BlockAddr(8)), Some(BlockAddr(0)));
-        let before = c.stats();
-        c.hit(BlockAddr(0), false);
-        assert_eq!(c.peek_victim(BlockAddr(8)), Some(BlockAddr(4)), "LRU moved");
-        assert_eq!(
-            c.stats().accesses(),
-            before.accesses() + 1,
-            "peeks count nothing"
-        );
-        let out = c.fill(BlockAddr(8), false, 3);
-        assert_eq!(out.victim.map(|v| v.addr), Some(BlockAddr(4)));
-    }
-
-    #[test]
     fn hit_touches_only_filled_lines() {
         let mut c: Cache<u8> = tiny(2);
         assert_eq!(c.hit(BlockAddr(0), false), None, "absent");
@@ -632,7 +603,7 @@ mod tests {
         for sets in [4, 3] {
             let mut c: Cache<u8> = Cache::new("t", CacheConfig::new(sets * 2 * 64, 2, 1));
             let top = BlockAddr(EMPTY - 1);
-            assert!(!c.probe(top) && c.get(top).is_none() && c.peek_victim(top).is_none());
+            assert!(!c.probe(top) && c.get(top).is_none());
             assert!(!c.access(top, true).hit);
             assert!(c.probe_dirty(top));
             let low = BlockAddr(top.0 % sets as u64);
@@ -646,13 +617,12 @@ mod tests {
     #[test]
     fn the_empty_tag_is_refused_by_every_method_that_takes_a_block() {
         type Entry = fn(&mut Cache<u8>, BlockAddr) -> bool;
-        let entries: [(&str, Entry); 10] = [
+        let entries: [(&str, Entry); 9] = [
             ("access", |c, b| c.access(b, false).hit),
             ("fill", |c, b| c.fill(b, false, 1).hit),
             ("hit", |c, b| c.hit(b, false).is_some()),
             ("get", |c, b| c.get(b).is_some()),
             ("set", |c, b| c.set(b, 1)),
-            ("peek_victim", |c, b| c.peek_victim(b).is_some()),
             ("probe", |c, b| c.probe(b)),
             ("probe_dirty", |c, b| c.probe_dirty(b)),
             ("flush", |c, b| c.flush(b)),

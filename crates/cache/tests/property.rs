@@ -204,7 +204,6 @@ enum ValueOp {
     Flush { addr: u64 },
     Invalidate { addr: u64 },
     Get { addr: u64 },
-    PeekVictim { addr: u64 },
     ProbeDirty { addr: u64 },
     LoseAll,
 }
@@ -213,7 +212,7 @@ fn gen_value_op(rng: &mut SplitMix64, addr_space: u64) -> ValueOp {
     let addr = gen_addr(rng, addr_space);
     let write = rng.gen_bool(0.5);
     let value = rng.next_u64();
-    match rng.gen_range(0..40) {
+    match rng.gen_range(0..37) {
         0..=7 => ValueOp::Access { addr, write },
         8..=15 => ValueOp::Fill { addr, write, value },
         16..=21 => ValueOp::Hit { addr, write },
@@ -221,8 +220,7 @@ fn gen_value_op(rng: &mut SplitMix64, addr_space: u64) -> ValueOp {
         26..=28 => ValueOp::Flush { addr },
         29..=30 => ValueOp::Invalidate { addr },
         31..=33 => ValueOp::Get { addr },
-        34..=36 => ValueOp::PeekVictim { addr },
-        37..=38 => ValueOp::ProbeDirty { addr },
+        34..=35 => ValueOp::ProbeDirty { addr },
         _ => ValueOp::LoseAll,
     }
 }
@@ -436,14 +434,6 @@ fn run_value_model(ops: &[ValueOp], sets: u64, ways: usize) -> Result<(), String
                 let held = cache.get(BlockAddr(addr)).copied();
                 let expected = model.lines.get(&addr).and_then(|l| l.value);
                 ensure!(held == expected, "get {addr}: {held:?} vs {expected:?}");
-            }
-            ValueOp::PeekVictim { addr } => {
-                let peeked = cache.peek_victim(BlockAddr(addr)).map(|b| b.0);
-                let expected = model.victim(addr);
-                ensure!(
-                    peeked == expected,
-                    "peek_victim {addr}: {peeked:?} vs the model's {expected:?}"
-                );
             }
             ValueOp::ProbeDirty { addr } => {
                 let dirty = cache.probe_dirty(BlockAddr(addr));

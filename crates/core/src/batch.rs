@@ -58,13 +58,18 @@
 //! `SecureMemory::settle_path_hashes` then hashes each owed node once,
 //! bottom-up, so ancestors the members share are hashed once per batch
 //! instead of once per member (the shared-ancestor updates Freij et al.
-//! coalesce). The settle runs wherever an owed hash would become
-//! observable: at the commit (which covers `abandon_batch`), when an
-//! injected crash fires, and before a Merkle-tree-cache fill displaces
-//! a node that is owed or whose parent a walk is fetching. Every cache
-//! line, staged write and register then holds what the eager walk left,
-//! so no simulated number and no NVM byte depends on when the hashes
-//! run.
+//! coalesce). An owed node stays on chip until it settles: in its
+//! Merkle-tree-cache line, or, once a fill displaces it, in its queued
+//! write-back, where the settle reads and writes it (the fetches treat
+//! the eviction queue as on chip too). Its value can only be seen when
+//! a drain writes the node back or drops it, at the commit, or at an
+//! injected crash, so the settle runs at exactly those points:
+//! `drain_evictions` settles before it pops an owed node, and the
+//! commit (which covers `abandon_batch`) and a firing crash hook settle
+//! first. None of them runs inside a walk. Every cache line, queued
+//! write-back, staged write and register then holds what the eager walk
+//! left, so no simulated number and no NVM byte depends on when the
+//! hashes run.
 //!
 //! The engine keeps one set of batch bookkeeping tables for its whole
 //! life: a commit clears them and the next batch reuses them, so
@@ -81,7 +86,7 @@ use triad_sim::events::emit;
 use triad_sim::time::Time;
 use triad_sim::{AddrMap, AddrSet, BlockAddr, BLOCK_BYTES};
 
-use crate::engine::{MtLine, Result, SecureMemory};
+use crate::engine::{EvictItem, MtLine, NodeSource, Result, SecureMemory};
 use crate::error::{CrashHookKind, SecureMemoryError};
 use crate::registers::{PersistentRegisters, StagedUpdate, StagedWrite};
 
@@ -140,9 +145,8 @@ pub(crate) struct PathNode {
 }
 
 /// The tree-node hashes the open batch's walks owe (see the module
-/// docs). Between settles every owed node stays resident in the
-/// Merkle-tree cache, and so does the node whose parent a walk is
-/// fetching.
+/// docs). Between settles every owed node stays on chip: in its
+/// Merkle-tree-cache line, or in its queued write-back.
 #[derive(Debug, Default)]
 pub(crate) struct PathHashes {
     /// `owed[level - 1]`: the nodes at `level` whose parent slot (or
@@ -150,11 +154,6 @@ pub(crate) struct PathHashes {
     owed: Vec<Vec<PathNode>>,
     /// Addresses of every owed node.
     owed_addrs: AddrSet<u64>,
-    /// The node whose parent the current walk is fetching.
-    in_flight: Option<PathNode>,
-    /// The in-flight node's hash, when a settle ran during that fetch:
-    /// the walk writes it into the parent itself.
-    carried: Option<Mac64>,
     /// Whether a walk moved the persistent root since the last settle,
     /// which then logs it in the registers.
     log_root: bool,
@@ -173,31 +172,14 @@ impl PathHashes {
         self.owed[level - 1].push(node);
     }
 
-    /// Whether some node must not leave the Merkle-tree cache unsettled.
-    pub(crate) fn watches_any(&self) -> bool {
-        !self.owed_addrs.is_empty() || self.in_flight.is_some()
-    }
-
-    /// Whether `addr` must not leave the Merkle-tree cache unsettled.
-    pub(crate) fn watches(&self, addr: BlockAddr) -> bool {
-        self.owed_addrs.contains(&addr.0) || self.in_flight.is_some_and(|n| n.addr == addr)
+    /// Whether node `addr`'s hash is owed.
+    pub(crate) fn owes(&self, addr: BlockAddr) -> bool {
+        self.owed_addrs.contains(&addr.0)
     }
 
     /// Whether a settle would change nothing.
     pub(crate) fn is_settled(&self) -> bool {
-        self.owed_addrs.is_empty() && self.in_flight.is_none() && !self.log_root
-    }
-
-    /// Marks `node` as the one whose parent the walk now fetches.
-    pub(crate) fn fetching_parent_of(&mut self, node: Option<PathNode>) {
-        self.in_flight = node;
-    }
-
-    /// Ends the fetch [`PathHashes::fetching_parent_of`] began,
-    /// returning that node's hash if a settle ran meanwhile.
-    pub(crate) fn parent_fetched(&mut self) -> Option<Mac64> {
-        self.in_flight = None;
-        self.carried.take()
+        self.owed_addrs.is_empty() && !self.log_root
     }
 
     /// Notes that a walk moved the persistent root.
@@ -236,9 +218,9 @@ impl SecureMemory {
     /// members before it; a crash inside that commit (an armed
     /// [`CrashHookKind::WpqWrite`] hook) returns
     /// [`SecureMemoryError::NeedsRecovery`] instead of the member's
-    /// error. A dirty L3 victim whose write-back fails stays queued,
-    /// and every later drain retries it first (see
-    /// [`SecureMemory::load_block`]).
+    /// error. A dirty victim (an L3 block, a counter block or a tree
+    /// node) whose write-back fails stays queued, and every later drain
+    /// retries it first (see [`SecureMemory::load_block`]).
     pub fn persist_batch(&mut self, members: &[(BlockAddr, Block)], now: Time) -> Result<Time> {
         self.check_persist_targets(members.iter().map(|(block, _)| *block))?;
         self.persist_members(members, true, now)
@@ -522,12 +504,13 @@ impl SecureMemory {
     }
 
     /// Hashes every tree node the open batch's walks owe, once each,
-    /// bottom-up (see the module docs). Each hash goes into its
-    /// parent's cache line through the non-touching `Cache::get` and
-    /// `Cache::set`, so recency, dirty bits and cache statistics do not
-    /// move, or into the root. An owed node's staged bytes are refreshed
-    /// in place, and a moved persistent root is logged in the
-    /// registers. A no-op when nothing is owed or no batch is open.
+    /// bottom-up (see the module docs). Each hash goes into its parent,
+    /// on chip, without a touch: into its cache line through
+    /// `Cache::get` and `Cache::set`, so recency, dirty bits and cache
+    /// statistics do not move, into its queued write-back, or into the
+    /// root. An owed node's staged bytes are refreshed in place, and a
+    /// moved persistent root is logged in the registers. A no-op when
+    /// nothing is owed or no batch is open.
     pub(crate) fn settle_path_hashes(&mut self) -> Result<()> {
         let Some(pending) = self.batch.as_mut() else {
             return Ok(());
@@ -536,7 +519,7 @@ impl SecureMemory {
             return Ok(());
         }
         let mut hashes = std::mem::take(&mut pending.hashes);
-        let settled = self.settle(&mut hashes);
+        let settled = self.settle(&hashes);
         hashes.clear();
         if let Some(pending) = self.batch.as_mut() {
             pending.hashes = hashes;
@@ -544,28 +527,16 @@ impl SecureMemory {
         settled
     }
 
-    fn settle(&mut self, hashes: &mut PathHashes) -> Result<()> {
+    fn settle(&mut self, hashes: &PathHashes) -> Result<()> {
         let staged_levels = self.scheme.persisted_bmt_levels();
         for nodes in &hashes.owed {
             for &node in nodes {
-                let buf = self.resident_node(node.addr)?;
+                let buf = self.owed_node(node.addr)?;
                 if node.level <= staged_levels {
                     self.batch_refresh(node.addr, buf.0);
                 }
                 let hash = self.path_node_hash(node, &buf);
                 self.feed_parent(node, hash)?;
-            }
-        }
-        if let Some(node) = hashes.in_flight.take() {
-            let buf = self.resident_node(node.addr)?;
-            hashes.carried = Some(self.path_node_hash(node, &buf));
-        }
-        // A walk in progress has not staged its path yet: its copies
-        // take the settled values.
-        for i in 0..self.path_writes.len() {
-            let addr = self.path_writes[i].addr;
-            if let Some(MtLine::Node(buf)) = self.mt_cache.get(addr) {
-                self.path_writes[i].data = buf.0;
             }
         }
         if hashes.log_root {
@@ -574,13 +545,12 @@ impl SecureMemory {
         Ok(())
     }
 
-    /// The value of BMT node `addr`, which a settle reads or writes on
-    /// chip.
-    fn resident_node(&self, addr: BlockAddr) -> Result<NodeBuf> {
-        match self.mt_cache.get(addr) {
-            Some(MtLine::Node(buf)) => Ok(*buf),
+    /// The value of owed BMT node `addr`, which is on chip.
+    fn owed_node(&self, addr: BlockAddr) -> Result<NodeBuf> {
+        match self.node_source(addr) {
+            NodeSource::OnChip(buf) => Ok(buf),
             _ => Err(SecureMemoryError::internal(format!(
-                "BMT node {addr} left the Merkle-tree cache with a hash owed"
+                "BMT node {addr} left the chip with a hash owed"
             ))),
         }
     }
@@ -597,8 +567,8 @@ impl SecureMemory {
         bmt::node_hash(&self.mac_engine, id, &buf.0)
     }
 
-    /// Writes `hash` into `node`'s slot of its parent: the root, or a
-    /// resident node's line, untouched.
+    /// Writes `hash` into `node`'s slot of its parent: the root, or an
+    /// owed node's line or queued write-back, untouched.
     fn feed_parent(&mut self, node: PathNode, hash: Mac64) -> Result<()> {
         let layout = self.layout(node.kind);
         let geom = &layout.geometry;
@@ -611,9 +581,16 @@ impl SecureMemory {
             return Ok(());
         }
         let parent = self.node_addr(node.kind, p_level, p_index)?;
-        let mut buf = self.resident_node(parent)?;
+        let mut buf = self.owed_node(parent)?;
         buf.set_slot(slot, hash);
-        self.mt_cache.set(parent, MtLine::Node(buf));
+        if !self.mt_cache.set(parent, MtLine::Node(buf)) {
+            for item in &mut self.evict_queue {
+                match item {
+                    EvictItem::Node { addr, value, .. } if *addr == parent => *value = buf,
+                    _ => {}
+                }
+            }
+        }
         Ok(())
     }
 }
@@ -623,15 +600,15 @@ mod tests {
     use triad_sim::config::{CacheConfig, SystemConfig};
 
     use super::*;
-    use crate::engine::EvictItem;
     use crate::{IntegrityKind, PersistScheme, SecureMemoryBuilder, SecureMemoryError};
 
     /// A walk's node can leave the Merkle-tree cache while the walk
-    /// fetches its parent: the fetch settles the batch first, and the
-    /// walk writes the node's hash into the parent itself. A
-    /// direct-mapped cache in which a level-1 node and its parent share
-    /// a set forces that on the first persist, and the resulting root
-    /// is the one a cache that holds both computes.
+    /// fetches its parent: the node waits in the eviction queue, and
+    /// the drain settles the batch before it writes the node back, so
+    /// the settle reads the node there and feeds its hash to the
+    /// parent. A direct-mapped cache in which a level-1 node and its
+    /// parent share a set forces that on the first persist, and the
+    /// resulting root is the one a cache that holds both computes.
     #[test]
     fn a_node_displaced_by_its_parents_fetch_still_feeds_the_parent() {
         let probe = SecureMemoryBuilder::new().build().unwrap();
@@ -731,9 +708,18 @@ mod tests {
         }
     }
 
-    /// A resident counter or Merkle-tree-cache line's value and dirty
-    /// bit.
+    /// A counter or Merkle-tree-cache line's value and dirty bit, on
+    /// chip: resident, or queued for its write-back.
     fn line(m: &SecureMemory, addr: BlockAddr) -> Option<(Block, bool)> {
+        if let Some(item) = m.evict_queue.iter().find(|item| item.addr() == addr) {
+            return match *item {
+                EvictItem::Counter { value, dirty, .. } => Some((value.to_bytes(), dirty)),
+                EvictItem::Node { value, dirty, .. } | EvictItem::Mac { value, dirty, .. } => {
+                    Some((value.0, dirty))
+                }
+                EvictItem::Data { .. } => None,
+            };
+        }
         let value = match m.mt_cache.get(addr) {
             Some(line) => line.buf().0,
             None => m.ctr_cache.get(addr)?.to_bytes(),
@@ -744,12 +730,12 @@ mod tests {
 
     /// A write-back whose tree path fails verification changes nothing
     /// on chip: the error names the tampered node; the counter line,
-    /// the MAC line and the path's resident nodes keep their value and
-    /// dirty bit; no page re-encrypts. A failed L3 victim stays queued
-    /// and fails every later drain while the tamper stays, and a crash
-    /// in its own commit drops it with the rest of the chip. With the
-    /// tamper undone and the dirty lines pushed out, a crash recovers
-    /// every committed value.
+    /// the MAC line and the path's on-chip nodes keep their value and
+    /// dirty bit; no page re-encrypts. A failed L3, counter or tree-node
+    /// victim stays queued and fails every later drain while the tamper
+    /// stays, and a crash in an L3 victim's own commit drops it with the
+    /// rest of the chip. With the tamper undone and the dirty lines
+    /// pushed out, a crash recovers every committed value.
     #[test]
     fn a_write_back_that_fails_verification_changes_nothing() {
         let probe = SecureMemoryBuilder::new().build().unwrap();
@@ -772,6 +758,32 @@ mod tests {
             .take(9)
             .collect();
         let stores = |blocks: &[BlockAddr]| blocks.iter().map(|&b| Store(b, 9)).collect::<Vec<_>>();
+        let reads = |blocks: &[BlockAddr]| blocks.iter().map(|&b| Read(b, 0)).collect::<Vec<_>>();
+        // Stores `set[0]` as `v` and evicts it with 8 stores into its L3
+        // set; its counter is then dirty on chip.
+        let evict_np = |v: u8| [vec![Store(set[0], v)], stores(&set[1..9])].concat();
+        // Unwritten persistent blocks whose loads fill the 4-way set of
+        // `set[0]`'s counter in the counter cache (`ctr_mates`), or the
+        // 4-way set of that counter's level-1 node in the Merkle-tree
+        // cache (`mt_mates`, through their MAC blocks): the fourth such
+        // load after the line's last touch evicts it.
+        let ctr_sets = tiny.security.counter_cache.sets() as u64;
+        let mt_sets = tiny.security.mt_cache.sets() as u64;
+        let np_counter = np.counter_block_of(set[0]);
+        let np_node = np.bmt_node_addr(1, np.leaf_index(np_counter) / np.geometry.arity());
+        let np_node = np_node.unwrap();
+        let blocks = (0..layout.data_blocks).map(|i| layout.data_start + i);
+        let ctr_mates: Vec<_> = blocks
+            .clone()
+            .step_by(layout.counter_coverage as usize)
+            .filter(|&b| layout.counter_block_of(b).0 % ctr_sets == np_counter.0 % ctr_sets)
+            .take(4)
+            .collect();
+        let mt_mates: Vec<_> = blocks
+            .step_by(8)
+            .filter(|&b| layout.mac_block_of(b).0 % mt_sets == np_node.0 % mt_sets)
+            .take(4)
+            .collect();
         use Step::*;
         // Each case then pushes the dirty lines out, crashes, and reads
         // back every committed value.
@@ -855,6 +867,42 @@ mod tests {
                 .concat(),
                 vec![],
             ),
+            // The fourth load evicts the dirty counter, whose refresh
+            // of its tampered level-1 node fails; the L3 hit retries it.
+            (
+                "(g) a dirty counter victim",
+                triad1,
+                tiny.security.mt_cache,
+                [
+                    evict_np(1),
+                    vec![PushOut],
+                    evict_np(2),
+                    reads(&ctr_mates[..3]),
+                    vec![Tamper(1, set[0], 2), Read(ctr_mates[3], 0)],
+                    vec![Read(ctr_mates[0], 0), Read(set[0], 2)],
+                ]
+                .concat(),
+                vec![],
+            ),
+            // The counter's eviction dirties its level-1 node; the
+            // fourth load after that evicts the node, whose refresh of
+            // its tampered level-2 node fails.
+            (
+                "(h) a dirty tree-node victim",
+                triad2,
+                tiny.security.mt_cache,
+                [
+                    evict_np(1),
+                    vec![PushOut],
+                    evict_np(2),
+                    reads(&ctr_mates),
+                    reads(&mt_mates[..3]),
+                    vec![Tamper(2, set[0], 2), Read(mt_mates[3], 0)],
+                    vec![Read(mt_mates[0], 0), Read(set[0], 2)],
+                ]
+                .concat(),
+                vec![],
+            ),
         ];
         for (name, scheme, mt_cache, steps, committed) in cases {
             let mut config = tiny;
@@ -872,6 +920,7 @@ mod tests {
                     run(&mut m, step).unwrap_or_else(|e| panic!("{name}: {e}"));
                     continue;
                 };
+                let layout = map.region(map.data_region_of(block).unwrap());
                 let leaf = layout.leaf_index(layout.counter_block_of(block));
                 let geom = &layout.geometry;
                 let path = |l: u8| layout.bmt_node_addr(l, leaf / geom.arity().pow(l.into()));

@@ -128,8 +128,8 @@ pub struct SecureStats {
     /// (root and counter-block hashes, verification and eviction-path
     /// hashes excluded). A batch hashes each node its walks touch once
     /// per settle of its owed hashes: at its commit, and earlier only
-    /// where one must land sooner (an injected crash, or an owed node
-    /// leaving the Merkle-tree cache).
+    /// where one must land sooner (an injected crash, or a drain
+    /// reaching an owed node's write-back).
     pub node_hashes: u64,
 }
 
@@ -417,7 +417,7 @@ impl MtLine {
 /// Where a fetch finds a BMT node's newest value: on chip (a
 /// Merkle-tree-cache line or a queued write-back, so trusted), staged in
 /// the open batch (whose NVM copy is stale until it commits), or in NVM.
-enum NodeSource {
+pub(crate) enum NodeSource {
     OnChip(NodeBuf),
     Staged(Block),
     Nvm,
@@ -820,21 +820,10 @@ impl SecureMemory {
         }
     }
 
-    /// Fills a Merkle-tree-cache line; a fill that would displace a
-    /// node whose hash the open batch still owes, or whose parent a
-    /// walk is fetching, settles the batch first.
-    fn mt_fill(&mut self, block: BlockAddr, write: bool, value: MtLine) -> Result<()> {
-        let displaces_owed = self.batch.as_ref().is_some_and(|pending| {
-            let owed = &pending.hashes;
-            owed.watches_any()
-                && self
-                    .mt_cache
-                    .peek_victim(block)
-                    .is_some_and(|victim| owed.watches(victim))
-        });
-        if displaces_owed {
-            self.settle_path_hashes()?;
-        }
+    /// Fills a Merkle-tree-cache line. A displaced node whose hash the
+    /// open batch still owes stays on chip in the queue, where a settle
+    /// reads and writes it (see [`crate::batch`]).
+    fn mt_fill(&mut self, block: BlockAddr, write: bool, value: MtLine) {
         let out = self.mt_cache.fill(block, write, value);
         if let Some(Victim {
             addr,
@@ -847,7 +836,6 @@ impl SecureMemory {
                 MtLine::Mac(value) => EvictItem::Mac { addr, value, dirty },
             });
         }
-        Ok(())
     }
 
     /// Pulls a still-queued victim back on chip (a fetch racing its own
@@ -860,16 +848,26 @@ impl SecureMemory {
     /// Drains the eviction queue: every dirty victim is written to NVM
     /// and its parent's hash slot refreshed (the §3.2 lazy-propagation
     /// discipline). Handlers may queue further victims; the loop runs
-    /// until quiescence. A data victim whose write-back fails goes back
-    /// on top of the queue, readable through [`SecureMemory::reclaim`]:
-    /// every later drain retries it first, and fails on it while its
-    /// tree path stays tampered, until a load or store of its block
-    /// takes it back into the L3 or the engine crashes.
+    /// until quiescence. A node whose hash the open batch owes leaves
+    /// only after a settle (see [`crate::batch`]). A victim whose
+    /// write-back fails goes back on top of the queue, readable through
+    /// [`SecureMemory::reclaim`], unless a crash in its own commit
+    /// cleared the queue: every later drain retries it first, and fails
+    /// on it while its tree path stays tampered, until a fetch of its
+    /// block takes it back on chip or the engine crashes.
     pub(crate) fn drain_evictions(&mut self, now: Time) -> Result<()> {
         self.hists
             .evict_queue_depth
             .record(self.evict_queue.len() as u64);
         while let Some(item) = self.evict_queue.pop() {
+            // An owed node leaves the chip only once settled.
+            if let EvictItem::Node { addr, .. } = item {
+                if self.batch.as_ref().is_some_and(|p| p.hashes.owes(addr)) {
+                    self.evict_queue.push(item);
+                    self.settle_path_hashes()?;
+                    continue;
+                }
+            }
             if self.events.is_some() {
                 let kind = match &item {
                     EvictItem::Data { dirty, .. } if *dirty => Some("data"),
@@ -887,23 +885,11 @@ impl SecureMemory {
                     );
                 }
             }
-            match item {
-                EvictItem::Data { addr, plain, dirty } => {
-                    if !dirty {
-                        continue;
-                    }
-                    if let Err(e) = self.writeback_victim(addr, plain, now) {
-                        // A crash in its own commit has cleared the queue.
-                        if self.state != EngineState::Crashed {
-                            self.evict_queue.push(item);
-                        }
-                        return Err(e);
-                    }
+            let written = match item {
+                EvictItem::Data { addr, plain, dirty } if dirty => {
+                    self.writeback_victim(addr, plain, now)
                 }
-                EvictItem::Counter { addr, value, dirty } => {
-                    if !dirty {
-                        continue;
-                    }
+                EvictItem::Counter { addr, value, dirty } if dirty => {
                     let kind = self.map.region_of(addr.base()).ok_or_else(|| {
                         SecureMemoryError::internal(format!(
                             "queued counter block {addr} is outside every region"
@@ -915,12 +901,9 @@ impl SecureMemory {
                     self.batch_refresh(addr, bytes);
                     self.stats.counter_writes_evict += 1;
                     let h = bmt::leaf_hash(&self.mac_engine, kind, leaf, &bytes);
-                    self.bump_parent_slot(kind, 0, leaf, h, now)?;
+                    self.bump_parent_slot(kind, 0, leaf, h, now)
                 }
-                EvictItem::Node { addr, value, dirty } => {
-                    if !dirty {
-                        continue;
-                    }
+                EvictItem::Node { addr, value, dirty } if dirty => {
                     let kind = self.map.region_of(addr.base()).ok_or_else(|| {
                         SecureMemoryError::internal(format!(
                             "queued BMT node {addr} is outside every region"
@@ -943,15 +926,24 @@ impl SecureMemory {
                         },
                         &value.0,
                     );
-                    self.bump_parent_slot(kind, level, index, h, now)?;
+                    self.bump_parent_slot(kind, level, index, h, now)
                 }
-                EvictItem::Mac { addr, value, dirty } => {
-                    if dirty {
-                        self.mc.write(addr, value.0, now);
-                        self.batch_refresh(addr, value.0);
-                        self.stats.mac_writes_evict += 1;
-                    }
+                EvictItem::Mac { addr, value, dirty } if dirty => {
+                    self.mc.write(addr, value.0, now);
+                    self.batch_refresh(addr, value.0);
+                    self.stats.mac_writes_evict += 1;
+                    Ok(())
                 }
+                // A clean victim leaves without a write-back.
+                _ => Ok(()),
+            };
+            if let Err(e) = written {
+                // A crash in a data victim's own commit has cleared the
+                // queue.
+                if self.state != EngineState::Crashed {
+                    self.evict_queue.push(item);
+                }
+                return Err(e);
             }
         }
         Ok(())
@@ -1003,13 +995,14 @@ impl SecureMemory {
             return Ok((self.root(kind), now));
         }
         let addr = self.node_addr(kind, level, index)?;
+        if let Some(line) = self.mt_cache.hit(addr, false) {
+            return Ok((line.buf(), now + self.mt_cache.latency()));
+        }
         let (bytes, t) = match self.node_source(addr) {
             NodeSource::OnChip(value) => {
-                // A hit, or a pending write-back pulled back on chip.
-                if self.mt_cache.hit(addr, false).is_none() {
-                    if let Some(EvictItem::Node { dirty, .. }) = self.reclaim(addr) {
-                        self.mt_fill(addr, dirty, MtLine::Node(value))?;
-                    }
+                // A pending write-back, pulled back on chip.
+                if let Some(EvictItem::Node { dirty, .. }) = self.reclaim(addr) {
+                    self.mt_fill(addr, dirty, MtLine::Node(value));
                 }
                 return Ok((value, now + self.mt_cache.latency()));
             }
@@ -1021,7 +1014,7 @@ impl SecureMemory {
         let (parent, tp) = self.ensure_node(kind, p_level, p_index, now)?;
         self.verify_node(kind, level, index, &bytes, &parent)?;
         let buf = NodeBuf(bytes);
-        self.mt_fill(addr, false, MtLine::Node(buf))?;
+        self.mt_fill(addr, false, MtLine::Node(buf));
         let done = t.max(tp) + self.config.security.hash_latency;
         self.hists.node_fetch_ns.record(done.since(now).as_ns());
         Ok((buf, done))
@@ -1033,10 +1026,11 @@ impl SecureMemory {
         addr.ok_or_else(|| SecureMemoryError::internal(format!("no BMT node ({level}, {index})")))
     }
 
-    /// Where [`SecureMemory::ensure_node`] and [`SecureMemory::check_path`]
-    /// find node `addr`'s newest value. They look at its cache line, its
-    /// queued write-back, the open batch's staged copy and NVM, in order.
-    fn node_source(&self, addr: BlockAddr) -> NodeSource {
+    /// Where [`SecureMemory::ensure_node`] (after a cache miss),
+    /// [`SecureMemory::check_path`] and a settle find node `addr`'s
+    /// newest value. They look at its cache line, its queued write-back,
+    /// the open batch's staged copy and NVM, in order.
+    pub(crate) fn node_source(&self, addr: BlockAddr) -> NodeSource {
         let queued = || {
             self.evict_queue.iter().find_map(|item| match item {
                 EvictItem::Node { addr: a, value, .. } if *a == addr => Some(*value),
@@ -1247,7 +1241,7 @@ impl SecureMemory {
             return Ok((buf, now + self.mt_cache.latency()));
         }
         if let Some(EvictItem::Mac { value, dirty, .. }) = self.reclaim(addr) {
-            self.mt_fill(addr, dirty, MtLine::Mac(value))?;
+            self.mt_fill(addr, dirty, MtLine::Mac(value));
             return Ok((value, now + self.mt_cache.latency()));
         }
         let (bytes, t) = match self.batch_forward(addr) {
@@ -1256,7 +1250,7 @@ impl SecureMemory {
         };
         self.stats.mac_reads += 1;
         let buf = NodeBuf(bytes);
-        self.mt_fill(addr, false, MtLine::Mac(buf))?;
+        self.mt_fill(addr, false, MtLine::Mac(buf));
         self.hists.mac_fetch_ns.record(t.since(now).as_ns());
         Ok((buf, t))
     }
@@ -1331,7 +1325,7 @@ impl SecureMemory {
         let tag = self.data_tag(block, &ct, &iv);
         let (mut mac_buf, t_mac) = self.ensure_mac_block(kind, data_index, now)?;
         mac_buf.set_slot((data_index % 8) as usize, tag);
-        self.mt_fill(mac_addr, true, MtLine::Mac(mac_buf))?;
+        self.mt_fill(mac_addr, true, MtLine::Mac(mac_buf));
         t = t.max(t_mac) + self.config.security.hash_latency;
 
         // 3. Minor overflow: the whole page re-encrypts under the new
@@ -1481,7 +1475,7 @@ impl SecureMemory {
             let (mut mac_buf, _) = self.ensure_mac_block(kind, data_index, now)?;
             mac_buf.set_slot((data_index % 8) as usize, new_tag);
             let mac_addr = mac_start + data_index / 8;
-            self.mt_fill(mac_addr, true, MtLine::Mac(mac_buf))?;
+            self.mt_fill(mac_addr, true, MtLine::Mac(mac_buf));
             touched_macs.insert(mac_addr.0);
             // An atomic region's re-encrypted ciphertext stages (a
             // direct write would be clobbered by the batch commit or
@@ -1550,21 +1544,16 @@ impl SecureMemory {
                 }
                 return Ok(t + hash_latency);
             }
-            self.path_hashes()?.fetching_parent_of(child);
-            let fetched = self.ensure_node(kind, level, index, now);
-            let carried = self.path_hashes()?.parent_fetched();
-            let (mut buf, tn) = fetched.map_err(|e| {
+            let (mut buf, tn) = self.ensure_node(kind, level, index, now).map_err(|e| {
                 SecureMemoryError::internal(format!("a tree walk failed past its path check: {e}"))
             })?;
-            match (child, carried) {
-                (None, _) => buf.set_slot(slot, leaf_hash),
-                // A settle ran during the fetch and hashed the child.
-                (Some(_), Some(hash)) => buf.set_slot(slot, hash),
-                (Some(node), None) => self.path_hashes()?.owe(node),
+            match child {
+                None => buf.set_slot(slot, leaf_hash),
+                Some(node) => self.path_hashes()?.owe(node),
             }
             let addr = self.node_addr(kind, level, index)?;
             let persist_this = level <= persist_levels;
-            self.mt_fill(addr, !persist_this, MtLine::Node(buf))?;
+            self.mt_fill(addr, !persist_this, MtLine::Node(buf));
             if persist_this {
                 self.path_writes.push(StagedWrite { addr, data: buf.0 });
             }
@@ -1600,10 +1589,11 @@ impl SecureMemory {
     /// * [`SecureMemoryError::OutOfRange`] outside any data area.
     /// * [`SecureMemoryError::MacMismatch`] /
     ///   [`SecureMemoryError::IntegrityViolation`] on tampering, also
-    ///   from the write-back of a dirty L3 victim, which any call may
-    ///   run. That victim stays queued and every later call retries it
-    ///   first, failing the same way while the tamper stays, until a
-    ///   load or store of its block takes it back into the L3 or the
+    ///   from the write-back of a dirty victim (an L3 block, a counter
+    ///   block or a tree node), which any call may run. That victim
+    ///   stays queued and every later call retries it first, failing
+    ///   the same way while the tamper stays, until a fetch takes it
+    ///   back on chip (for an L3 block, a load or store of it) or the
     ///   engine crashes.
     /// * [`SecureMemoryError::NeedsRecovery`] after an unrecovered
     ///   crash, [`SecureMemoryError::Unverifiable`] for a poisoned

@@ -273,7 +273,7 @@ impl Aes128 {
         }
     }
 
-    /// State layout: byte `i` holds s[r][c] with r = i % 4, c = i / 4
+    /// State layout: byte `i` holds `s[r][c]` with `r = i % 4`, `c = i / 4`
     /// (FIPS-197 column-major order, matching the input byte order).
     fn inv_shift_rows(state: &mut [u8; 16]) {
         let old = *state;
